@@ -5,7 +5,7 @@ Every figure in the paper runs through `repro.sim` and
 reproduction: a 32-host / 8-cluster grid carrying 64 concurrent flows
 under closed-loop churn (each completion launches a replacement), with
 events/sec recorded for the incremental max-min allocator and the
-from-scratch reference allocator.
+from-scratch reference allocator (``tests/oracles/network.py``).
 
 Two claims are checked, matching the overhaul's contract:
 
@@ -20,6 +20,7 @@ Two claims are checked, matching the overhaul's contract:
 import pytest
 
 from repro.experiments.substrate import run_substrate_bench
+from tests.oracles.network import ReferenceTopology
 
 TRANSFERS = 1500
 #: required wall-clock advantage of the incremental allocator
@@ -28,10 +29,9 @@ MIN_SPEEDUP = 2.0
 
 @pytest.fixture(scope="module")
 def results():
-    incremental = run_substrate_bench(total_transfers=TRANSFERS,
-                                      allocator="incremental")
+    incremental = run_substrate_bench(total_transfers=TRANSFERS)
     reference = run_substrate_bench(total_transfers=TRANSFERS,
-                                    allocator="reference")
+                                    topology_cls=ReferenceTopology)
     return incremental, reference
 
 

@@ -7,7 +7,7 @@
     python -m repro eman
     python -m repro opportunistic
     python -m repro describe path/to/grid.dml
-    python -m repro bench --compare
+    python -m repro bench --scheduler --tasks 128 --json
     python -m repro faults run --seed 0 --mtbf 300,900 --json
     python -m repro faults report campaign.json
     python -m repro metasched run --users 6 --arrival-rate 0.01 --json
@@ -50,11 +50,7 @@ from .experiments.fig3_qr import DEFAULT_SIZES, run_fig3
 from .experiments.fig4_swap import run_fig4
 from .experiments.metasched_stream import metasched_tables, run_metasched
 from .experiments.opportunistic import run_opportunistic
-from .experiments.scheduler_bench import (
-    build_scheduler_bench_env,
-    run_scheduler_bench,
-    schedules_equal,
-)
+from .experiments.scheduler_bench import run_scheduler_bench
 from .experiments.soak import run_soak, soak_tables
 from .experiments.substrate import run_substrate_bench
 from .experiments.common import JSON_SCHEMA_VERSION, format_table
@@ -136,22 +132,15 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="substrate stress benchmark (64 flows / 32 hosts); "
                       "--scheduler switches to the workflow-scheduler bench")
     bench.add_argument("--transfers", type=int, default=1500,
-                       help="total transfers to complete")
-    bench.add_argument("--allocator", default="incremental",
-                       choices=["incremental", "reference"])
+                       help="total transfers to complete (>= 1)")
     bench.add_argument("--scheduler", action="store_true",
                        help="benchmark the workflow scheduler (EMAN-shaped "
                             "DAG) instead of the substrate")
     bench.add_argument("--tasks", type=int, default=256,
-                       help="classesbymra fan-out for --scheduler")
+                       help="classesbymra fan-out for --scheduler (>= 1)")
     bench.add_argument("--hosts", type=int, default=32,
-                       help="grid size for --scheduler")
-    bench.add_argument("--engine", default="fast",
-                       choices=["fast", "reference"],
-                       help="scheduling engine for --scheduler")
-    bench.add_argument("--compare", action="store_true",
-                       help="run both engines/allocators, assert "
-                            "equivalence (scheduler) and report the speedup")
+                       help="grid size for --scheduler (>= 4, one host "
+                            "per cluster)")
     bench.add_argument("--json", action="store_true",
                        help="emit the KernelStats counters as JSON on stdout")
 
@@ -175,14 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "SL001,SL003); default: all")
     lint.add_argument("--ignore", metavar="RULES", default=None,
                       help="comma-separated rule ids to skip")
-    lint.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="analyze files with N worker processes "
-                           "(default: 1, in-process)")
-    lint.add_argument("--cache-dir", metavar="PATH", default=None,
-                      help="incremental analysis cache directory (e.g. "
-                           ".simlint-cache); only changed files are "
-                           "re-analyzed, findings are byte-identical "
-                           "warm vs cold")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule table and exit")
 
@@ -441,9 +422,24 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_report(command: str, path: str) -> Optional[dict]:
+    """A saved JSON report, or None after a one-line error message."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        print(f"repro {command}: cannot read report {path}: {exc}",
+              file=sys.stderr)
+        return None
+
+
+def _print_json(result: dict) -> None:
+    result["schema_version"] = JSON_SCHEMA_VERSION
+    print(json.dumps(result, sort_keys=True))
+
+
 def _bench_row(stats: dict) -> List[str]:
-    return [str(stats["allocator"]),
-            f"{stats['wall_seconds']:.3f}",
+    return [f"{stats['wall_seconds']:.3f}",
             f"{stats['events_per_sec']:,.0f}",
             f"{int(stats['events_processed'])}",
             f"{int(stats['reallocations'])}",
@@ -453,8 +449,7 @@ def _bench_row(stats: dict) -> List[str]:
 
 def _scheduler_bench_row(result: dict) -> List[str]:
     makespans = result["makespans"]
-    return [str(result["engine"]),
-            f"{result['wall_seconds']:.3f}",
+    return [f"{result['wall_seconds']:.3f}",
             f"{result['evaluations_per_sec']:,.0f}",
             f"{result['sched_rounds']}",
             f"{result['sched_evaluations']}",
@@ -463,63 +458,37 @@ def _scheduler_bench_row(result: dict) -> List[str]:
 
 
 def _cmd_scheduler_bench(args: argparse.Namespace) -> int:
-    engines = ["fast", "reference"] if args.compare else [args.engine]
-    env = build_scheduler_bench_env(n_tasks=args.tasks, n_hosts=args.hosts)
-    results = [run_scheduler_bench(engine=engine, env=env,
-                                   keep_schedules=args.compare)
-               for engine in engines]
-    if args.compare:
-        fast, ref = results
-        for name in fast["heuristics"]:
-            if not schedules_equal(fast["schedules"][name],
-                                   ref["schedules"][name]):
-                print(f"ENGINES DIVERGE on {name}", file=sys.stderr)
-                return 1
-    for result in results:
-        result.pop("schedules", None)  # not JSON/table material
+    result = run_scheduler_bench(n_tasks=args.tasks, n_hosts=args.hosts)
     if args.json:
-        for result in results:
-            result["schema_version"] = JSON_SCHEMA_VERSION
-        payload = results[0] if len(results) == 1 else results
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(result)
         return 0
     print(format_table(
-        ["engine", "wall (s)", "evals/sec", "rounds", "evals", "memo hits",
+        ["wall (s)", "evals/sec", "rounds", "evals", "memo hits",
          "makespans (s)"],
-        [_scheduler_bench_row(result) for result in results],
-        title=f"scheduler benchmark: {results[0]['n_tasks']} tasks / "
-              f"{results[0]['n_hosts']} hosts, "
-              f"{'+'.join(results[0]['heuristics'])}"))
-    if args.compare:
-        speedup = results[1]["wall_seconds"] / results[0]["wall_seconds"]
-        print(f"\nschedules identical across engines; "
-              f"fast engine speedup: {speedup:.2f}x")
+        [_scheduler_bench_row(result)],
+        title=f"scheduler benchmark: {result['n_tasks']} tasks / "
+              f"{result['n_hosts']} hosts, "
+              f"{'+'.join(result['heuristics'])}"))
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.transfers < 1 or args.tasks < 1 or args.hosts < 4:
+        print("repro bench: need --transfers >= 1, --tasks >= 1 and "
+              "--hosts >= 4", file=sys.stderr)
+        return 2
     if args.scheduler:
         return _cmd_scheduler_bench(args)
-    allocators = (["incremental", "reference"] if args.compare
-                  else [args.allocator])
-    results = [run_substrate_bench(total_transfers=args.transfers,
-                                   allocator=alloc)
-               for alloc in allocators]
+    stats = run_substrate_bench(total_transfers=args.transfers)
     if args.json:
-        for result in results:
-            result["schema_version"] = JSON_SCHEMA_VERSION
-        payload = results[0] if len(results) == 1 else results
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(stats)
         return 0
     print(format_table(
-        ["allocator", "wall (s)", "events/sec", "events", "reallocs",
-         "stale wakeups", "route hit rate"],
-        [_bench_row(stats) for stats in results],
+        ["wall (s)", "events/sec", "events", "reallocs", "stale wakeups",
+         "route hit rate"],
+        [_bench_row(stats)],
         title=f"substrate benchmark: 64 flows / 32 hosts, "
               f"{args.transfers} transfers"))
-    if args.compare:
-        speedup = results[1]["wall_seconds"] / results[0]["wall_seconds"]
-        print(f"\nincremental allocator speedup: {speedup:.2f}x")
     return 0
 
 
@@ -536,9 +505,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
     try:
-        result = simlint.lint_tree(paths, select=select, ignore=ignore,
-                                   jobs=max(1, args.jobs),
-                                   cache_dir=args.cache_dir)
+        result = simlint.lint_tree(paths, select=select, ignore=ignore)
     except simlint.UnknownRuleError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
@@ -578,8 +545,9 @@ def _parse_grid_values(text: str, flag: str) -> tuple:
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     if args.faults_command == "report":
-        with open(args.path) as handle:
-            report = json.load(handle)
+        report = _load_report("faults", args.path)
+        if report is None:
+            return 2
         print(campaign_tables(report))
         failed = [s for s in report["scenarios"] if not s["passed"]]
         return 1 if failed else 0
@@ -611,8 +579,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 def _cmd_metasched(args: argparse.Namespace) -> int:
     if args.metasched_command == "report":
-        with open(args.path) as handle:
-            report = json.load(handle)
+        report = _load_report("metasched", args.path)
+        if report is None:
+            return 2
         print(metasched_tables(report))
         return 1 if report["conflicts"] else 0
     if args.users < 1 or args.arrival_rate <= 0 or args.duration <= 0:
@@ -648,8 +617,9 @@ def _cmd_metasched(args: argparse.Namespace) -> int:
 
 def _cmd_soak(args: argparse.Namespace) -> int:
     if args.soak_command == "report":
-        with open(args.path) as handle:
-            report = json.load(handle)
+        report = _load_report("soak", args.path)
+        if report is None:
+            return 2
         print(soak_tables(report))
         return 1 if report["summary"]["violations"] else 0
     if args.soak_command == "replay":

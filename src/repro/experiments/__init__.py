@@ -28,11 +28,7 @@ from .opportunistic import (
     asymmetric_grid,
     run_opportunistic,
 )
-from .scheduler_bench import (
-    build_scheduler_bench_env,
-    run_scheduler_bench,
-    schedules_equal,
-)
+from .scheduler_bench import build_scheduler_bench_env, run_scheduler_bench
 from .substrate import build_substrate_grid, run_substrate_bench
 
 __all__ = [
@@ -63,5 +59,4 @@ __all__ = [
     "run_metasched",
     "run_scheduler_bench",
     "run_substrate_bench",
-    "schedules_equal",
 ]

@@ -7,9 +7,10 @@ packages the outcome — per-job rows, the ``meta_*`` counters, and the
 reservation-conflict audit — as a deterministic report: same seed, same
 bytes.  The planning ``engine`` ("fast" or "reference", DESIGN.md §9.6)
 never changes the report: both engines produce byte-identical same-seed
-JSON, which is why the engine-performance ``meta_plan_*`` counters are
-excluded from :meth:`MetaschedResult.report` (the full snapshot stays
-on :attr:`MetaschedResult.counters`).
+JSON, which is why the engine-performance ``meta_plan_*`` counters
+(``repro.sim.stats.DIAGNOSTIC_COUNTERS``) are excluded from
+:meth:`MetaschedResult.report` (the full snapshot stays on
+:attr:`MetaschedResult.counters`).
 """
 
 from __future__ import annotations
@@ -34,15 +35,11 @@ from ..microgrid.testbed import (
 from ..nws.service import NetworkWeatherService
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
+from ..sim.stats import DIAGNOSTIC_COUNTERS
 from .common import JSON_SCHEMA_VERSION, format_table
 
 __all__ = ["MetaschedResult", "run_metasched", "metasched_scale_grid",
            "metasched_tables"]
-
-#: counter-name prefix excluded from deterministic reports — these
-#: describe *how* the plan was computed and differ across engines
-_ENGINE_COUNTER_PREFIX = "meta_plan_"
-
 
 @dataclass
 class MetaschedResult:
@@ -96,7 +93,7 @@ class MetaschedResult:
             "jobs": self.jobs,
             "counters": {name: value
                          for name, value in self.counters.items()
-                         if not name.startswith(_ENGINE_COUNTER_PREFIX)},
+                         if name not in DIAGNOSTIC_COUNTERS},
             "conflicts": self.conflicts,
             "summary": self.summary(),
         }

@@ -1,23 +1,22 @@
 """Workflow-scheduler throughput benchmark (the §3.1 hot path).
 
-PR 1's substrate bench isolates the network allocator; this one
+The substrate bench isolates the network allocator; this one
 isolates the list-scheduling engine.  The workload is an EMAN-shaped
 refinement round — a linear six-stage DAG whose ``classesbymra`` stage
 fans out to hundreds of independent tasks, the worst case for the
 pre-overhaul O(T²·R) builder — scheduled onto a heterogeneous
 multi-cluster grid.
 
-``run_scheduler_bench(engine="fast")`` vs ``"reference"`` isolates the
-incremental engine's speedup: both engines produce identical schedules
-(property-tested in ``tests/scheduler/test_fast_reference.py`` and
-asserted again here via :func:`schedules_equal`), so wall-clock and
-evaluations/sec are directly comparable.
+``heuristics_table`` lets the benchmark tests run the same workload on
+the test-suite reference oracle (``tests/oracles/heuristics.py``); both
+produce identical schedules, so wall-clock and evaluations/sec are
+directly comparable.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..apps.eman import EmanParameters, eman_refinement_workflow
 from ..gis.directory import GridInformationService
@@ -25,17 +24,12 @@ from ..microgrid.cluster import Cluster
 from ..microgrid.dml import Grid
 from ..microgrid.host import Architecture, CacheLevel
 from ..nws.service import NetworkWeatherService
-from ..scheduler.heuristics import (
-    HEURISTICS,
-    REFERENCE_HEURISTICS,
-    Schedule,
-)
+from ..scheduler.heuristics import HEURISTICS, Schedule
 from ..scheduler.ranking import RankMatrix, build_rank_matrix
 from ..scheduler.workflow import Workflow
 from ..sim.kernel import Simulator
 
-__all__ = ["build_scheduler_bench_env", "run_scheduler_bench",
-           "schedules_equal"]
+__all__ = ["build_scheduler_bench_env", "run_scheduler_bench"]
 
 #: per-cluster sustained speeds (Mflop/s) — heterogeneous on purpose so
 #: the completion-time heuristics have real choices to rank.
@@ -86,39 +80,23 @@ def build_scheduler_bench_env(n_tasks: int = 512, n_hosts: int = 32,
     return workflow, matrix, nws
 
 
-def schedules_equal(a: Schedule, b: Schedule) -> bool:
-    """Placement-for-placement equality (resources and exact times)."""
-    if set(a.placements) != set(b.placements):
-        return False
-    for name, p in a.placements.items():
-        q = b.placements[name]
-        if (p.resource != q.resource or p.est_start != q.est_start
-                or p.est_finish != q.est_finish):
-            return False
-    return True
-
-
 def run_scheduler_bench(n_tasks: int = 512, n_hosts: int = 32,
-                        engine: str = "fast",
                         heuristics: Sequence[str] = ("min-min", "max-min",
                                                      "sufferage"),
                         keep_schedules: bool = False,
-                        env: Optional[Tuple] = None) -> Dict[str, object]:
-    """Time the requested engine over the paper's three heuristics.
+                        env: Optional[Tuple] = None,
+                        heuristics_table: Mapping[str, Callable[..., Schedule]]
+                        = HEURISTICS) -> Dict[str, object]:
+    """Time the scheduling engine over the paper's three heuristics.
 
     Returns wall seconds, per-heuristic makespans and the scheduler
     counters (rounds / candidate evaluations / forecast-memo hits) from
     the run.  Pass ``env`` (a :func:`build_scheduler_bench_env` result)
-    to reuse one grid across engines so comparisons see identical
+    to reuse one grid across runs so comparisons see identical
     forecasts.
     """
-    registry = {"fast": HEURISTICS, "reference": REFERENCE_HEURISTICS}
-    try:
-        table = registry[engine]
-    except KeyError:
-        raise ValueError(f"unknown engine {engine!r}") from None
     for name in heuristics:
-        if name not in table:
+        if name not in heuristics_table:
             raise ValueError(f"unknown heuristic {name!r}")
     if env is None:
         env = build_scheduler_bench_env(n_tasks=n_tasks, n_hosts=n_hosts)
@@ -132,7 +110,7 @@ def run_scheduler_bench(n_tasks: int = 512, n_hosts: int = 32,
     # inside the scheduling run reads these values.
     wall_start = perf_counter()  # simlint: ignore[SL001] — benchmark wall time
     for name in heuristics:
-        schedule = table[name](workflow, matrix, nws)
+        schedule = heuristics_table[name](workflow, matrix, nws)
         makespans[name] = float(schedule.makespan)
         if keep_schedules:
             schedules[name] = schedule
@@ -140,7 +118,6 @@ def run_scheduler_bench(n_tasks: int = 512, n_hosts: int = 32,
 
     snapshot = stats.snapshot()
     result: Dict[str, object] = {
-        "engine": engine,
         "n_tasks": len(matrix.tasks),
         "n_hosts": len(matrix.resources),
         "heuristics": list(heuristics),

@@ -14,8 +14,9 @@ cpu-seconds) plus the ``meta_plan_*`` planning-engine family (rounds,
 reservations kept across rounds vs rebuilt from scratch, window
 feasibility probes, estimate memo hits, scheduled wakes) — the
 ``meta_plan_*`` counters describe *how* a plan was computed, so they
-are the one family excluded from deterministic experiment reports
-(they differ between the fast and reference engines by design).
+are declared as :data:`DIAGNOSTIC_COUNTERS`, the one group excluded
+from deterministic experiment reports (they differ between the fast
+and reference engines by design).
 Counters are plain integer attributes on a
 slotted object, so updating one costs a single attribute store — cheap
 enough to leave enabled in every run.
@@ -29,7 +30,19 @@ from __future__ import annotations
 
 from typing import Dict
 
-__all__ = ["KernelStats", "format_stats"]
+__all__ = ["DIAGNOSTIC_COUNTERS", "KernelStats", "format_stats"]
+
+#: Counters that describe how a result was computed, not the result.
+#: Deterministic reports leave them out; :meth:`KernelStats.snapshot`
+#: keeps them.
+DIAGNOSTIC_COUNTERS = (
+    "meta_plan_rounds",
+    "meta_plan_kept",
+    "meta_plan_rebuilt",
+    "meta_plan_window_probes",
+    "meta_plan_estimate_memo_hits",
+    "meta_plan_wakes",
+)
 
 
 class KernelStats:
@@ -52,13 +65,7 @@ class KernelStats:
         "meta_reservations",
         "meta_queue_wait_seconds",
         "meta_cpu_seconds",
-        "meta_plan_rounds",
-        "meta_plan_kept",
-        "meta_plan_rebuilt",
-        "meta_plan_window_probes",
-        "meta_plan_estimate_memo_hits",
-        "meta_plan_wakes",
-    )
+    ) + DIAGNOSTIC_COUNTERS
 
     def __init__(self) -> None:
         self.reset()

@@ -20,7 +20,6 @@ from .baseline import (
     make_baseline,
     write_baseline,
 )
-from .cache import AnalysisCache
 from .engine import (
     LintResult,
     UnknownRuleError,
@@ -37,7 +36,6 @@ from .symbols import ModuleSymbols, ProjectGraph, build_graph, extract_symbols
 
 __all__ = [
     "ALL_RULE_IDS",
-    "AnalysisCache",
     "ERROR",
     "Finding",
     "LintResult",

@@ -1,14 +1,12 @@
-"""simlint engine: discovery, suppressions, caching, rule execution.
+"""simlint engine: discovery, suppressions, rule execution.
 
 The engine runs in two phases.  Phase one builds the project symbol
 graph: every file is summarised (:mod:`repro.simlint.symbols`) so the
 flow rules know which functions are simulated-process generators and
 which shared containers/RNG streams each function touches.  Phase two
-lints each file against the selected rules with that graph as context
-— optionally in parallel (``jobs``) and through a content-hash cache
-(``cache_dir``) keyed on the file hash, the graph digest and the rule
-set, so only edited files (or files whose cross-file facts changed)
-are re-analysed and cached runs are byte-identical to cold ones.
+lints each file, serially and in discovery order, against the selected
+rules with that graph as context.  A full-tree run takes a few seconds,
+so there is no cache and no worker pool.
 
 Findings then pass through two suppression mechanisms:
 
@@ -35,28 +33,19 @@ Baselines (grandfathered findings) are a third layer handled by
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import multiprocessing
 import os
 import re
 import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .cache import AnalysisCache, content_hash
 from .findings import Finding, fingerprint_of
 from .rules import PARSE_ERROR_ID, RULES, build_context
-from .symbols import (SYMBOLS_VERSION, ModuleSymbols, ProjectGraph,
-                      build_graph, symbols_for_source)
+from .symbols import ProjectGraph, build_graph, symbols_for_source
 
 __all__ = ["lint_source", "lint_paths", "lint_tree", "discover_files",
-           "select_rules", "UnknownRuleError", "SUPPRESS_RE", "LintResult",
-           "ENGINE_VERSION"]
-
-#: Bump when finding generation changes in any way that should
-#: invalidate cached per-file results.
-ENGINE_VERSION = 2
+           "select_rules", "UnknownRuleError", "SUPPRESS_RE", "LintResult"]
 
 SUPPRESS_RE = re.compile(
     r"#\s*simlint:\s*(?P<kind>ignore-file|ignore)\s*"
@@ -310,123 +299,36 @@ class LintResult:
     """Findings plus bookkeeping from one :func:`lint_tree` run."""
 
     findings: List[Finding]
-    files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: relpath (as used in findings) -> path relative to the CWD, for
     #: renderers that must point at real files (GitHub annotations).
     display_paths: Dict[str, str] = field(default_factory=dict)
 
 
-def _rules_key(rule_ids: Sequence[str]) -> str:
-    blob = f"{ENGINE_VERSION}:{SYMBOLS_VERSION}:" + ",".join(rule_ids)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-# Worker-process state for --jobs N: the graph and rule set are shipped
-# once per worker via the pool initializer, not once per file.
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _init_worker(graph: ProjectGraph, rule_ids: Tuple[str, ...]) -> None:
-    _WORKER_STATE["graph"] = graph
-    _WORKER_STATE["rule_ids"] = rule_ids
-
-
-def _worker_lint(item: Tuple[str, str]) -> List[Finding]:
-    full, rel = item
-    with open(full, encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, rel, _WORKER_STATE["rule_ids"],
-                       project=_WORKER_STATE["graph"])
-
-
 def lint_tree(paths: Sequence[str],
               select: Optional[Iterable[str]] = None,
-              ignore: Optional[Iterable[str]] = None,
-              jobs: int = 1,
-              cache_dir: Optional[str] = None) -> LintResult:
-    """Two-phase project lint with optional caching and parallelism."""
+              ignore: Optional[Iterable[str]] = None) -> LintResult:
+    """Two-phase project lint: symbol graph, then per-file rules."""
     rule_ids = select_rules(select, ignore)
     pairs = discover_files(paths)
-    cwd = os.getcwd()
-    cache = AnalysisCache(cache_dir) if cache_dir else None
-
     sources: Dict[str, str] = {}
-    hashes: Dict[str, str] = {}
     for full, rel in pairs:
         with open(full, "rb") as handle:
-            data = handle.read()
-        sources[rel] = data.decode("utf-8")
-        hashes[rel] = content_hash(data, rel)
-
-    # Phase 1: symbol summaries (cached per content hash) -> graph.
-    modules: Dict[str, ModuleSymbols] = {}
-    for _, rel in pairs:
-        payload = cache.get_symbols(hashes[rel]) if cache else None
-        if (payload is not None
-                and payload.get("version") == SYMBOLS_VERSION):
-            modules[rel] = ModuleSymbols.from_payload(payload["module"])
-        else:
-            mod = symbols_for_source(sources[rel], rel)
-            modules[rel] = mod
-            if cache:
-                cache.put_symbols(hashes[rel], {
-                    "version": SYMBOLS_VERSION,
-                    "module": mod.to_payload()})
-    graph = build_graph(modules)
-    rules_key = _rules_key(rule_ids)
-
-    # Phase 2: per-file findings, from cache where valid.
-    cached_results: Dict[str, List[Finding]] = {}
-    to_analyze: List[Tuple[str, str]] = []
-    for full, rel in pairs:
-        got = (cache.get_findings(hashes[rel], graph.digest, rules_key, rel)
-               if cache else None)
-        if got is not None:
-            cached_results[rel] = got
-        else:
-            to_analyze.append((full, rel))
-
-    analyzed: Dict[str, List[Finding]] = {}
-    if to_analyze:
-        if jobs > 1 and len(to_analyze) > 1:
-            with multiprocessing.Pool(
-                    processes=min(jobs, len(to_analyze)),
-                    initializer=_init_worker,
-                    initargs=(graph, rule_ids)) as pool:
-                results = pool.map(_worker_lint, to_analyze)
-            for (_, rel), result in zip(to_analyze, results):
-                analyzed[rel] = result
-        else:
-            for _, rel in to_analyze:
-                analyzed[rel] = lint_source(sources[rel], rel, rule_ids,
-                                            project=graph)
-        if cache:
-            for _, rel in to_analyze:
-                cache.put_findings(hashes[rel], graph.digest, rules_key,
-                                   analyzed[rel])
-
+            sources[rel] = handle.read().decode("utf-8")
+    graph = build_graph({rel: symbols_for_source(source, rel)
+                         for rel, source in sources.items()})
     findings: List[Finding] = []
     for _, rel in pairs:
-        if rel in cached_results:
-            findings.extend(cached_results[rel])
-        else:
-            findings.extend(analyzed.get(rel, []))
+        findings.extend(lint_source(sources[rel], rel, rule_ids,
+                                    project=graph))
     findings.sort()
+    cwd = os.getcwd()
     display = {rel: os.path.relpath(full, cwd).replace(os.sep, "/")
                for full, rel in pairs}
-    return LintResult(findings=findings, files=len(pairs),
-                      cache_hits=len(cached_results),
-                      cache_misses=len(to_analyze),
-                      display_paths=display)
+    return LintResult(findings=findings, display_paths=display)
 
 
 def lint_paths(paths: Sequence[str],
                select: Optional[Iterable[str]] = None,
-               ignore: Optional[Iterable[str]] = None,
-               jobs: int = 1,
-               cache_dir: Optional[str] = None) -> List[Finding]:
+               ignore: Optional[Iterable[str]] = None) -> List[Finding]:
     """Lint files and directories; returns sorted findings."""
-    return lint_tree(paths, select=select, ignore=ignore, jobs=jobs,
-                     cache_dir=cache_dir).findings
+    return lint_tree(paths, select=select, ignore=ignore).findings

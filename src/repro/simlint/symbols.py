@@ -16,12 +16,6 @@ Per-file :class:`ModuleSymbols` summaries are extracted from the AST
   ``default_rng(...)`` or ``RngRegistry.stream(...)``) are drawn from
   which process generators — feeds SL022.
 
-Summaries serialise to JSON so the incremental cache
-(:mod:`repro.simlint.cache`) can skip re-parsing unchanged files; the
-graph ``digest`` fingerprints the whole project's symbol state so
-cached per-file findings are invalidated when *any* file changes the
-cross-file facts.
-
 The call-graph resolution is deliberately name-based and
 over-approximate: a ``self.f`` spawn matches any same-named method,
 preferring the caller's own class and module.  For a linter that is
@@ -32,18 +26,12 @@ edge at worst analyses one more function.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 __all__ = ["FunctionSymbol", "ModuleSymbols", "ProjectGraph",
            "extract_symbols", "build_graph", "iter_functions", "own_walk",
-           "MUTATOR_METHODS", "RNG_DRAW_METHODS", "SYMBOLS_VERSION"]
-
-#: Bump when the extraction logic changes so cached symbol summaries
-#: (and therefore cached findings, via the graph digest) are rebuilt.
-SYMBOLS_VERSION = 1
+           "MUTATOR_METHODS", "RNG_DRAW_METHODS"]
 
 #: In-place container mutators — calling one of these on a shared
 #: container counts as a mutation for SL021's cross-function index.
@@ -172,32 +160,6 @@ class FunctionSymbol:
     def name(self) -> str:
         return self.dotted.rsplit(".", 1)[-1]
 
-    def to_payload(self) -> dict:
-        return {
-            "dotted": self.dotted, "cls": self.cls, "lineno": self.lineno,
-            "is_generator": self.is_generator,
-            "yields_event_factory": self.yields_event_factory,
-            "spawn_targets": [list(r) for r in self.spawn_targets],
-            "delegate_targets": [list(r) for r in self.delegate_targets],
-            "self_mutations": [list(m) for m in self.self_mutations],
-            "global_mutations": [list(m) for m in self.global_mutations],
-            "rng_draws": [list(r) for r in self.rng_draws],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "FunctionSymbol":
-        return cls(
-            dotted=payload["dotted"], cls=payload["cls"],
-            lineno=payload["lineno"],
-            is_generator=payload["is_generator"],
-            yields_event_factory=payload["yields_event_factory"],
-            spawn_targets=[tuple(r) for r in payload["spawn_targets"]],
-            delegate_targets=[tuple(r) for r in payload["delegate_targets"]],
-            self_mutations=[tuple(m) for m in payload["self_mutations"]],
-            global_mutations=[tuple(m) for m in payload["global_mutations"]],
-            rng_draws=[tuple(r) for r in payload["rng_draws"]],
-        )
-
 
 @dataclass
 class ModuleSymbols:
@@ -209,28 +171,6 @@ class ModuleSymbols:
     rng_globals: List[str] = field(default_factory=list)
     mutable_globals: List[str] = field(default_factory=list)
     value_ref_names: List[str] = field(default_factory=list)
-
-    def to_payload(self) -> dict:
-        return {
-            "relpath": self.relpath,
-            "functions": [f.to_payload() for f in self.functions],
-            "rng_class_attrs": [list(p) for p in self.rng_class_attrs],
-            "rng_globals": list(self.rng_globals),
-            "mutable_globals": list(self.mutable_globals),
-            "value_ref_names": list(self.value_ref_names),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ModuleSymbols":
-        return cls(
-            relpath=payload["relpath"],
-            functions=[FunctionSymbol.from_payload(f)
-                       for f in payload["functions"]],
-            rng_class_attrs=[tuple(p) for p in payload["rng_class_attrs"]],
-            rng_globals=list(payload["rng_globals"]),
-            mutable_globals=list(payload["mutable_globals"]),
-            value_ref_names=list(payload["value_ref_names"]),
-        )
 
 
 def _spawned_arg(call: ast.Call) -> Optional[ast.AST]:
@@ -380,17 +320,9 @@ class ProjectGraph:
     rng_class_attrs: FrozenSet[Tuple[str, str]]
     rng_globals: FrozenSet[Tuple[str, str]]
     rng_drawers: Dict[Tuple[str, str, str], Tuple[str, ...]]
-    digest: str
 
     def qualname(self, relpath: str, dotted: str) -> str:
         return f"{relpath}::{dotted}"
-
-
-def graph_digest(modules: Dict[str, ModuleSymbols]) -> str:
-    payload = {rel: mod.to_payload() for rel, mod in sorted(modules.items())}
-    blob = json.dumps({"version": SYMBOLS_VERSION, "modules": payload},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def build_graph(modules: Dict[str, ModuleSymbols]) -> ProjectGraph:
@@ -466,7 +398,7 @@ def build_graph(modules: Dict[str, ModuleSymbols]) -> ProjectGraph:
     rng_cls: Set[Tuple[str, str]] = set()
     rng_glob: Set[Tuple[str, str]] = set()
     for rel, mod in modules.items():
-        rng_cls.update(tuple(p) for p in mod.rng_class_attrs)
+        rng_cls.update(mod.rng_class_attrs)
         rng_glob.update((rel, name) for name in mod.rng_globals)
 
     drawers: Dict[Tuple[str, str, str], Set[str]] = {}
@@ -488,7 +420,6 @@ def build_graph(modules: Dict[str, ModuleSymbols]) -> ProjectGraph:
         rng_class_attrs=frozenset(rng_cls),
         rng_globals=frozenset(rng_glob),
         rng_drawers={k: tuple(sorted(v)) for k, v in drawers.items()},
-        digest=graph_digest(modules),
     )
 
 

@@ -36,6 +36,7 @@ from ..nws.service import NetworkWeatherService
 from ..microgrid.testbed import fig3_testbed
 from ..rescheduling.swapping import SwapRescheduler
 from ..sim import AnyOf, Interrupt, Semaphore, Simulator, Store
+from ..sim.stats import DIAGNOSTIC_COUNTERS
 from ..trace.tracer import Tracer
 from .invariants import (Violation, run_checkpoint_auditors,
                          run_final_auditors)
@@ -50,10 +51,6 @@ _DEADLINE_SLACK = 4000.0
 #: stop collecting after this many escaped exceptions (a broken
 #: callback can re-raise on every subsequent event)
 _MAX_CAUGHT_ERRORS = 50
-
-#: meta counters are engine-independent except the ``meta_plan_*`` group
-_ENGINE_COUNTER_PREFIX = "meta_plan_"
-
 
 class LaneWatch:
     """Observes a lane's completion events, defusing failures.
@@ -437,7 +434,7 @@ def run_scenario(spec: ScenarioSpec, engine: str = "fast",
     counters = {name: value
                 for name, value in sorted(sim.stats.snapshot().items())
                 if name.startswith("meta_")
-                and not name.startswith(_ENGINE_COUNTER_PREFIX)}
+                and name not in DIAGNOSTIC_COUNTERS}
     return ScenarioOutcome(
         spec=spec, engine=engine, finished_at=sim.now,
         quiesced=ctx.quiesced,

@@ -1,0 +1,13 @@
+"""Pure-Python reference oracles the production engines are tested against.
+
+Each oracle is the deliberately naive, from-scratch version of an
+algorithm whose production path in ``repro`` is incremental:
+
+* :mod:`tests.oracles.heuristics` — the list-scheduling heuristics
+  (min-min, max-min, sufferage and the baselines) behind
+  ``repro.scheduler.HEURISTICS``.
+* :mod:`tests.oracles.network` — progressive-filling max-min fair
+  bandwidth sharing behind ``repro.microgrid.Topology``.
+
+They live with the tests because nothing in the product runs them.
+"""

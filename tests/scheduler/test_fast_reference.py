@@ -4,7 +4,7 @@ The incremental array-backed builder behind ``HEURISTICS`` must be a
 pure optimization: for every workflow shape, grid, and heuristic it has
 to produce the same placements with the same estimated times — bit-for-
 bit, not approximately — as the retained pure-Python oracle in
-``REFERENCE_HEURISTICS``.  Hypothesis drives randomized layered and
+``tests.oracles.heuristics.REFERENCE_HEURISTICS``.  Hypothesis drives randomized layered and
 bag-of-tasks workflows over heterogeneous multi-cluster grids.
 """
 
@@ -18,12 +18,12 @@ from repro.nws import NetworkWeatherService
 from repro.perfmodel import AnalyticComponentModel
 from repro.scheduler import (
     HEURISTICS,
-    REFERENCE_HEURISTICS,
     Workflow,
     WorkflowComponent,
     build_rank_matrix,
 )
 from repro.sim import Simulator
+from tests.oracles.heuristics import REFERENCE_HEURISTICS
 
 HEURISTIC_NAMES = sorted(HEURISTICS)
 

@@ -1,23 +1,16 @@
-"""Incremental cache and --jobs N behaviour of the lint engine.
+"""Repeated lint runs never serve stale cross-file facts.
 
-The contract under test: caching and parallelism are pure speed — the
-findings (down to the rendered bytes) never depend on cache state or
-worker count, an edited file is re-analysed while untouched files are
-served from cache, and any edit that shifts *cross-file* facts (the
-project-graph digest) re-analyses everything rather than serving stale
-flow findings.
+The engine keeps no state between ``lint_tree`` calls: every run
+rebuilds the project symbol graph from the sources on disk.  The test
+below pins that contract, so a future cache cannot reintroduce stale
+flow findings after an edit in *another* file shifts the cross-file
+facts a file's findings depend on.
 """
 
-import shutil
 import textwrap
 
 import pytest
 
-from repro.simlint import (
-    apply_baseline,
-    make_baseline,
-    render_json,
-)
 from repro.simlint.engine import lint_tree
 
 CLEAN = """\
@@ -56,39 +49,7 @@ def tree(tmp_path):
 
 
 class TestCacheRoundTrip:
-    def test_cold_then_warm_is_byte_identical(self, tree, tmp_path):
-        cache = tmp_path / "cache"
-        cold = lint_tree([str(tree)], cache_dir=str(cache))
-        assert cold.cache_hits == 0
-        assert cold.cache_misses == cold.files == 3
-        warm = lint_tree([str(tree)], cache_dir=str(cache))
-        assert warm.cache_hits == 3
-        assert warm.cache_misses == 0
-        assert render_json(warm.findings) == render_json(cold.findings)
-        assert [f.rule for f in warm.findings] == ["SL020"]
-
-    def test_cache_matches_uncached_run(self, tree, tmp_path):
-        cached = lint_tree([str(tree)], cache_dir=str(tmp_path / "cache"))
-        plain = lint_tree([str(tree)])
-        assert render_json(cached.findings) == render_json(plain.findings)
-
-    def test_comment_edit_reanalyzes_only_that_file(self, tree, tmp_path):
-        cache = tmp_path / "cache"
-        lint_tree([str(tree)], cache_dir=str(cache))
-        app = tree / "app.py"
-        app.write_text(app.read_text() + "# touched\n")
-        result = lint_tree([str(tree)], cache_dir=str(cache))
-        # A trailing comment leaves the symbol summary (and so the
-        # graph digest) unchanged: only the edited file's content hash
-        # moved.  (An edit that shifts line numbers or symbols really
-        # must re-analyze everything — cross-file messages embed both.)
-        assert result.cache_misses == 1
-        assert result.cache_hits == 2
-        assert [f.rule for f in result.findings] == ["SL020"]
-
-    def test_symbol_shifting_edit_invalidates_cross_file_facts(
-            self, tree, tmp_path):
-        cache = tmp_path / "cache"
+    def test_symbol_shifting_edit_invalidates_cross_file_facts(self, tree):
         (tree / "walker.py").write_text(textwrap.dedent("""\
             class Walker:
                 def __init__(self, sim):
@@ -100,62 +61,17 @@ class TestCacheRoundTrip:
                     for job in self.jobs.values():
                         yield self.sim.timeout(1.0)
         """))
-        before = lint_tree([str(tree)], cache_dir=str(cache))
+        before = lint_tree([str(tree)])
         assert ("walker.py", "SL021") not in {
             (f.path, f.rule) for f in before.findings}
         # A *different file* grows a mutator of Walker.jobs: walker.py
-        # itself is untouched, but its cached findings must not be
-        # served — the graph digest changed.
+        # itself is untouched, but the next run must see the new
+        # cross-file fact rather than repeat the earlier verdict.
         (tree / "pruner.py").write_text(textwrap.dedent("""\
             class Walker:
                 def prune(self, name):
                     self.jobs.pop(name, None)
         """))
-        after = lint_tree([str(tree)], cache_dir=str(cache))
+        after = lint_tree([str(tree)])
         assert ("walker.py", "SL021") in {
             (f.path, f.rule) for f in after.findings}
-
-    def test_corrupt_cache_entries_are_misses(self, tree, tmp_path):
-        cache = tmp_path / "cache"
-        cold = lint_tree([str(tree)], cache_dir=str(cache))
-        for path in (cache / "v1" / "find").iterdir():
-            path.write_text("{not json")
-        recovered = lint_tree([str(tree)], cache_dir=str(cache))
-        assert recovered.cache_misses == 3
-        assert render_json(recovered.findings) == render_json(cold.findings)
-
-    def test_deleting_cache_changes_nothing_but_speed(self, tree, tmp_path):
-        cache = tmp_path / "cache"
-        first = lint_tree([str(tree)], cache_dir=str(cache))
-        shutil.rmtree(cache)
-        second = lint_tree([str(tree)], cache_dir=str(cache))
-        assert render_json(first.findings) == render_json(second.findings)
-
-
-class TestJobs:
-    def test_parallel_findings_are_byte_identical(self, tree):
-        serial = lint_tree([str(tree)], jobs=1)
-        parallel = lint_tree([str(tree)], jobs=4)
-        assert render_json(parallel.findings) == render_json(serial.findings)
-
-    def test_parallel_with_cache(self, tree, tmp_path):
-        cache = tmp_path / "cache"
-        cold = lint_tree([str(tree)], jobs=4, cache_dir=str(cache))
-        warm = lint_tree([str(tree)], jobs=4, cache_dir=str(cache))
-        assert cold.cache_misses == 3
-        assert warm.cache_hits == 3
-        assert render_json(warm.findings) == render_json(cold.findings)
-
-    def test_baseline_round_trip_under_jobs(self, tree):
-        serial = lint_tree([str(tree)], jobs=1)
-        doc = make_baseline(serial.findings)
-        parallel = lint_tree([str(tree)], jobs=4)
-        fresh, grandfathered = apply_baseline(parallel.findings, doc)
-        # Every parallel finding matches the serially-built baseline:
-        # fingerprints are content-derived, not run-order-derived.
-        assert fresh == []
-        assert len(grandfathered) == len(serial.findings) == 1
-
-    def test_select_and_ignore_apply_in_workers(self, tree):
-        result = lint_tree([str(tree)], jobs=4, ignore=["SL020"])
-        assert result.findings == []

@@ -108,23 +108,6 @@ class TestSymbolExtraction:
         assert names == {"pool.py::Pool.admit", "pool.py::Pool.evict"}
         assert ("Pool", "rng") in graph.rng_class_attrs
 
-    def test_symbols_round_trip_through_json_payload(self):
-        from repro.simlint.symbols import ModuleSymbols
-        tree = ast.parse(textwrap.dedent("""\
-            class App:
-                def start(self, sim):
-                    sim.process(self._run(), name="app")
-
-                def _run(self):
-                    yield self.sim.timeout(1.0)
-                    self.done.append(1)
-        """))
-        mod = extract_symbols(tree, "app.py")
-        clone = ModuleSymbols.from_payload(mod.to_payload())
-        assert clone.to_payload() == mod.to_payload()
-        assert (build_graph({"app.py": clone}).digest
-                == build_graph({"app.py": mod}).digest)
-
 
 class TestCfg:
     def cfg(self, source):

@@ -98,9 +98,40 @@ class TestCommands:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema_version"] == 1
-        assert payload["allocator"] == "incremental"
         assert payload["transfers_completed"] == 60
         assert payload["events_processed"] > 0
+
+    def test_bench_scheduler_json(self, capsys):
+        rc = main(["bench", "--scheduler", "--tasks", "8", "--hosts", "4",
+                   "--json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema_version"] == 1
+        assert payload["n_hosts"] == 4
+        assert set(payload["makespans"]) == {"min-min", "max-min",
+                                             "sufferage"}
+
+    @pytest.mark.parametrize("argv", [
+        ["--transfers", "-5"],
+        ["--transfers", "0"],
+        ["--scheduler", "--tasks", "0"],
+        ["--scheduler", "--hosts", "2"],
+    ])
+    def test_bench_bad_sizes_exit_two(self, argv, capsys):
+        assert main(["bench"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro bench: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("group", ["faults", "metasched", "soak"])
+    def test_report_unreadable_input_exits_two(self, group, tmp_path,
+                                               capsys):
+        assert main([group, "report", str(tmp_path / "missing.json")]) == 2
+        garbage = tmp_path / "garbage.json"
+        garbage.write_text("{not json")
+        assert main([group, "report", str(garbage)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"repro {group}: cannot read report") == 2
 
     def test_fig4_json(self, capsys):
         rc = main(["fig4", "--policy", "none", "--iterations", "10",

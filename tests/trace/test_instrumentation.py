@@ -11,9 +11,10 @@ import pytest
 from repro.experiments.fig3_qr import run_fig3_point
 from repro.experiments.fig4_swap import run_fig4
 from repro.experiments.scheduler_bench import build_scheduler_bench_env
-from repro.scheduler import HEURISTICS, REFERENCE_HEURISTICS
+from repro.scheduler import HEURISTICS
 from repro.trace import Tracer, violation_timeline
 from repro.trace.export import write_jsonl
+from tests.oracles.heuristics import REFERENCE_HEURISTICS
 
 
 @pytest.fixture(scope="module")
