@@ -15,6 +15,10 @@ import pytest
 
 from repro.nws import AdaptiveForecaster, default_battery
 from repro.experiments import format_table
+from tests.oracles.forecasting import (
+    ReferenceAdaptiveForecaster,
+    reference_battery,
+)
 
 
 def make_traces(length=600, seed=7) -> Dict[str, np.ndarray]:
@@ -30,11 +34,12 @@ def make_traces(length=600, seed=7) -> Dict[str, np.ndarray]:
             "trend": trend, "spiky": spiky}
 
 
-def score(trace: np.ndarray) -> Dict[str, float]:
+def score(trace: np.ndarray, battery=default_battery,
+          selector=AdaptiveForecaster) -> Dict[str, float]:
     """MAE of each battery member and the adaptive selector."""
-    members = default_battery()
+    members = battery()
     errors = {m.name: 0.0 for m in members}
-    adaptive = AdaptiveForecaster()
+    adaptive = selector()
     errors["adaptive"] = 0.0
     n_scored = 0
     for x in trace:
@@ -71,6 +76,13 @@ class TestForecasterAblation:
         print()
         print(format_table(["method"] + sorted(scores), rows,
                            title="Forecaster MAE per trace regime"))
+
+    def test_table_identical_under_oracle_battery(self, scores):
+        """The incremental battery is bit-for-bit the numpy one."""
+        oracle = {name: score(trace, reference_battery,
+                              ReferenceAdaptiveForecaster)
+                  for name, trace in make_traces().items()}
+        assert oracle == scores
 
     def test_adaptive_near_best_on_every_regime(self, scores):
         for trace_name, table in scores.items():

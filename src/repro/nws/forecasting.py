@@ -5,12 +5,23 @@ measurement series, scores each one by its historical error on that
 very series, and answers queries with the prediction of the currently
 best-scoring method (Wolski et al., FGCS 1999).  We implement that
 design: last-value, running mean, sliding-window means/medians,
-exponential smoothing at several gains, and an adaptive selector over
-all of them.
+exponential smoothing at several gains, autoregressive fits, and an
+adaptive selector over all of them.
+
+Every scheduling decision reads through this battery, and every sensor
+reading updates one, so the per-sample path is kept lean: each member
+computes its prediction once, at ``update``, and ``predict`` returns
+it.  Medians come from a bisect-maintained sorted window, window means
+from ``sum()`` over the window, and the AR members skip the
+least-squares fit on a constant window, whose clamped prediction is
+that constant whatever the fit says.  All of it is bit-for-bit equal
+to the plain numpy battery kept as the test oracle in
+``tests/oracles/forecasting.py`` (DESIGN.md §2.2 gives the contract).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -25,8 +36,14 @@ __all__ = [
     "SlidingWindowMedian",
     "ExponentialSmoothing",
     "AdaptiveForecaster",
+    "HISTORY_LEN",
     "default_battery",
 ]
+
+#: measurements an :class:`AdaptiveForecaster` (and a sensor) keeps for
+#: inspection: the largest window in the default battery, so the
+#: history covers everything any member still looks at
+HISTORY_LEN = 30
 
 
 class Forecaster:
@@ -84,14 +101,16 @@ class SlidingWindowMean(Forecaster):
         self.window = window
         self.name = f"win_mean_{window}"
         self._buf: Deque[float] = deque(maxlen=window)
+        self._mean: Optional[float] = None
 
     def update(self, value: float) -> None:
         self._buf.append(value)
+        # A fresh sum() each time, not a running sum: adding the new
+        # value and subtracting the evicted one drifts from sum()'s bits.
+        self._mean = sum(self._buf) / len(self._buf)
 
     def predict(self) -> Optional[float]:
-        if not self._buf:
-            return None
-        return sum(self._buf) / len(self._buf)
+        return self._mean
 
 
 class SlidingWindowMedian(Forecaster):
@@ -107,21 +126,23 @@ class SlidingWindowMedian(Forecaster):
         self.window = window
         self.name = f"win_median_{window}"
         self._buf: Deque[float] = deque(maxlen=window)
-        self._cached: Optional[float] = None
-        self._dirty = True
+        #: the window's values in sorted order
+        self._sorted: List[float] = []
+        self._median: Optional[float] = None
 
     def update(self, value: float) -> None:
+        ordered = self._sorted
+        if len(self._buf) == self.window:
+            del ordered[bisect_left(ordered, self._buf[0])]
         self._buf.append(value)
-        self._dirty = True
+        insort(ordered, value)
+        mid = len(ordered) // 2
+        # np.median's even case is the mean of the middle pair, (a + b) / 2
+        self._median = float(ordered[mid] if len(ordered) % 2
+                             else (ordered[mid - 1] + ordered[mid]) / 2.0)
 
     def predict(self) -> Optional[float]:
-        # The median only changes when the buffer does; callers (the
-        # adaptive selector, admission control) ask far more often.
-        if self._dirty:
-            self._cached = (float(np.median(list(self._buf)))
-                            if self._buf else None)
-            self._dirty = False
-        return self._cached
+        return self._median
 
 
 class ExponentialSmoothing(Forecaster):
@@ -149,8 +170,9 @@ class AutoRegressive(Forecaster):
 
     NWS ships autoregressive members in its battery; they win on series
     with short-range correlation structure (oscillating load).  The
-    least-squares fit runs over the last ``window`` samples; before the
-    window fills, the prediction falls back to the last value.
+    least-squares fit runs over the last ``window`` samples; until
+    ``2 * order + 2`` samples have arrived, the prediction falls back to
+    the last value.
     """
 
     def __init__(self, order: int = 2, window: int = 30) -> None:
@@ -162,41 +184,38 @@ class AutoRegressive(Forecaster):
         self.window = window
         self.name = f"ar_{order}"
         self._buf: Deque[float] = deque(maxlen=window)
-        self._cached: Optional[float] = None
-        self._dirty = True
+        self._pred: Optional[float] = None
 
     def update(self, value: float) -> None:
-        self._buf.append(value)
-        self._dirty = True
-
-    def predict(self) -> Optional[float]:
-        # One least-squares fit per *measurement*, not per query: the
-        # fit is a pure function of the buffer, so it is cached until
-        # the next update.
-        if self._dirty:
-            self._cached = self._fit_predict()
-            self._dirty = False
-        return self._cached
-
-    def _fit_predict(self) -> Optional[float]:
-        n = len(self._buf)
-        if n == 0:
-            return None
-        if n < 2 * self.order + 2:
-            return self._buf[-1]
-        series = np.asarray(self._buf, dtype=float)
-        p = self.order
-        # rows: series[t-p:t] -> series[t]
-        rows = np.stack([series[i:i + p] for i in range(n - p)])
-        targets = series[p:]
-        design = np.hstack([rows, np.ones((len(rows), 1))])
-        coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
-        recent = np.append(series[-p:], 1.0)
-        raw = float(recent @ coef)
+        buf = self._buf
+        buf.append(value)
+        if len(buf) < 2 * self.order + 2:
+            self._pred = value
+            return
+        lo, hi = min(buf), max(buf)
         # Clamp into the observed window: AR lines extrapolate, but a
         # resource measurement cannot leave the range its neighbours
-        # span (and real NWS clamps CPU availability the same way).
-        return float(min(max(raw, series.min()), series.max()))
+        # span (and real NWS clamps CPU availability the same way).  On
+        # a constant window the clamp pins the fit to that constant, so
+        # the fit is skipped.
+        self._pred = float(lo if lo == hi
+                           else min(max(self._fit(), lo), hi))
+
+    def predict(self) -> Optional[float]:
+        return self._pred
+
+    def _fit(self) -> float:
+        """Least-squares AR(p) one-step prediction from the window."""
+        series = np.fromiter(self._buf, dtype=float, count=len(self._buf))
+        p = self.order
+        m = len(series) - p
+        # Row t is [series[t:t + p], 1] -> series[t + p]; the extra
+        # last row m is the regressor of the value being predicted.
+        design = np.ones((m + 1, p + 1))
+        for j in range(p):
+            design[:, j] = series[j:j + m + 1]
+        coef = np.linalg.lstsq(design[:m], series[p:], rcond=None)[0]
+        return float(design[m] @ coef)
 
 
 def default_battery() -> List[Forecaster]:
@@ -228,40 +247,48 @@ class AdaptiveForecaster(Forecaster):
             list(battery) if battery is not None else default_battery())
         if not self.battery:
             raise ValueError("battery must not be empty")
-        self._abs_err: Dict[str, float] = {f.name: 0.0 for f in self.battery}
+        names = [f.name for f in self.battery]
+        if len(set(names)) != len(names):
+            raise ValueError(f"battery member names must be unique: {names}")
+        #: cumulative absolute error, by battery position
+        self._abs_err: List[float] = [0.0] * len(self.battery)
         self._n_scored = 0
-        self._history: List[float] = []
+        self._n_samples = 0
+        self._history: Deque[float] = deque(maxlen=HISTORY_LEN)
         #: (best method, its prediction); None until asked, dropped on
         #: every update — the selection is a pure function of the series
         self._choice: Optional[Tuple[Optional[Forecaster],
                                      Optional[float]]] = None
 
     def update(self, value: float) -> None:
-        # Score yesterday's predictions against today's truth (postcast),
-        # then let every method absorb the new measurement.  Each
-        # member's prediction is read once and reused for both the
-        # scoring pass and the scored-round check.
-        preds = [method.predict() for method in self.battery]
-        for method, pred in zip(self.battery, preds):
+        # Score yesterday's prediction against today's truth (postcast),
+        # then let the method absorb the new measurement.  Members are
+        # independent, so one pass over the battery does both.
+        abs_err = self._abs_err
+        scored = False
+        for i, method in enumerate(self.battery):
+            pred = method.predict()
             if pred is not None:
-                self._abs_err[method.name] += abs(pred - value)
-        if any(pred is not None for pred in preds):
-            self._n_scored += 1
-        for method in self.battery:
+                abs_err[i] += abs(pred - value)
+                scored = True
             method.update(value)
+        if scored:
+            self._n_scored += 1
+        self._n_samples += 1
         self._history.append(value)
         self._choice = None
 
     def _select(self) -> Tuple[Optional[Forecaster], Optional[float]]:
         if self._choice is None:
-            candidates = [m for m in self.battery
-                          if m.predict() is not None]
-            if not candidates:
-                self._choice = (None, None)
-            else:
-                best = min(candidates,
-                           key=lambda m: self._abs_err[m.name])
-                self._choice = (best, best.predict())
+            # the first member with the lowest error wins a tie
+            best: Optional[Forecaster] = None
+            best_pred: Optional[float] = None
+            best_err = 0.0
+            for method, err in zip(self.battery, self._abs_err):
+                pred = method.predict()
+                if pred is not None and (best is None or err < best_err):
+                    best, best_pred, best_err = method, pred, err
+            self._choice = (best, best_pred)
         return self._choice
 
     def predict(self) -> Optional[float]:
@@ -274,11 +301,14 @@ class AdaptiveForecaster(Forecaster):
     def errors(self) -> Dict[str, float]:
         """Mean absolute error per method over the scored history."""
         n = max(self._n_scored, 1)
-        return {name: err / n for name, err in self._abs_err.items()}
+        return {method.name: err / n
+                for method, err in zip(self.battery, self._abs_err)}
 
     @property
     def n_samples(self) -> int:
-        return len(self._history)
+        """Measurements absorbed so far (the history keeps the last
+        :data:`HISTORY_LEN` of them)."""
+        return self._n_samples
 
     def history(self) -> List[float]:
         return list(self._history)

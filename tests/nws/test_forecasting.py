@@ -14,6 +14,7 @@ from repro.nws import (
     SlidingWindowMedian,
     default_battery,
 )
+from repro.nws.forecasting import HISTORY_LEN
 
 
 class TestIndividualForecasters:
@@ -134,6 +135,20 @@ class TestAdaptiveForecaster:
         h = f.history()
         h.append(99.0)
         assert f.history() == [1.0]
+
+    def test_duplicate_member_names_rejected(self):
+        # errors are per member; two members sharing a name would be
+        # scored, reported and selected as one
+        with pytest.raises(ValueError, match="unique"):
+            AdaptiveForecaster([SlidingWindowMean(5), SlidingWindowMean(5)])
+
+    def test_history_is_a_ring_n_samples_counts_all(self):
+        f = AdaptiveForecaster()
+        for i in range(1000):
+            f.update(float(i % 7))
+        assert len(f.history()) == HISTORY_LEN
+        assert f.history() == [float(i % 7) for i in range(1000)][-HISTORY_LEN:]
+        assert f.n_samples == 1000
 
 
 @settings(max_examples=30, deadline=None)

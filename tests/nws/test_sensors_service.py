@@ -5,6 +5,7 @@ import pytest
 from repro.sim import RngRegistry, Simulator
 from repro.microgrid import ScheduledLoad, fig3_testbed, fig4_testbed
 from repro.nws import CpuSensor, NetworkSensor, NetworkWeatherService
+from repro.nws.forecasting import HISTORY_LEN
 
 
 class TestCpuSensor:
@@ -60,6 +61,14 @@ class TestCpuSensor:
         sim.run(until=16.0)
         assert seen == [5.0, 10.0, 15.0]
 
+    def test_readings_bounded(self):
+        sim = Simulator()
+        grid = fig3_testbed(sim)
+        sensor = CpuSensor(sim, grid.clusters["utk"][0], period=1.0)
+        sim.run(until=100.5)
+        assert len(sensor.readings) == HISTORY_LEN
+        assert sensor.latest().time == 100.0
+
 
 class TestNetworkSensor:
     def test_probe_measures_bottleneck(self):
@@ -91,6 +100,16 @@ class TestNetworkSensor:
                                period=10.0)
         sim.run(until=11.0)
         assert sensor.latest_latency().value == pytest.approx(0.011, abs=0.001)
+
+    def test_readings_bounded(self):
+        sim = Simulator()
+        grid = fig3_testbed(sim)
+        sensor = NetworkSensor(sim, grid.topology, "utk.n0", "uiuc.n0",
+                               period=1.0)
+        sim.run(until=100.5)
+        assert len(sensor.bandwidth_readings) == HISTORY_LEN
+        assert len(sensor.latency_readings) == HISTORY_LEN
+        assert sensor.latest_bandwidth().time > 99.0
 
     def test_validation(self):
         sim = Simulator()

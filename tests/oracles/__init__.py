@@ -8,6 +8,9 @@ algorithm whose production path in ``repro`` is incremental:
   ``repro.scheduler.HEURISTICS``.
 * :mod:`tests.oracles.network` — progressive-filling max-min fair
   bandwidth sharing behind ``repro.microgrid.Topology``.
+* :mod:`tests.oracles.forecasting` — the numpy NWS forecaster battery
+  (``np.median``, a ``lstsq`` fit on every AR window) behind
+  ``repro.nws.forecasting``.
 
 They live with the tests because nothing in the product runs them.
 """
