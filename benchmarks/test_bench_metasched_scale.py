@@ -1,9 +1,10 @@
 """Benchmark: metascheduler planning at stream scale (DESIGN.md §9.6).
 
 A 1000-job Poisson stream over a 64-host four-cluster grid, served
-twice — once by the incremental fast planner, once by the retained
-cancel-all/rebuild-all reference oracle.  Asserts the speedup floor,
-that both engines emit byte-identical same-seed reports in the same
+twice — once by the incremental delta re-planner, once by the
+cancel-all/rebuild-all reference oracle in ``tests/oracles/metasched.py``.
+Asserts the speedup floor, that both planners emit byte-identical
+same-seed reports in the same
 run that measures the speedup (speed must not buy a different answer),
 that the claim audit is clean at scale, and a throughput sanity floor.
 Writes ``BENCH_metasched_scale.json`` for the CI artifact upload.
@@ -18,6 +19,7 @@ import pytest
 
 from repro.experiments import format_table
 from repro.experiments.metasched_stream import run_metasched
+from tests.oracles.metasched import reference_planner
 
 #: the ISSUE-mandated scale: a 1000-job stream on 64 hosts
 JOBS = 1000
@@ -31,15 +33,15 @@ MIN_THROUGHPUT = 100.0
 ARTIFACT = pathlib.Path("BENCH_metasched_scale.json")
 
 
-def _timed_run(engine):
+def _timed_run():
     """One wall-timed stream with the cyclic collector paused: retained
     result graphs otherwise add a constant ~10 s of gen-2 scans to both
-    engines, which compresses the measured ratio."""
+    planners, which compresses the measured ratio."""
     gc.collect()
     gc.disable()
     try:
         t0 = perf_counter()  # simlint: ignore[SL001] — benchmark wall time
-        result = run_metasched(engine=engine, **STREAM)
+        result = run_metasched(**STREAM)
         wall = perf_counter() - t0  # simlint: ignore[SL001] — benchmark wall time
     finally:
         gc.enable()
@@ -49,15 +51,16 @@ def _timed_run(engine):
 @pytest.fixture(scope="module")
 def stream_results():
     """Fast and reference runs of the same seed-0 stream, wall-timed."""
-    fast, fast_wall = _timed_run("fast")
-    ref, ref_wall = _timed_run("reference")
+    fast, fast_wall = _timed_run()
+    with reference_planner():
+        ref, ref_wall = _timed_run()
     return fast, fast_wall, ref, ref_wall
 
 
 def test_bench_fast_engine(benchmark):
     """Timing-infra smoke at a CI-friendly size."""
     result = benchmark.pedantic(
-        lambda: run_metasched(engine="fast", users=6,
+        lambda: run_metasched(users=6,
                               arrival_rate=1 / 30.0, duration=1800.0,
                               seed=1, max_jobs=60, n_hosts=16,
                               cpu_period=60.0),
@@ -82,17 +85,17 @@ class TestMetaschedScale:
             ])
         print()
         print(format_table(
-            ["engine", "wall (s)", "rounds", "kept", "rebuilt",
+            ["planner", "wall (s)", "rounds", "kept", "rebuilt",
              "window probes", "jobs/h"],
             rows,
             title=f"metasched scale: {JOBS}-job stream / {HOSTS} hosts"))
-        print(f"fast engine speedup: {ref_wall / fast_wall:.1f}x")
+        print(f"fast planner speedup: {ref_wall / fast_wall:.1f}x")
 
     def test_speedup_floor(self, stream_results):
         _fast, fast_wall, _ref, ref_wall = stream_results
         speedup = ref_wall / fast_wall
         assert speedup >= MIN_SPEEDUP, (
-            f"fast engine only {speedup:.2f}x over reference "
+            f"fast planner only {speedup:.2f}x over reference "
             f"(floor {MIN_SPEEDUP}x)")
 
     def test_reports_byte_identical(self, stream_results):

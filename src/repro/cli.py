@@ -11,7 +11,7 @@
     python -m repro faults run --seed 0 --mtbf 300,900 --json
     python -m repro faults report campaign.json
     python -m repro metasched run --users 6 --arrival-rate 0.01 --json
-    python -m repro metasched run --engine reference --n-hosts 64 --json
+    python -m repro metasched run --n-hosts 64 --max-jobs 200 --json
     python -m repro metasched report stream.json
     python -m repro soak run --minutes 2 --seed 7 --json
     python -m repro soak replay tests/soak/reproducers/foo.json
@@ -225,12 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "are already queued")
     mrun.add_argument("--max-per-user", type=int, default=None,
                       help="admission control: per-user queued-job quota")
-    mrun.add_argument("--engine", choices=["fast", "reference"],
-                      default="fast",
-                      help="planning engine: the incremental delta "
-                           "re-planner (default) or the cancel-all/"
-                           "rebuild-all oracle; same seed => identical "
-                           "JSON either way")
     mrun.add_argument("--n-hosts", type=int, default=None,
                       help="run on a 4-cluster grid of this many hosts "
                            "instead of the 12-host Figure 3 testbed")
@@ -592,12 +586,18 @@ def _cmd_metasched(args: argparse.Namespace) -> int:
         print("repro metasched: --n-hosts must be >= 4 (one host per "
               "cluster)", file=sys.stderr)
         return 2
+    for flag in ("max_jobs", "max_queue", "max_per_user"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            print(f"repro metasched: --{flag.replace('_', '-')} must be "
+                  ">= 1", file=sys.stderr)
+            return 2
     tracer = _make_tracer(args)
     result = run_metasched(
         users=args.users, arrival_rate=args.arrival_rate,
         duration=args.duration, seed=args.seed, max_jobs=args.max_jobs,
         max_queue=args.max_queue, max_per_user=args.max_per_user,
-        engine=args.engine, n_hosts=args.n_hosts, tracer=tracer)
+        n_hosts=args.n_hosts, tracer=tracer)
     _export(tracer, args)
     payload = result.to_json()
     if args.out:

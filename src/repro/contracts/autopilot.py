@@ -67,7 +67,6 @@ class AutopilotManager:
         self._sensors: Dict[str, Sensor] = {}
         self._actuators: Dict[str, Actuator] = {}
         self._subscribers: Dict[str, List[Callable[[SensorReading], None]]] = {}
-        self._history: Dict[str, List[SensorReading]] = {}
 
     # -- sensors -----------------------------------------------------------
     def register_sensor(self, name: str) -> Sensor:
@@ -89,12 +88,8 @@ class AutopilotManager:
         self._subscribers.setdefault(sensor_name, []).append(callback)
 
     def _dispatch(self, reading: SensorReading) -> None:
-        self._history.setdefault(reading.sensor, []).append(reading)
         for callback in self._subscribers.get(reading.sensor, []):
             callback(reading)
-
-    def history(self, sensor_name: str) -> List[SensorReading]:
-        return list(self._history.get(sensor_name, []))
 
     # -- actuators -----------------------------------------------------------
     def register_actuator(self, name: str,

@@ -5,11 +5,12 @@ EMAN, N-body) through :class:`repro.metasched.MetaScheduler` on the
 Figure 3 testbed (or a larger multi-cluster grid via ``n_hosts``), then
 packages the outcome — per-job rows, the ``meta_*`` counters, and the
 reservation-conflict audit — as a deterministic report: same seed, same
-bytes.  The planning ``engine`` ("fast" or "reference", DESIGN.md §9.6)
-never changes the report: both engines produce byte-identical same-seed
-JSON, which is why the engine-performance ``meta_plan_*`` counters
+bytes.  The report holds what was decided, not how the planner got
+there: the ``meta_plan_*`` planning counters
 (``repro.sim.stats.DIAGNOSTIC_COUNTERS``) are excluded from
-:meth:`MetaschedResult.report` (the full snapshot stays on
+:meth:`MetaschedResult.report`, so the delta re-planner and the
+rebuild-all oracle it is tested against (DESIGN.md §9.6) emit
+byte-identical same-seed JSON (the full snapshot stays on
 :attr:`MetaschedResult.counters`).
 """
 
@@ -77,9 +78,9 @@ class MetaschedResult:
         }
 
     def report(self) -> dict:
-        """Engine-independent report: the ``meta_plan_*`` counters (and
-        the engine choice itself) are deliberately absent, so the fast
-        and reference planners emit byte-identical same-seed JSON."""
+        """Planner-independent report: the ``meta_plan_*`` counters are
+        deliberately absent, so the delta re-planner and the rebuild-all
+        oracle emit byte-identical same-seed JSON."""
         return {
             "schema_version": JSON_SCHEMA_VERSION,
             "params": {
@@ -157,7 +158,6 @@ def run_metasched(users: int = 4, arrival_rate: float = 1 / 120.0,
                   max_jobs: Optional[int] = None,
                   max_queue: Optional[int] = None,
                   max_per_user: Optional[int] = None,
-                  engine: str = "fast",
                   n_hosts: Optional[int] = None,
                   cpu_period: float = 10.0,
                   tracer=None) -> MetaschedResult:
@@ -166,8 +166,7 @@ def run_metasched(users: int = 4, arrival_rate: float = 1 / 120.0,
     ``n_hosts=None`` runs on the Figure 3 testbed (12 hosts); an
     integer builds the :func:`metasched_scale_grid` of that size.
     ``cpu_period`` sets the NWS CPU-sensor cadence (long streams can
-    afford a coarser one).  ``engine`` selects the planner ("fast" or
-    "reference"); the report is byte-identical either way.
+    afford a coarser one).
     """
     sim = Simulator()
     if tracer is not None:
@@ -184,8 +183,7 @@ def run_metasched(users: int = 4, arrival_rate: float = 1 / 120.0,
     nws = NetworkWeatherService(sim, grid, cpu_period=cpu_period,
                                 deploy_network_sensors=False)
     service = MetaScheduler(sim, grid, gis, nws,
-                            max_queue=max_queue, max_per_user=max_per_user,
-                            engine=engine)
+                            max_queue=max_queue, max_per_user=max_per_user)
     specs = generate_stream(users, arrival_rate, duration,
                             RngRegistry(seed), max_jobs=max_jobs)
     done = service.run_stream(specs)

@@ -31,11 +31,11 @@ and shared by :meth:`HostCalendar.busy_during` /
 :meth:`HostCalendar.horizon_times`.  :meth:`ReservationBook.find_window`
 sweeps one merged, tolerance-deduplicated list of per-host event
 points instead of re-scanning every calendar at every candidate start.
-The pre-overhaul linear algorithms are retained verbatim as
-:meth:`HostCalendar.busy_during_reference` and
-:meth:`ReservationBook.find_window_reference` — the oracle the
-equivalence tests (and ``MetaScheduler(engine="reference")``) run
-against.
+The pre-overhaul linear busy scan stays as
+:meth:`HostCalendar.busy_during_reference`, because the fast paths use
+it for hosts with an overrunning claim; the linear window search the
+equivalence tests check :meth:`ReservationBook.find_window` against
+lives in ``tests/oracles/metasched.py``.
 """
 
 from __future__ import annotations
@@ -410,8 +410,8 @@ class ReservationBook:
         One merged sweep: the candidate starts of every host calendar
         are collected once (deduplicated within ``_EPS``), and each
         (start, host) feasibility probe is an O(log R) bisect.  The
-        result is identical to :meth:`find_window_reference` — the
-        equivalence suite asserts it.
+        result is identical to the linear-scan oracle in
+        ``tests/oracles/metasched.py`` — the equivalence suite asserts it.
         """
         if n_hosts < 1 or n_hosts > len(candidates):
             return None
@@ -457,30 +457,6 @@ class ReservationBook:
         finally:
             if self.stats is not None:
                 self.stats.meta_plan_window_probes += probes
-
-    def find_window_reference(self, n_hosts: int, duration: float,
-                              not_before: float, candidates: Sequence[str],
-                              now: float, grace: float = 30.0
-                              ) -> Optional[Tuple[float, List[str]]]:
-        """The pre-overhaul window search: every candidate start is
-        re-checked against every host calendar with the linear busy
-        scan.  Kept as the byte-equivalent oracle for
-        :meth:`find_window` (same candidate-time dedup fix applied —
-        eps-close floats are one start, not several)."""
-        if n_hosts < 1 or n_hosts > len(candidates):
-            return None
-        times = [not_before]
-        for host in candidates:
-            for t in self.calendar(host).horizon_times(now, grace):
-                if t > not_before + _EPS:
-                    times.append(t)
-        for start in _dedup_times(times):
-            free = [host for host in candidates
-                    if not self.calendar(host).busy_during_reference(
-                        start, start + duration, now, grace)]
-            if len(free) >= n_hosts:
-                return start, free[:n_hosts]
-        return None
 
     def free_now(self, n_hosts: int, duration: float,
                  candidates: Sequence[str], now: float,

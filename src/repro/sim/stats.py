@@ -10,16 +10,19 @@ trio (list-scheduling rounds, per-cell completion-time evaluations, and
 NWS transfer-forecast memo hits); the metascheduler increments the
 ``meta_*`` family (submissions, rejections, starts, completions,
 backfills, reservations, cumulative queue-wait and served
-cpu-seconds) plus the ``meta_plan_*`` planning-engine family (rounds,
+cpu-seconds) plus the ``meta_plan_*`` planner family (rounds,
 reservations kept across rounds vs rebuilt from scratch, window
 feasibility probes, estimate memo hits, scheduled wakes) — the
 ``meta_plan_*`` counters describe *how* a plan was computed, so they
-are declared as :data:`DIAGNOSTIC_COUNTERS`, the one group excluded
-from deterministic experiment reports (they differ between the fast
-and reference engines by design).
-Counters are plain integer attributes on a
-slotted object, so updating one costs a single attribute store — cheap
-enough to leave enabled in every run.
+are flagged diagnostic in ``_COUNTERS`` and collected as
+:data:`DIAGNOSTIC_COUNTERS`, the one group excluded from deterministic
+experiment reports (they differ between the delta re-planner and the
+rebuild-all oracle it is tested against by design).
+``_COUNTERS`` declares every counter once; ``__slots__``,
+:meth:`KernelStats.reset`, :meth:`KernelStats.snapshot` and
+:func:`format_stats` are derived from it.  Counters are plain numeric
+attributes on a slotted object, so updating one costs a single
+attribute store — cheap enough to leave enabled in every run.
 
 These numbers answer the questions the substrate benchmarks ask: how
 many agenda entries a workload costs, how much of that is wasted on
@@ -28,72 +31,70 @@ stale wake-ups, and whether routing work is being amortised.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import TYPE_CHECKING, Any, Dict
 
 __all__ = ["DIAGNOSTIC_COUNTERS", "KernelStats", "format_stats"]
+
+#: Every counter, declared once: (attribute, ``format_stats`` label,
+#: format spec, diagnostic?).  Table order is the order of
+#: ``__slots__``, ``snapshot()`` and ``format_stats``; a ``.1f`` format
+#: marks a float counter (reset to ``0.0``), the rest count integers.
+_COUNTERS = (
+    ("events_processed", "events processed", "", False),
+    ("reallocations", "reallocations", "", False),
+    ("wakeups_cancelled", "stale wake-ups", "", False),
+    ("route_cache_hits", "route cache hits", "", False),
+    ("route_cache_misses", "route cache misses", "", False),
+    ("sched_rounds", "scheduler rounds", "", False),
+    ("sched_evaluations", "candidate evals", "", False),
+    ("sched_memo_hits", "forecast memo hits", "", False),
+    ("meta_submitted", "jobs submitted", "", False),
+    ("meta_rejected", "jobs rejected", "", False),
+    ("meta_started", "jobs started", "", False),
+    ("meta_completed", "jobs completed", "", False),
+    ("meta_backfilled", "jobs backfilled", "", False),
+    ("meta_reservations", "reservations made", "", False),
+    ("meta_queue_wait_seconds", "queue-wait seconds", ".1f", False),
+    ("meta_cpu_seconds", "cpu-seconds served", ".1f", False),
+    ("meta_plan_rounds", "planning rounds", "", True),
+    ("meta_plan_kept", "reservations kept", "", True),
+    ("meta_plan_rebuilt", "reservations rebuilt", "", True),
+    ("meta_plan_window_probes", "window probes", "", True),
+    ("meta_plan_estimate_memo_hits", "estimate memo hits", "", True),
+    ("meta_plan_wakes", "wakes scheduled", "", True),
+)
 
 #: Counters that describe how a result was computed, not the result.
 #: Deterministic reports leave them out; :meth:`KernelStats.snapshot`
 #: keeps them.
-DIAGNOSTIC_COUNTERS = (
-    "meta_plan_rounds",
-    "meta_plan_kept",
-    "meta_plan_rebuilt",
-    "meta_plan_window_probes",
-    "meta_plan_estimate_memo_hits",
-    "meta_plan_wakes",
-)
+DIAGNOSTIC_COUNTERS = tuple(name for name, _label, _fmt, diagnostic
+                            in _COUNTERS if diagnostic)
+
+#: the derived hit rate follows this counter in snapshots and listings
+_HIT_RATE_AFTER = "route_cache_misses"
 
 
 class KernelStats:
     """Per-simulator performance counters (all monotonically increasing)."""
 
-    __slots__ = (
-        "events_processed",
-        "reallocations",
-        "wakeups_cancelled",
-        "route_cache_hits",
-        "route_cache_misses",
-        "sched_rounds",
-        "sched_evaluations",
-        "sched_memo_hits",
-        "meta_submitted",
-        "meta_rejected",
-        "meta_started",
-        "meta_completed",
-        "meta_backfilled",
-        "meta_reservations",
-        "meta_queue_wait_seconds",
-        "meta_cpu_seconds",
-    ) + DIAGNOSTIC_COUNTERS
+    __slots__ = tuple(name for name, _label, _fmt, _diag in _COUNTERS)
+
+    if TYPE_CHECKING:
+        # The counter attributes come from _COUNTERS; let type checkers
+        # see them.  Nothing here exists at run time.
+        def __getattr__(self, name: str) -> Any:
+            ...
+
+        def __setattr__(self, name: str, value: Any) -> None:
+            ...
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
         """Zero every counter (e.g. after a warm-up phase)."""
-        self.events_processed = 0
-        self.reallocations = 0
-        self.wakeups_cancelled = 0
-        self.route_cache_hits = 0
-        self.route_cache_misses = 0
-        self.sched_rounds = 0
-        self.sched_evaluations = 0
-        self.sched_memo_hits = 0
-        self.meta_submitted = 0
-        self.meta_rejected = 0
-        self.meta_started = 0
-        self.meta_completed = 0
-        self.meta_backfilled = 0
-        self.meta_reservations = 0
-        self.meta_queue_wait_seconds = 0.0
-        self.meta_cpu_seconds = 0.0
-        self.meta_plan_rounds = 0
-        self.meta_plan_kept = 0
-        self.meta_plan_rebuilt = 0
-        self.meta_plan_window_probes = 0
-        self.meta_plan_estimate_memo_hits = 0
-        self.meta_plan_wakes = 0
+        for name, _label, fmt, _diag in _COUNTERS:
+            setattr(self, name, 0.0 if fmt else 0)
 
     @property
     def route_cache_hit_rate(self) -> float:
@@ -105,31 +106,12 @@ class KernelStats:
 
     def snapshot(self) -> Dict[str, float]:
         """Counters as a plain dict (for results objects and the CLI)."""
-        return {
-            "events_processed": self.events_processed,
-            "reallocations": self.reallocations,
-            "wakeups_cancelled": self.wakeups_cancelled,
-            "route_cache_hits": self.route_cache_hits,
-            "route_cache_misses": self.route_cache_misses,
-            "route_cache_hit_rate": self.route_cache_hit_rate,
-            "sched_rounds": self.sched_rounds,
-            "sched_evaluations": self.sched_evaluations,
-            "sched_memo_hits": self.sched_memo_hits,
-            "meta_submitted": self.meta_submitted,
-            "meta_rejected": self.meta_rejected,
-            "meta_started": self.meta_started,
-            "meta_completed": self.meta_completed,
-            "meta_backfilled": self.meta_backfilled,
-            "meta_reservations": self.meta_reservations,
-            "meta_queue_wait_seconds": self.meta_queue_wait_seconds,
-            "meta_cpu_seconds": self.meta_cpu_seconds,
-            "meta_plan_rounds": self.meta_plan_rounds,
-            "meta_plan_kept": self.meta_plan_kept,
-            "meta_plan_rebuilt": self.meta_plan_rebuilt,
-            "meta_plan_window_probes": self.meta_plan_window_probes,
-            "meta_plan_estimate_memo_hits": self.meta_plan_estimate_memo_hits,
-            "meta_plan_wakes": self.meta_plan_wakes,
-        }
+        out: Dict[str, float] = {}
+        for name, _label, _fmt, _diag in _COUNTERS:
+            out[name] = getattr(self, name)
+            if name == _HIT_RATE_AFTER:
+                out["route_cache_hit_rate"] = self.route_cache_hit_rate
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<KernelStats events={self.events_processed}"
@@ -140,31 +122,12 @@ class KernelStats:
 
 def format_stats(stats: "KernelStats", elapsed_wall: float = 0.0) -> str:
     """Human-readable counter block, optionally with an events/sec rate."""
-    lines = [
-        f"events processed     : {stats.events_processed}",
-        f"reallocations        : {stats.reallocations}",
-        f"stale wake-ups       : {stats.wakeups_cancelled}",
-        f"route cache hits     : {stats.route_cache_hits}",
-        f"route cache misses   : {stats.route_cache_misses}",
-        f"route cache hit rate : {stats.route_cache_hit_rate:.3f}",
-        f"scheduler rounds     : {stats.sched_rounds}",
-        f"candidate evals      : {stats.sched_evaluations}",
-        f"forecast memo hits   : {stats.sched_memo_hits}",
-        f"jobs submitted       : {stats.meta_submitted}",
-        f"jobs rejected        : {stats.meta_rejected}",
-        f"jobs started         : {stats.meta_started}",
-        f"jobs completed       : {stats.meta_completed}",
-        f"jobs backfilled      : {stats.meta_backfilled}",
-        f"reservations made    : {stats.meta_reservations}",
-        f"queue-wait seconds   : {stats.meta_queue_wait_seconds:.1f}",
-        f"cpu-seconds served   : {stats.meta_cpu_seconds:.1f}",
-        f"planning rounds      : {stats.meta_plan_rounds}",
-        f"reservations kept    : {stats.meta_plan_kept}",
-        f"reservations rebuilt : {stats.meta_plan_rebuilt}",
-        f"window probes        : {stats.meta_plan_window_probes}",
-        f"estimate memo hits   : {stats.meta_plan_estimate_memo_hits}",
-        f"wakes scheduled      : {stats.meta_plan_wakes}",
-    ]
+    lines = []
+    for name, label, fmt, _diag in _COUNTERS:
+        lines.append(f"{label:<20} : {getattr(stats, name):{fmt}}")
+        if name == _HIT_RATE_AFTER:
+            lines.append("route cache hit rate : "
+                         f"{stats.route_cache_hit_rate:.3f}")
     if elapsed_wall > 0:
         rate = stats.events_processed / elapsed_wall
         lines.append(f"events/sec (wall)    : {rate:,.0f}")

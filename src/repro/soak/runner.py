@@ -20,7 +20,6 @@ this harness exists to flush out.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -287,10 +286,9 @@ class SoakContext:
 
 @dataclass
 class ScenarioOutcome:
-    """One executed scenario, reduced to engine-independent data."""
+    """One executed scenario, reduced to plain data."""
 
     spec: ScenarioSpec
-    engine: str
     finished_at: float
     quiesced: bool
     lanes: Dict[str, str]
@@ -299,7 +297,7 @@ class ScenarioOutcome:
     counters: Dict[str, float]
 
     def report(self) -> dict:
-        """Deterministic, engine-independent scenario report."""
+        """Deterministic scenario report."""
         return {
             "index": self.spec.index,
             "seed": self.spec.seed,
@@ -357,8 +355,7 @@ def _horizon(spec: ScenarioSpec) -> float:
     return max(times) + 1.0
 
 
-def run_scenario(spec: ScenarioSpec, engine: str = "fast",
-                 tracer=None) -> ScenarioOutcome:
+def run_scenario(spec: ScenarioSpec, tracer=None) -> ScenarioOutcome:
     """Run one scenario to quiesce (or deadline) and audit it."""
     sim = Simulator()
     if tracer is not None:
@@ -369,7 +366,7 @@ def run_scenario(spec: ScenarioSpec, engine: str = "fast",
     gis.register_grid(grid)
     nws = NetworkWeatherService(sim, grid, cpu_period=10.0,
                                 deploy_network_sensors=False)
-    service = MetaScheduler(sim, grid, gis, nws, engine=engine)
+    service = MetaScheduler(sim, grid, gis, nws)
 
     lanes: Dict[str, LaneWatch] = {}
     specs = [JobSpec(name=job["name"], user=job["user"], kind=job["kind"],
@@ -436,7 +433,7 @@ def run_scenario(spec: ScenarioSpec, engine: str = "fast",
                 if name.startswith("meta_")
                 and name not in DIAGNOSTIC_COUNTERS}
     return ScenarioOutcome(
-        spec=spec, engine=engine, finished_at=sim.now,
+        spec=spec, finished_at=sim.now,
         quiesced=ctx.quiesced,
         lanes={name: lanes[name].status for name in sorted(lanes)},
         violations=violations,
@@ -444,37 +441,11 @@ def run_scenario(spec: ScenarioSpec, engine: str = "fast",
         counters=counters)
 
 
-def _first_divergence(a: dict, b: dict) -> str:
-    for key in sorted(set(a) | set(b)):
-        if (json.dumps(a.get(key), sort_keys=True)
-                != json.dumps(b.get(key), sort_keys=True)):
-            return f"fast and reference reports differ at {key!r}"
-    return "fast and reference reports differ"
-
-
 def run_with_checks(spec: ScenarioSpec) -> dict:
     """Run a scenario with its declared cross-checks; return the
     per-scenario report dict.
 
-    ``spec.trace_check`` records and validates a Chrome trace;
-    ``spec.engine_check`` re-runs the identical scenario under the
-    reference planning engine and appends an ``engine-divergence``
-    violation if the two engine-independent reports differ.
+    ``spec.trace_check`` records and validates a Chrome trace.
     """
     tracer = Tracer() if spec.trace_check else None
-    base = run_scenario(spec, engine="fast", tracer=tracer).report()
-    report = dict(base)
-    report["engine_agreement"] = None
-    if spec.engine_check:
-        ref_tracer = Tracer() if spec.trace_check else None
-        ref = run_scenario(spec, engine="reference",
-                           tracer=ref_tracer).report()
-        agree = ref == base
-        report["engine_agreement"] = agree
-        if not agree:
-            report["violations"] = list(report["violations"]) + [{
-                "invariant": "engine-divergence",
-                "time": report["finished_at"],
-                "detail": _first_divergence(base, ref),
-            }]
-    return report
+    return run_scenario(spec, tracer=tracer).report()

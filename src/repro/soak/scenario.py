@@ -62,8 +62,6 @@ class ScenarioSpec:
     seed: int
     duration: float
     checkpoint_every: float = 60.0
-    #: re-run with the reference planning engine and diff the outcome
-    engine_check: bool = False
     #: record a Chrome trace and validate it as an invariant
     trace_check: bool = False
     jobs: List[dict] = field(default_factory=list)
@@ -251,7 +249,6 @@ def sample_scenario(seed: int, index: int) -> ScenarioSpec:
 
     return ScenarioSpec(
         index=index, seed=seed, duration=round(duration, 6),
-        engine_check=index % 4 == 0,
         trace_check=index % 5 == 0,
         jobs=jobs, faults=faults, bursts=bursts, links=links,
         services=services, swap=swap, srs=srs)

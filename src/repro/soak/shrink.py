@@ -124,13 +124,12 @@ def shrink_scenario(spec: ScenarioSpec,
                     removed += 1
                     progress = True
 
-        # -- cheapen the cross-checks if they are not the failure ---------
-        for flag in ("engine_check", "trace_check"):
-            if getattr(current, flag):
-                candidate = _clone(current, **{flag: False})
-                if still_fails(candidate):
-                    current = candidate
-                    progress = True
+        # -- cheapen the trace cross-check if it is not the failure -------
+        if current.trace_check:
+            candidate = _clone(current, trace_check=False)
+            if still_fails(candidate):
+                current = candidate
+                progress = True
 
         # -- halve the duration -------------------------------------------
         while current.duration / 2.0 >= _MIN_DURATION:

@@ -48,10 +48,10 @@ class TestAutopilot:
         manager = AutopilotManager(sim)
         sensor = manager.register_sensor("iter-time")
         seen = []
-        manager.subscribe("iter-time", lambda r: seen.append(r.value))
+        manager.subscribe("iter-time", seen.append)
         sensor.publish(3.5, rank=0)
-        assert seen == [3.5]
-        assert manager.history("iter-time")[0].attr("rank") == 0
+        assert [r.value for r in seen] == [3.5]
+        assert seen[0].attr("rank") == 0
 
     def test_duplicate_sensor_rejected(self):
         sim = Simulator()

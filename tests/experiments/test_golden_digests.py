@@ -36,7 +36,7 @@ CASES = [
      "c090f0183eb91d605407051d1e17d4a29efd9479a0efa569d57920ee6fca554f"),
     ("soak.json", ["soak", "run", "--scenarios", "12", "--seed", "7",
                    "--json"],
-     "2425f89645ec8daec2a5086130ef2b8303b48ac3dcf003057aaef9f4e5923716"),
+     "de2526b227087e26698734086e317178ca7d2061d1f72985a07063b67e5009e7"),
 ]
 
 

@@ -11,6 +11,7 @@ from repro.metasched.reservations import (
     ReservationConflict,
     _dedup_times,
 )
+from tests.oracles.metasched import reference_find_window
 
 
 class TestReservation:
@@ -161,12 +162,12 @@ class TestCandidateTimeDedup:
 
     def test_find_window_merges_eps_close_reservation_ends(self):
         # Two hosts whose reservations end a sub-eps apart: the sweep
-        # must treat that as ONE candidate start on both engines.
+        # must treat that as ONE candidate start, as the oracle does.
         book = ReservationBook(["h1", "h2"])
         book.reserve_block("a", ["h1"], 0.0, 100.0)
         book.reserve_block("b", ["h2"], 0.0, 100.0 + 5e-10)
         got = book.find_window(2, 50.0, 0.0, ["h1", "h2"], 0.0)
-        want = book.find_window_reference(2, 50.0, 0.0, ["h1", "h2"], 0.0)
+        want = reference_find_window(book, 2, 50.0, 0.0, ["h1", "h2"], 0.0)
         assert got == want
         start, hosts = got
         assert hosts == ["h1", "h2"]

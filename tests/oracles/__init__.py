@@ -11,6 +11,9 @@ algorithm whose production path in ``repro`` is incremental:
 * :mod:`tests.oracles.forecasting` — the numpy NWS forecaster battery
   (``np.median``, a ``lstsq`` fit on every AR window) behind
   ``repro.nws.forecasting``.
+* :mod:`tests.oracles.metasched` — the cancel-all/rebuild-all
+  metascheduler planner and its linear window search, behind
+  ``repro.metasched.MetaScheduler`` and ``ReservationBook.find_window``.
 
 They live with the tests because nothing in the product runs them.
 """

@@ -82,3 +82,63 @@ def test_every_simulator_owns_independent_stats():
     a.run()
     assert a.stats.events_processed == 1
     assert b.stats.events_processed == 0
+
+
+def _distinct_stats():
+    """A stats object with a different value in every counter."""
+    stats = KernelStats()
+    for i, name in enumerate(KernelStats.__slots__):
+        if isinstance(getattr(stats, name), float):
+            setattr(stats, name, (i + 1) * 1.25)
+        else:
+            setattr(stats, name, 1000 * (i + 1) + i)
+    return stats
+
+
+def test_every_slot_is_snapshotted_listed_and_reset():
+    stats = _distinct_stats()
+    snap = stats.snapshot()
+    lines = format_stats(stats).splitlines()
+    assert len(lines) == len(KernelStats.__slots__) + 1  # + hit rate
+    for name in KernelStats.__slots__:
+        value = getattr(stats, name)
+        assert snap[name] == value
+        assert type(snap[name]) is type(value)
+        rendered = f"{value:.1f}" if isinstance(value, float) else str(value)
+        assert sum(line.endswith(f": {rendered}") for line in lines) == 1
+    assert list(snap) == (list(KernelStats.__slots__[:5])
+                          + ["route_cache_hit_rate"]
+                          + list(KernelStats.__slots__[5:]))
+    stats.reset()
+    for name in KernelStats.__slots__:
+        assert getattr(stats, name) == 0
+        assert type(getattr(stats, name)) is type(snap[name])
+
+
+def test_format_stats_text_is_pinned():
+    # Captured from the hand-written listing this table replaced.
+    assert format_stats(_distinct_stats(), elapsed_wall=2.5) == (
+        "events processed     : 1000\n"
+        "reallocations        : 2001\n"
+        "stale wake-ups       : 3002\n"
+        "route cache hits     : 4003\n"
+        "route cache misses   : 5004\n"
+        "route cache hit rate : 0.444\n"
+        "scheduler rounds     : 6005\n"
+        "candidate evals      : 7006\n"
+        "forecast memo hits   : 8007\n"
+        "jobs submitted       : 9008\n"
+        "jobs rejected        : 10009\n"
+        "jobs started         : 11010\n"
+        "jobs completed       : 12011\n"
+        "jobs backfilled      : 13012\n"
+        "reservations made    : 14013\n"
+        "queue-wait seconds   : 18.8\n"
+        "cpu-seconds served   : 20.0\n"
+        "planning rounds      : 17016\n"
+        "reservations kept    : 18017\n"
+        "reservations rebuilt : 19018\n"
+        "window probes        : 20019\n"
+        "estimate memo hits   : 21020\n"
+        "wakes scheduled      : 22021\n"
+        "events/sec (wall)    : 400")

@@ -1,9 +1,12 @@
-"""End-to-end scenario execution: lanes, determinism, engine checks."""
+"""End-to-end scenario execution: lanes, determinism, planner oracle."""
 
 import json
 
+import pytest
+
 from repro.soak import run_scenario, run_with_checks, sample_scenario
 from repro.soak.scenario import ScenarioSpec
+from tests.oracles.metasched import reference_planner
 
 
 def _clean_smoke_spec():
@@ -50,25 +53,25 @@ class TestRunScenario:
 
     def test_fast_and_reference_engines_agree(self):
         spec = _clean_smoke_spec()
-        fast = run_scenario(spec, engine="fast").report()
-        ref = run_scenario(spec, engine="reference").report()
+        fast = run_scenario(spec).report()
+        with reference_planner():
+            ref = run_scenario(spec).report()
         assert fast == ref
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sampled_reports_match_reference_planner(seed):
+    """The delta re-planner and the rebuild-all oracle produce equal
+    reports on every scenario of a 12-scenario sweep."""
+    for index in range(12):
+        spec = sample_scenario(seed, index)
+        fast = run_scenario(spec).report()
+        with reference_planner():
+            ref = run_scenario(spec).report()
+        assert fast == ref, (seed, index)
+
+
 class TestRunWithChecks:
-    def test_engine_check_records_agreement(self):
-        spec = sample_scenario(7, 0)
-        assert spec.engine_check
-        result = run_with_checks(spec)
-        assert result["engine_agreement"] is True
-        assert result["violations"] == []
-
-    def test_engine_check_skipped_when_disabled(self):
-        spec = sample_scenario(7, 1)
-        assert not spec.engine_check
-        result = run_with_checks(spec)
-        assert result["engine_agreement"] is None
-
     def test_sampled_scenarios_run_clean(self):
         for index in range(4):
             result = run_with_checks(sample_scenario(11, index))

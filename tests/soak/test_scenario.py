@@ -39,8 +39,6 @@ class TestSampling:
                 assert burst["until"] > burst["at"]
 
     def test_check_flags_follow_index(self):
-        assert sample_scenario(7, 0).engine_check
-        assert sample_scenario(7, 1).engine_check is False
         assert sample_scenario(7, 0).trace_check
         assert sample_scenario(7, 5).trace_check
 
@@ -56,10 +54,13 @@ class TestSerialization:
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     def test_unknown_field_rejected(self):
-        data = sample_scenario(0, 0).to_dict()
-        data["bogus"] = 1
-        with pytest.raises(ValueError, match="unknown scenario fields"):
-            ScenarioSpec.from_dict(data)
+        # old scenario files carrying the retired engine_check flag must
+        # not load silently
+        for field in ("bogus", "engine_check"):
+            data = sample_scenario(0, 0).to_dict()
+            data[field] = False
+            with pytest.raises(ValueError, match="unknown scenario fields"):
+                ScenarioSpec.from_dict(data)
 
     def test_unsupported_schema_rejected(self):
         data = sample_scenario(0, 0).to_dict()

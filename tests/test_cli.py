@@ -196,6 +196,12 @@ class TestMetaschedCommands:
     def test_run_bad_usage(self, capsys):
         assert main(["metasched", "run", "--users", "0"]) == 2
         assert main(["metasched", "run", "--arrival-rate", "-1"]) == 2
+        for flag in ("--max-jobs", "--max-queue", "--max-per-user"):
+            for value in ("0", "-1"):
+                capsys.readouterr()
+                assert main(["metasched", "run", flag, value]) == 2
+                err = capsys.readouterr().err
+                assert err.count("\n") == 1 and flag in err, err
 
     def test_report_conflict_exits_one(self, tmp_path, capsys):
         doctored = {
