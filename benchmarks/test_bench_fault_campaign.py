@@ -1,43 +1,44 @@
-"""Benchmark: the fault-injection campaign runner.
+"""Benchmark: the MTBF/MTTR fault campaign as a soak preset.
 
-A reduced MTBF sweep (N=3000, one trial per cell) plus the scripted
-kill scenarios; prints the campaign tables and re-checks that the
-report is deterministic under a fixed seed.
+Four ``sample_mtbf_scenario`` scenarios (both grid cells, two trials
+each): a checkpointed QR run under pre-sampled host churn.  Prints the
+soak tables and re-checks that the report is deterministic under a
+fixed seed.
 """
 
 import pytest
 
-from repro.experiments import campaign_tables
-from repro.faults import CampaignSpec, run_campaign
+from repro.experiments.soak import run_soak, soak_tables
+from repro.soak import sample_mtbf_scenario
 
-SPEC = CampaignSpec(mtbf_grid=(400.0, 1200.0), mttr_grid=(90.0,),
-                    trials=1, seed=0, n=3000, checkpoint_every=3)
+
+def _campaign():
+    return run_soak(seed=0, scenarios=4, sampler=sample_mtbf_scenario)
 
 
 @pytest.fixture(scope="module")
 def campaign():
-    return run_campaign(SPEC, with_scenarios=True)
+    return _campaign()
 
 
 def test_bench_fault_campaign(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_campaign(SPEC, with_scenarios=False),
-        rounds=1, iterations=1)
-    assert result.cells
+    result = benchmark.pedantic(_campaign, rounds=1, iterations=1)
+    assert len(result.results) == 4
 
 
 class TestCampaignReport:
     def test_print_report(self, campaign):
         print()
-        print(campaign_tables(campaign.report()))
+        print(soak_tables(campaign.report()))
 
     def test_no_trial_leaks_inflight_migrations(self, campaign):
-        for cell in campaign.cells:
-            assert cell["migrating_leaked"] == [], cell
+        by_invariant = campaign.report()["summary"]["by_invariant"]
+        assert "srs-hygiene" not in by_invariant, by_invariant
 
     def test_all_scenarios_pass(self, campaign):
-        assert all(s["passed"] for s in campaign.scenarios)
+        for result in campaign.results:
+            assert result["quiesced"], result["index"]
+            assert result["violations"] == [], result["violations"]
 
     def test_report_is_deterministic(self, campaign):
-        again = run_campaign(SPEC, with_scenarios=True)
-        assert again.to_json() == campaign.to_json()
+        assert _campaign().to_json() == campaign.to_json()

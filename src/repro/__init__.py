@@ -18,12 +18,13 @@ Subpackages
 ``repro.contracts``    Autopilot, fuzzy logic, performance contracts
 ``repro.ibp``          network storage depots
 ``repro.rescheduling`` SRS/RSS, redistribution, reschedulers, swapping
-``repro.faults``       failure injection and recovery campaigns
 ``repro.metasched``    multi-tenant submission service with reservations
 ``repro.apps``         ScaLAPACK QR, N-body, EMAN refinement workflow
 ``repro.appmanager``   the wired-up GrADS execution environment
 ``repro.experiments``  drivers regenerating the paper's figures
 ``repro.trace``        structured tracing, export, analysis, determinism diff
+``repro.soak``         soak scenarios (incl. the MTBF/MTTR host-failure
+                       preset), invariant auditors, shrinker
 =====================  ====================================================
 
 Quickstart: see ``examples/quickstart.py`` and the README.
@@ -36,7 +37,6 @@ from . import (
     contracts,
     cop,
     experiments,
-    faults,
     gis,
     ibp,
     metasched,
@@ -62,7 +62,6 @@ __all__ = [
     "contracts",
     "cop",
     "experiments",
-    "faults",
     "gis",
     "ibp",
     "metasched",

@@ -8,12 +8,11 @@
     python -m repro opportunistic
     python -m repro describe path/to/grid.dml
     python -m repro bench --scheduler --tasks 128 --json
-    python -m repro faults run --seed 0 --mtbf 300,900 --json
-    python -m repro faults report campaign.json
     python -m repro metasched run --users 6 --arrival-rate 0.01 --json
     python -m repro metasched run --n-hosts 64 --max-jobs 200 --json
     python -m repro metasched report stream.json
     python -m repro soak run --minutes 2 --seed 7 --json
+    python -m repro soak run --preset mtbf --scenarios 4 --json
     python -m repro soak replay tests/soak/reproducers/foo.json
     python -m repro trace diff a.trace.json b.trace.json
     python -m repro lint --format json --baseline simlint-baseline.json
@@ -31,8 +30,11 @@ Every experiment subcommand also accepts ``--seed N`` (default 0): the
 run's randomness, if it has any, derives from ``RngRegistry(N)``, and
 two invocations with equal arguments produce identical output —
 ``--json`` payloads byte-for-byte (each carries ``schema_version``).
+``metasched run`` and ``soak run`` also take ``--out PATH`` to save
+that report, and their ``report`` subcommands re-render a saved one.
 
-Exit codes: 0 success, 1 experiment/trace/lint failure, 2 bad usage.
+Exit codes: 0 success, 1 experiment/trace/lint failure, 2 bad usage or
+an unreadable input file.
 """
 
 from __future__ import annotations
@@ -41,26 +43,24 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from . import __version__
 from .experiments.eman_demo import run_eman_demo
-from .experiments.faults_campaign import campaign_tables, run_faults_campaign
 from .experiments.fig3_qr import DEFAULT_SIZES, run_fig3
 from .experiments.fig4_swap import run_fig4
 from .experiments.metasched_stream import metasched_tables, run_metasched
 from .experiments.opportunistic import run_opportunistic
 from .experiments.scheduler_bench import run_scheduler_bench
-from .experiments.soak import run_soak, soak_tables
+from .experiments.soak import PRESETS, run_soak, soak_tables
 from .experiments.substrate import run_substrate_bench
 from .experiments.common import JSON_SCHEMA_VERSION, format_table
-from .faults.campaign import CampaignSpec
 from .microgrid.dml import parse_grid
 from .rescheduling.swapping import SWAP_POLICIES
 from .sim.kernel import Simulator
 from .trace import (
     Tracer,
-    diff_files,
+    first_divergence,
     format_divergence,
     load_trace_file,
     summarize,
@@ -69,6 +69,11 @@ from .trace import (
 )
 
 __all__ = ["main", "build_parser"]
+
+
+class UsageError(Exception):
+    """Bad arguments or unreadable input: ``main`` prints
+    ``repro <command>: <message>`` and exits 2."""
 
 
 def _add_trace_option(parser: argparse.ArgumentParser) -> None:
@@ -82,6 +87,13 @@ def _add_seed_option(parser: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=0,
         help="experiment seed (default 0); all driver randomness derives "
              "from it and equal seeds give identical output")
+
+
+def _add_output_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--json", action="store_true",
+                        help="emit the deterministic report JSON on stdout")
+    parser.add_argument("--out", metavar="PATH", default=None,
+                        help="also write the report JSON to PATH")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,40 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule table and exit")
 
-    faults = sub.add_parser(
-        "faults", help="fault-injection campaigns (MTBF/MTTR sweep + "
-                       "scripted kill scenarios)")
-    faults_sub = faults.add_subparsers(dest="faults_command", required=True)
-
-    frun = faults_sub.add_parser(
-        "run", help="run a campaign; same seed => byte-identical JSON")
-    frun.add_argument("--seed", type=int, default=0,
-                      help="campaign seed (per-cell injector seeds are "
-                           "derived from it)")
-    frun.add_argument("--mtbf", default="400,1200",
-                      help="comma-separated MTBF grid (seconds)")
-    frun.add_argument("--mttr", default="90",
-                      help="comma-separated MTTR grid (seconds)")
-    frun.add_argument("--trials", type=int, default=2,
-                      help="trials per grid cell")
-    frun.add_argument("--n", type=int, default=6000, help="QR matrix size")
-    frun.add_argument("--checkpoint-every", type=int, default=5,
-                      help="periodic checkpoint interval (panel steps)")
-    frun.add_argument("--deadline", type=float, default=20000.0,
-                      help="per-trial simulated-time budget (seconds)")
-    frun.add_argument("--no-scenarios", action="store_true",
-                      help="skip the scripted kill scenarios")
-    frun.add_argument("--json", action="store_true",
-                      help="emit the deterministic report JSON on stdout")
-    frun.add_argument("--out", metavar="PATH", default=None,
-                      help="also write the report JSON to PATH")
-    _add_trace_option(frun)
-
-    freport = faults_sub.add_parser(
-        "report", help="render a saved campaign report as tables "
-                       "(exit 1 if any scenario failed)")
-    freport.add_argument("path", help="report JSON from `faults run --out`")
-
     meta = sub.add_parser(
         "metasched", help="multi-tenant submission service: serve a "
                           "synthetic job stream with queueing, admission "
@@ -228,10 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     mrun.add_argument("--n-hosts", type=int, default=None,
                       help="run on a 4-cluster grid of this many hosts "
                            "instead of the 12-host Figure 3 testbed")
-    mrun.add_argument("--json", action="store_true",
-                      help="emit the deterministic report JSON on stdout")
-    mrun.add_argument("--out", metavar="PATH", default=None,
-                      help="also write the report JSON to PATH")
+    _add_output_options(mrun)
     _add_seed_option(mrun)
     _add_trace_option(mrun)
 
@@ -258,10 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     srun.add_argument("--shrink", metavar="DIR", default=None,
                       help="delta-debug each violating scenario into a "
                            "minimal replayable reproducer under DIR")
-    srun.add_argument("--json", action="store_true",
-                      help="emit the deterministic report JSON on stdout")
-    srun.add_argument("--out", metavar="PATH", default=None,
-                      help="also write the report JSON to PATH")
+    srun.add_argument("--preset", choices=sorted(PRESETS),
+                      default="sampled",
+                      help="scenario sampler: 'sampled' mixes every lane "
+                           "(default); 'mtbf' runs a checkpointed QR job "
+                           "under MTBF/MTTR host churn")
+    _add_output_options(srun)
     _add_seed_option(srun)
 
     sreplay = soak_sub.add_parser(
@@ -395,14 +372,8 @@ def _cmd_opportunistic(args: argparse.Namespace) -> int:
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    try:
-        with open(args.path) as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"cannot read {args.path}: {exc}", file=sys.stderr)
-        return 2
     sim = Simulator()
-    grid = parse_grid(text, sim)
+    grid = parse_grid(_read("DML file", args.path, _read_text), sim)
     rows = []
     for name, cluster in sorted(grid.clusters.items()):
         rows.append([name, len(cluster), cluster.arch.name,
@@ -416,15 +387,46 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_report(command: str, path: str) -> Optional[dict]:
-    """A saved JSON report, or None after a one-line error message."""
+def _load_json(path: str) -> Any:
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def _read_text(path: str) -> str:
+    with open(path) as handle:
+        return handle.read()
+
+
+def _read(what: str, path: str, load: Callable[[str], Any] = _load_json):
+    """``load(path)``; a missing or malformed file is a usage error."""
     try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, ValueError) as exc:
-        print(f"repro {command}: cannot read report {path}: {exc}",
-              file=sys.stderr)
-        return None
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _emit(payload: Optional[str], args: argparse.Namespace,
+          render: Callable[[dict], str]) -> dict:
+    """Show one report and return it as a dict.
+
+    ``payload`` is a fresh run's report JSON: it is saved to ``--out``
+    and, under ``--json``, printed as is.  ``None`` loads the saved
+    report at ``args.path`` (the ``report`` subcommands).  Otherwise the
+    tables ``render(report)`` go to stdout.
+    """
+    if payload is None:
+        report = _read("report", args.path)
+    else:
+        report = json.loads(payload)
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(payload + "\n")
+            print(f"report -> {args.out}", file=sys.stderr)
+        if args.json:
+            print(payload)
+            return report
+    print(render(report))
+    return report
 
 
 def _print_json(result: dict) -> None:
@@ -500,12 +502,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     ignore = args.ignore.split(",") if args.ignore else None
     try:
         result = simlint.lint_tree(paths, select=select, ignore=ignore)
-    except simlint.UnknownRuleError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
+    except (simlint.UnknownRuleError, FileNotFoundError) as exc:
+        raise UsageError(str(exc)) from None
     findings = result.findings
     if args.write_baseline:
         simlint.write_baseline(args.write_baseline,
@@ -515,7 +513,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 0
     grandfathered: List[simlint.Finding] = []
     if args.baseline:
-        doc = simlint.load_baseline(args.baseline)
+        doc = _read("baseline", args.baseline, simlint.load_baseline)
         findings, grandfathered = simlint.apply_baseline(findings, doc)
     if args.format == "json":
         print(simlint.render_json(findings, grandfathered))
@@ -527,71 +525,26 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-def _parse_grid_values(text: str, flag: str) -> tuple:
-    try:
-        values = tuple(float(v) for v in text.split(",") if v)
-    except ValueError:
-        raise ValueError(f"bad {flag} value: {text!r}") from None
-    if not values:
-        raise ValueError(f"need at least one {flag} value")
-    return values
-
-
-def _cmd_faults(args: argparse.Namespace) -> int:
-    if args.faults_command == "report":
-        report = _load_report("faults", args.path)
-        if report is None:
-            return 2
-        print(campaign_tables(report))
-        failed = [s for s in report["scenarios"] if not s["passed"]]
-        return 1 if failed else 0
-    try:
-        spec = CampaignSpec(
-            mtbf_grid=_parse_grid_values(args.mtbf, "--mtbf"),
-            mttr_grid=_parse_grid_values(args.mttr, "--mttr"),
-            trials=args.trials, seed=args.seed, n=args.n,
-            checkpoint_every=args.checkpoint_every, deadline=args.deadline)
-    except ValueError as exc:
-        print(f"repro faults: {exc}", file=sys.stderr)
-        return 2
-    tracer = _make_tracer(args)
-    result = run_faults_campaign(spec, with_scenarios=not args.no_scenarios,
-                                 tracer=tracer)
-    _export(tracer, args)
-    payload = result.to_json()
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(payload + "\n")
-        print(f"report -> {args.out}", file=sys.stderr)
-    if args.json:
-        print(payload)
-    else:
-        print(campaign_tables(result.report()))
-    failed = [s for s in result.scenarios if not s["passed"]]
-    return 1 if failed else 0
-
-
 def _cmd_metasched(args: argparse.Namespace) -> int:
-    if args.metasched_command == "report":
-        report = _load_report("metasched", args.path)
-        if report is None:
-            return 2
-        print(metasched_tables(report))
-        return 1 if report["conflicts"] else 0
+    payload = None
+    if args.metasched_command == "run":
+        payload = _run_metasched(args)
+    report = _emit(payload, args, metasched_tables)
+    for conflict in report["conflicts"]:
+        print(f"RESERVATION CONFLICT: {conflict}", file=sys.stderr)
+    return 1 if report["conflicts"] else 0
+
+
+def _run_metasched(args: argparse.Namespace) -> str:
     if args.users < 1 or args.arrival_rate <= 0 or args.duration <= 0:
-        print("repro metasched: need --users >= 1, --arrival-rate > 0 "
-              "and --duration > 0", file=sys.stderr)
-        return 2
+        raise UsageError("need --users >= 1, --arrival-rate > 0 and "
+                         "--duration > 0")
     if args.n_hosts is not None and args.n_hosts < 4:
-        print("repro metasched: --n-hosts must be >= 4 (one host per "
-              "cluster)", file=sys.stderr)
-        return 2
+        raise UsageError("--n-hosts must be >= 4 (one host per cluster)")
     for flag in ("max_jobs", "max_queue", "max_per_user"):
         value = getattr(args, flag)
         if value is not None and value < 1:
-            print(f"repro metasched: --{flag.replace('_', '-')} must be "
-                  ">= 1", file=sys.stderr)
-            return 2
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
     tracer = _make_tracer(args)
     result = run_metasched(
         users=args.users, arrival_rate=args.arrival_rate,
@@ -599,89 +552,63 @@ def _cmd_metasched(args: argparse.Namespace) -> int:
         max_queue=args.max_queue, max_per_user=args.max_per_user,
         n_hosts=args.n_hosts, tracer=tracer)
     _export(tracer, args)
-    payload = result.to_json()
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(payload + "\n")
-        print(f"report -> {args.out}", file=sys.stderr)
-    if args.json:
-        print(payload)
-    else:
-        print(metasched_tables(result.report()))
-    if result.conflicts:
-        for conflict in result.conflicts:
-            print(f"RESERVATION CONFLICT: {conflict}", file=sys.stderr)
-        return 1
-    return 0
+    return result.to_json()
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    if args.soak_command == "report":
-        report = _load_report("soak", args.path)
-        if report is None:
-            return 2
-        print(soak_tables(report))
-        return 1 if report["summary"]["violations"] else 0
     if args.soak_command == "replay":
-        from .soak import (ScenarioSpec, run_with_checks, shrink_scenario,
-                           write_reproducer)
-        try:
-            with open(args.path) as handle:
-                spec = ScenarioSpec.from_json(handle.read())
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"repro soak: bad scenario spec: {exc}", file=sys.stderr)
-            return 2
-        result = run_with_checks(spec)
-        if args.json:
-            print(json.dumps(result, sort_keys=True))
-        else:
-            status = "quiesced" if result["quiesced"] else "DID NOT QUIESCE"
-            print(f"scenario {spec.index} (seed {spec.seed}): {status}, "
-                  f"{len(result['violations'])} violation(s)")
-            for violation in result["violations"]:
-                print(f"  [{violation['invariant']}] t={violation['time']}: "
-                      f"{violation['detail']}")
-        if result["violations"] and args.shrink:
-            shrunk = shrink_scenario(spec)
-            write_reproducer(shrunk.minimal, args.shrink)
-            print(f"minimal reproducer ({shrunk.runs} shrink runs, "
-                  f"targets {sorted(shrunk.targets)}) -> {args.shrink}",
-                  file=sys.stderr)
-        return 1 if result["violations"] else 0
-    if args.scenarios is not None and args.scenarios < 1:
-        print("repro soak: --scenarios must be >= 1", file=sys.stderr)
-        return 2
-    if args.minutes is not None and args.minutes <= 0:
-        print("repro soak: --minutes must be positive", file=sys.stderr)
-        return 2
-    result = run_soak(seed=args.seed, scenarios=args.scenarios,
-                      minutes=args.minutes, shrink_dir=args.shrink)
-    payload = result.to_json()
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(payload + "\n")
-        print(f"report -> {args.out}", file=sys.stderr)
+        return _replay_soak(args)
+    payload = None
+    if args.soak_command == "run":
+        if args.scenarios is not None and args.scenarios < 1:
+            raise UsageError("--scenarios must be >= 1")
+        if args.minutes is not None and args.minutes <= 0:
+            raise UsageError("--minutes must be positive")
+        payload = run_soak(seed=args.seed, scenarios=args.scenarios,
+                           minutes=args.minutes, shrink_dir=args.shrink,
+                           sampler=PRESETS[args.preset]).to_json()
+    report = _emit(payload, args, soak_tables)
+    return 1 if report["summary"]["violations"] else 0
+
+
+def _replay_soak(args: argparse.Namespace) -> int:
+    from .soak import (load_reproducer, run_with_checks, shrink_scenario,
+                       write_reproducer)
+    spec = _read("scenario spec", args.path, load_reproducer)
+    result = run_with_checks(spec)
     if args.json:
-        print(payload)
+        print(json.dumps(result, sort_keys=True))
     else:
-        print(soak_tables(result.report()))
-    return 1 if result.report()["summary"]["violations"] else 0
+        status = "quiesced" if result["quiesced"] else "DID NOT QUIESCE"
+        print(f"scenario {spec.index} (seed {spec.seed}): {status}, "
+              f"{len(result['violations'])} violation(s)")
+        for violation in result["violations"]:
+            print(f"  [{violation['invariant']}] t={violation['time']}: "
+                  f"{violation['detail']}")
+    if result["violations"] and args.shrink:
+        shrunk = shrink_scenario(spec)
+        write_reproducer(shrunk.minimal, args.shrink)
+        print(f"minimal reproducer ({shrunk.runs} shrink runs, "
+              f"targets {sorted(shrunk.targets)}) -> {args.shrink}",
+              file=sys.stderr)
+    return 1 if result["violations"] else 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     if args.trace_command == "diff":
-        divergence = diff_files(args.a, args.b)
+        divergence = first_divergence(
+            _read("trace", args.a, load_trace_file),
+            _read("trace", args.b, load_trace_file))
         if divergence is None:
             print("traces are identical")
             return 0
         print(format_divergence(divergence, label_a=args.a, label_b=args.b))
         return 1
     if args.trace_command == "summary":
-        print(summarize(load_trace_file(args.path)))
+        print(summarize(_read("trace", args.path, load_trace_file)))
         return 0
     if args.trace_command == "validate":
-        with open(args.path) as handle:
-            obj = json.load(handle)
+        obj = _read("trace", args.path)
         problems = validate_chrome(obj)
         if problems:
             for problem in problems:
@@ -700,7 +627,6 @@ _COMMANDS = {
     "opportunistic": _cmd_opportunistic,
     "describe": _cmd_describe,
     "bench": _cmd_bench,
-    "faults": _cmd_faults,
     "metasched": _cmd_metasched,
     "soak": _cmd_soak,
     "lint": _cmd_lint,
@@ -714,6 +640,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except (KeyboardInterrupt, SystemExit):
         raise
+    except UsageError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream closed the pipe (`repro lint --list-rules | head`);
         # exit quietly the way POSIX filters do, parking stdout on

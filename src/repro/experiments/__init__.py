@@ -21,7 +21,6 @@ from .fig3_qr import (
     run_fig3,
     run_fig3_point,
 )
-from .faults_campaign import campaign_tables, run_faults_campaign
 from .fig4_swap import Fig4Result, run_fig4
 from .opportunistic import (
     OpportunisticResult,
@@ -48,11 +47,9 @@ __all__ = [
     "metasched_tables",
     "build_scheduler_bench_env",
     "build_substrate_grid",
-    "campaign_tables",
     "format_series",
     "format_table",
     "run_eman_demo",
-    "run_faults_campaign",
     "run_fig3",
     "run_fig3_point",
     "run_fig4",

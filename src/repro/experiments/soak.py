@@ -12,14 +12,15 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-from ..soak.scenario import sample_scenario
+from ..soak.scenario import (ScenarioSpec, sample_mtbf_scenario,
+                             sample_scenario)
 from ..soak.runner import run_with_checks
 from ..soak.shrink import shrink_scenario, write_reproducer
 from .common import JSON_SCHEMA_VERSION, format_table
 
-__all__ = ["SCENARIOS_PER_MINUTE", "SoakReport", "run_soak",
+__all__ = ["PRESETS", "SCENARIOS_PER_MINUTE", "SoakReport", "run_soak",
            "soak_tables"]
 
 #: calibrated sweep rate: a scenario (including its trace cross-check)
@@ -28,6 +29,9 @@ __all__ = ["SCENARIOS_PER_MINUTE", "SoakReport", "run_soak",
 #: of the contract — it fixes which scenarios a ``--minutes`` run
 #: covers — so it is not re-tuned when scenarios get faster
 SCENARIOS_PER_MINUTE = 100
+
+#: ``repro soak run --preset`` name -> scenario sampler ``(seed, index)``
+PRESETS = {"sampled": sample_scenario, "mtbf": sample_mtbf_scenario}
 
 
 @dataclass
@@ -76,8 +80,10 @@ class SoakReport:
 def run_soak(seed: int = 0, scenarios: Optional[int] = None,
              minutes: Optional[float] = None,
              shrink_dir: Optional[str] = None,
-             progress=None) -> SoakReport:
-    """Run a soak sweep.
+             progress=None,
+             sampler: Callable[[int, int], ScenarioSpec] = sample_scenario,
+             ) -> SoakReport:
+    """Run a soak sweep of ``sampler(seed, index)`` scenarios.
 
     ``scenarios`` fixes the sweep size directly; ``minutes`` converts a
     time budget through :data:`SCENARIOS_PER_MINUTE` (deterministic —
@@ -92,7 +98,7 @@ def run_soak(seed: int = 0, scenarios: Optional[int] = None,
             scenarios = max(int(minutes * SCENARIOS_PER_MINUTE), 1)
     report = SoakReport(seed=seed, scenarios=scenarios)
     for index in range(scenarios):
-        spec = sample_scenario(seed, index)
+        spec = sampler(seed, index)
         result = run_with_checks(spec)
         report.results.append(result)
         if progress is not None:

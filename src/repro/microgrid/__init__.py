@@ -8,7 +8,7 @@ injection and the canonical GrADS testbed descriptions.
 from .cluster import Cluster
 from .dml import DMLError, Grid, parse_grid, parse_quantity
 from .emulation import VirtualClock, dilated_grid
-from .failures import RandomFailureInjector, ScheduledFailure
+from .failures import ScheduledFailure
 from .host import Architecture, CacheLevel, Host, HostFailure
 from .loadgen import RandomLoadGenerator, ScheduledLoad, TraceLoad
 from .network import Flow, Link, NetworkError, Topology
@@ -40,7 +40,6 @@ __all__ = [
     "HostFailure",
     "Link",
     "NetworkError",
-    "RandomFailureInjector",
     "RandomLoadGenerator",
     "ScheduledFailure",
     "ScheduledLoad",

@@ -3,7 +3,7 @@
 Fault tolerance is the paper's named future-work item (§5: the VGrADS
 follow-on adds "new capabilities, such as fault tolerance").  This
 module provides the substrate: hosts can crash (killing their running
-tasks) and recover, on a schedule or stochastically.  The SRS
+tasks) and recover on a schedule.  The SRS
 checkpoint library plus the application manager's recovery path (see
 ``repro.apps.qr.QrRun``) turn those crashes into restart-from-
 checkpoint instead of lost work.
@@ -12,26 +12,26 @@ checkpoint instead of lost work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from ..sim.kernel import Simulator
 from .host import Host, HostFailure
 
-__all__ = ["HostFailure", "ScheduledFailure", "RandomFailureInjector"]
+__all__ = ["HostFailure", "ScheduledFailure"]
 
 
 @dataclass
 class ScheduledFailure:
     """Crash a host at a fixed time, optionally recovering later.
 
-    The kill and the recovery are tolerant of interleaving with other
-    failure sources (another :class:`ScheduledFailure`, a
-    :class:`RandomFailureInjector`): a host that is already down at
-    ``at`` stays down, and a host already recovered by someone else at
-    ``recover_at`` stays up, instead of raising mid-callback and
-    aborting the whole simulation.
+    Stochastic availability is pre-sampled into windows of these (the
+    soak harness's MTBF preset), so every failure schedule is plain
+    data that replays and shrinks.  The kill and the recovery tolerate
+    interleaving with other failure sources (an overlapping
+    :class:`ScheduledFailure`, a direct ``Host.fail``): a host that is
+    already down at ``at`` stays down, and a host already recovered by
+    someone else at ``recover_at`` stays up, instead of raising
+    mid-callback and aborting the whole simulation.
     """
 
     host: Host
@@ -52,63 +52,3 @@ class ScheduledFailure:
     def _recover(self) -> None:
         if not self.host.alive:
             self.host.recover()
-
-
-class RandomFailureInjector:
-    """Exponential failure/repair process over a set of hosts.
-
-    Each host independently alternates up/down with exponentially
-    distributed durations (MTBF / MTTR), the standard availability
-    model for long-running grid studies.
-
-    ``rng`` may be a ``numpy.random.Generator``, an integer seed, or
-    ``None`` (then ``seed`` — default 0 — creates the generator), so
-    two injectors built with equal seeds produce identical failure
-    schedules.
-    """
-
-    def __init__(self, hosts: Sequence[Host], rng=None, *,
-                 mtbf: float, mttr: float, seed: Optional[int] = None) -> None:
-        if mtbf <= 0 or mttr <= 0:
-            raise ValueError("MTBF and MTTR must be positive")
-        if rng is not None and seed is not None:
-            raise ValueError("pass either rng or seed, not both")
-        if rng is None:
-            rng = np.random.default_rng(0 if seed is None else seed)
-        elif isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(int(rng))
-        elif not isinstance(rng, np.random.Generator):
-            raise TypeError(f"rng must be a Generator or seed, "
-                            f"got {type(rng).__name__}")
-        self.hosts = list(hosts)
-        self.rng = rng
-        self.mtbf = mtbf
-        self.mttr = mttr
-        self.failures: List[tuple] = []  # (time, host_name)
-
-    def install(self, sim: Simulator) -> None:
-        for host in self.hosts:
-            sim.process(self._drive(sim, host), name=f"failures:{host.name}")
-
-    def _drive(self, sim: Simulator, host: Host):
-        while True:
-            yield sim.timeout(float(self.rng.exponential(self.mtbf)))
-            injected = False
-            if host.alive:
-                host.fail()
-                injected = True
-                self.failures.append((sim.now, host.name))
-                trace = sim.trace
-                if trace is not None and "fault" in trace.active:
-                    trace.instant("fault", "inject", host=host.name,
-                                  mtbf=self.mtbf, mttr=self.mttr)
-            yield sim.timeout(float(self.rng.exponential(self.mttr)))
-            # Only repair a failure *this* injector caused: a host that a
-            # ScheduledFailure (or another injector) deliberately left
-            # down must stay down, and a host someone else already
-            # recovered must not be double-recovered.
-            if injected and not host.alive:
-                host.recover()
-                trace = sim.trace
-                if trace is not None and "fault" in trace.active:
-                    trace.instant("fault", "repair", host=host.name)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import nnls
 
 __all__ = ["FlopModel", "fit_flop_model", "power_law_fit"]
 
@@ -61,6 +60,10 @@ def fit_flop_model(sizes: Sequence[float], counts: Sequence[float],
     Columns are scaled before solving so that NNLS is well conditioned
     even when n**3 dwarfs n**0 across the sample range.
     """
+    # imported here: scipy.optimize dominates `import repro` start-up
+    # and nothing else in the package needs it
+    from scipy.optimize import nnls
+
     sizes = np.asarray(sizes, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if sizes.ndim != 1 or sizes.shape != counts.shape:

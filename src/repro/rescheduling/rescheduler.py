@@ -36,7 +36,10 @@ from ..sim.events import Event
 from ..sim.kernel import Simulator
 
 __all__ = ["MigratableApp", "MigrationEvaluation", "Rescheduler",
-           "DecisionRecord"]
+           "DecisionRecord", "RESCHEDULER_MODES"]
+
+#: the paper's default mode and the two forced modes
+RESCHEDULER_MODES = ("default", "force-migrate", "force-stay")
 
 
 class MigratableApp:
@@ -156,7 +159,7 @@ class Rescheduler:
         migration candidate sets, so a migration can never land on
         capacity the metascheduler has already promised away.
         """
-        if mode not in ("default", "force-migrate", "force-stay"):
+        if mode not in RESCHEDULER_MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if migration_timeout_seconds is not None \
                 and migration_timeout_seconds <= 0:

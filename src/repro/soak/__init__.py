@@ -7,7 +7,8 @@ from .invariants import (CHECKPOINT_AUDITORS, FINAL_AUDITORS, Violation,
 from .runner import (ScenarioOutcome, SoakContext, run_scenario,
                      run_with_checks)
 from .scenario import (FIG3_HOSTS, SCENARIO_SCHEMA_VERSION,
-                       SUBMISSION_HOST, ScenarioSpec, sample_scenario)
+                       SUBMISSION_HOST, ScenarioSpec, sample_mtbf_scenario,
+                       sample_scenario)
 from .shrink import (ShrinkResult, load_reproducer, shrink_scenario,
                      violated_invariants, write_reproducer)
 
@@ -27,6 +28,7 @@ __all__ = [
     "run_final_auditors",
     "run_scenario",
     "run_with_checks",
+    "sample_mtbf_scenario",
     "sample_scenario",
     "shrink_scenario",
     "violated_invariants",

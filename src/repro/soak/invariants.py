@@ -28,7 +28,7 @@ from typing import Callable, Dict, List
 from ..trace.export import chrome_trace, validate_chrome
 
 __all__ = ["Violation", "CHECKPOINT_AUDITORS", "FINAL_AUDITORS",
-           "run_checkpoint_auditors", "run_final_auditors"]
+           "SRS_COUNTERS", "run_checkpoint_auditors", "run_final_auditors"]
 
 #: relative slack for capacity comparisons (allocations are floats)
 _REL_TOL = 1e-6
@@ -197,8 +197,17 @@ def _swap_hygiene(ctx) -> List[str]:
     return out
 
 
+#: recovery counters an ``srs`` lane's ``expect`` may put floors on
+SRS_COUNTERS = ("aborted_migrations", "failures_recovered", "retry_waits")
+
+
 def _srs_hygiene(ctx) -> List[str]:
-    """No ``_migrating``/``_Inflight`` tokens survive the managed run."""
+    """No ``_migrating``/``_Inflight`` tokens survive the managed run.
+
+    A lane that declares ``expect`` floors must also finish ``ok`` with
+    every named recovery counter at or above its floor: that pins each
+    timed fault of a kill scenario to the recovery path it targets.
+    """
     lane = ctx.srs_lane
     if lane is None or not ctx.lanes["srs"].complete:
         return []
@@ -209,6 +218,21 @@ def _srs_hygiene(ctx) -> List[str]:
     if lane.rescheduler._inflight:
         out.append("leaked _Inflight records: "
                    + ", ".join(sorted(lane.rescheduler._inflight)))
+    expect = ctx.spec.srs.get("expect")
+    if expect is None:
+        return out
+    status = ctx.lanes["srs"].status
+    if status != "ok":
+        out.append(f"lane finished {status!r}, expected ok")
+    observed = {
+        "aborted_migrations": lane.rescheduler.aborted_migrations,
+        "failures_recovered": lane.run.failures_recovered,
+        "retry_waits": lane.run.retry_waits,
+    }
+    for name in sorted(expect):
+        if observed[name] < expect[name]:
+            out.append(f"{name}={observed[name]} below the expected "
+                       f"floor {expect[name]}")
     return out
 
 

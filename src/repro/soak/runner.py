@@ -248,7 +248,11 @@ class SwapLane:
 
 
 class SrsLane:
-    """A managed SRS-checkpointed QR run on the same grid."""
+    """A managed SRS-checkpointed QR run on the same grid.
+
+    ``cfg["mode"]`` (optional) is the rescheduler mode; the optional
+    ``cfg["expect"]`` floors are checked by the ``srs-hygiene`` auditor.
+    """
 
     def __init__(self, sim: Simulator, grid, cfg: dict) -> None:
         env = GradsEnvironment(sim, grid, submission_host=SUBMISSION_HOST)
@@ -256,6 +260,7 @@ class SrsLane:
         run, monitor, rescheduler = env.managed_qr(
             QrBenchmark(n=cfg["n"], nb=200),
             initial_hosts=initial,
+            rescheduler_mode=cfg.get("mode", "default"),
             checkpoint_every=cfg["checkpoint_every"],
             stable_storage=True,
             migration_timeout_seconds=600.0,

@@ -18,6 +18,11 @@ JSON-serializable element lists, so
 dedicated canary invariant fires when two markers sum to 100, giving
 the test suite and CI a known-violation fixture that stays violating
 after every real bug is fixed.
+
+Two samplers draw sweeps: :func:`sample_scenario` mixes every lane,
+and :func:`sample_mtbf_scenario` is the fault-tolerance preset — an
+SRS-checkpointed QR run under alternating exponential up/down windows
+on every crashable host (the MTBF/MTTR availability model).
 """
 
 from __future__ import annotations
@@ -27,10 +32,12 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 from ..metasched.jobs import JOB_KINDS
+from ..rescheduling.rescheduler import RESCHEDULER_MODES
 from ..sim.rng import RngRegistry
+from .invariants import SRS_COUNTERS
 
-__all__ = ["ScenarioSpec", "sample_scenario", "SCENARIO_SCHEMA_VERSION",
-           "FIG3_HOSTS", "SUBMISSION_HOST"]
+__all__ = ["ScenarioSpec", "sample_scenario", "sample_mtbf_scenario",
+           "SCENARIO_SCHEMA_VERSION", "FIG3_HOSTS", "SUBMISSION_HOST"]
 
 #: bump when the scenario JSON layout changes
 SCENARIO_SCHEMA_VERSION = 1
@@ -52,6 +59,14 @@ _JOB_MIX = (
 )
 
 _SWAP_POLICIES = ("greedy", "single", "threshold", "gang")
+
+#: the MTBF preset's (MTBF, MTTR) cells in seconds; scenario ``i``
+#: runs cell ``i % len(MTBF_GRID)``, trial ``i // len(MTBF_GRID)``
+MTBF_GRID = ((400.0, 90.0), (1200.0, 90.0))
+
+#: the window over which the MTBF preset samples host outages; a
+#: preset QR run finishes well inside it
+_MTBF_WINDOW = 1200.0
 
 
 @dataclass
@@ -95,6 +110,13 @@ class ScenarioSpec:
                 raise ValueError("burst end must follow its start")
         if self.swap is not None and self.swap["policy"] not in _SWAP_POLICIES:
             raise ValueError(f"unknown swap policy {self.swap['policy']!r}")
+        if self.srs is not None:
+            if self.srs.get("mode", "default") not in RESCHEDULER_MODES:
+                raise ValueError(f"unknown srs mode {self.srs['mode']!r}")
+            unknown = sorted(set(self.srs.get("expect", {}))
+                             - set(SRS_COUNTERS))
+            if unknown:
+                raise ValueError(f"unknown srs expect counters: {unknown}")
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
@@ -252,3 +274,31 @@ def sample_scenario(seed: int, index: int) -> ScenarioSpec:
         trace_check=index % 5 == 0,
         jobs=jobs, faults=faults, bursts=bursts, links=links,
         services=services, swap=swap, srs=srs)
+
+
+def sample_mtbf_scenario(seed: int, index: int) -> ScenarioSpec:
+    """Draw scenario ``index`` of the MTBF/MTTR fault-tolerance preset.
+
+    A managed QR run (N=6000, checkpoint every 5 panel steps) on the
+    Figure 3 testbed while every host except :data:`SUBMISSION_HOST`
+    alternates Exp(MTBF) up and Exp(MTTR) down.  The windows are
+    pre-sampled from the scenario's own named RNG stream, so the spec
+    replays and shrinks like any other.
+    """
+    mtbf, mttr = MTBF_GRID[index % len(MTBF_GRID)]
+    rng = RngRegistry(seed).stream(f"soak-mtbf-{index}")
+    faults: List[dict] = []
+    for host in FIG3_HOSTS:
+        if host == SUBMISSION_HOST:
+            continue
+        now = 0.0
+        while True:
+            at = round(now + float(rng.exponential(mtbf)), 6)
+            if at >= _MTBF_WINDOW:
+                break
+            # strictly after the crash even when the draw rounds to 0
+            now = round(at + max(float(rng.exponential(mttr)), 1e-6), 6)
+            faults.append({"host": host, "at": at, "recover_at": now})
+    return ScenarioSpec(
+        index=index, seed=seed, duration=_MTBF_WINDOW, faults=faults,
+        srs={"n": 6000, "checkpoint_every": 5})

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.sim import RngRegistry, Simulator
+from repro.sim import Simulator
 from repro.microgrid import (
     Architecture,
     Host,
     HostFailure,
-    RandomFailureInjector,
     ScheduledFailure,
     fig3_testbed,
 )
@@ -119,77 +118,7 @@ class TestScheduledFailure:
             ScheduledFailure(host=host, at=5.0, recover_at=3.0).install(sim)
 
 
-class TestRandomFailureInjector:
-    def test_failures_occur_and_recover(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        rng = RngRegistry(seed=5).stream("failures")
-        injector = RandomFailureInjector(grid.clusters["uiuc"].hosts, rng,
-                                         mtbf=50.0, mttr=10.0)
-        injector.install(sim)
-        sim.run(until=500.0)
-        assert injector.failures  # with mtbf=50 over 500 s, certain
-        # availability bookkeeping is consistent
-        for host in grid.clusters["uiuc"]:
-            assert host.failures >= 0
-
-    def test_parameter_validation(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        rng = RngRegistry(seed=5).stream("x")
-        with pytest.raises(ValueError):
-            RandomFailureInjector(grid.clusters["utk"].hosts, rng,
-                                  mtbf=0.0, mttr=1.0)
-
-    def _schedule(self, rng=None, seed=None):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        injector = RandomFailureInjector(grid.clusters["uiuc"].hosts,
-                                         rng=rng, seed=seed,
-                                         mtbf=50.0, mttr=10.0)
-        injector.install(sim)
-        sim.run(until=500.0)
-        return injector.failures
-
-    def test_equal_seeds_give_identical_schedules(self):
-        assert self._schedule(seed=11) == self._schedule(seed=11)
-        assert self._schedule(seed=11) != self._schedule(seed=12)
-
-    def test_int_rng_is_treated_as_seed(self):
-        assert self._schedule(rng=11) == self._schedule(seed=11)
-
-    def test_default_seed_is_deterministic(self):
-        assert self._schedule() == self._schedule(seed=0)
-
-    def test_rng_and_seed_together_rejected(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        rng = RngRegistry(seed=5).stream("x")
-        with pytest.raises(ValueError, match="not both"):
-            RandomFailureInjector(grid.clusters["utk"].hosts, rng, seed=3,
-                                  mtbf=1.0, mttr=1.0)
-
-    def test_bad_rng_type_rejected(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        with pytest.raises(TypeError):
-            RandomFailureInjector(grid.clusters["utk"].hosts, "rng",
-                                  mtbf=1.0, mttr=1.0)
-
-
 class TestFailureSourceInterleaving:
-    def test_injector_leaves_deliberately_downed_host_down(self):
-        """The injector only repairs failures it caused itself: a host a
-        ScheduledFailure left down for good must stay down."""
-        sim = Simulator()
-        host = make_host(sim)
-        ScheduledFailure(host=host, at=0.0).install(sim)
-        injector = RandomFailureInjector([host], seed=0, mtbf=5.0, mttr=2.0)
-        injector.install(sim)
-        sim.run(until=200.0)
-        assert not host.alive
-        assert injector.failures == []
-
     def test_overlapping_scheduled_failures_tolerated(self):
         sim = Simulator()
         host = make_host(sim)
@@ -198,16 +127,3 @@ class TestFailureSourceInterleaving:
         sim.run(until=20.0)
         assert host.alive
         assert host.failures == 1
-
-    def test_injector_and_scheduled_failures_coexist(self):
-        """Both sources drive the same hosts for a long stretch without
-        any double-fail/double-recover ValueError escaping."""
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        hosts = grid.clusters["uiuc"].hosts
-        for host in hosts:
-            ScheduledFailure(host=host, at=25.0, recover_at=40.0).install(sim)
-        injector = RandomFailureInjector(hosts, seed=7, mtbf=30.0, mttr=10.0)
-        injector.install(sim)
-        sim.run(until=500.0)
-        assert all(host.failures >= 1 for host in hosts)

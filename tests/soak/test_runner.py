@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.soak import run_scenario, run_with_checks, sample_scenario
+from repro.experiments.soak import run_soak
+from repro.soak import (run_scenario, run_with_checks, sample_mtbf_scenario,
+                        sample_scenario)
 from repro.soak.scenario import ScenarioSpec
 from tests.oracles.metasched import reference_planner
 
@@ -83,3 +85,26 @@ class TestRunWithChecks:
         a = json.dumps(run_with_checks(spec), sort_keys=True)
         b = json.dumps(run_with_checks(spec), sort_keys=True)
         assert a == b
+
+
+class TestMtbfPreset:
+    """``repro soak run --preset mtbf``: the MTBF/MTTR sweep."""
+
+    @staticmethod
+    def _sweep():
+        return run_soak(seed=0, scenarios=2, sampler=sample_mtbf_scenario)
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        return self._sweep()
+
+    def test_sweep_audits_clean(self, sweep):
+        # srs-hygiene among the audits: no migration token leaks
+        report = sweep.report()
+        assert report["params"] == {"seed": 0, "scenarios": 2}
+        assert report["summary"]["violations"] == 0
+        assert all(r["quiesced"] and r["lanes"]["srs"] == "ok"
+                   for r in report["scenarios"])
+
+    def test_same_seed_report_byte_identical(self, sweep):
+        assert self._sweep().to_json().encode() == sweep.to_json().encode()

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.soak import FIG3_HOSTS, SUBMISSION_HOST, ScenarioSpec, sample_scenario
+from repro.soak import (FIG3_HOSTS, SUBMISSION_HOST, ScenarioSpec,
+                        sample_mtbf_scenario, sample_scenario)
 
 
 class TestSampling:
@@ -41,6 +42,41 @@ class TestSampling:
     def test_check_flags_follow_index(self):
         assert sample_scenario(7, 0).trace_check
         assert sample_scenario(7, 5).trace_check
+
+
+class TestMtbfSampling:
+    """The MTBF/MTTR preset: pre-sampled host churn under an SRS lane."""
+
+    def test_same_seed_index_is_identical(self):
+        assert sample_mtbf_scenario(0, 3).to_json() == \
+            sample_mtbf_scenario(0, 3).to_json()
+
+    def test_different_seeds_differ(self):
+        assert sample_mtbf_scenario(0, 0) != sample_mtbf_scenario(1, 0)
+
+    def test_different_indices_differ(self):
+        # same grid cell, next trial: a fresh named stream
+        assert sample_mtbf_scenario(0, 0) != sample_mtbf_scenario(0, 2)
+
+    def test_index_cycles_grid_cells(self):
+        # even indices are the MTBF 400 s cell, odd ones MTBF 1200 s:
+        # the harsher cell crashes hosts far more often
+        counts = [len(sample_mtbf_scenario(0, i).faults) for i in range(12)]
+        assert min(counts[0::2]) > max(counts[1::2])
+
+    def test_windows_alternate_and_spare_submission_host(self):
+        for index in range(6):
+            spec = sample_mtbf_scenario(7, index)
+            assert spec.srs == {"n": 6000, "checkpoint_every": 5}
+            assert spec.faults
+            by_host = {}
+            for fault in spec.faults:
+                assert fault["host"] != SUBMISSION_HOST
+                assert fault["recover_at"] > fault["at"]
+                by_host.setdefault(fault["host"], []).append(fault)
+            for windows in by_host.values():
+                for prev, nxt in zip(windows, windows[1:]):
+                    assert nxt["at"] > prev["recover_at"]
 
 
 class TestSerialization:
@@ -99,3 +135,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="swap policy"):
             ScenarioSpec(index=0, seed=0, duration=10.0,
                          swap={"policy": "chaotic"})
+
+    def test_unknown_srs_mode_rejected(self):
+        with pytest.raises(ValueError, match="srs mode"):
+            ScenarioSpec(index=0, seed=0, duration=10.0,
+                         srs={"n": 1500, "checkpoint_every": 4,
+                              "mode": "sideways"})
+
+    def test_unknown_srs_expect_counter_rejected(self):
+        with pytest.raises(ValueError, match="expect counters"):
+            ScenarioSpec(index=0, seed=0, duration=10.0,
+                         srs={"n": 1500, "checkpoint_every": 4,
+                              "expect": {"migrations": 1}})

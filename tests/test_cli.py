@@ -40,7 +40,7 @@ class TestParser:
         # the repo-wide convention: every experiment subcommand takes
         # --seed (default 0)
         for argv in (["fig3"], ["fig4"], ["eman"], ["opportunistic"],
-                     ["faults", "run"], ["metasched", "run"]):
+                     ["metasched", "run"]):
             args = build_parser().parse_args(argv)
             assert args.seed == 0, argv
             args = build_parser().parse_args(argv + ["--seed", "7"])
@@ -123,7 +123,7 @@ class TestCommands:
         assert err.startswith("repro bench: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("group", ["faults", "metasched", "soak"])
+    @pytest.mark.parametrize("group", ["metasched", "soak"])
     def test_report_unreadable_input_exits_two(self, group, tmp_path,
                                                capsys):
         assert main([group, "report", str(tmp_path / "missing.json")]) == 2
@@ -132,6 +132,30 @@ class TestCommands:
         assert main([group, "report", str(garbage)]) == 2
         err = capsys.readouterr().err
         assert err.count(f"repro {group}: cannot read report") == 2
+
+    @pytest.mark.parametrize("content", [None, "{not json"],
+                             ids=["missing", "not-json"])
+    @pytest.mark.parametrize("argv", [
+        ["trace", "diff", "{bad}", "{bad}"],
+        ["trace", "summary", "{bad}"],
+        ["trace", "validate", "{bad}"],
+        ["lint", "--baseline", "{bad}", "{ok}"],
+    ], ids=["trace-diff", "trace-summary", "trace-validate",
+            "lint-baseline"])
+    def test_unreadable_input_exits_two(self, argv, content, tmp_path,
+                                        capsys):
+        # exit 1 means "traces diverge" / "lint findings": a typo'd or
+        # corrupt input file must not read as either
+        bad = tmp_path / "input.json"
+        if content is not None:
+            bad.write_text(content)
+        ok = tmp_path / "clean.py"
+        ok.write_text("x = 1\n")
+        argv = [a.format(bad=bad, ok=ok) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: cannot read ")
+        assert err.count("\n") == 1
 
     def test_fig4_json(self, capsys):
         rc = main(["fig4", "--policy", "none", "--iterations", "10",
