@@ -21,7 +21,9 @@ processing rather than per-event rescans):
   ``tests/oracles/network.py``.
 
 * **Routing cache.**  Routes are computed one *source* at a time with a
-  single-source Dijkstra pass (all destinations at once) and cached
+  single-source ``heapq`` Dijkstra pass (all destinations at once;
+  equal-latency ties resolve exactly as the reference Dijkstra in
+  ``tests/oracles/graphs.py``) and cached
   until the topology mutates; per-pair ``(latency, bottleneck)`` tuples
   are memoised so :meth:`Topology.estimate_transfer_seconds` is a dict
   lookup.  Hits/misses are counted in ``sim.stats``.
@@ -31,11 +33,11 @@ Capacities are in bytes/s, latencies in seconds, transfers in bytes.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from itertools import count
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..sim.events import Event
 from ..sim.kernel import Simulator
@@ -91,7 +93,10 @@ class Topology:
 
     def __init__(self, sim: Simulator, local_copy_bw: float = 1e9) -> None:
         self.sim = sim
-        self.graph = nx.Graph()
+        # node -> neighbour -> {"bandwidth", "latency"}; both directions
+        # of a link share one attribute dict, and neighbours keep their
+        # link-insertion order (which breaks equal-latency routing ties)
+        self._adj: Dict[str, Dict[str, Dict[str, float]]] = {}
         self.local_copy_bw = float(local_copy_bw)
         self._hosts: Dict[str, Host] = {}
         self._flows: List[Flow] = []
@@ -110,7 +115,7 @@ class Topology:
     # -- construction -----------------------------------------------------------
     def add_node(self, name: str) -> None:
         """Add a routing-only node (e.g. a WAN router)."""
-        self.graph.add_node(name)
+        self._adj.setdefault(name, {})
         self._topology_changed()
 
     def attach_host(self, host: Host) -> None:
@@ -118,7 +123,7 @@ class Topology:
         if host.name in self._hosts:
             raise NetworkError(f"duplicate host {host.name!r}")
         self._hosts[host.name] = host
-        self.graph.add_node(host.name)
+        self._adj.setdefault(host.name, {})
         self._topology_changed()
 
     def add_link(self, a: str, b: str, bandwidth: float, latency: float) -> Link:
@@ -130,10 +135,30 @@ class Topology:
         next unrelated flow event.
         """
         link = Link(a, b, bandwidth, latency)
-        self.graph.add_edge(a, b, bandwidth=float(bandwidth),
-                            latency=float(latency))
+        adj = self._adj
+        nbrs_a = adj.setdefault(a, {})
+        nbrs_b = adj.setdefault(b, {})
+        data = nbrs_a.get(b)
+        if data is None:
+            data = nbrs_a[b] = nbrs_b[a] = {}
+        data["bandwidth"] = float(bandwidth)
+        data["latency"] = float(latency)
         self._topology_changed()
         return link
+
+    def has_node(self, name: str) -> bool:
+        """Whether ``name`` is a node (host or router) of the topology."""
+        return name in self._adj
+
+    def links(self) -> Iterator[Link]:
+        """Every link once: nodes in insertion order, each with the
+        neighbours not listed yet, in link-insertion order."""
+        seen = set()
+        for u, nbrs in self._adj.items():
+            for v, data in nbrs.items():
+                if v not in seen:
+                    yield Link(u, v, data["bandwidth"], data["latency"])
+            seen.add(u)
 
     def _topology_changed(self) -> None:
         """Invalidate routing caches and re-fit in-flight flows."""
@@ -141,11 +166,11 @@ class Topology:
         self._metrics.clear()
         # An add_link over an existing edge rewrites its capacity; keep
         # the interned capacities in sync (edge ids themselves are
-        # stable: they name directed node pairs, not graph epochs).
-        graph_edges = self.graph.edges
+        # stable: they name directed node pairs, and links are never
+        # removed).
+        adj = self._adj
         for (u, v), eid in self._edge_ids.items():
-            if (u, v) in graph_edges:
-                self._edge_cap[eid] = graph_edges[u, v]["bandwidth"]
+            self._edge_cap[eid] = adj[u][v]["bandwidth"]
         if self._flows:
             # In-flight flows keep their paths but must share the new
             # capacities from *now*; without this they would coast on
@@ -170,15 +195,46 @@ class Topology:
         entry = self._sssp.get(src)
         if entry is None:
             self.sim.stats.route_cache_misses += 1
-            if src not in self.graph:
+            if src not in self._adj:
                 raise NetworkError(f"no route from unknown node {src!r}")
-            dist, paths = nx.single_source_dijkstra(self.graph, src,
-                                                    weight="latency")
-            entry = (dist, paths)
-            self._sssp[src] = entry
+            entry = self._sssp[src] = self._dijkstra(src)
         else:
             self.sim.stats.route_cache_hits += 1
         return entry
+
+    def _dijkstra(self, src: str) -> Tuple[Dict[str, float], Dict[str, List[str]]]:
+        """Latency-weighted Dijkstra from ``src``.
+
+        Ties break as in the reference Dijkstra of
+        ``tests/oracles/graphs.py``: the heap orders equal distances by
+        push order, neighbours are scanned in link-insertion order, and
+        a predecessor changes only on a strict improvement.  ``dist``
+        is filled in the order nodes settle.
+        """
+        adj = self._adj
+        dist: Dict[str, float] = {}
+        seen = {src: 0}
+        pred: Dict[str, str] = {}
+        push = count()
+        fringe = [(0, next(push), src)]
+        while fringe:
+            d, _, v = heapq.heappop(fringe)
+            if v in dist:
+                continue
+            dist[v] = d
+            for u, data in adj[v].items():
+                if u in dist:
+                    continue
+                du = d + data["latency"]
+                if u not in seen or du < seen[u]:
+                    seen[u] = du
+                    heapq.heappush(fringe, (du, next(push), u))
+                    pred[u] = v
+        paths = {src: [src]}
+        for v in dist:
+            if v != src:
+                paths[v] = paths[pred[v]] + [v]
+        return dist, paths
 
     def route(self, src: str, dst: str) -> List[str]:
         """Shortest path by latency between two nodes."""
@@ -197,8 +253,8 @@ class Topology:
             path = paths.get(dst)
             if path is None:
                 raise NetworkError(f"no route {src!r} -> {dst!r}")
-            edges = self.graph.edges
-            bottleneck = min(edges[u, v]["bandwidth"]
+            adj = self._adj
+            bottleneck = min(adj[u][v]["bandwidth"]
                              for u, v in zip(path, path[1:]))
             metrics = (dist[dst], bottleneck)
             self._metrics[key] = metrics
@@ -273,7 +329,8 @@ class Topology:
             if eid is None:
                 eid = len(self._edge_cap)
                 edge_ids[pair] = eid
-                self._edge_cap.append(self.graph.edges[pair]["bandwidth"])
+                u, v = pair
+                self._edge_cap.append(self._adj[u][v]["bandwidth"])
                 self._edge_users.append([])
             out.append(eid)
         return tuple(out)

@@ -11,10 +11,9 @@ from (Casanova et al., HCW 2000).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Tuple
 
 from ..perfmodel.model import ComponentModel
 
@@ -70,15 +69,21 @@ class Workflow:
 
     def __init__(self, name: str = "workflow") -> None:
         self.name = name
-        self.graph = nx.DiGraph()
         self._components: Dict[str, WorkflowComponent] = {}
+        # name -> producer / consumer names, in insertion order
+        self._preds: Dict[str, List[str]] = {}
+        self._succs: Dict[str, List[str]] = {}
+        # topological order, cached until the next add_*
+        self._order: Optional[List[WorkflowComponent]] = None
         self._task_names: Dict[str, Tuple[str, ...]] = {}
 
     def add_component(self, component: WorkflowComponent) -> WorkflowComponent:
         if component.name in self._components:
             raise WorkflowError(f"duplicate component {component.name!r}")
         self._components[component.name] = component
-        self.graph.add_node(component.name)
+        self._preds[component.name] = []
+        self._succs[component.name] = []
+        self._order = None
         return component
 
     def add_dependence(self, producer: str, consumer: str) -> None:
@@ -86,11 +91,27 @@ class Workflow:
         for name in (producer, consumer):
             if name not in self._components:
                 raise WorkflowError(f"unknown component {name!r}")
-        self.graph.add_edge(producer, consumer)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            self.graph.remove_edge(producer, consumer)
+        if producer in self._preds[consumer]:
+            return
+        if self._reaches(consumer, producer):
             raise WorkflowError(
                 f"dependence {producer!r} -> {consumer!r} creates a cycle")
+        self._succs[producer].append(consumer)
+        self._preds[consumer].append(producer)
+        self._order = None
+
+    def _reaches(self, start: str, goal: str) -> bool:
+        """Whether a dependence chain leads from ``start`` to ``goal``."""
+        stack, seen = [start], {start}
+        while stack:
+            name = stack.pop()
+            if name == goal:
+                return True
+            for succ in self._succs[name]:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+        return False
 
     # -- queries -----------------------------------------------------------
     def component(self, name: str) -> WorkflowComponent:
@@ -100,15 +121,30 @@ class Workflow:
             raise WorkflowError(f"unknown component {name!r}") from None
 
     def components(self) -> List[WorkflowComponent]:
-        """Components in a topological order (stable across runs)."""
-        order = list(nx.lexicographical_topological_sort(self.graph))
-        return [self._components[name] for name in order]
+        """Components in a topological order (stable across runs).
+
+        The order is the lexicographically smallest one: Kahn's
+        algorithm releasing the smallest ready name first.
+        """
+        if self._order is None:
+            indegree = {name: len(p) for name, p in self._preds.items()}
+            ready = sorted(name for name, n in indegree.items() if n == 0)
+            order = []
+            while ready:
+                name = heapq.heappop(ready)
+                order.append(self._components[name])
+                for succ in self._succs[name]:
+                    indegree[succ] -= 1
+                    if not indegree[succ]:
+                        heapq.heappush(ready, succ)
+            self._order = order
+        return list(self._order)
 
     def predecessors(self, name: str) -> List[WorkflowComponent]:
-        return [self._components[p] for p in sorted(self.graph.predecessors(name))]
+        return [self._components[p] for p in sorted(self._preds[name])]
 
     def successors(self, name: str) -> List[WorkflowComponent]:
-        return [self._components[s] for s in sorted(self.graph.successors(name))]
+        return [self._components[s] for s in sorted(self._succs[name])]
 
     def tasks(self) -> List[Task]:
         """All tasks of all components, in topological component order."""
@@ -134,9 +170,21 @@ class Workflow:
         return cached
 
     def levels(self) -> List[List[WorkflowComponent]]:
-        """Components grouped by topological generation."""
-        return [[self._components[n] for n in sorted(generation)]
-                for generation in nx.topological_generations(self.graph)]
+        """Components grouped by topological generation.
+
+        A component's generation is the length of the longest
+        dependence chain ending at it; each group is sorted by name.
+        """
+        depth: Dict[str, int] = {}
+        grouped: List[List[WorkflowComponent]] = []
+        for component in self.components():
+            level = max((depth[p] + 1 for p in self._preds[component.name]),
+                        default=0)
+            depth[component.name] = level
+            if level == len(grouped):
+                grouped.append([])
+            grouped[level].append(component)
+        return [sorted(group, key=lambda c: c.name) for group in grouped]
 
     def total_mflop(self) -> float:
         return sum(c.model.mflop(c.problem_size)

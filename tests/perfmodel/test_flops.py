@@ -59,6 +59,16 @@ class TestFitFlopModel:
         with pytest.raises(ValueError):
             model(-1)
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("coef", [1.0, 3.0, 0.5, 4 / 3, 7.25])
+    def test_exact_law_dominant_degree(self, coef, degree):
+        """Rounding noise on a term the data lacks (a ~1e-18 n**3
+        coefficient on an exact n**2 law) must not count as dominant."""
+        sizes = [100, 200, 300, 400, 500]
+        model = fit_flop_model(sizes, [coef * n ** degree for n in sizes])
+        assert model.dominant_degree == degree
+        assert model(2000) == pytest.approx(coef * 2000 ** degree, rel=1e-9)
+
 
 class TestPowerLawFit:
     def test_exact_power_law(self):
