@@ -8,15 +8,21 @@ design: last-value, running mean, sliding-window means/medians,
 exponential smoothing at several gains, autoregressive fits, and an
 adaptive selector over all of them.
 
-Every scheduling decision reads through this battery, and every sensor
-reading updates one, so the per-sample path is kept lean: each member
-computes its prediction once, at ``update``, and ``predict`` returns
-it.  Medians come from a bisect-maintained sorted window, window means
-from ``sum()`` over the window, and the AR members skip the
-least-squares fit on a constant window, whose clamped prediction is
-that constant whatever the fit says.  All of it is bit-for-bit equal
-to the plain numpy battery kept as the test oracle in
-``tests/oracles/forecasting.py`` (DESIGN.md §2.2 gives the contract).
+Every sensor reading updates one battery, but only scheduling decisions
+read it, so the battery does its work when it is read.
+:meth:`AdaptiveForecaster.update` only appends the sample to a pending
+list; the first read after it replays the pending samples, in arrival
+order, through the score-then-absorb loop, and a list that reaches
+``_PENDING_CAP`` samples is replayed by ``update`` itself.  A sample
+that arrives after a series' last read is never computed.  Inside the
+replay each member computes its prediction once per sample, at its own
+``update``, and its ``predict`` returns it.  Medians come from a
+bisect-maintained sorted window, window means from ``sum()`` over the
+window, and the AR members skip the least-squares fit on a constant
+window, whose clamped prediction is that constant whatever the fit
+says.  All of it is bit-for-bit equal to the plain numpy battery kept
+as the test oracle in ``tests/oracles/forecasting.py`` (DESIGN.md §2.2
+gives the contract).
 """
 
 from __future__ import annotations
@@ -44,6 +50,10 @@ __all__ = [
 #: inspection: the largest window in the default battery, so the
 #: history covers everything any member still looks at
 HISTORY_LEN = 30
+
+#: samples an :class:`AdaptiveForecaster` holds unreplayed at most; the
+#: ``update`` that fills the pending list replays it
+_PENDING_CAP = 256
 
 
 class Forecaster:
@@ -238,53 +248,80 @@ def default_battery() -> List[Forecaster]:
 class AdaptiveForecaster(Forecaster):
     """NWS's postcast selector: track each method's mean absolute error
     against the measurements that actually arrived, answer with the
-    lowest-error method's prediction."""
+    lowest-error method's prediction.
+
+    Samples wait in a pending list until something reads the
+    forecaster (or the list reaches ``_PENDING_CAP``); every read
+    replays them first, so it sees exactly the state eager updates
+    would have left."""
 
     name = "adaptive"
 
     def __init__(self, battery: Optional[Sequence[Forecaster]] = None) -> None:
-        self.battery: List[Forecaster] = (
+        self._battery: List[Forecaster] = (
             list(battery) if battery is not None else default_battery())
-        if not self.battery:
+        if not self._battery:
             raise ValueError("battery must not be empty")
-        names = [f.name for f in self.battery]
+        names = [f.name for f in self._battery]
         if len(set(names)) != len(names):
             raise ValueError(f"battery member names must be unique: {names}")
         #: cumulative absolute error, by battery position
-        self._abs_err: List[float] = [0.0] * len(self.battery)
+        self._abs_err: List[float] = [0.0] * len(self._battery)
         self._n_scored = 0
         self._n_samples = 0
         self._history: Deque[float] = deque(maxlen=HISTORY_LEN)
+        #: samples not yet replayed through the battery, oldest first
+        self._pending: List[float] = []
         #: (best method, its prediction); None until asked, dropped on
-        #: every update — the selection is a pure function of the series
+        #: every replay — the selection is a pure function of the series
         self._choice: Optional[Tuple[Optional[Forecaster],
                                      Optional[float]]] = None
 
     def update(self, value: float) -> None:
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= _PENDING_CAP:
+            self._replay()
+
+    def _replay(self) -> None:
+        """Run the pending samples through the battery, in order."""
+        if not self._pending:
+            return
+        pending, self._pending = self._pending, []
         # Score yesterday's prediction against today's truth (postcast),
         # then let the method absorb the new measurement.  Members are
         # independent, so one pass over the battery does both.
         abs_err = self._abs_err
-        scored = False
-        for i, method in enumerate(self.battery):
-            pred = method.predict()
-            if pred is not None:
-                abs_err[i] += abs(pred - value)
-                scored = True
-            method.update(value)
-        if scored:
-            self._n_scored += 1
-        self._n_samples += 1
-        self._history.append(value)
+        battery = self._battery
+        n_scored = 0
+        for value in pending:
+            scored = False
+            for i, method in enumerate(battery):
+                pred = method.predict()
+                if pred is not None:
+                    abs_err[i] += abs(pred - value)
+                    scored = True
+                method.update(value)
+            n_scored += scored
+        self._n_scored += n_scored
+        self._n_samples += len(pending)
+        self._history.extend(pending)
         self._choice = None
 
+    @property
+    def battery(self) -> Tuple[Forecaster, ...]:
+        """The members, up to date with every sample so far."""
+        self._replay()
+        return tuple(self._battery)
+
     def _select(self) -> Tuple[Optional[Forecaster], Optional[float]]:
+        self._replay()
         if self._choice is None:
             # the first member with the lowest error wins a tie
             best: Optional[Forecaster] = None
             best_pred: Optional[float] = None
             best_err = 0.0
-            for method, err in zip(self.battery, self._abs_err):
+            for method, err in zip(self._battery, self._abs_err):
                 pred = method.predict()
                 if pred is not None and (best is None or err < best_err):
                     best, best_pred, best_err = method, pred, err
@@ -300,15 +337,18 @@ class AdaptiveForecaster(Forecaster):
 
     def errors(self) -> Dict[str, float]:
         """Mean absolute error per method over the scored history."""
+        self._replay()
         n = max(self._n_scored, 1)
         return {method.name: err / n
-                for method, err in zip(self.battery, self._abs_err)}
+                for method, err in zip(self._battery, self._abs_err)}
 
     @property
     def n_samples(self) -> int:
         """Measurements absorbed so far (the history keeps the last
         :data:`HISTORY_LEN` of them)."""
+        self._replay()
         return self._n_samples
 
     def history(self) -> List[float]:
+        self._replay()
         return list(self._history)
