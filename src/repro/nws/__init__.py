@@ -11,13 +11,14 @@ from .forecasting import (
     SlidingWindowMedian,
     default_battery,
 )
-from .sensors import CpuSensor, Measurement, NetworkSensor
+from .sensors import CpuSensor, CpuSensorSweep, Measurement, NetworkSensor
 from .service import NetworkWeatherService
 
 __all__ = [
     "AdaptiveForecaster",
     "AutoRegressive",
     "CpuSensor",
+    "CpuSensorSweep",
     "ExponentialSmoothing",
     "Forecaster",
     "LastValue",

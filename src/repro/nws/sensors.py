@@ -1,4 +1,4 @@
-"""NWS sensors: periodic measurement processes.
+"""NWS sensors: periodic measurements.
 
 Real NWS runs sensor daemons that periodically measure CPU availability
 on each host and probe bandwidth/latency between host pairs with small
@@ -7,13 +7,31 @@ host's processor-sharing state (with optional measurement noise);
 network sensors issue genuine probe transfers through the topology, so
 they observe — and very slightly cause — contention, exactly like the
 real tool.
+
+A CPU reading is an instantaneous, side-effect-free look at the host,
+so CPU sensors need no process of their own: a :class:`CpuSensorSweep`
+samples a whole group of them, in the order they joined, from one
+periodic timer (one agenda entry per sweep, not one per host).  A
+sensor built on its own is a sweep of one.  Network sensors stay one
+process per pair, because each probe is a real flow that takes time and
+shares links with other traffic.
+
+The sweep is bit-exact with one process per sensor started back-to-back
+(the model the tests keep as an oracle).  Such processes' start-up
+entries take consecutive agenda sequence numbers, and since a reading
+schedules nothing, each tick's per-sensor timeouts are created back to
+back and stay adjacent in ``(time, priority, sequence)`` order for the
+whole run: no other event can fall between them.  One entry at the
+first of those positions therefore interleaves with every other event
+exactly as the group did, and its tick times are built the same way, by
+adding ``period`` to the current time.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, List, Optional
 
 import numpy as np
 
@@ -22,7 +40,7 @@ from ..microgrid.network import Topology
 from ..sim.kernel import Simulator
 from .forecasting import HISTORY_LEN
 
-__all__ = ["Measurement", "CpuSensor", "NetworkSensor"]
+__all__ = ["Measurement", "CpuSensor", "CpuSensorSweep", "NetworkSensor"]
 
 
 @dataclass(frozen=True)
@@ -33,14 +51,58 @@ class Measurement:
     value: float
 
 
+class CpuSensorSweep:
+    """One periodic timer that samples a group of CPU sensors.
+
+    Every ``period`` the sweep calls :meth:`CpuSensor.measure_once` on
+    each of its sensors in joining order.  Sensors join (by passing
+    ``sweep=`` to :class:`CpuSensor`) before the sweep's process first
+    runs, so every member shares the first tick at ``period`` after the
+    sweep was built.
+    """
+
+    def __init__(self, sim: Simulator, period: float = 10.0) -> None:
+        if period <= 0:
+            raise ValueError("sensor period must be positive")
+        self.sim = sim
+        self.period = period
+        self.sensors: List[CpuSensor] = []
+        self._started = False
+        sim.process(self._run(), name="cpusweep")
+
+    def _join(self, sensor: "CpuSensor") -> None:
+        if sensor.sim is not self.sim:
+            raise ValueError("sensor and sweep belong to different simulators")
+        if sensor.period != self.period:
+            raise ValueError(f"sensor period {sensor.period} differs from "
+                             f"its sweep's {self.period}")
+        if self._started:
+            raise ValueError("sensors must join a sweep before it starts")
+        self.sensors.append(sensor)
+
+    def _run(self):
+        self._started = True
+        sim, period, sensors = self.sim, self.period, self.sensors
+        if not sensors:
+            return
+        while True:
+            yield sim.timeout(period)
+            for sensor in sensors:
+                sensor.measure_once()
+
+
 class CpuSensor:
-    """Periodically samples the CPU availability of one host."""
+    """Periodically samples the CPU availability of one host.
+
+    The readings are taken by ``sweep``, which must share this sensor's
+    simulator and period and not have started yet; by default the
+    sensor gets a new sweep of its own.
+    """
 
     def __init__(self, sim: Simulator, host: Host, period: float = 10.0,
                  noise_std: float = 0.0,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        if period <= 0:
-            raise ValueError("sensor period must be positive")
+                 rng: Optional[np.random.Generator] = None,
+                 sweep: Optional[CpuSensorSweep] = None) -> None:
         if noise_std < 0:
             raise ValueError("noise_std must be non-negative")
         if noise_std > 0 and rng is None:
@@ -53,14 +115,16 @@ class CpuSensor:
         #: the last HISTORY_LEN readings
         self.readings: Deque[Measurement] = deque(maxlen=HISTORY_LEN)
         self._listeners: list = []
-        sim.process(self._run(), name=f"cpusensor:{host.name}")
+        if sweep is None:
+            sweep = CpuSensorSweep(sim, period)
+        sweep._join(self)
 
     def on_reading(self, callback) -> None:
         """Register ``callback(measurement)`` for each new reading."""
         self._listeners.append(callback)
 
     def measure_once(self) -> Measurement:
-        """Take an immediate reading outside the periodic schedule."""
+        """Take a reading now: the sweep's tick, or an on-demand probe."""
         value = self.host.availability()
         if self.noise_std > 0:
             value += float(self.rng.normal(0.0, self.noise_std))
@@ -70,11 +134,6 @@ class CpuSensor:
         for listener in self._listeners:
             listener(reading)
         return reading
-
-    def _run(self):
-        while True:
-            yield self.sim.timeout(self.period)
-            self.measure_once()
 
     def latest(self) -> Optional[Measurement]:
         return self.readings[-1] if self.readings else None

@@ -23,7 +23,7 @@ from ..microgrid.host import Host
 from ..microgrid.network import Topology
 from ..sim.kernel import Simulator
 from .forecasting import AdaptiveForecaster
-from .sensors import CpuSensor, NetworkSensor
+from .sensors import CpuSensor, CpuSensorSweep, NetworkSensor
 
 __all__ = ["NetworkWeatherService"]
 
@@ -43,8 +43,10 @@ class NetworkWeatherService:
         self._bw_forecasts: Dict[Tuple[str, str], AdaptiveForecaster] = {}
         self._site_rep: Dict[str, str] = {}
 
+        # One timer samples every host's CPU sensor, in deployment order.
+        sweep = CpuSensorSweep(sim, cpu_period)
         for host in grid.all_hosts():
-            sensor = CpuSensor(sim, host, period=cpu_period)
+            sensor = CpuSensor(sim, host, period=cpu_period, sweep=sweep)
             forecast = AdaptiveForecaster()
             sensor.on_reading(lambda m, f=forecast: f.update(m.value))
             self._cpu_sensors[host.name] = sensor

@@ -27,13 +27,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 #: (golden file, CLI arguments, sha256 of the output)
 CASES = [
     ("fig4.json", ["fig4", "--json"],
-     "33e1f240fc03ebae22fd87be3a82e16081c7b2bd95ccc32ad3758292d1dc70e4"),
+     "0e9c9ff4230582ac67b07bc8b691b8a2a71ed556a2dc5208b09417723fa41915"),
     ("fig3.txt", ["fig3"],
      "25245d0b8b601450a5ead7dbeb84ddabfd013266537f6a607dc7b82343b973cc"),
     ("eman.txt", ["eman"],
      "eca28a4e8479b3e1be1555df7672ec2113ea1d7057556d0cb417737f7ee24a0b"),
     ("metasched.json", ["metasched", "run", "--json"],
-     "c090f0183eb91d605407051d1e17d4a29efd9479a0efa569d57920ee6fca554f"),
+     "f3820e1d1d3b52dad2b8c117591fe6b8828a1da24a7196c742dbb0ebe3dc0f82"),
     ("soak.json", ["soak", "run", "--scenarios", "12", "--seed", "7",
                    "--json"],
      "de2526b227087e26698734086e317178ca7d2061d1f72985a07063b67e5009e7"),

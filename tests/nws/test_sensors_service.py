@@ -4,7 +4,8 @@ import pytest
 
 from repro.sim import RngRegistry, Simulator
 from repro.microgrid import ScheduledLoad, fig3_testbed, fig4_testbed
-from repro.nws import CpuSensor, NetworkSensor, NetworkWeatherService
+from repro.nws import (CpuSensor, CpuSensorSweep, NetworkSensor,
+                       NetworkWeatherService)
 from repro.nws.forecasting import HISTORY_LEN
 
 
@@ -68,6 +69,63 @@ class TestCpuSensor:
         sim.run(until=100.5)
         assert len(sensor.readings) == HISTORY_LEN
         assert sensor.latest().time == 100.0
+
+
+class TestCpuSensorSweep:
+    def test_sweep_samples_members_in_joining_order(self):
+        sim = Simulator()
+        grid = fig3_testbed(sim)
+        sweep = CpuSensorSweep(sim, period=5.0)
+        seen = []
+        hosts = [grid.clusters["uiuc"][1], grid.clusters["utk"][0]]
+        for host in hosts:
+            sensor = CpuSensor(sim, host, period=5.0, sweep=sweep)
+            sensor.on_reading(
+                lambda m, name=host.name: seen.append((m.time, name)))
+        assert sweep.sensors[0].host is hosts[0]
+        sim.run(until=11.0)
+        assert seen == [(5.0, "uiuc.n1"), (5.0, "utk.n0"),
+                        (10.0, "uiuc.n1"), (10.0, "utk.n0")]
+
+    def test_lone_sensor_is_a_sweep_of_one(self):
+        sim = Simulator()
+        grid = fig3_testbed(sim)
+        CpuSensor(sim, grid.clusters["utk"][0], period=5.0)
+        sim.run(until=1.0)
+        assert len(sim._agenda) == 1
+
+    def test_join_after_start_rejected(self):
+        sim = Simulator()
+        grid = fig3_testbed(sim)
+        sweep = CpuSensorSweep(sim, period=5.0)
+        CpuSensor(sim, grid.clusters["utk"][0], period=5.0, sweep=sweep)
+        sim.run(until=1.0)
+        with pytest.raises(ValueError, match="before it starts"):
+            CpuSensor(sim, grid.clusters["utk"][1], period=5.0, sweep=sweep)
+
+    def test_mismatched_period_rejected(self):
+        sim = Simulator()
+        grid = fig3_testbed(sim)
+        sweep = CpuSensorSweep(sim, period=5.0)
+        with pytest.raises(ValueError, match="period"):
+            CpuSensor(sim, grid.clusters["utk"][0], period=10.0, sweep=sweep)
+
+    def test_other_simulator_rejected(self):
+        sim = Simulator()
+        grid = fig3_testbed(sim)
+        sweep = CpuSensorSweep(Simulator(), period=10.0)
+        with pytest.raises(ValueError, match="simulators"):
+            CpuSensor(sim, grid.clusters["utk"][0], sweep=sweep)
+
+    def test_bad_period_rejected(self):
+        with pytest.raises(ValueError):
+            CpuSensorSweep(Simulator(), period=-1.0)
+
+    def test_empty_sweep_lets_the_agenda_drain(self):
+        sim = Simulator()
+        CpuSensorSweep(sim, period=10.0)
+        sim.run()
+        assert sim.now == 0.0
 
 
 class TestNetworkSensor:
