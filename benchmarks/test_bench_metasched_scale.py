@@ -1,8 +1,8 @@
 """Benchmark: metascheduler planning at stream scale (DESIGN.md §9.6).
 
 A 1000-job Poisson stream over a 64-host four-cluster grid, served
-twice — once by the incremental delta re-planner, once by the
-cancel-all/rebuild-all reference oracle in ``tests/oracles/metasched.py``.
+twice — once by the production planner, once by the linear-scan
+reference oracle in ``tests/oracles/metasched.py``.
 Asserts the speedup floor, that both planners emit byte-identical
 same-seed reports in the same
 run that measures the speedup (speed must not buy a different answer),
@@ -121,12 +121,13 @@ class TestMetaschedScale:
         assert (fast.summary()["throughput_jobs_per_hour"]
                 >= MIN_THROUGHPUT)
 
-    def test_fast_engine_actually_replans_incrementally(self,
-                                                        stream_results):
+    def test_planners_count_kept_and_rebuilt_alike(self, stream_results):
         fast, _fw, ref, _rw = stream_results
-        assert fast.counters["meta_plan_kept"] > 0
+        # both rebuild the plan every round, so they book and re-book
+        # the same reservations
+        for name in ("meta_plan_kept", "meta_plan_rebuilt"):
+            assert fast.counters[name] == ref.counters[name], name
         assert fast.counters["meta_plan_estimate_memo_hits"] > 0
-        assert ref.counters["meta_plan_kept"] == 0
         # The sweep rework pays: the measured stream settles around
         # ~40 feasibility probes per (job, host); hold the line well
         # under the pre-overhaul count (~550 per job-host pair).

@@ -52,10 +52,6 @@ class WorkflowRun:
     def measured_makespan(self) -> float:
         return self.trace.makespan
 
-    @property
-    def estimated_makespan(self) -> float:
-        return self.scheduling.best.makespan
-
 
 class GradsEnvironment:
     """One fully wired GrADS deployment over a virtual grid."""

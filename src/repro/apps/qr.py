@@ -75,9 +75,6 @@ class QrBenchmark:
     def step_mflop(self, step: int) -> float:
         return qr_step_mflop(self.n, self.nb, step)
 
-    def remaining_mflop(self, from_step: int) -> float:
-        return sum(self.step_mflop(j) for j in range(from_step, self.steps))
-
     def registered_data(self) -> List[RegisteredData]:
         """Matrix A and vector B, dealt block-cyclically by columns."""
         col_block_bytes = self.n * self.nb * BYTES_PER_ELEMENT

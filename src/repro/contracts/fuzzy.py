@@ -10,7 +10,7 @@ rule activation, weighted-average defuzzification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 __all__ = ["Trapezoid", "FuzzyVariable", "FuzzyRule", "FuzzyEngine"]
 
@@ -48,9 +48,6 @@ class FuzzyVariable:
 
     name: str
     sets: Mapping[str, Trapezoid]
-
-    def fuzzify(self, x: float) -> Dict[str, float]:
-        return {label: mf(x) for label, mf in self.sets.items()}
 
     def membership(self, label: str, x: float) -> float:
         try:

@@ -8,9 +8,9 @@ reservation-conflict audit — as a deterministic report: same seed, same
 bytes.  The report holds what was decided, not how the planner got
 there: the ``meta_plan_*`` planning counters
 (``repro.sim.stats.DIAGNOSTIC_COUNTERS``) are excluded from
-:meth:`MetaschedResult.report`, so the delta re-planner and the
-rebuild-all oracle it is tested against (DESIGN.md §9.6) emit
-byte-identical same-seed JSON (the full snapshot stays on
+:meth:`MetaschedResult.report`, so the planner and the linear-scan
+oracle it is tested against (DESIGN.md §9.6) emit byte-identical
+same-seed JSON (the full snapshot stays on
 :attr:`MetaschedResult.counters`).
 """
 
@@ -79,8 +79,8 @@ class MetaschedResult:
 
     def report(self) -> dict:
         """Planner-independent report: the ``meta_plan_*`` counters are
-        deliberately absent, so the delta re-planner and the rebuild-all
-        oracle emit byte-identical same-seed JSON."""
+        deliberately absent, so the planner and the linear-scan oracle
+        emit byte-identical same-seed JSON."""
         return {
             "schema_version": JSON_SCHEMA_VERSION,
             "params": {

@@ -26,16 +26,17 @@ The planning hot path (DESIGN.md §9.6) is incremental: a calendar
 keeps its reservations bisect-sorted by start, so a conflict check or
 an insert costs O(log R) neighbour comparisons instead of a linear
 scan plus a full re-sort, and the *effective ends* (overrunning claims
-pushed ``grace`` past now) are computed once per (now, grace, state)
-and shared by :meth:`HostCalendar.busy_during` /
-:meth:`HostCalendar.horizon_times`.  :meth:`ReservationBook.find_window`
-sweeps one merged, tolerance-deduplicated list of per-host event
-points instead of re-scanning every calendar at every candidate start.
-The pre-overhaul linear busy scan stays as
-:meth:`HostCalendar.busy_during_reference`, because the fast paths use
-it for hosts with an overrunning claim; the linear window search the
-equivalence tests check :meth:`ReservationBook.find_window` against
-lives in ``tests/oracles/metasched.py``.
+pushed ``grace`` past now) are computed once per (now, grace, state).
+:meth:`ReservationBook.find_window` sweeps one merged,
+tolerance-deduplicated list of per-host event points instead of
+re-scanning every calendar at every candidate start; only hosts with
+an overrunning claim fall back to the linear
+:meth:`HostCalendar.busy_during_reference` scan.
+:meth:`ReservationBook.free_now` answers "start now or stay blocked?"
+from a per-round cache of each host's free gap, keyed by the book's
+edit counter.  The linear window search the equivalence tests check
+:meth:`ReservationBook.find_window` against lives in
+``tests/oracles/metasched.py``.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ class HostCalendar:
         self._claim_ends: List[float] = []
         #: monotone edit counter; any mutation bumps it (cache keys)
         self.mutations = 0
-        #: shared with the owning book (see ReservationBook.calendar) so
-        #: the book-wide version stamp is O(1) instead of a sum over hosts
+        #: shared with the owning book (see ReservationBook.calendar): one
+        #: book-wide edit counter that keys its free-now gap cache
         self.version_cell = [0]
         #: released claims, as (job, start, release_time) — the audit log
         self.claim_history: List[Tuple[str, float, float]] = []
@@ -131,9 +132,10 @@ class HostCalendar:
     def has_overrun(self, now: float) -> bool:
         """Does any claimed reservation's estimate end at/before now?
 
-        While an overrun exists, effective ends move with ``now`` and
-        window decisions stop being time-invariant — the fast planner
-        falls back to a full re-plan (DESIGN.md §9.6).
+        While an overrun exists, the host's effective ends move with
+        ``now`` and stop being monotone, so the window search scans it
+        linearly and :meth:`ReservationBook.free_now` treats it as
+        occupied.
         """
         if not self._claim_ends:
             return False
@@ -160,28 +162,17 @@ class HostCalendar:
         self._eff_cache = (self.mutations, now, grace, out)
         return out
 
-    def busy_during(self, start: float, end: float,
-                    now: float, grace: float) -> bool:
+    def busy_during_reference(self, start: float, end: float,
+                              now: float, grace: float) -> bool:
         """Is any live reservation in the way of ``[start, end)``?
 
         A claimed reservation that has outlived its estimate (the job is
         still running past ``end``) blocks until ``now + grace``: the
-        planner re-checks at that horizon instead of busy-waiting.
-
-        O(log R) bisect on the start-sorted array when no claim is
-        overrunning; with an overrun in play, effective ends are no
-        longer monotone and the linear reference scan runs instead.
+        planner re-checks at that horizon instead of busy-waiting.  A
+        linear scan; :meth:`ReservationBook.find_window` calls it only
+        for hosts with an overrunning claim, whose effective ends are
+        not monotone.
         """
-        if self.has_overrun(now):
-            return self.busy_during_reference(start, end, now, grace)
-        # Non-overlapping intervals sorted by start have (eps-)monotone
-        # ends, so the only candidate is the last start before `end`.
-        pos = bisect_left(self._starts, end - _EPS)
-        return pos > 0 and start < self._active[pos - 1].end - _EPS
-
-    def busy_during_reference(self, start: float, end: float,
-                              now: float, grace: float) -> bool:
-        """The pre-overhaul linear scan — oracle for :meth:`busy_during`."""
         for resv in self._active:
             r_end = resv.end
             if resv.state == CLAIMED and r_end <= now + _EPS:
@@ -214,11 +205,6 @@ class HostCalendar:
                 lo = mid + 1
         self._live_cache = (self.mutations, now, lo)
         return lo
-
-    def horizon_times(self, now: float, grace: float) -> List[float]:
-        """Candidate window-start instants: each live reservation's
-        effective end (overrunning claims push ``grace`` past now)."""
-        return list(self._effective_ends(now, grace))
 
     # -- mutation ----------------------------------------------------------
     def _index_of(self, resv: Reservation) -> int:
@@ -259,18 +245,17 @@ class HostCalendar:
         return resv
 
     def claim(self, resv: Reservation, now: float) -> None:
-        """Mark a reservation as actually occupied from ``now`` on."""
+        """Mark a reservation as actually occupied from ``now`` on.
+
+        Refuses a claim before the reservation's start: backdating it
+        would occupy time no conflict check has cleared.
+        """
         if resv.state != RESERVED:
             raise ValueError(f"cannot claim a {resv.state} reservation")
-        i = self._index_of(resv)
-        if now < resv.start:
-            # Backdating can change the sort position: re-insert.
-            del self._active[i]
-            del self._starts[i]
-            resv.start = now
-            i = bisect_right(self._starts, resv.start)
-            self._active.insert(i, resv)
-            self._starts.insert(i, resv.start)
+        if now < resv.start - _EPS:
+            raise ValueError(
+                f"cannot claim {resv!r} at {now:.3f}, before it starts")
+        self._index_of(resv)
         resv.state = CLAIMED
         insort(self._claim_ends, resv.end)
         self.mutations += 1
@@ -315,7 +300,8 @@ class ReservationBook:
     """The calendars of every host the metascheduler may book."""
 
     def __init__(self, hosts: Iterable[str] = ()) -> None:
-        #: one shared edit counter: every calendar mutation bumps it
+        #: one shared edit counter: every calendar mutation bumps it, so
+        #: it keys :meth:`_now_gaps`' cache
         self._vcell = [0]
         self._calendars: Dict[str, HostCalendar] = {}
         for name in hosts:
@@ -323,8 +309,6 @@ class ReservationBook:
         #: optional :class:`~repro.sim.stats.KernelStats` sink for the
         #: ``meta_plan_window_probes`` counter (set by the service)
         self.stats: Optional[KernelStats] = None
-        #: memo for :meth:`has_overrun` — ((version, now), bool)
-        self._overrun_cache: Optional[Tuple[Tuple[int, float], bool]] = None
         #: memo for :meth:`_now_gaps` — (version, now, cands, gaps, ranked)
         self._gap_cache: Optional[Tuple[int, float, Tuple[str, ...],
                                         List[float], List[float]]] = None
@@ -338,28 +322,6 @@ class ReservationBook:
 
     def hosts(self) -> List[str]:
         return sorted(self._calendars)
-
-    def version(self) -> int:
-        """Monotone edit stamp over every calendar, O(1).
-
-        The fast planner snapshots this at the end of a round; a
-        mismatch at the next round means occupancy changed outside its
-        own planning (a claim, a release, a foreign booking) and kept
-        reservations can no longer be proven identical to a rebuild.
-        """
-        return self._vcell[0]
-
-    def has_overrun(self, now: float) -> bool:
-        """Any overrunning claim anywhere (see HostCalendar.has_overrun).
-        Cached per (version, now) — planning probes ask per job."""
-        key = (self._vcell[0], now)
-        cached = self._overrun_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        val = any(cal.has_overrun(now)
-                  for cal in self._calendars.values())
-        self._overrun_cache = (key, val)
-        return val
 
     # -- block operations --------------------------------------------------
     def reserve_block(self, job: str, hosts: Sequence[str], start: float,

@@ -19,27 +19,21 @@ reservation ahead of them.  Claims therefore never overlap by
 construction, and :meth:`MetaScheduler.audit_conflicts` re-proves it
 from the recorded claim history.
 
-The planner is a **delta re-plan** (DESIGN.md §9.6): the fair-share
-order is computed once per round, and the prefix of jobs whose
-planning inputs (queue position, candidate host set, estimate) are
-unchanged since the previous round *keep* their reservations instead
-of being cancelled and re-booked; the first changed position is the
-dirty watermark from which the plan is rebuilt.  Any occupancy change
-outside planning itself (a claim, a release, an overrunning job)
-invalidates the whole plan — a kept reservation is therefore provably
-identical to what a full rebuild would produce.  Estimates are
-memoized per (job, candidate-prefix), candidate sets are resolved once
-per ISA per round, and jobs behind a full reservation depth get a
-single "free now?" probe instead of a full window sweep.  The test
-suite checks every decision against a cancel-all/rebuild-all oracle
-(``tests/oracles/metasched.py``).
+The planner rebuilds the plan every round (DESIGN.md §9.6): it
+releases every un-started reservation and re-plans the whole queue in
+fair-share order.  Estimates are memoized per (job, candidate-prefix),
+candidate sets are resolved once per ISA per round, and jobs behind a
+full reservation depth get a single "free now?" probe instead of a
+full window sweep.  The test suite checks every decision against a
+linear-scan oracle planner (``tests/oracles/metasched.py``).
 
 Everything the service does lands in the ``metasched`` trace lane
 (submit/queue/admit/reserve/backfill/start/complete/reject instants
 and one span per executed job) and in the always-on ``meta_*``
 counters of :class:`~repro.sim.stats.KernelStats`; the ``meta_plan_*``
-family (rounds, kept vs rebuilt reservations, window probes, estimate
-memo hits, scheduled wakes) exposes what the planner did.
+family (rounds, reservations booked and how many of them repeat the
+job's previous plan, window probes, estimate memo hits, scheduled
+wakes) exposes what the planner did.
 """
 
 from __future__ import annotations
@@ -68,11 +62,6 @@ _EPS = 1e-9
 #: terminal job states
 _TERMINAL = ("rejected", "completed", "failed")
 
-#: per-position plan-signature kinds (delta re-plan bookkeeping)
-_SIG_SKIP = "skip"    # candidate set smaller than n_hosts
-_SIG_RESV = "resv"    # holds a planned advance reservation
-_SIG_PROBE = "probe"  # behind a full reservation depth; not startable
-
 
 @dataclass
 class JobState:
@@ -90,10 +79,10 @@ class JobState:
     est_seconds: float = 0.0
     #: claims held while running
     claims: List[Reservation] = field(default_factory=list)
-    #: the current advance reservation (planning only; kept across
-    #: rounds while its planning inputs are unchanged)
+    #: the current advance reservation (planning only; released and
+    #: re-booked every round)
     planned: List[Reservation] = field(default_factory=list)
-    #: last traced plan, to keep re-plans from spamming the trace
+    #: last booked plan, to keep re-plans from spamming the trace
     last_plan: Optional[Tuple[float, Tuple[str, ...]]] = None
 
     @property
@@ -148,13 +137,6 @@ class MetaScheduler:
         self._n_terminal = 0
         #: start instants of armed-but-unfired wake callbacks, sorted
         self._pending_wakes: List[float] = []
-        # -- delta re-plan state (DESIGN.md §9.6) --
-        #: last round's per-position decisions: (name, candidates, kind, est)
-        self._plan_sig: List[Tuple[str, Tuple[str, ...], str, float]] = []
-        #: book.version() snapshot when that plan was recorded
-        self._plan_version: Optional[int] = None
-        #: interned candidate tuples per ISA (identity-comparable)
-        self._cand_intern: Dict[Optional[str], Tuple[str, ...]] = {}
         #: (job, candidate-prefix) -> estimated seconds
         self._est_memo: Dict[Tuple[str, Tuple[str, ...]], float] = {}
 
@@ -213,99 +195,30 @@ class MetaScheduler:
 
     # -- planning rounds ----------------------------------------------------
     def _round(self) -> None:
-        """Bring the un-started plan up to date with live resource
-        state: a delta re-plan from the dirty watermark."""
+        """Rebuild the un-started plan against live resource state:
+        release every planned reservation, then re-plan the queue in
+        fair-share order."""
         now = self.sim.now
-        stats = self.sim.stats
-        stats.meta_plan_rounds += 1
+        self.sim.stats.meta_plan_rounds += 1
         ordered = self.queue.ordered(now)
         book = self.book
-        round_cands: Dict[Optional[str], Tuple[str, ...]] = {}
-
-        def candidates(spec: JobSpec) -> Tuple[str, ...]:
-            """Usable hosts, resolved once per ISA per round and
-            interned across rounds so unchanged sets compare by
-            identity in the plan signature."""
-            got = round_cands.get(spec.isa)
-            if got is None:
-                fresh = tuple(self.admission.usable_hosts(spec))
-                last = self._cand_intern.get(spec.isa)
-                got = last if last == fresh else fresh
-                self._cand_intern[spec.isa] = got
-                round_cands[spec.isa] = got
-            return got
-
-        # A kept reservation must be provably identical to a rebuild:
-        # any occupancy edit outside our own planning (claim/release/
-        # foreign booking) or an overrunning claim (whose effective end
-        # moves with `now`) voids the proof — rebuild everything.
-        dirty = (self._plan_version is None
-                 or book.version() != self._plan_version
-                 or book.has_overrun(now))
-        sig = self._plan_sig
-        new_sig: List[Tuple[str, Tuple[str, ...], str, float]] = []
-        blocked = False
-        reservations_made = 0
-        idx = 0
-        if not dirty:
-            # Replay the unchanged prefix of last round's decisions.
-            while idx < len(ordered) and idx < len(sig):
-                spec = ordered[idx]
-                entry = sig[idx]
-                if entry[0] != spec.name or entry[1] is not candidates(spec):
-                    break  # dirty watermark: order or candidates changed
-                state = self.jobs[spec.name]
-                kind = entry[2]
-                if kind == _SIG_SKIP:
-                    blocked = True
-                    new_sig.append(entry)
-                    idx += 1
-                    continue
-                est = entry[3]
-                if kind == _SIG_RESV:
-                    start = state.planned[0].start
-                    if start > now + _EPS:
-                        blocked = True
-                        reservations_made += 1
-                        stats.meta_plan_kept += 1
-                        new_sig.append(entry)
-                        idx += 1
-                        continue
-                    # The reserved start has arrived: convert the
-                    # reservation into a start on the very hosts it
-                    # booked (what a rebuild would re-derive).
-                    hosts = [resv.host for resv in state.planned]
-                    book.release_block(state.planned, now)
-                    state.planned = []
-                    self._start_job(state, hosts, est, backfilled=blocked)
-                    idx += 1
-                    break  # depth accounting changed; rebuild the rest
-                # _SIG_PROBE: behind a full depth — start now or stay.
-                free = book.free_now(spec.n_hosts, est, entry[1], now,
-                                     self.grace_seconds)
-                if free is None:
-                    blocked = True
-                    new_sig.append(entry)
-                    idx += 1
-                    continue
-                self._start_job(state, free, est, backfilled=blocked)
-                idx += 1
-                break  # a new claim landed; rebuild the rest
-
-        # Cancel what was not kept, then re-plan from the watermark.
-        for spec in ordered[idx:]:
+        for spec in ordered:
             state = self.jobs[spec.name]
-            if state.planned and state.status == "queued":
+            if state.planned:
                 book.release_block(state.planned, now)
                 state.planned = []
-        for spec in ordered[idx:]:
+        # usable hosts, resolved once per ISA per round
+        round_cands: Dict[Optional[str], Tuple[str, ...]] = {}
+        blocked = False
+        reservations_made = 0
+        for spec in ordered:
             state = self.jobs[spec.name]
-            if state.status != "queued":
-                continue
-            cand = candidates(spec)
+            cand = round_cands.get(spec.isa)
+            if cand is None:
+                cand = tuple(self.admission.usable_hosts(spec))
+                round_cands[spec.isa] = cand
             if len(cand) < spec.n_hosts:
                 blocked = True
-                new_sig.append((spec.name, cand, _SIG_SKIP, 0.0))
                 continue
             est = self._estimate(spec, cand)
             if reservations_made >= self.reserve_depth:
@@ -317,7 +230,6 @@ class MetaScheduler:
                     self._start_job(state, free, est, backfilled=blocked)
                 else:
                     blocked = True
-                    new_sig.append((spec.name, cand, _SIG_PROBE, est))
                 continue
             window = book.find_window(spec.n_hosts, est, now, cand, now,
                                       self.grace_seconds)
@@ -332,20 +244,22 @@ class MetaScheduler:
                 state.planned = book.reserve_block(
                     spec.name, hosts, start, start + est)
                 reservations_made += 1
-                stats.meta_plan_rebuilt += 1
                 self._note_plan(state, start, hosts, est)
-                new_sig.append((spec.name, cand, _SIG_RESV, est))
-        self._plan_sig = new_sig
-        self._plan_version = book.version()
         self._schedule_wake(now)
 
     def _note_plan(self, state: JobState, start: float,
                    hosts: Sequence[str], est: float) -> None:
-        """Count/trace a reservation only when the plan actually moved."""
+        """Count a booked reservation as rebuilt, and as kept when it
+        repeats the job's previous plan; count/trace it as a
+        reservation only when the plan actually moved."""
+        stats = self.sim.stats
+        stats.meta_plan_rebuilt += 1
         plan = (start, tuple(hosts))
-        if plan != state.last_plan:
+        if plan == state.last_plan:
+            stats.meta_plan_kept += 1
+        else:
             state.last_plan = plan
-            self.sim.stats.meta_reservations += 1
+            stats.meta_reservations += 1
             self._instant("reserve", job=state.spec.name,
                           start=start, end=start + est,
                           hosts=",".join(hosts))

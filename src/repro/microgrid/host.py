@@ -133,11 +133,6 @@ class Host:
         """Per-core peak rate in Mflop/s."""
         return self.arch.mflops
 
-    @property
-    def n_runnable(self) -> int:
-        """Number of tasks (foreground + background) sharing the CPU."""
-        return len(self._tasks)
-
     def availability(self) -> float:
         """Fraction of one core a *new* task would receive right now.
 
@@ -147,13 +142,6 @@ class Host:
         if not self.alive:
             return 0.0
         return min(1.0, self.cores / (len(self._tasks) + 1))
-
-    def current_share(self) -> float:
-        """Fraction of one core each current task receives."""
-        n = len(self._tasks)
-        if n == 0:
-            return 1.0
-        return min(1.0, self.cores / n)
 
     # -- public API -----------------------------------------------------------
     def compute(self, mflop: float, tag: str = "") -> Event:

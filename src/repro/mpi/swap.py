@@ -21,7 +21,7 @@ implementation's hijacked communication layer applies them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from ..microgrid.host import Host
 from ..sim.events import Event
@@ -74,12 +74,6 @@ class SwappableJob:
 
     def pool_hosts(self) -> List[Host]:
         return list(self._pool)
-
-    def logical_rank_of(self, host: Host) -> Optional[int]:
-        try:
-            return self._active.index(host)
-        except ValueError:
-            return None
 
     # -- swap requests ----------------------------------------------------------
     def request_swap(self, logical_rank: int, new_host: Host) -> None:

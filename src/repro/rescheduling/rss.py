@@ -85,8 +85,5 @@ class RuntimeSupportSystem:
     def has_checkpoint(self, dataset: str) -> bool:
         return dataset in self._checkpoints
 
-    def forget_checkpoint(self, dataset: str) -> None:
-        self._checkpoints.pop(dataset, None)
-
     def datasets(self) -> List[str]:
         return sorted(self._checkpoints)

@@ -84,9 +84,6 @@ class Schedule:
             return 0.0
         return max(p.est_finish for p in self.placements.values())
 
-    def resource_of(self, task_name: str) -> str:
-        return self.placements[task_name].resource
-
     def tasks_on(self, resource: str) -> List[Placement]:
         return sorted((p for p in self.placements.values()
                        if p.resource == resource),

@@ -8,9 +8,9 @@ deterministic given its RNG seeds.
 
 The :meth:`Simulator.run` loop is the hottest code in the repository —
 every transfer byte and Mflop of the emulated grid is accounted for
-through it — so it keeps an inlined copy of :meth:`Simulator.step` with
-hoisted locals and batches all entries that share a timestamp (URGENT
-event-processing bookkeeping included) between ``until`` checks.
+through it — so it keeps hoisted locals and batches all entries that
+share a timestamp (URGENT event-processing bookkeeping included) between
+``until`` checks.
 ``sim.stats`` (:class:`~repro.sim.stats.KernelStats`) counts every event
 processed so workloads can report events/sec.
 """
@@ -90,33 +90,6 @@ class Simulator:
         heapq.heappush(self._agenda, (self._now, URGENT, self._seq, event))
 
     # -- execution ---------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event on the agenda."""
-        if not self._agenda:
-            raise SimulationError("step() on an empty agenda")
-        when, _prio, _seq, event = heapq.heappop(self._agenda)
-        if when < self._now - 1e-12:
-            raise SimulationError("agenda entry in the past (kernel bug)")
-        if when > self._now:
-            self._now = when
-        self.stats.events_processed += 1
-        trace = self.trace
-        if trace is not None and "kernel" in trace.active:
-            trace.kernel_event(when, event)
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        if event._value is not PENDING and not event._ok and not event.defused:
-            # A failure that no waiter handled would otherwise vanish;
-            # surface it so broken processes abort the run loudly.
-            if isinstance(event, Process):
-                raise event.value
-
-    def peek(self) -> float:
-        """Time of the next agenda entry, or ``inf`` if the agenda is empty."""
-        return self._agenda[0][0] if self._agenda else float("inf")
-
     def run(self, until: Optional[float] = None,
             stop_event: Optional[Event] = None) -> Any:
         """Run until the agenda drains, ``until`` is reached, or

@@ -11,13 +11,13 @@ NWS transfer-forecast memo hits); the metascheduler increments the
 ``meta_*`` family (submissions, rejections, starts, completions,
 backfills, reservations, cumulative queue-wait and served
 cpu-seconds) plus the ``meta_plan_*`` planner family (rounds,
-reservations kept across rounds vs rebuilt from scratch, window
-feasibility probes, estimate memo hits, scheduled wakes) — the
+reservations booked vs those that repeat the job's previous plan,
+window feasibility probes, estimate memo hits, scheduled wakes) — the
 ``meta_plan_*`` counters describe *how* a plan was computed, so they
 are flagged diagnostic in ``_COUNTERS`` and collected as
 :data:`DIAGNOSTIC_COUNTERS`, the one group excluded from deterministic
-experiment reports (they differ between the delta re-planner and the
-rebuild-all oracle it is tested against by design).
+experiment reports (window probes and memo hits differ between the
+planner and the linear-scan oracle it is tested against by design).
 ``_COUNTERS`` declares every counter once; ``__slots__``,
 :meth:`KernelStats.reset`, :meth:`KernelStats.snapshot` and
 :func:`format_stats` are derived from it.  Counters are plain numeric

@@ -34,12 +34,25 @@ class TestHostCalendar:
             cal.reserve("b", 50.0, 150.0)
         cal.reserve("b", 100.0, 150.0)  # abutting is fine
 
-    def test_claim_backdates_start(self):
+    def test_claim_refuses_backdate_over_live_claim(self):
+        # Backdating b's claim to 30 s would overlap a's live claim on
+        # [0, 40): claim must refuse it and leave the calendar as it was.
         cal = HostCalendar("h")
-        resv = cal.reserve("a", 50.0, 100.0)
-        cal.claim(resv, 40.0)
-        assert resv.start == 40.0
-        assert resv.state == "claimed"
+        a = cal.reserve("a", 0.0, 40.0)
+        cal.claim(a, 0.0)
+        b = cal.reserve("b", 50.0, 100.0)
+        mutations = cal.mutations
+        with pytest.raises(ValueError):
+            cal.claim(b, 30.0)
+        assert (b.start, b.end, b.state) == (50.0, 100.0, "reserved")
+        assert cal.active() == [a, b]
+        assert cal.mutations == mutations
+        # the refused claim is still claimable once it starts
+        cal.release(a, 40.0)
+        cal.claim(b, 50.0)
+        cal.release(b, 100.0)
+        assert cal.claim_history == [("a", 0.0, 40.0), ("b", 50.0, 100.0)]
+        assert cal.audit() == []
 
     def test_claim_requires_reserved_state(self):
         cal = HostCalendar("h")
@@ -63,14 +76,17 @@ class TestHostCalendar:
         assert cal.claim_history == []
 
     def test_overdue_claim_blocks_until_grace_horizon(self):
-        cal = HostCalendar("h")
+        book = ReservationBook(["h"])
+        cal = book.calendar("h")
         resv = cal.reserve("a", 0.0, 100.0)
         cal.claim(resv, 0.0)
         # The job overran its estimate: at t=200 the claim still blocks,
         # but only until now + grace.
-        assert cal.busy_during(200.0, 210.0, now=200.0, grace=30.0)
-        assert not cal.busy_during(231.0, 240.0, now=200.0, grace=30.0)
-        assert cal.horizon_times(200.0, 30.0) == [230.0]
+        assert cal.busy_during_reference(200.0, 210.0, now=200.0, grace=30.0)
+        assert not cal.busy_during_reference(231.0, 240.0, now=200.0,
+                                             grace=30.0)
+        assert book.find_window(1, 10.0, 200.0, ["h"], 200.0,
+                                30.0) == (230.0, ["h"])
 
     def test_audit_catches_manufactured_overlap(self):
         cal = HostCalendar("h")
@@ -197,15 +213,23 @@ class TestOverrunHorizons:
     """Overrunning claims and the grace horizon (DESIGN.md §9.3)."""
 
     def test_horizon_times_mixes_grace_and_real_ends(self):
-        cal = HostCalendar("h")
+        book = ReservationBook(["h"])
+        cal = book.calendar("h")
         running = cal.reserve("running", 0.0, 100.0)
         cal.claim(running, 0.0)
         cal.reserve("future", 400.0, 500.0)
         # At t=200 the claim has overrun: its effective end is
         # now + grace, while the untouched booking keeps its real end.
-        assert cal.horizon_times(200.0, 30.0) == [230.0, 500.0]
+        # Both are candidate window starts.
+        assert book.find_window(1, 100.0, 200.0, ["h"], 200.0,
+                                30.0) == (230.0, ["h"])
+        assert book.find_window(1, 200.0, 200.0, ["h"], 200.0,
+                                30.0) == (500.0, ["h"])
         # Before the estimate elapsed, both ends are the real ones.
-        assert cal.horizon_times(50.0, 30.0) == [100.0, 500.0]
+        assert book.find_window(1, 100.0, 50.0, ["h"], 50.0,
+                                30.0) == (100.0, ["h"])
+        assert book.find_window(1, 350.0, 50.0, ["h"], 50.0,
+                                30.0) == (500.0, ["h"])
 
     def test_has_overrun_is_per_host(self):
         book = ReservationBook(["h1", "h2"])
@@ -213,17 +237,16 @@ class TestOverrunHorizons:
         book.calendar("h1").claim(resv, 0.0)
         assert book.calendar("h1").has_overrun(150.0)
         assert not book.calendar("h2").has_overrun(150.0)
-        assert book.has_overrun(150.0)
-        assert not book.has_overrun(50.0)
+        assert not book.calendar("h1").has_overrun(50.0)
 
     def test_release_clears_overrun(self):
         book = ReservationBook(["h1"])
         cal = book.calendar("h1")
         resv = cal.reserve("a", 0.0, 100.0)
         cal.claim(resv, 0.0)
-        assert book.has_overrun(150.0)
+        assert cal.has_overrun(150.0)
         cal.release(resv, 150.0)
-        assert not book.has_overrun(150.0)
+        assert not cal.has_overrun(150.0)
 
     def test_free_now_skips_overrunning_host(self):
         book = ReservationBook(["h1", "h2"])
@@ -247,31 +270,45 @@ class TestIncrementalInternals:
         assert cal.first_live(35.0) == 2
         assert cal.first_live(60.0) == 3
 
-    def test_book_version_bumps_on_every_mutation(self):
+    def test_free_now_tracks_every_mutation(self):
+        # free_now caches per-host gaps per (edit counter, now,
+        # candidates); every mutation kind must invalidate that cache.
         book = ReservationBook(["h1", "h2"])
-        v0 = book.version()
-        resvs = book.reserve_block("a", ["h1", "h2"], 0.0, 100.0)
-        v1 = book.version()
-        assert v1 == v0 + 2  # one bump per calendar insert
-        book.claim_block(resvs, 0.0)
-        v2 = book.version()
-        assert v2 > v1
-        book.release_block(resvs, 50.0)
-        assert book.version() > v2
+        hosts = ("h1", "h2")
+        now = 150.0
+        assert book.free_now(2, 50.0, hosts, now) == ["h1", "h2"]
+        blocker = book.reserve_block("b", ["h2"], 160.0, 400.0)
+        assert book.free_now(2, 50.0, hosts, now) is None
+        assert book.free_now(1, 50.0, hosts, now) == ["h1"]
+        book.release_block(blocker, now)
+        assert book.free_now(2, 50.0, hosts, now) == ["h1", "h2"]
+        # a past un-started reservation does not block...
+        running = book.reserve_block("a", ["h1"], 0.0, 100.0)
+        assert book.free_now(2, 50.0, hosts, now) == ["h1", "h2"]
+        # ...but once claimed, its job is overrunning and holds h1
+        book.claim_block(running, 0.0)
+        assert book.free_now(2, 50.0, hosts, now) is None
+        assert book.free_now(1, 50.0, hosts, now) == ["h2"]
+        book.release_block(running, now)
+        assert book.free_now(2, 50.0, hosts, now) == ["h1", "h2"]
 
     def test_lazily_created_calendar_shares_version_cell(self):
         book = ReservationBook()
         cal = book.calendar("new-host")
-        v0 = book.version()
+        assert book.free_now(1, 10.0, ("new-host",), 0.0) == ["new-host"]
+        # booked through the calendar itself, not the book
         cal.reserve("a", 0.0, 10.0)
-        assert book.version() == v0 + 1
+        assert book.free_now(1, 10.0, ("new-host",), 0.0) is None
 
-    def test_rolled_back_block_still_advances_version(self):
-        # A rollback mutates calendars (insert then release), so the
-        # planner must treat it as a world change — version moves.
+    def test_free_now_after_rolled_back_block(self):
+        # A rollback inserts then releases; free_now must see the
+        # calendars as if the block had never been attempted.
         book = ReservationBook(["h1", "h2"])
         book.reserve_block("a", ["h2"], 0.0, 100.0)
-        v = book.version()
+        assert book.free_now(1, 50.0, ("h1", "h2"), 0.0) == ["h1"]
         with pytest.raises(ReservationConflict):
-            book.reserve_block("b", ["h1", "h2"], 50.0, 150.0)
-        assert book.version() > v
+            book.reserve_block("b", ["h1", "h2"], 0.0, 150.0)
+        assert book.free_now(1, 50.0, ("h1", "h2"), 0.0) == ["h1"]
+        assert book.free_now(2, 50.0, ("h1", "h2"), 0.0) is None
+        assert book.free_now(1, 50.0, ("h1", "h2"), 100.0) == ["h1"]
+        assert book.free_now(2, 50.0, ("h1", "h2"), 100.0) == ["h1", "h2"]

@@ -1,12 +1,15 @@
 """Reference oracle for the metascheduler's planner.
 
-:class:`ReferenceMetaScheduler` is the pre-overhaul cancel-all /
-rebuild-all planner: every round cancels every un-started reservation
-and rebuilds the plan from scratch with :func:`reference_find_window`,
-the linear-scan window search.  The equivalence tests assert that the
-production delta re-planner (:class:`repro.metasched.MetaScheduler`)
-makes the same decisions: same job outcomes, same claim histories,
-byte-identical same-seed reports.
+:class:`ReferenceMetaScheduler` is the pre-overhaul planner: like the
+production planner it cancels every un-started reservation each round
+and rebuilds the plan from scratch, but every job gets a full
+:func:`reference_find_window` linear-scan window search, with no
+estimate memo and no "free now?" probe behind the reservation depth.
+The equivalence tests assert that the production planner
+(:class:`repro.metasched.MetaScheduler`) makes the same decisions:
+same job outcomes, same claim histories, byte-identical same-seed
+reports, and the same ``meta_plan_*`` counters except window probes
+and estimate memo hits.
 
 :func:`reference_planner` swaps the oracle in for a block by rebinding
 the ``MetaScheduler`` name the metasched stream driver and the soak
@@ -44,7 +47,7 @@ def reference_find_window(book: ReservationBook, n_hosts: int,
         return None
     times = [not_before]
     for host in candidates:
-        for t in book.calendar(host).horizon_times(now, grace):
+        for t in book.calendar(host)._effective_ends(now, grace):
             if t > not_before + _EPS:
                 times.append(t)
     for start in _dedup_times(times):
@@ -92,7 +95,6 @@ class ReferenceMetaScheduler(MetaScheduler):
                     state.planned = self.book.reserve_block(
                         spec.name, hosts, start, start + est)
                     reservations_made += 1
-                    self.sim.stats.meta_plan_rebuilt += 1
                     self._note_plan(state, start, hosts, est)
         self._schedule_wake(now)
 

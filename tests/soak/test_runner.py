@@ -7,8 +7,31 @@ import pytest
 from repro.experiments.soak import run_soak
 from repro.soak import (run_scenario, run_with_checks, sample_mtbf_scenario,
                         sample_scenario)
+from repro.soak import runner as soak_runner
 from repro.soak.scenario import ScenarioSpec
 from tests.oracles.metasched import reference_planner
+
+#: planner counters the oracle must reproduce exactly
+SHARED_PLAN_COUNTERS = ("meta_plan_rounds", "meta_plan_kept",
+                        "meta_plan_rebuilt", "meta_plan_wakes")
+
+
+def _report_and_plan_counters(spec):
+    """``run_scenario``'s report plus the shared ``meta_plan_*``
+    counters of the metascheduler it built (reports leave them out)."""
+    services = []
+
+    class Recording(soak_runner.MetaScheduler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            services.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(soak_runner, "MetaScheduler", Recording)
+        report = run_scenario(spec).report()
+    (service,) = services
+    return report, {name: getattr(service.sim.stats, name)
+                    for name in SHARED_PLAN_COUNTERS}
 
 
 def _clean_smoke_spec():
@@ -55,21 +78,22 @@ class TestRunScenario:
 
     def test_fast_and_reference_engines_agree(self):
         spec = _clean_smoke_spec()
-        fast = run_scenario(spec).report()
+        fast = _report_and_plan_counters(spec)
         with reference_planner():
-            ref = run_scenario(spec).report()
+            ref = _report_and_plan_counters(spec)
         assert fast == ref
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_sampled_reports_match_reference_planner(seed):
-    """The delta re-planner and the rebuild-all oracle produce equal
-    reports on every scenario of a 12-scenario sweep."""
+    """The planner and the linear-scan oracle produce equal reports and
+    equal shared planner counters on every scenario of a 12-scenario
+    sweep."""
     for index in range(12):
         spec = sample_scenario(seed, index)
-        fast = run_scenario(spec).report()
+        fast = _report_and_plan_counters(spec)
         with reference_planner():
-            ref = run_scenario(spec).report()
+            ref = _report_and_plan_counters(spec)
         assert fast == ref, (seed, index)
 
 
