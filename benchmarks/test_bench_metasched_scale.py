@@ -40,9 +40,9 @@ def _timed_run():
     gc.collect()
     gc.disable()
     try:
-        t0 = perf_counter()  # simlint: ignore[SL001] — benchmark wall time
+        t0 = perf_counter()
         result = run_metasched(**STREAM)
-        wall = perf_counter() - t0  # simlint: ignore[SL001] — benchmark wall time
+        wall = perf_counter() - t0
     finally:
         gc.enable()
     return result, wall

@@ -12,11 +12,8 @@ same run (speed must not buy a different answer).
 
 import pytest
 
+from benchmarks.harness import build_scheduler_bench_env, run_scheduler_bench
 from repro.experiments import format_table
-from repro.experiments.scheduler_bench import (
-    build_scheduler_bench_env,
-    run_scheduler_bench,
-)
 from tests.oracles.heuristics import REFERENCE_HEURISTICS, schedules_equal
 
 #: the ISSUE-mandated scale: >=512-task fan-out on 32+ hosts

@@ -19,7 +19,7 @@ Two claims are checked, matching the overhaul's contract:
 
 import pytest
 
-from repro.experiments.substrate import run_substrate_bench
+from benchmarks.harness import run_substrate_bench
 from tests.oracles.network import ReferenceTopology
 
 TRANSFERS = 1500

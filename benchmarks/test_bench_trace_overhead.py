@@ -17,7 +17,7 @@ runs did exactly the same work.
 
 import pytest
 
-from repro.experiments.substrate import run_substrate_bench
+from benchmarks.harness import run_substrate_bench
 from repro.trace import Tracer
 
 TRANSFERS = 1500

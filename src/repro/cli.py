@@ -7,7 +7,6 @@
     python -m repro eman
     python -m repro opportunistic
     python -m repro describe path/to/grid.dml
-    python -m repro bench --scheduler --tasks 128 --json
     python -m repro metasched run --users 6 --arrival-rate 0.01 --json
     python -m repro metasched run --n-hosts 64 --max-jobs 200 --json
     python -m repro metasched report stream.json
@@ -51,9 +50,7 @@ from .experiments.fig3_qr import DEFAULT_SIZES, run_fig3
 from .experiments.fig4_swap import run_fig4
 from .experiments.metasched_stream import metasched_tables, run_metasched
 from .experiments.opportunistic import run_opportunistic
-from .experiments.scheduler_bench import run_scheduler_bench
 from .experiments.soak import PRESETS, run_soak, soak_tables
-from .experiments.substrate import run_substrate_bench
 from .experiments.common import JSON_SCHEMA_VERSION, format_table
 from .microgrid.dml import parse_grid
 from .rescheduling.swapping import SWAP_POLICIES
@@ -139,22 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     describe = sub.add_parser("describe",
                               help="validate and summarize a DML topology")
     describe.add_argument("path", help="DML file")
-
-    bench = sub.add_parser(
-        "bench", help="substrate stress benchmark (64 flows / 32 hosts); "
-                      "--scheduler switches to the workflow-scheduler bench")
-    bench.add_argument("--transfers", type=int, default=1500,
-                       help="total transfers to complete (>= 1)")
-    bench.add_argument("--scheduler", action="store_true",
-                       help="benchmark the workflow scheduler (EMAN-shaped "
-                            "DAG) instead of the substrate")
-    bench.add_argument("--tasks", type=int, default=256,
-                       help="classesbymra fan-out for --scheduler (>= 1)")
-    bench.add_argument("--hosts", type=int, default=32,
-                       help="grid size for --scheduler (>= 4, one host "
-                            "per cluster)")
-    bench.add_argument("--json", action="store_true",
-                       help="emit the KernelStats counters as JSON on stdout")
 
     lint = sub.add_parser(
         "lint", help="simulator-discipline static analysis (simlint); "
@@ -429,65 +410,6 @@ def _emit(payload: Optional[str], args: argparse.Namespace,
     return report
 
 
-def _print_json(result: dict) -> None:
-    result["schema_version"] = JSON_SCHEMA_VERSION
-    print(json.dumps(result, sort_keys=True))
-
-
-def _bench_row(stats: dict) -> List[str]:
-    return [f"{stats['wall_seconds']:.3f}",
-            f"{stats['events_per_sec']:,.0f}",
-            f"{int(stats['events_processed'])}",
-            f"{int(stats['reallocations'])}",
-            f"{int(stats['wakeups_cancelled'])}",
-            f"{stats['route_cache_hit_rate']:.3f}"]
-
-
-def _scheduler_bench_row(result: dict) -> List[str]:
-    makespans = result["makespans"]
-    return [f"{result['wall_seconds']:.3f}",
-            f"{result['evaluations_per_sec']:,.0f}",
-            f"{result['sched_rounds']}",
-            f"{result['sched_evaluations']}",
-            f"{result['sched_memo_hits']}",
-            " ".join(f"{makespans[h]:.1f}" for h in result["heuristics"])]
-
-
-def _cmd_scheduler_bench(args: argparse.Namespace) -> int:
-    result = run_scheduler_bench(n_tasks=args.tasks, n_hosts=args.hosts)
-    if args.json:
-        _print_json(result)
-        return 0
-    print(format_table(
-        ["wall (s)", "evals/sec", "rounds", "evals", "memo hits",
-         "makespans (s)"],
-        [_scheduler_bench_row(result)],
-        title=f"scheduler benchmark: {result['n_tasks']} tasks / "
-              f"{result['n_hosts']} hosts, "
-              f"{'+'.join(result['heuristics'])}"))
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.transfers < 1 or args.tasks < 1 or args.hosts < 4:
-        print("repro bench: need --transfers >= 1, --tasks >= 1 and "
-              "--hosts >= 4", file=sys.stderr)
-        return 2
-    if args.scheduler:
-        return _cmd_scheduler_bench(args)
-    stats = run_substrate_bench(total_transfers=args.transfers)
-    if args.json:
-        _print_json(stats)
-        return 0
-    print(format_table(
-        ["wall (s)", "events/sec", "events", "reallocs", "stale wakeups",
-         "route hit rate"],
-        [_bench_row(stats)],
-        title=f"substrate benchmark: 64 flows / 32 hosts, "
-              f"{args.transfers} transfers"))
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from . import simlint
 
@@ -626,7 +548,6 @@ _COMMANDS = {
     "eman": _cmd_eman,
     "opportunistic": _cmd_opportunistic,
     "describe": _cmd_describe,
-    "bench": _cmd_bench,
     "metasched": _cmd_metasched,
     "soak": _cmd_soak,
     "lint": _cmd_lint,

@@ -27,8 +27,6 @@ from .opportunistic import (
     asymmetric_grid,
     run_opportunistic,
 )
-from .scheduler_bench import build_scheduler_bench_env, run_scheduler_bench
-from .substrate import build_substrate_grid, run_substrate_bench
 
 __all__ = [
     "OpportunisticResult",
@@ -45,8 +43,6 @@ __all__ = [
     "WORST_CASE_SECONDS",
     "bar_chart",
     "metasched_tables",
-    "build_scheduler_bench_env",
-    "build_substrate_grid",
     "format_series",
     "format_table",
     "run_eman_demo",
@@ -54,6 +50,4 @@ __all__ = [
     "run_fig3_point",
     "run_fig4",
     "run_metasched",
-    "run_scheduler_bench",
-    "run_substrate_bench",
 ]

@@ -154,7 +154,7 @@ class SRSLibrary:
         # rank's own write is still missing.
         pending.locations[ctx.rank] = CheckpointLocation(
             rank=ctx.rank, depot_host=target.name, key=key,
-            nbytes=my_bytes)  # simlint: ignore[SL020] — completion protocol above
+            nbytes=my_bytes)
         if len(pending.locations) == n_procs:
             self.rss.store_checkpoint(pending)
             del self._pending[pending_key]

@@ -1,12 +1,9 @@
 """simlint engine: discovery, suppressions, rule execution.
 
-The engine runs in two phases.  Phase one builds the project symbol
-graph: every file is summarised (:mod:`repro.simlint.symbols`) so the
-flow rules know which functions are simulated-process generators and
-which shared containers/RNG streams each function touches.  Phase two
-lints each file, serially and in discovery order, against the selected
-rules with that graph as context.  A full-tree run takes a few seconds,
-so there is no cache and no worker pool.
+The engine makes one pass: it parses each file, serially and in
+discovery order, and runs the selected rules on it.  Every rule sees
+one file at a time, so there is no cross-file state, no cache and no
+worker pool.
 
 Findings then pass through two suppression mechanisms:
 
@@ -42,7 +39,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .findings import Finding, fingerprint_of
 from .rules import PARSE_ERROR_ID, RULES, build_context
-from .symbols import ProjectGraph, build_graph, symbols_for_source
 
 __all__ = ["lint_source", "lint_paths", "lint_tree", "discover_files",
            "select_rules", "UnknownRuleError", "SUPPRESS_RE", "LintResult"]
@@ -200,14 +196,8 @@ def _expand_suppressions(
 
 
 def lint_source(source: str, relpath: str,
-                rule_ids: Optional[Sequence[str]] = None,
-                project: Optional[ProjectGraph] = None) -> List[Finding]:
-    """Lint one file's text; ``relpath`` appears in the findings.
-
-    ``project`` supplies the cross-file symbol graph for the flow
-    rules; when omitted they fall back to a graph built from this file
-    alone.
-    """
+                rule_ids: Optional[Sequence[str]] = None) -> List[Finding]:
+    """Lint one file's text; ``relpath`` appears in the findings."""
     if rule_ids is None:
         rule_ids = tuple(sorted(RULES))
     per_line, file_level = _suppressions(source)
@@ -240,7 +230,7 @@ def lint_source(source: str, relpath: str,
             return line_rules is None or rule_id in line_rules
         return False
 
-    ctx = build_context(relpath, tree, project)
+    ctx = build_context(relpath, tree)
     raw: List[Tuple[int, int, str, str]] = []
     for rule_id in rule_ids:
         rule = RULES[rule_id]
@@ -307,19 +297,14 @@ class LintResult:
 def lint_tree(paths: Sequence[str],
               select: Optional[Iterable[str]] = None,
               ignore: Optional[Iterable[str]] = None) -> LintResult:
-    """Two-phase project lint: symbol graph, then per-file rules."""
+    """Lint every discovered file against the selected rules."""
     rule_ids = select_rules(select, ignore)
     pairs = discover_files(paths)
-    sources: Dict[str, str] = {}
+    findings: List[Finding] = []
     for full, rel in pairs:
         with open(full, "rb") as handle:
-            sources[rel] = handle.read().decode("utf-8")
-    graph = build_graph({rel: symbols_for_source(source, rel)
-                         for rel, source in sources.items()})
-    findings: List[Finding] = []
-    for _, rel in pairs:
-        findings.extend(lint_source(sources[rel], rel, rule_ids,
-                                    project=graph))
+            source = handle.read().decode("utf-8")
+        findings.extend(lint_source(source, rel, rule_ids))
     findings.sort()
     cwd = os.getcwd()
     display = {rel: os.path.relpath(full, cwd).replace(os.sep, "/")

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .findings import ERROR, WARNING
-from .flow import flow_findings
 
 __all__ = ["Rule", "FileContext", "RULES", "ALL_RULE_IDS", "PARSE_ERROR_ID"]
 
@@ -55,13 +54,6 @@ class FileContext:
     relpath: str
     module_aliases: Dict[str, str] = field(default_factory=dict)
     from_imports: Dict[str, str] = field(default_factory=dict)
-    #: Cross-file facts for the flow rules (SL020–SL023).  None means
-    #: single-file mode: the flow rules build a graph from this file
-    #: alone, so fixtures and ad-hoc ``lint_source`` calls still work.
-    project: Optional[object] = None
-    #: Per-file scratch space so rules sharing an expensive analysis
-    #: (the yield-point dataflow) run it once.
-    scratch: Dict[str, object] = field(default_factory=dict)
 
     @property
     def in_kernel_package(self) -> bool:
@@ -92,10 +84,9 @@ class FileContext:
         return ".".join(reversed(parts))
 
 
-def build_context(relpath: str, tree: ast.Module,
-                  project: Optional[object] = None) -> FileContext:
+def build_context(relpath: str, tree: ast.Module) -> FileContext:
     """Collect the import maps for ``tree``."""
-    ctx = FileContext(relpath=relpath, project=project)
+    ctx = FileContext(relpath=relpath)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -571,56 +562,6 @@ def check_ambient_entropy(tree: ast.Module, ctx: FileContext) -> RuleHits:
             dotted = ctx.resolve(node)
             if dotted == "os.environ":
                 yield node, "read of os.environ"
-
-
-# ---------------------------------------------------------------------------
-# SL020–SL023 — flow rules over the project symbol graph
-#
-# These are interprocedural: repro.simlint.symbols decides which
-# functions are simulated-process generators (reachable from kernel
-# spawn sites) and repro.simlint.flow runs a yield-point dataflow over
-# each one.  The checkers here are thin registrations; see flow.py for
-# the analysis and AUTHORING.md for how to write a new flow rule.
-# ---------------------------------------------------------------------------
-
-
-@rule("SL020", ERROR,
-      "stale read-modify-write on shared state across a yield",
-      "a yield suspends the process and lets other events run; "
-      "re-read the shared attribute/global after resuming (or do the "
-      "read-modify-write without yielding in between) instead of "
-      "writing back a value captured before the yield")
-def check_stale_rmw(tree: ast.Module, ctx: FileContext) -> RuleHits:
-    yield from flow_findings("SL020", tree, ctx)
-
-
-@rule("SL021", ERROR,
-      "shared container iterated across a yield while mutated elsewhere",
-      "iterate over a snapshot (list(...)/sorted(...)) or restructure "
-      "so the loop does not yield; another process generator mutates "
-      "this container, so resuming mid-iteration sees a shifted or "
-      "invalidated view")
-def check_shared_iteration(tree: ast.Module, ctx: FileContext) -> RuleHits:
-    yield from flow_findings("SL021", tree, ctx)
-
-
-@rule("SL022", WARNING,
-      "shared RNG stream drawn from more than one process generator",
-      "give each process generator its own named RngRegistry stream; "
-      "when several generators draw from one stream, any change in "
-      "event interleaving reorders the draws and same-seed runs "
-      "diverge after unrelated refactors")
-def check_shared_rng(tree: ast.Module, ctx: FileContext) -> RuleHits:
-    yield from flow_findings("SL022", tree, ctx)
-
-
-@rule("SL023", WARNING,
-      "cached value returned after a yield without a re-check",
-      "memoised state can be invalidated while the process is "
-      "suspended; re-read the cache slot (or re-validate its version) "
-      "after the yield before returning it")
-def check_stale_cache_return(tree: ast.Module, ctx: FileContext) -> RuleHits:
-    yield from flow_findings("SL023", tree, ctx)
 
 
 ALL_RULE_IDS: Tuple[str, ...] = tuple(sorted(RULES))

@@ -54,6 +54,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["metasched"])
 
+    def test_bench_is_not_a_command(self, capsys):
+        # The benchmark harnesses live in benchmarks/harness.py.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_fig3_small(self, capsys):
@@ -92,36 +99,6 @@ class TestCommands:
 
     def test_describe_missing_file(self, capsys):
         assert main(["describe", "/nonexistent/grid.dml"]) == 2
-
-    def test_bench_json(self, capsys):
-        rc = main(["bench", "--transfers", "60", "--json"])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 1
-        assert payload["transfers_completed"] == 60
-        assert payload["events_processed"] > 0
-
-    def test_bench_scheduler_json(self, capsys):
-        rc = main(["bench", "--scheduler", "--tasks", "8", "--hosts", "4",
-                   "--json"])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 1
-        assert payload["n_hosts"] == 4
-        assert set(payload["makespans"]) == {"min-min", "max-min",
-                                             "sufferage"}
-
-    @pytest.mark.parametrize("argv", [
-        ["--transfers", "-5"],
-        ["--transfers", "0"],
-        ["--scheduler", "--tasks", "0"],
-        ["--scheduler", "--hosts", "2"],
-    ])
-    def test_bench_bad_sizes_exit_two(self, argv, capsys):
-        assert main(["bench"] + argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro bench: ")
-        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("group", ["metasched", "soak"])
     def test_report_unreadable_input_exits_two(self, group, tmp_path,

@@ -8,9 +8,9 @@ experiment's own reported numbers.
 import numpy as np
 import pytest
 
+from benchmarks.harness import build_scheduler_bench_env
 from repro.experiments.fig3_qr import run_fig3_point
 from repro.experiments.fig4_swap import run_fig4
-from repro.experiments.scheduler_bench import build_scheduler_bench_env
 from repro.scheduler import HEURISTICS
 from repro.trace import Tracer, violation_timeline
 from repro.trace.export import write_jsonl
