@@ -22,21 +22,22 @@ Invariants (DESIGN.md §9):
   see an *effective* end pushed ``grace`` seconds past "now", which
   bounds how often an overrun forces a re-plan.
 
-The planning hot path (DESIGN.md §9.6) is incremental: a calendar
-keeps its reservations bisect-sorted by start, so a conflict check or
-an insert costs O(log R) neighbour comparisons instead of a linear
-scan plus a full re-sort, and the *effective ends* (overrunning claims
-pushed ``grace`` past now) are computed once per (now, grace, state).
-:meth:`ReservationBook.find_window` sweeps one merged,
-tolerance-deduplicated list of per-host event points instead of
-re-scanning every calendar at every candidate start; only hosts with
-an overrunning claim fall back to the linear
-:meth:`HostCalendar.busy_during_reference` scan.
-:meth:`ReservationBook.free_now` answers "start now or stay blocked?"
-from a per-round cache of each host's free gap, keyed by the book's
-edit counter.  The linear window search the equivalence tests check
-:meth:`ReservationBook.find_window` against lives in
-``tests/oracles/metasched.py``.
+The planning hot path (DESIGN.md §9.6): a calendar keeps its
+reservations bisect-sorted by start, so a conflict check or an insert
+costs O(log R) neighbour comparisons.  The book keeps one *candidate
+view* per candidate tuple for the current ``(now, grace)``: each
+host's effective ends (overrunning claims pushed ``grace`` past now),
+one sorted multiset of all of them, and, once
+:meth:`ReservationBook.free_now` asks, each host's free gap at now.
+When the book's edit counter moves, the view patches only the hosts
+whose own edit counter moved (bisect out their old ends and gap,
+insort the new ones), so the many calls of one planning round share
+one set-up.  :meth:`ReservationBook.find_window` sweeps the multiset
+in ascending order, skipping instants within ``_EPS`` of the last
+start; only hosts with an overrunning claim fall back to the linear
+:meth:`HostCalendar.busy_during_reference` scan.  The linear window
+search the equivalence tests check :meth:`ReservationBook.find_window`
+against lives in ``tests/oracles/metasched.py``.
 """
 
 from __future__ import annotations
@@ -86,21 +87,6 @@ class Reservation:
                 f"[{self.start:.1f}, {self.end:.1f}) {self.state}>")
 
 
-def _dedup_times(times: List[float]) -> List[float]:
-    """Sort and collapse instants within ``_EPS`` of each other.
-
-    Floats that differ by accumulated event noise are one candidate
-    start, not several; keeping them distinct made ``find_window``
-    re-scan every host for starts that cannot differ observably.
-    """
-    times.sort()
-    out = [times[0]]
-    for t in times[1:]:
-        if t > out[-1] + _EPS:
-            out.append(t)
-    return out
-
-
 class HostCalendar:
     """Non-overlapping reservations for a single host, sorted by start."""
 
@@ -112,18 +98,13 @@ class HostCalendar:
         self._starts: List[float] = []
         #: actual ends of claimed reservations (overrun detection)
         self._claim_ends: List[float] = []
-        #: monotone edit counter; any mutation bumps it (cache keys)
+        #: monotone edit counter; any mutation bumps it (view patching)
         self.mutations = 0
         #: shared with the owning book (see ReservationBook.calendar): one
-        #: book-wide edit counter that keys its free-now gap cache
+        #: book-wide edit counter that tells its views something changed
         self.version_cell = [0]
         #: released claims, as (job, start, release_time) — the audit log
         self.claim_history: List[Tuple[str, float, float]] = []
-        #: memo for :meth:`_effective_ends`
-        self._eff_cache: Tuple[int, float, float, List[float]] = (
-            -1, 0.0, 0.0, [])
-        #: memo for :meth:`first_live` — (mutations, now, index)
-        self._live_cache: Tuple[int, float, int] = (-1, 0.0, 0)
 
     # -- queries -----------------------------------------------------------
     def active(self) -> List[Reservation]:
@@ -145,22 +126,11 @@ class HostCalendar:
         """Effective end per live reservation, in start order.
 
         An overrunning claim (still running past its estimate) blocks
-        until ``now + grace``.  Cached per (state, now, grace): one
-        planning round asks for the same horizon many times.
+        until ``now + grace``.
         """
-        key = (self.mutations, now, grace)
-        cached = self._eff_cache
-        if cached[:3] == key:
-            return cached[3]
         horizon = now + grace
-        out = []
-        for resv in self._active:
-            r_end = resv.end
-            if resv.state == CLAIMED and r_end <= now + _EPS:
-                r_end = horizon
-            out.append(r_end)
-        self._eff_cache = (self.mutations, now, grace, out)
-        return out
+        return [horizon if resv.state == CLAIMED and resv.end <= now + _EPS
+                else resv.end for resv in self._active]
 
     def busy_during_reference(self, start: float, end: float,
                               now: float, grace: float) -> bool:
@@ -188,14 +158,8 @@ class HostCalendar:
         With no overrunning claim (callers check :meth:`has_overrun`),
         non-overlapping start-sorted intervals have (eps-)monotone
         ends, so ``[now, end)`` is busy iff
-        ``_starts[first_live(now)] < end - _EPS`` — which turns the
-        per-(host, job) probes of one planning round (all sharing
-        ``start = now``) into two comparisons after one cached bisect.
+        ``_starts[first_live(now)] < end - _EPS``.
         """
-        key = (self.mutations, now)
-        cached = self._live_cache
-        if cached[:2] == key:
-            return cached[2]
         lo, hi = 0, len(self._active)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -203,7 +167,6 @@ class HostCalendar:
                 hi = mid
             else:
                 lo = mid + 1
-        self._live_cache = (self.mutations, now, lo)
         return lo
 
     # -- mutation ----------------------------------------------------------
@@ -296,12 +259,74 @@ class HostCalendar:
         return problems
 
 
+class _CandidateView:
+    """The availability profile of one candidate tuple at one
+    ``(now, grace)``, in candidate order.
+
+    ``starts`` are the calendars' own start arrays (edited in place),
+    ``ends`` each host's effective ends, ``times`` one sorted multiset
+    of every host's effective ends, and ``gaps`` (built when
+    :meth:`ReservationBook.free_now` first asks) each host's free gap
+    at now, with ``sorted_gaps`` its ascending copy.  ``muts`` holds
+    the calendar edit counters the entries were computed at.
+    """
+
+    __slots__ = ("cals", "starts", "ends", "overrun", "muts", "times",
+                 "gaps", "sorted_gaps", "version")
+
+    def __init__(self, cals: List[HostCalendar], now: float, grace: float,
+                 version: int) -> None:
+        self.cals = cals
+        self.starts = [cal._starts for cal in cals]
+        self.ends = [cal._effective_ends(now, grace) for cal in cals]
+        self.overrun = [cal.has_overrun(now) for cal in cals]
+        self.muts = [cal.mutations for cal in cals]
+        self.times = sorted(t for ends in self.ends for t in ends)
+        self.gaps: Optional[List[float]] = None
+        self.sorted_gaps: List[float] = []
+        self.version = version
+
+    def _gap(self, i: int, now: float) -> float:
+        """Free time from ``now`` to host ``i``'s next live reservation;
+        zero while its own claim is overrunning (it holds the host
+        until ``now + grace``, so no window starts there)."""
+        if self.overrun[i]:
+            return 0.0
+        cal = self.cals[i]
+        k = cal.first_live(now)
+        return math.inf if k == len(cal._starts) else cal._starts[k] - now
+
+    def build_gaps(self, now: float) -> None:
+        self.gaps = [self._gap(i, now) for i in range(len(self.cals))]
+        self.sorted_gaps = sorted(self.gaps)
+
+    def patch(self, now: float, grace: float, version: int) -> None:
+        """Recompute the hosts whose calendar changed since the view
+        last looked, moving their entries in the sorted lists."""
+        times, gaps, sorted_gaps = self.times, self.gaps, self.sorted_gaps
+        for i, cal in enumerate(self.cals):
+            if cal.mutations == self.muts[i]:
+                continue
+            self.muts[i] = cal.mutations
+            for t in self.ends[i]:
+                del times[bisect_left(times, t)]
+            self.ends[i] = cal._effective_ends(now, grace)
+            for t in self.ends[i]:
+                insort(times, t)
+            self.overrun[i] = cal.has_overrun(now)
+            if gaps is not None:
+                del sorted_gaps[bisect_left(sorted_gaps, gaps[i])]
+                gaps[i] = self._gap(i, now)
+                insort(sorted_gaps, gaps[i])
+        self.version = version
+
+
 class ReservationBook:
     """The calendars of every host the metascheduler may book."""
 
     def __init__(self, hosts: Iterable[str] = ()) -> None:
         #: one shared edit counter: every calendar mutation bumps it, so
-        #: it keys :meth:`_now_gaps`' cache
+        #: a view whose recorded value still matches is up to date
         self._vcell = [0]
         self._calendars: Dict[str, HostCalendar] = {}
         for name in hosts:
@@ -309,9 +334,9 @@ class ReservationBook:
         #: optional :class:`~repro.sim.stats.KernelStats` sink for the
         #: ``meta_plan_window_probes`` counter (set by the service)
         self.stats: Optional[KernelStats] = None
-        #: memo for :meth:`_now_gaps` — (version, now, cands, gaps, ranked)
-        self._gap_cache: Optional[Tuple[int, float, Tuple[str, ...],
-                                        List[float], List[float]]] = None
+        #: one view per candidate tuple, all for ``(_view_now, _view_grace)``
+        self._views: Dict[Tuple[str, ...], _CandidateView] = {}
+        self._view_now = self._view_grace = math.nan
 
     def calendar(self, host: str) -> HostCalendar:
         cal = self._calendars.get(host)
@@ -349,16 +374,22 @@ class ReservationBook:
                 self.calendar(resv.host).release(resv, now)
 
     # -- planning ----------------------------------------------------------
-    def _candidate_times(self, not_before: float, candidates: Sequence[str],
-                         now: float, grace: float) -> List[float]:
-        """Merged, eps-deduplicated window-start candidates: ``not_before``
-        plus every later effective reservation end on any candidate."""
-        times = [not_before]
-        for host in candidates:
-            for t in self.calendar(host)._effective_ends(now, grace):
-                if t > not_before + _EPS:
-                    times.append(t)
-        return _dedup_times(times)
+    def _view(self, candidates: Sequence[str], now: float,
+              grace: float) -> _CandidateView:
+        """The up-to-date view of ``candidates`` at ``(now, grace)``."""
+        if now != self._view_now or grace != self._view_grace:  # simlint: ignore[SL005] — exact cache-key match, not a tolerance decision
+            self._views = {}
+            self._view_now = now
+            self._view_grace = grace
+        key = candidates if type(candidates) is tuple else tuple(candidates)
+        version = self._vcell[0]
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = _CandidateView(
+                [self.calendar(host) for host in key], now, grace, version)
+        elif view.version != version:
+            view.patch(now, grace, version)
+        return view
 
     def find_window(self, n_hosts: int, duration: float, not_before: float,
                     candidates: Sequence[str], now: float,
@@ -369,32 +400,28 @@ class ReservationBook:
         free for ``duration`` seconds.  ``None`` when no finite window
         exists (never happens while calendars hold finite intervals).
 
-        One merged sweep: the candidate starts of every host calendar
-        are collected once (deduplicated within ``_EPS``), and each
-        (start, host) feasibility probe is an O(log R) bisect.  The
-        result is identical to the linear-scan oracle in
-        ``tests/oracles/metasched.py`` — the equivalence suite asserts it.
+        Candidate starts are ``not_before`` and every later effective
+        end in the view, ascending, with instants within ``_EPS`` of
+        the previous start skipped.  The result is identical to the
+        linear-scan oracle in ``tests/oracles/metasched.py`` — the
+        equivalence suite asserts it.
         """
         if n_hosts < 1 or n_hosts > len(candidates):
             return None
-        times = self._candidate_times(not_before, candidates, now, grace)
-        # Monotone pointer sweep: candidate starts ascend, and a host
-        # with no overrunning claim has both its start and end arrays
-        # sorted — so one per-host cursor to its first still-live
-        # reservation advances monotonically across the whole sweep,
-        # making each (start, host) feasibility probe O(1) amortized.
-        # Overrun is a per-host condition (only that host's effective
-        # ends are rewritten to now + grace and stop being monotone),
-        # so only the few overrunning hosts fall back to the linear
-        # reference scan per probe.
-        cals = [self._calendars[host] for host in candidates]
-        overrun = [cal.has_overrun(now) for cal in cals]
-        starts_arrs = [cal._starts for cal in cals]
-        ends_arrs = [cal._effective_ends(now, grace) for cal in cals]
+        view = self._view(candidates, now, grace)
+        # Monotone pointer sweep: starts ascend, and a host with no
+        # overrunning claim has sorted start and end arrays, so a
+        # per-host cursor to its first still-live reservation only
+        # advances and each (start, host) probe is O(1) amortized.
+        # Only an overrunning host (whose effective ends are not
+        # monotone) falls back to the linear reference scan.
+        cals, overrun, times = view.cals, view.overrun, view.times
+        starts_arrs, ends_arrs = view.starts, view.ends
         ptrs = [0] * len(cals)
-        probes = 0
+        k = probes = 0
+        start = not_before
         try:
-            for start in times:
+            while True:
                 free: List[str] = []
                 end = start + duration
                 for i, host in enumerate(candidates):
@@ -415,7 +442,11 @@ class ReservationBook:
                     free.append(host)
                     if len(free) == n_hosts:
                         return start, free
-            return None
+                k = bisect_right(times, start + _EPS, k)
+                if k == len(times):
+                    return None
+                start = times[k]
+                k += 1
         finally:
             if self.stats is not None:
                 self.stats.meta_plan_window_probes += probes
@@ -430,27 +461,24 @@ class ReservationBook:
         (the ``start = not_before = now`` probe): when a job's only
         observable decision is "start immediately or stay blocked" —
         a backfill candidate behind a full reservation depth — this
-        answers it without sweeping any later windows.
+        answers it without sweeping any later windows.  The view's
+        ascending gap list answers the common backlogged case — "no
+        n-host window exists right now" — in one comparison.
         """
         if n_hosts < 1 or n_hosts > len(candidates):
             return None
-        # All of one round's probes share start = now, so each host's
-        # availability collapses to one number: the gap until its first
-        # live reservation begins (zero on a host whose claim is
-        # overrunning — it is occupied *at* now for any duration).
-        # Computed once per (version, now, candidate set); the
-        # descending-ranked copy answers the common backlogged case —
-        # "no n-host window exists right now" — in one comparison.
-        gaps, ranked = self._now_gaps(candidates, now)
+        view = self._view(candidates, now, grace)
+        if view.gaps is None:
+            view.build_gaps(now)
         stats = self.stats
         threshold = duration - _EPS
-        if ranked[n_hosts - 1] < threshold:
+        if view.sorted_gaps[-n_hosts] < threshold:
             if stats is not None:
                 stats.meta_plan_window_probes += 1
             return None
         probes = 0
         free: List[str] = []
-        for host, gap in zip(candidates, gaps):
+        for host, gap in zip(candidates, view.gaps):
             probes += 1
             if gap >= threshold:
                 free.append(host)
@@ -459,40 +487,6 @@ class ReservationBook:
         if stats is not None:
             stats.meta_plan_window_probes += probes
         return free
-
-    def _now_gaps(self, candidates: Sequence[str], now: float
-                  ) -> Tuple[List[float], List[float]]:
-        """Per-candidate free gap at ``now`` (preference order) plus a
-        descending-sorted copy.
-
-        A host whose own claim is overrunning has gap zero: the claim
-        occupies it from before ``now`` until ``now + grace``, so no
-        positive-duration window starts there.  Hosts without an
-        overrunning claim have monotone actual ends, so
-        :meth:`HostCalendar.first_live` applies.
-        """
-        cands = (candidates if isinstance(candidates, tuple)
-                 else tuple(candidates))
-        version = self._vcell[0]
-        cached = self._gap_cache
-        if (cached is not None and cached[0] == version
-                and cached[1] == now  # simlint: ignore[SL005] — exact cache-key match, not a tolerance decision
-                and (cached[2] is cands or cached[2] == cands)):
-            return cached[3], cached[4]
-        gaps: List[float] = []
-        for host in cands:
-            cal = self.calendar(host)
-            if cal.has_overrun(now):
-                gaps.append(0.0)
-                continue
-            k = cal.first_live(now)
-            if k == len(cal._starts):
-                gaps.append(math.inf)
-            else:
-                gaps.append(cal._starts[k] - now)
-        ranked = sorted(gaps, reverse=True)
-        self._gap_cache = (version, now, cands, gaps, ranked)
-        return gaps, ranked
 
     def unavailable_hosts(self, start: float,
                           end: float = math.inf) -> List[str]:

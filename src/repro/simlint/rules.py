@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -242,34 +243,71 @@ def _is_set_expr(node: ast.AST, set_names: Set[str]) -> bool:
     return False
 
 
-def _set_bound_names(scope: ast.AST) -> Set[str]:
-    """Names assigned a syntactically-set value anywhere in ``scope``
-    (own statements only, not nested function bodies)."""
+def _iterated_operands(node: ast.AST) -> List[ast.expr]:
+    """The expressions ``node`` iterates in order-sensitive ways."""
+    if isinstance(node, ast.For):
+        return [node.iter]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                         ast.DictComp)):
+        return [g.iter for g in node.generators]
+    if isinstance(node, ast.Call) and node.args:
+        func = node.func
+        if ((isinstance(func, ast.Name) and func.id in _ORDERED_CONSUMERS)
+                or (isinstance(func, ast.Attribute) and func.attr == "join")):
+            return [node.args[0]]
+    elif isinstance(node, ast.Starred):
+        return [node.value]
+    return []
+
+
+def _set_iterations(scope: ast.AST, outer: Tuple[Set[str], ...]
+                    ) -> Iterator[ast.expr]:
+    """Set iterations in ``scope`` (the module or one function), given
+    the set-bound names of its enclosing scopes, outermost first.
+
+    One breadth-first pass over the scope's own nodes, stopping at
+    nested function definitions, collects its assignments and
+    iteration sites.  The scope's set-bound names are the targets
+    assigned a syntactically-set value, in two passes so ``b = a``
+    after ``a = set()`` is caught.  A site is judged against each
+    enclosing scope's names, outermost first, and reports the operands
+    that match the first scope with any match.  Nested functions are
+    then visited with this scope's names appended.
+    """
+    assigns: List[Tuple[ast.expr, List[ast.expr]]] = []
+    sites: List[List[ast.expr]] = []
+    nested: List[ast.AST] = []
+    queue = deque(ast.iter_child_nodes(scope))
+    while queue:
+        node = queue.popleft()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nested.append(node)
+            continue
+        if isinstance(node, ast.Assign):
+            assigns.append((node.value, node.targets))
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            assigns.append((node.value, [node.target]))
+        elif isinstance(node, ast.AugAssign):
+            assigns.append((node.value, [node.target]))
+        iters = _iterated_operands(node)
+        if iters:
+            sites.append(iters)
+        queue.extend(ast.iter_child_nodes(node))
     names: Set[str] = set()
-    nested: Set[int] = set()
-    for node in ast.walk(scope):
-        if node is not scope and isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            for sub in ast.walk(node):
-                nested.add(id(sub))
-    # Two passes so `b = a` after `a = set()` is caught.
     for _ in range(2):
-        for node in ast.walk(scope):
-            if id(node) in nested:
-                continue
-            value = None
-            targets: List[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                value, targets = node.value, node.targets
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                value, targets = node.value, [node.target]
-            elif isinstance(node, ast.AugAssign):
-                value, targets = node.value, [node.target]
-            if value is not None and _is_set_expr(value, names):
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-    return names
+        for value, targets in assigns:
+            if _is_set_expr(value, names):
+                names.update(target.id for target in targets
+                             if isinstance(target, ast.Name))
+    chain = (*outer, names)
+    for iters in sites:
+        for set_names in chain:
+            hits = [it for it in iters if _is_set_expr(it, set_names)]
+            if hits:
+                yield from hits
+                break
+    for node in nested:
+        yield from _set_iterations(node, chain)
 
 
 @rule("SL003", ERROR,
@@ -279,35 +317,8 @@ def _set_bound_names(scope: ast.AST) -> Set[str]:
       "placement/allocation order and breaks byte-identical traces "
       "(dict iteration is insertion-ordered and exempt)")
 def check_set_iteration(tree: ast.Module, ctx: FileContext) -> RuleHits:
-    scopes: List[ast.AST] = [tree]
-    scopes.extend(n for n in ast.walk(tree)
-                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
-    seen: Set[int] = set()
-    for scope in scopes:
-        set_names = _set_bound_names(scope)
-        for node in ast.walk(scope):
-            if id(node) in seen:
-                continue
-            iters: List[ast.expr] = []
-            if isinstance(node, ast.For):
-                iters = [node.iter]
-            elif isinstance(node, (ast.ListComp, ast.SetComp,
-                                   ast.GeneratorExp, ast.DictComp)):
-                iters = [g.iter for g in node.generators]
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (isinstance(func, ast.Name)
-                        and func.id in _ORDERED_CONSUMERS and node.args):
-                    iters = [node.args[0]]
-                elif (isinstance(func, ast.Attribute) and func.attr == "join"
-                      and node.args):
-                    iters = [node.args[0]]
-            elif isinstance(node, ast.Starred):
-                iters = [node.value]
-            for it in iters:
-                if _is_set_expr(it, set_names):
-                    seen.add(id(node))
-                    yield it, "unordered iteration over a set"
+    for it in _set_iterations(tree, ()):
+        yield it, "unordered iteration over a set"
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ from repro.experiments.metasched_stream import run_metasched
 from repro.gis.directory import GridInformationService
 from repro.metasched import JobSpec, MetaScheduler, generate_stream
 from repro.metasched.jobs import build_workflow
-from repro.metasched.reservations import ReservationBook
+from repro.metasched.reservations import (RELEASED, RESERVED,
+                                         ReservationBook,
+                                         ReservationConflict)
 from repro.metasched.service import JobState
 from repro.microgrid.testbed import fig3_testbed
 from repro.nws.service import NetworkWeatherService
@@ -325,3 +327,79 @@ class TestWindowSearchEquivalence:
                     assert window == (now, free)
                 elif window is not None:
                     assert window[0] > now
+
+
+class TestCandidateViewPatching:
+    """Differential test for the book's candidate views: edits between
+    two calls at the same ``now`` (reserved, rolled-back, claimed and
+    released blocks) must be patched into the view that later calls
+    read.  Every ``find_window`` answer is checked against the linear
+    oracle, and every ``free_now`` answer against the oracle's first
+    probe."""
+
+    HOSTS = [f"h{i}" for i in range(7)]
+
+    def _ask(self, book, rng, orders, now, grace, seen):
+        order = rng.choice(orders)
+        cands = tuple(order) if rng.random() < 0.5 else list(order)
+        n = rng.randrange(1, len(order) + 1)
+        duration = rng.randrange(5, 200) * 1.0
+        not_before = now + rng.choice([0.0, 0.0, rng.randrange(1, 150)])
+        got = book.find_window(n, duration, not_before, cands, now, grace)
+        want = reference_find_window(book, n, duration, not_before,
+                                     list(order), now, grace)
+        assert got == want, (n, duration, not_before, now, grace, cands)
+        seen["later not_before"] += not_before > now
+        seen["overrun host"] += any(
+            book.calendar(host).has_overrun(now) for host in order)
+        free = book.free_now(n, duration, cands, now, grace)
+        first = reference_find_window(book, n, duration, now, list(order),
+                                      now, grace)
+        if free is None:
+            assert first is None or first[0] > now, (n, duration, now)
+        else:
+            assert first == (now, free), (n, duration, now)
+
+    def _edit(self, book, rng, blocks, now, k):
+        live = [b for b in blocks if any(r.state != RELEASED for r in b)]
+        claimable = [b for b in live
+                     if all(r.state == RESERVED and r.start <= now
+                            for r in b)]
+        roll = rng.random()
+        if roll < 0.25 and claimable:
+            # a block starting in the past may already be overrunning
+            book.claim_block(rng.choice(claimable), now)
+        elif roll < 0.45 and live:
+            block = rng.choice(live)
+            book.release_block(block, now)
+            blocks.remove(block)
+        else:
+            hosts = rng.sample(self.HOSTS, rng.randrange(1, 4))
+            start = now + rng.randrange(-120, 300)
+            end = start + rng.randrange(1, 150)
+            try:
+                blocks.append(book.reserve_block(f"e{k}", hosts, start, end))
+            except ReservationConflict:
+                pass  # rolled back: the calendars must read as before
+
+    def test_patched_views_match_the_oracle(self):
+        seen = {"later not_before": 0, "overrun host": 0}
+        for seed in range(10):
+            rng = random.Random(7000 + seed)
+            book = ReservationBook(self.HOSTS)
+            blocks = []
+            now = 0.0
+            for k in range(20):
+                self._edit(book, rng, blocks, now, k)
+            orders = [self.HOSTS[:], self.HOSTS[:]]
+            for rnd in range(8):
+                # two rounds in three repeat ``now``; ``grace``
+                # changes now and then, which must drop the views too;
+                # candidate orders mostly carry over from round to round
+                now += rng.choice([0.0, 0.0, rng.randrange(1, 120)])
+                grace = rng.choice([30.0, 30.0, 45.0])
+                rng.shuffle(rng.choice(orders))
+                for step in range(10):
+                    self._ask(book, rng, orders, now, grace, seen)
+                    self._edit(book, rng, blocks, now, 100 * rnd + step)
+        assert min(seen.values()) > 50, seen

@@ -9,9 +9,8 @@ from repro.metasched.reservations import (
     Reservation,
     ReservationBook,
     ReservationConflict,
-    _dedup_times,
 )
-from tests.oracles.metasched import reference_find_window
+from tests.oracles.metasched import _dedup_times, reference_find_window
 
 
 class TestReservation:
@@ -271,8 +270,8 @@ class TestIncrementalInternals:
         assert cal.first_live(60.0) == 3
 
     def test_free_now_tracks_every_mutation(self):
-        # free_now caches per-host gaps per (edit counter, now,
-        # candidates); every mutation kind must invalidate that cache.
+        # free_now reads each host's gap from the book's candidate view
+        # at (now, grace); every mutation kind must be patched into it.
         book = ReservationBook(["h1", "h2"])
         hosts = ("h1", "h2")
         now = 150.0

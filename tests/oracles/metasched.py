@@ -26,11 +26,26 @@ import pytest
 
 from repro.experiments import metasched_stream
 from repro.metasched import MetaScheduler
-from repro.metasched.reservations import _EPS, ReservationBook, _dedup_times
+from repro.metasched.reservations import _EPS, ReservationBook
 from repro.soak import runner as soak_runner
 
 __all__ = ["ReferenceMetaScheduler", "reference_find_window",
            "reference_planner"]
+
+
+def _dedup_times(times: List[float]) -> List[float]:
+    """Sort and collapse instants within ``_EPS`` of each other.
+
+    Floats that differ by accumulated event noise are one candidate
+    start, not several.  Greedy in ascending order, like the skip
+    rule of :meth:`ReservationBook.find_window`'s sweep.
+    """
+    times.sort()
+    out = [times[0]]
+    for t in times[1:]:
+        if t > out[-1] + _EPS:
+            out.append(t)
+    return out
 
 
 def reference_find_window(book: ReservationBook, n_hosts: int,

@@ -27,7 +27,8 @@ auditor check that the fault landed on the path it targets:
   hosts; the run waits out the outage with bounded backoff
   (retry waits, then a restart).
 * ``kill-crash-recover-churn.json`` — three 40 s outages of hosts the
-  job occupies; every one restarts from checkpoint.
+  job occupies; every one restarts from checkpoint, and every restore
+  resumes from the last checkpoint RSS published (step 6, then 9).
 
 All of them must now replay to zero violations and full quiescence —
 forever.  If one regresses, replay it interactively with
@@ -39,6 +40,7 @@ import os
 
 import pytest
 
+from repro.rescheduling import SRSLibrary
 from repro.soak import load_reproducer, run_with_checks
 
 REPRODUCER_DIR = os.path.join(os.path.dirname(__file__), "reproducers")
@@ -73,3 +75,29 @@ def test_kill_spec_replay_is_deterministic():
     spec = load_reproducer(
         os.path.join(REPRODUCER_DIR, "kill-host-death-mid-migration.json"))
     assert run_with_checks(spec) == run_with_checks(spec)
+
+
+def test_kill_restarts_resume_from_last_published_checkpoint(monkeypatch):
+    """A restore that hands back a superseded checkpoint still replays
+    clean (the srs ``expect`` floors only count recoveries), so pin the
+    step every restarted rank resumes from."""
+    restores = []
+    real_restore = SRSLibrary.restore
+
+    def restore(self, ctx, dataset, new_n_procs):
+        step = yield from real_restore(self, ctx, dataset, new_n_procs)
+        published = self.rss.checkpoint(dataset)
+        restores.append((dataset, step,
+                         None if published is None else published.progress))
+        return step
+
+    monkeypatch.setattr(SRSLibrary, "restore", restore)
+    spec = load_reproducer(
+        os.path.join(REPRODUCER_DIR, "kill-crash-recover-churn.json"))
+    assert run_with_checks(spec)["violations"] == []
+    stale = [entry for entry in restores if entry[1] != entry[2]]
+    assert stale == [], stale
+    for dataset in ("A", "B"):
+        steps = [step for name, step, _ in restores
+                 if name == dataset and step is not None]
+        assert steps == [6] * 4 + [9] * 8, (dataset, steps)
