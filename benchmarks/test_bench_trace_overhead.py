@@ -32,7 +32,7 @@ MAX_DISABLED_OVERHEAD = 1.05
 
 _FACTORIES = {
     "baseline": lambda: None,
-    "disabled": lambda: Tracer(enabled=False),
+    "disabled": lambda: Tracer(categories=()),
     "enabled": lambda: Tracer(categories=["kernel", "network"]),
 }
 
@@ -97,7 +97,7 @@ class TestDisabledOverhead:
 def test_bench_trace_overhead(benchmark):
     stats = benchmark.pedantic(
         lambda: run_substrate_bench(total_transfers=TRANSFERS,
-                                    tracer=Tracer(enabled=False)),
+                                    tracer=Tracer(categories=())),
         rounds=1, iterations=1)
     benchmark.extra_info["events_per_sec"] = round(stats["events_per_sec"])
     assert stats["transfers_completed"] == TRANSFERS

@@ -22,7 +22,6 @@ from ..scheduler.executor import ExecutionTrace, WorkflowExecutor
 from ..scheduler.scheduler import GradsWorkflowScheduler, SchedulingResult
 from ..scheduler.workflow import Workflow
 from ..sim.events import Event
-from ..contracts.autopilot import AutopilotManager
 from ..contracts.contract import PerformanceContract
 from ..contracts.monitor import ContractMonitor
 from ..gis.directory import GridInformationService
@@ -80,7 +79,6 @@ class GradsEnvironment:
                                         self.software,
                                         package_source=self.submission_host)
         self.launcher = Launcher(sim, grid.topology, self.gis)
-        self.autopilot = AutopilotManager(sim)
 
     # -- managed QR (the §4.1 pipeline) -----------------------------------------
     def managed_qr(self, benchmark: QrBenchmark,

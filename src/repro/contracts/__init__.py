@@ -1,6 +1,5 @@
 """Performance contracts and Autopilot-style monitoring."""
 
-from .autopilot import Actuator, AutopilotManager, Sensor, SensorReading
 from .contract import ContractViolation, PerformanceContract
 from .fuzzy import (
     FuzzyEngine,
@@ -13,8 +12,6 @@ from .monitor import ContractMonitor, MigrationRequest
 from .viewer import ContractViewer
 
 __all__ = [
-    "Actuator",
-    "AutopilotManager",
     "ContractMonitor",
     "ContractViewer",
     "ContractViolation",
@@ -23,8 +20,6 @@ __all__ = [
     "FuzzyVariable",
     "MigrationRequest",
     "PerformanceContract",
-    "Sensor",
-    "SensorReading",
     "Trapezoid",
     "contract_violation_engine",
 ]

@@ -28,9 +28,14 @@ import numpy as np
 from ..mpi.comm import MpiJob
 from ..sim.kernel import Simulator
 from .contract import ContractViolation, PerformanceContract
-from .fuzzy import FuzzyEngine, contract_violation_engine
+from .fuzzy import contract_violation_engine
 
 __all__ = ["MigrationRequest", "ContractMonitor"]
+
+#: headroom factor applied when the monitor renegotiates its limits
+#: after a declined migration (and divided out when it loosens the
+#: lower limit for an application running faster than contract)
+ADJUST_MARGIN = 1.2
 
 
 @dataclass(frozen=True)
@@ -49,24 +54,18 @@ class ContractMonitor:
 
     def __init__(self, sim: Simulator, contract: PerformanceContract,
                  rescheduler: Optional[Callable[[MigrationRequest], bool]] = None,
-                 fuzzy: Optional[FuzzyEngine] = None,
-                 window: int = 5, adjust_margin: float = 1.2) -> None:
+                 window: int = 5) -> None:
         """``rescheduler(request) -> bool`` returns True if it migrated.
 
-        ``window`` is how many recent ratios the confirmation average
-        uses; ``adjust_margin`` is the headroom factor applied when the
-        monitor renegotiates its limits after a declined migration.
+        ``window`` is how many recent ratios the confirmation average uses.
         """
         if window < 1:
             raise ValueError("window must be >= 1")
-        if adjust_margin < 1.0:
-            raise ValueError("adjust_margin must be >= 1")
         self.sim = sim
         self.contract = contract
         self.rescheduler = rescheduler
-        self.fuzzy = fuzzy if fuzzy is not None else contract_violation_engine()
+        self.fuzzy = contract_violation_engine()
         self.window = window
-        self.adjust_margin = adjust_margin
         # live tolerance limits (the contract's are the initial terms)
         self.upper = contract.upper
         self.lower = contract.lower
@@ -169,7 +168,7 @@ class ContractMonitor:
             # log an adjustment when the live limit actually moves — an
             # append for new_upper <= upper would make the adjustment
             # log disagree with self.upper.
-            new_upper = average * self.adjust_margin
+            new_upper = average * ADJUST_MARGIN
             if new_upper > self.upper:
                 self.limit_adjustments.append(
                     (self.sim.now, self.upper, new_upper))
@@ -186,12 +185,12 @@ class ContractMonitor:
                           ratio=ratio, average_ratio=average)
         # Running faster than contract: tighten limits downward so a
         # later slowdown back to the (poor) contract level is caught.
-        new_upper = max(average * self.adjust_margin, self.lower * 1.01)
+        new_upper = max(average * ADJUST_MARGIN, self.lower * 1.01)
         if new_upper < self.upper:
             self.limit_adjustments.append(
                 (self.sim.now, self.upper, new_upper))
             self.upper = new_upper
-        new_lower = average / self.adjust_margin
+        new_lower = average / ADJUST_MARGIN
         if new_lower < self.lower:
             self.limit_adjustments.append(
                 (self.sim.now, self.lower, new_lower))

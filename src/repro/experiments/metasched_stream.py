@@ -104,26 +104,6 @@ class MetaschedResult:
         return json.dumps(self.report(), sort_keys=True)
 
 
-def _job_row(state) -> dict:
-    spec = state.spec
-    return {
-        "name": spec.name,
-        "user": spec.user,
-        "kind": spec.kind,
-        "submit_time": spec.submit_time,
-        "n_hosts": spec.n_hosts,
-        "size": spec.size,
-        "status": state.status,
-        "reject_reason": state.reject_reason,
-        "error": state.error,
-        "started_at": state.started_at,
-        "finished_at": state.finished_at,
-        "queue_wait": state.queue_wait,
-        "hosts": list(state.hosts),
-        "backfilled": state.backfilled,
-    }
-
-
 #: per-cluster architectures for :func:`metasched_scale_grid` — all
 #: ia32 (every synthetic job kind can land anywhere), heterogeneous
 #: speeds so the fair-share planner has real choices.
@@ -192,7 +172,7 @@ def run_metasched(users: int = 4, arrival_rate: float = 1 / 120.0,
         users=users, arrival_rate=arrival_rate, duration=duration,
         seed=seed, max_jobs=max_jobs, finished_at=sim.now,
         n_hosts=n_hosts,
-        jobs=[_job_row(state) for state in service.states()],
+        jobs=[state.row() for state in service.states()],
         counters=sim.stats.snapshot(),
         conflicts=service.audit_conflicts())
 

@@ -24,6 +24,10 @@ from .jobs import JobSpec
 
 __all__ = ["AdmissionController"]
 
+#: the CPU forecast the ``n_hosts``-th best usable host must reach; a
+#: job whose hosts are all busier than this is rejected as overloaded
+MIN_FORECAST = 0.05
+
 
 class AdmissionController:
     """GIS/NWS-backed admission decisions."""
@@ -31,19 +35,15 @@ class AdmissionController:
     def __init__(self, gis: GridInformationService,
                  nws: NetworkWeatherService,
                  max_queue: Optional[int] = None,
-                 max_per_user: Optional[int] = None,
-                 min_forecast: float = 0.05) -> None:
+                 max_per_user: Optional[int] = None) -> None:
         if max_queue is not None and max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if max_per_user is not None and max_per_user < 1:
             raise ValueError("max_per_user must be >= 1")
-        if not 0.0 <= min_forecast <= 1.0:
-            raise ValueError("min_forecast must be in [0, 1]")
         self.gis = gis
         self.nws = nws
         self.max_queue = max_queue
         self.max_per_user = max_per_user
-        self.min_forecast = min_forecast
 
     # -- live resource state ------------------------------------------------
     def usable_hosts(self, spec: JobSpec) -> List[str]:
@@ -74,6 +74,6 @@ class AdmissionController:
             return False, "insufficient-resources"
         forecasts = sorted(
             (self.nws.cpu_forecast(name) for name in hosts), reverse=True)
-        if forecasts[spec.n_hosts - 1] < self.min_forecast:
+        if forecasts[spec.n_hosts - 1] < MIN_FORECAST:
             return False, "resources-overloaded"
         return True, ""

@@ -17,17 +17,15 @@ from .jobs import JobSpec
 
 __all__ = ["FairShareQueue"]
 
+#: priority credit per second queued; a job gains the full usage
+#: spread after ``1/AGING_WEIGHT`` seconds of waiting
+AGING_WEIGHT = 1e-4
+
 
 class FairShareQueue:
     """Queued specs ordered by fair-share priority (lower = sooner)."""
 
-    def __init__(self, aging_weight: float = 1e-4) -> None:
-        """``aging_weight`` converts queue-wait seconds into priority
-        credit; at the default a job gains the full usage spread after
-        ``1/aging_weight`` seconds of waiting."""
-        if aging_weight < 0:
-            raise ValueError("aging_weight must be non-negative")
-        self.aging_weight = aging_weight
+    def __init__(self) -> None:
         self._entries: List[tuple] = []  # (seq, spec)
         self._ticket = 0
         #: cpu-seconds each user has consumed so far
@@ -68,14 +66,14 @@ class FairShareQueue:
 
     def _key(self, seq: int, spec: JobSpec, now: float, scale: float):
         share = self.usage.get(spec.user, 0.0) / scale
-        aging = self.aging_weight * max(now - spec.submit_time, 0.0)
+        aging = AGING_WEIGHT * max(now - spec.submit_time, 0.0)
         return (share - aging - spec.priority, seq)
 
     def ordered(self, now: float) -> List[JobSpec]:
         """Queued specs in dispatch order at simulated time ``now``.
 
         The order is memoized between mutations: every queued job's
-        aging credit grows at the same ``aging_weight`` rate, so the
+        aging credit grows at the same :data:`AGING_WEIGHT` rate, so the
         *relative* ranking is invariant in ``now`` while the entry set,
         priorities and usage table are unchanged — only push/remove/
         charge can reorder, and each of those drops the cache.

@@ -19,15 +19,15 @@ Invariants (DESIGN.md §9):
   no two claims ever overlapped on any host;
 * a claimed reservation whose estimated ``end`` has passed while the
   job is still running occupies its hosts until released — planners
-  see an *effective* end pushed ``grace`` seconds past "now", which
-  bounds how often an overrun forces a re-plan.
+  see an *effective* end pushed :data:`GRACE_SECONDS` past "now",
+  which bounds how often an overrun forces a re-plan.
 
 The planning hot path (DESIGN.md §9.6): a calendar keeps its
 reservations bisect-sorted by start, so a conflict check or an insert
 costs O(log R) neighbour comparisons.  The book keeps one *candidate
-view* per candidate tuple for the current ``(now, grace)``: each
-host's effective ends (overrunning claims pushed ``grace`` past now),
-one sorted multiset of all of them, and, once
+view* per candidate tuple for the current ``now``: each host's
+effective ends (overrunning claims pushed :data:`GRACE_SECONDS` past
+now), one sorted multiset of all of them, and, once
 :meth:`ReservationBook.free_now` asks, each host's free gap at now.
 When the book's edit counter moves, the view patches only the hosts
 whose own edit counter moved (bisect out their old ends and gap,
@@ -54,6 +54,10 @@ __all__ = ["Reservation", "ReservationConflict", "HostCalendar",
 
 #: slack when comparing simulated times (floats accumulated over events)
 _EPS = 1e-9
+
+#: how far past "now" an overrunning claim is taken to block its host:
+#: the planner re-checks at that horizon instead of busy-waiting
+GRACE_SECONDS = 30.0
 
 #: reservation lifecycle states
 RESERVED = "reserved"
@@ -122,23 +126,23 @@ class HostCalendar:
             return False
         return self._claim_ends[0] <= now + _EPS
 
-    def _effective_ends(self, now: float, grace: float) -> List[float]:
+    def _effective_ends(self, now: float) -> List[float]:
         """Effective end per live reservation, in start order.
 
         An overrunning claim (still running past its estimate) blocks
-        until ``now + grace``.
+        until ``now + GRACE_SECONDS``.
         """
-        horizon = now + grace
+        horizon = now + GRACE_SECONDS
         return [horizon if resv.state == CLAIMED and resv.end <= now + _EPS
                 else resv.end for resv in self._active]
 
     def busy_during_reference(self, start: float, end: float,
-                              now: float, grace: float) -> bool:
+                              now: float) -> bool:
         """Is any live reservation in the way of ``[start, end)``?
 
         A claimed reservation that has outlived its estimate (the job is
-        still running past ``end``) blocks until ``now + grace``: the
-        planner re-checks at that horizon instead of busy-waiting.  A
+        still running past ``end``) blocks for :data:`GRACE_SECONDS`
+        more: the planner re-checks then instead of busy-waiting.  A
         linear scan; :meth:`ReservationBook.find_window` calls it only
         for hosts with an overrunning claim, whose effective ends are
         not monotone.
@@ -146,7 +150,7 @@ class HostCalendar:
         for resv in self._active:
             r_end = resv.end
             if resv.state == CLAIMED and r_end <= now + _EPS:
-                r_end = now + grace
+                r_end = now + GRACE_SECONDS
             if resv.start < end - _EPS and start < r_end - _EPS:
                 return True
         return False
@@ -260,8 +264,8 @@ class HostCalendar:
 
 
 class _CandidateView:
-    """The availability profile of one candidate tuple at one
-    ``(now, grace)``, in candidate order.
+    """The availability profile of one candidate tuple at one ``now``,
+    in candidate order.
 
     ``starts`` are the calendars' own start arrays (edited in place),
     ``ends`` each host's effective ends, ``times`` one sorted multiset
@@ -274,11 +278,11 @@ class _CandidateView:
     __slots__ = ("cals", "starts", "ends", "overrun", "muts", "times",
                  "gaps", "sorted_gaps", "version")
 
-    def __init__(self, cals: List[HostCalendar], now: float, grace: float,
+    def __init__(self, cals: List[HostCalendar], now: float,
                  version: int) -> None:
         self.cals = cals
         self.starts = [cal._starts for cal in cals]
-        self.ends = [cal._effective_ends(now, grace) for cal in cals]
+        self.ends = [cal._effective_ends(now) for cal in cals]
         self.overrun = [cal.has_overrun(now) for cal in cals]
         self.muts = [cal.mutations for cal in cals]
         self.times = sorted(t for ends in self.ends for t in ends)
@@ -289,7 +293,7 @@ class _CandidateView:
     def _gap(self, i: int, now: float) -> float:
         """Free time from ``now`` to host ``i``'s next live reservation;
         zero while its own claim is overrunning (it holds the host
-        until ``now + grace``, so no window starts there)."""
+        until ``now + GRACE_SECONDS``, so no window starts there)."""
         if self.overrun[i]:
             return 0.0
         cal = self.cals[i]
@@ -300,7 +304,7 @@ class _CandidateView:
         self.gaps = [self._gap(i, now) for i in range(len(self.cals))]
         self.sorted_gaps = sorted(self.gaps)
 
-    def patch(self, now: float, grace: float, version: int) -> None:
+    def patch(self, now: float, version: int) -> None:
         """Recompute the hosts whose calendar changed since the view
         last looked, moving their entries in the sorted lists."""
         times, gaps, sorted_gaps = self.times, self.gaps, self.sorted_gaps
@@ -310,7 +314,7 @@ class _CandidateView:
             self.muts[i] = cal.mutations
             for t in self.ends[i]:
                 del times[bisect_left(times, t)]
-            self.ends[i] = cal._effective_ends(now, grace)
+            self.ends[i] = cal._effective_ends(now)
             for t in self.ends[i]:
                 insort(times, t)
             self.overrun[i] = cal.has_overrun(now)
@@ -334,9 +338,9 @@ class ReservationBook:
         #: optional :class:`~repro.sim.stats.KernelStats` sink for the
         #: ``meta_plan_window_probes`` counter (set by the service)
         self.stats: Optional[KernelStats] = None
-        #: one view per candidate tuple, all for ``(_view_now, _view_grace)``
+        #: one view per candidate tuple, all for ``_view_now``
         self._views: Dict[Tuple[str, ...], _CandidateView] = {}
-        self._view_now = self._view_grace = math.nan
+        self._view_now = math.nan
 
     def calendar(self, host: str) -> HostCalendar:
         cal = self._calendars.get(host)
@@ -374,26 +378,23 @@ class ReservationBook:
                 self.calendar(resv.host).release(resv, now)
 
     # -- planning ----------------------------------------------------------
-    def _view(self, candidates: Sequence[str], now: float,
-              grace: float) -> _CandidateView:
-        """The up-to-date view of ``candidates`` at ``(now, grace)``."""
-        if now != self._view_now or grace != self._view_grace:  # simlint: ignore[SL005] — exact cache-key match, not a tolerance decision
+    def _view(self, candidates: Sequence[str], now: float) -> _CandidateView:
+        """The up-to-date view of ``candidates`` at ``now``."""
+        if now != self._view_now:  # simlint: ignore[SL005] — exact cache-key match, not a tolerance decision
             self._views = {}
             self._view_now = now
-            self._view_grace = grace
         key = candidates if type(candidates) is tuple else tuple(candidates)
         version = self._vcell[0]
         view = self._views.get(key)
         if view is None:
             view = self._views[key] = _CandidateView(
-                [self.calendar(host) for host in key], now, grace, version)
+                [self.calendar(host) for host in key], now, version)
         elif view.version != version:
-            view.patch(now, grace, version)
+            view.patch(now, version)
         return view
 
     def find_window(self, n_hosts: int, duration: float, not_before: float,
-                    candidates: Sequence[str], now: float,
-                    grace: float = 30.0
+                    candidates: Sequence[str], now: float
                     ) -> Optional[Tuple[float, List[str]]]:
         """Earliest ``(start, hosts)`` where ``n_hosts`` of the candidate
         list (tried in the given preference order) are simultaneously
@@ -408,7 +409,7 @@ class ReservationBook:
         """
         if n_hosts < 1 or n_hosts > len(candidates):
             return None
-        view = self._view(candidates, now, grace)
+        view = self._view(candidates, now)
         # Monotone pointer sweep: starts ascend, and a host with no
         # overrunning claim has sorted start and end arrays, so a
         # per-host cursor to its first still-live reservation only
@@ -427,8 +428,7 @@ class ReservationBook:
                 for i, host in enumerate(candidates):
                     probes += 1
                     if overrun[i]:
-                        if cals[i].busy_during_reference(start, end,
-                                                         now, grace):
+                        if cals[i].busy_during_reference(start, end, now):
                             continue
                     else:
                         ends = ends_arrs[i]
@@ -452,8 +452,8 @@ class ReservationBook:
                 self.stats.meta_plan_window_probes += probes
 
     def free_now(self, n_hosts: int, duration: float,
-                 candidates: Sequence[str], now: float,
-                 grace: float = 30.0) -> Optional[List[str]]:
+                 candidates: Sequence[str],
+                 now: float) -> Optional[List[str]]:
         """First ``n_hosts`` candidates (preference order) free for
         ``[now, now + duration)``, or ``None`` if fewer are free.
 
@@ -467,7 +467,7 @@ class ReservationBook:
         """
         if n_hosts < 1 or n_hosts > len(candidates):
             return None
-        view = self._view(candidates, now, grace)
+        view = self._view(candidates, now)
         if view.gaps is None:
             view.build_gaps(now)
         stats = self.stats

@@ -59,6 +59,14 @@ __all__ = ["MetaScheduler", "JobState"]
 
 _EPS = 1e-9
 
+#: advance reservations booked per planning round; jobs behind them
+#: only get a "free now?" probe (backfill)
+RESERVE_DEPTH = 4
+
+#: multiplier on the model runtime when sizing a reservation, so an
+#: estimate rarely undershoots and overruns its booking
+SAFETY_FACTOR = 2.0
+
 #: terminal job states
 _TERMINAL = ("rejected", "completed", "failed")
 
@@ -91,6 +99,19 @@ class JobState:
             return None
         return self.started_at - self.spec.submit_time
 
+    def row(self) -> dict:
+        """The job's line in the metasched and soak reports."""
+        spec = self.spec
+        return {
+            "name": spec.name, "user": spec.user, "kind": spec.kind,
+            "submit_time": spec.submit_time, "n_hosts": spec.n_hosts,
+            "size": spec.size, "status": self.status,
+            "reject_reason": self.reject_reason, "error": self.error,
+            "started_at": self.started_at, "finished_at": self.finished_at,
+            "queue_wait": self.queue_wait, "hosts": list(self.hosts),
+            "backfilled": self.backfilled,
+        }
+
 
 class MetaScheduler:
     """Queueing + admission control + reservations over one grid."""
@@ -99,18 +120,7 @@ class MetaScheduler:
                  gis: GridInformationService, nws: NetworkWeatherService,
                  submission_host: Optional[str] = None,
                  max_queue: Optional[int] = None,
-                 max_per_user: Optional[int] = None,
-                 min_forecast: float = 0.05,
-                 aging_weight: float = 1e-4,
-                 reserve_depth: int = 4,
-                 safety_factor: float = 2.0,
-                 grace_seconds: float = 30.0) -> None:
-        if reserve_depth < 1:
-            raise ValueError("reserve_depth must be >= 1")
-        if safety_factor < 1.0:
-            raise ValueError("safety_factor must be >= 1.0")
-        if grace_seconds <= 0:
-            raise ValueError("grace_seconds must be positive")
+                 max_per_user: Optional[int] = None) -> None:
         self.sim = sim
         self.grid = grid
         self.gis = gis
@@ -120,16 +130,12 @@ class MetaScheduler:
             raise ValueError("grid has no hosts")
         self.submission_host = submission_host or host_names[0]
         self.admission = AdmissionController(
-            gis, nws, max_queue=max_queue, max_per_user=max_per_user,
-            min_forecast=min_forecast)
-        self.queue = FairShareQueue(aging_weight=aging_weight)
+            gis, nws, max_queue=max_queue, max_per_user=max_per_user)
+        self.queue = FairShareQueue()
         self.book = ReservationBook(host_names)
         self.book.stats = sim.stats
         self.scheduler = GradsWorkflowScheduler(gis, nws)
         self.executor = WorkflowExecutor(sim, grid.topology, gis)
-        self.reserve_depth = reserve_depth
-        self.safety_factor = safety_factor
-        self.grace_seconds = grace_seconds
         self.jobs: Dict[str, JobState] = {}
         self.job_order: List[str] = []
         self._expected: Optional[int] = None
@@ -221,18 +227,16 @@ class MetaScheduler:
                 blocked = True
                 continue
             est = self._estimate(spec, cand)
-            if reservations_made >= self.reserve_depth:
+            if reservations_made >= RESERVE_DEPTH:
                 # Depth exhausted: the only observable decision left is
                 # "start immediately or stay blocked" — one probe.
-                free = book.free_now(spec.n_hosts, est, cand, now,
-                                     self.grace_seconds)
+                free = book.free_now(spec.n_hosts, est, cand, now)
                 if free is not None:
                     self._start_job(state, free, est, backfilled=blocked)
                 else:
                     blocked = True
                 continue
-            window = book.find_window(spec.n_hosts, est, now, cand, now,
-                                      self.grace_seconds)
+            window = book.find_window(spec.n_hosts, est, now, cand, now)
             if window is None:
                 blocked = True
                 continue
@@ -314,7 +318,7 @@ class MetaScheduler:
         total = workflow.total_mflop()
         critical = workflow.critical_path_mflop()
         parallel = max(total - critical, 0.0) / (speed * spec.n_hosts)
-        return self.safety_factor * (critical / speed + parallel) + 10.0
+        return SAFETY_FACTOR * (critical / speed + parallel) + 10.0
 
     # -- execution ---------------------------------------------------------
     def _start_job(self, state: JobState, hosts: Sequence[str], est: float,

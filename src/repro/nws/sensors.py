@@ -3,10 +3,9 @@
 Real NWS runs sensor daemons that periodically measure CPU availability
 on each host and probe bandwidth/latency between host pairs with small
 transfers.  We do the same inside the simulation: CPU sensors sample the
-host's processor-sharing state (with optional measurement noise);
-network sensors issue genuine probe transfers through the topology, so
-they observe — and very slightly cause — contention, exactly like the
-real tool.
+host's processor-sharing state; network sensors send genuine probe
+transfers through the topology, so they observe — and very slightly
+cause — contention, exactly like the real tool.
 
 A CPU reading is an instantaneous, side-effect-free look at the host,
 so CPU sensors need no process of their own: a :class:`CpuSensorSweep`
@@ -32,8 +31,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional
-
-import numpy as np
 
 from ..microgrid.host import Host
 from ..microgrid.network import Topology
@@ -100,18 +97,10 @@ class CpuSensor:
     """
 
     def __init__(self, sim: Simulator, host: Host, period: float = 10.0,
-                 noise_std: float = 0.0,
-                 rng: Optional[np.random.Generator] = None,
                  sweep: Optional[CpuSensorSweep] = None) -> None:
-        if noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
-        if noise_std > 0 and rng is None:
-            raise ValueError("noisy sensors need an rng")
         self.sim = sim
         self.host = host
         self.period = period
-        self.noise_std = noise_std
-        self.rng = rng
         #: the last HISTORY_LEN readings
         self.readings: Deque[Measurement] = deque(maxlen=HISTORY_LEN)
         self._listeners: list = []
@@ -125,11 +114,7 @@ class CpuSensor:
 
     def measure_once(self) -> Measurement:
         """Take a reading now: the sweep's tick, or an on-demand probe."""
-        value = self.host.availability()
-        if self.noise_std > 0:
-            value += float(self.rng.normal(0.0, self.noise_std))
-        value = min(max(value, 0.0), 1.0)
-        reading = Measurement(self.sim.now, value)
+        reading = Measurement(self.sim.now, self.host.availability())
         self.readings.append(reading)
         for listener in self._listeners:
             listener(reading)

@@ -134,7 +134,6 @@ class Rescheduler:
                  nws: NetworkWeatherService,
                  mode: str = "default",
                  worst_case_migration_seconds: Optional[float] = 900.0,
-                 min_benefit_seconds: float = 0.0,
                  migration_timeout_seconds: Optional[float] = None,
                  blacklist_seconds: Optional[float] = None,
                  reservations=None) -> None:
@@ -171,7 +170,6 @@ class Rescheduler:
         self.nws = nws
         self.mode = mode
         self.worst_case_migration_seconds = worst_case_migration_seconds
-        self.min_benefit_seconds = min_benefit_seconds
         self.migration_timeout_seconds = migration_timeout_seconds
         self.blacklist_seconds = blacklist_seconds
         self.reservations = reservations
@@ -179,7 +177,6 @@ class Rescheduler:
         #: migration attempts abandoned on failure or timeout
         self.aborted_migrations = 0
         self._apps: List[MigratableApp] = []
-        self._migrating: set = set()
         self._inflight: Dict[str, _Inflight] = {}
         self._migration_seq = 0
         self._blacklist: Dict[str, float] = {}  # host -> expiry sim-time
@@ -227,7 +224,7 @@ class Rescheduler:
             return True
         if self.mode == "force-stay":
             return False
-        return evaluation.benefit > self.min_benefit_seconds
+        return evaluation.profitable
 
     def _record_decision(self, record: DecisionRecord) -> None:
         self.decisions.append(record)
@@ -250,7 +247,7 @@ class Rescheduler:
     def handle_request(self, app: MigratableApp,
                        request: Optional[MigrationRequest] = None) -> bool:
         """Contract-violation path; returns True if a migration started."""
-        if app.name in self._migrating:
+        if app.name in self._inflight:
             return True  # already being moved; tell the monitor to stand by
         evaluation = self.evaluate(app)
         if evaluation is None:
@@ -287,7 +284,7 @@ class Rescheduler:
             for app in self._apps:
                 if app.finished is not None and app.finished.triggered:
                     continue
-                if app.name in self._migrating:
+                if app.name in self._inflight:
                     continue
                 evaluation = self.evaluate(app)
                 if evaluation is None:
@@ -336,7 +333,6 @@ class Rescheduler:
         """
         self._migration_seq += 1
         token = self._migration_seq
-        self._migrating.add(app.name)
         self._inflight[app.name] = _Inflight(
             token=token, new_hosts=tuple(new_hosts),
             evaluation=evaluation, trigger=trigger)
@@ -366,7 +362,6 @@ class Rescheduler:
             return
         if event.ok:
             del self._inflight[app_name]
-            self._migrating.discard(app_name)
             return
         event.defused = True
         self._abandon(app_name, token, "migration-failed",
@@ -383,7 +378,6 @@ class Rescheduler:
                  **trace_args) -> None:
         inflight = self._inflight.pop(app_name)
         assert inflight.token == token
-        self._migrating.discard(app_name)
         self.aborted_migrations += 1
         self._blacklist_hosts(inflight.new_hosts, reason)
         self._fault_instant(reason, app=app_name, **trace_args)

@@ -42,8 +42,8 @@ class Simulator:
     __slots__ = ("_now", "_agenda", "_seq", "_active_process", "stats",
                  "trace")
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._agenda: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None

@@ -81,8 +81,11 @@ def _suppressions(source: str) -> Tuple[Dict[int, Optional[Set[str]]],
 
     Returns ``(per_line, file_level)`` where each value is either None
     (suppress everything) or a set of rule ids; ``file_level`` is only
-    present when an ignore-file comment exists.
+    present when an ignore-file comment exists.  A file without the
+    ``simlint:`` marker that :data:`SUPPRESS_RE` needs is not tokenized.
     """
+    if "simlint:" not in source:
+        return {}, None
     per_line: Dict[int, Optional[Set[str]]] = {}
     file_level: Optional[Set[str]] = None
     file_suppressed_all = False
@@ -263,7 +266,12 @@ def discover_files(paths: Sequence[str]) -> List[Tuple[str, str]]:
     Relative paths are posix-style, relative to the directory argument
     that contained the file (or the file's own directory for direct
     file arguments), so reports and baselines are location-independent.
+    ``paths`` is a sequence of paths; one bare string is refused rather
+    than walked character by character.
     """
+    if isinstance(paths, str):
+        raise TypeError("paths must be a sequence of paths, not one str; "
+                        f"wrap it as [{paths!r}]")
     pairs: List[Tuple[str, str]] = []
     for path in paths:
         path = os.path.abspath(path)

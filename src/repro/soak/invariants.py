@@ -202,7 +202,7 @@ SRS_COUNTERS = ("aborted_migrations", "failures_recovered", "retry_waits")
 
 
 def _srs_hygiene(ctx) -> List[str]:
-    """No ``_migrating``/``_Inflight`` tokens survive the managed run.
+    """No ``_Inflight`` records survive the managed run.
 
     A lane that declares ``expect`` floors must also finish ``ok`` with
     every named recovery counter at or above its floor: that pins each
@@ -212,9 +212,6 @@ def _srs_hygiene(ctx) -> List[str]:
     if lane is None or not ctx.lanes["srs"].complete:
         return []
     out = []
-    if lane.rescheduler._migrating:
-        out.append("leaked _migrating tokens: "
-                   + ", ".join(sorted(lane.rescheduler._migrating)))
     if lane.rescheduler._inflight:
         out.append("leaked _Inflight records: "
                    + ", ".join(sorted(lane.rescheduler._inflight)))

@@ -333,19 +333,6 @@ def _apply_link(topology, op: dict) -> None:
                           latency=op["latency"])
 
 
-def _job_row(state) -> dict:
-    spec = state.spec
-    return {
-        "name": spec.name, "user": spec.user, "kind": spec.kind,
-        "submit_time": spec.submit_time, "n_hosts": spec.n_hosts,
-        "size": spec.size, "status": state.status,
-        "reject_reason": state.reject_reason, "error": state.error,
-        "started_at": state.started_at, "finished_at": state.finished_at,
-        "queue_wait": state.queue_wait, "hosts": list(state.hosts),
-        "backfilled": state.backfilled,
-    }
-
-
 def _horizon(spec: ScenarioSpec) -> float:
     """Earliest time by which every scheduled disturbance has played
     out — quiescing before this would skip the interesting part."""
@@ -442,7 +429,7 @@ def run_scenario(spec: ScenarioSpec, tracer=None) -> ScenarioOutcome:
         quiesced=ctx.quiesced,
         lanes={name: lanes[name].status for name in sorted(lanes)},
         violations=violations,
-        jobs=[_job_row(state) for state in service.states()],
+        jobs=[state.row() for state in service.states()],
         counters=counters)
 
 

@@ -91,9 +91,9 @@ class Tracer:
     """Collects trace records from one (or a sequence of) simulators."""
 
     def __init__(self, categories: Optional[Iterable[str]] = None,
-                 capacity: int = 1_000_000, enabled: bool = True) -> None:
+                 capacity: int = 1_000_000) -> None:
         """``categories=None`` enables everything in :data:`CATEGORIES`;
-        ``enabled=False`` builds a tracer whose ``active`` set is empty,
+        ``categories=()`` builds a tracer whose ``active`` set is empty,
         which is how the overhead benchmark measures the disabled path
         with the hooks still attached."""
         if capacity < 1:
@@ -103,10 +103,8 @@ class Tracer:
             if unknown:
                 raise ValueError(f"unknown trace categories {sorted(unknown)}; "
                                  f"have {list(CATEGORIES)}")
-        self.enabled = bool(enabled)
-        self.active: FrozenSet[str] = (
-            frozenset(CATEGORIES if categories is None else categories)
-            if enabled else frozenset())
+        self.active: FrozenSet[str] = frozenset(
+            CATEGORIES if categories is None else categories)
         self.capacity = capacity
         self.dropped = 0
         self.run = 0

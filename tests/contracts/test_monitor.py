@@ -1,13 +1,9 @@
-"""Tests for contracts, Autopilot plumbing, and the contract monitor."""
+"""Tests for performance contracts and the contract monitor."""
 
 import pytest
 
 from repro.sim import Simulator
-from repro.contracts import (
-    AutopilotManager,
-    ContractMonitor,
-    PerformanceContract,
-)
+from repro.contracts import ContractMonitor, PerformanceContract
 
 
 def contract(predicted=10.0, upper=1.5, lower=0.5):
@@ -40,41 +36,6 @@ class TestPerformanceContract:
         c = contract(predicted=10.0)
         c.update_terms(lambda p: 20.0)
         assert c.ratio(0, 20.0) == pytest.approx(1.0)
-
-
-class TestAutopilot:
-    def test_sensor_publish_and_subscribe(self):
-        sim = Simulator()
-        manager = AutopilotManager(sim)
-        sensor = manager.register_sensor("iter-time")
-        seen = []
-        manager.subscribe("iter-time", seen.append)
-        sensor.publish(3.5, rank=0)
-        assert [r.value for r in seen] == [3.5]
-        assert seen[0].attr("rank") == 0
-
-    def test_duplicate_sensor_rejected(self):
-        sim = Simulator()
-        manager = AutopilotManager(sim)
-        manager.register_sensor("s")
-        with pytest.raises(ValueError):
-            manager.register_sensor("s")
-
-    def test_actuator_roundtrip(self):
-        sim = Simulator()
-        manager = AutopilotManager(sim)
-        fired = []
-        manager.register_actuator("migrate", lambda why: fired.append(why))
-        manager.actuate("migrate", "load-spike")
-        assert fired == ["load-spike"]
-
-    def test_unknown_lookups_raise(self):
-        sim = Simulator()
-        manager = AutopilotManager(sim)
-        with pytest.raises(KeyError):
-            manager.sensor("ghost")
-        with pytest.raises(KeyError):
-            manager.actuate("ghost")
 
 
 class TestContractMonitor:
@@ -161,8 +122,6 @@ class TestContractMonitor:
         sim = Simulator()
         with pytest.raises(ValueError):
             ContractMonitor(sim, contract(), window=0)
-        with pytest.raises(ValueError):
-            ContractMonitor(sim, contract(), adjust_margin=0.5)
 
     def test_attach_job_reports_slowest_rank(self):
         """Bulk-synchronous phases are as slow as the slowest rank."""

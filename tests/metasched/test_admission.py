@@ -73,9 +73,10 @@ class TestAdmit:
             (False, "insufficient-resources")
 
     def test_overloaded_resources(self):
-        sim, grid, adm = build(min_forecast=0.5)
+        sim, grid, adm = build()
         for host in grid.all_hosts():
-            host.add_background_load(nprocs=host.cores * 3)
+            # availability cores / (20 * cores + 1) is below MIN_FORECAST
+            host.add_background_load(nprocs=host.cores * 20)
         sim.run(until=60.0)  # let CPU sensors observe the load
         admitted, reason = adm.admit(spec(n_hosts=12), 0, 0)
         assert (admitted, reason) == (False, "resources-overloaded")
@@ -91,5 +92,3 @@ class TestAdmit:
             AdmissionController(gis, nws, max_queue=0)
         with pytest.raises(ValueError):
             AdmissionController(gis, nws, max_per_user=0)
-        with pytest.raises(ValueError):
-            AdmissionController(gis, nws, min_forecast=1.5)

@@ -305,9 +305,9 @@ class TestWindowSearchEquivalence:
                 now = rng.randrange(0, 600) * 1.0
                 order = hosts[:]
                 rng.shuffle(order)
-                got = book.find_window(n, duration, now, order, now, 30.0)
+                got = book.find_window(n, duration, now, order, now)
                 want = reference_find_window(book, n, duration, now, order,
-                                             now, 30.0)
+                                             now)
                 assert got == want, (seed, trial, n, duration, now, order)
 
     def test_free_now_is_the_immediate_probe(self):
@@ -320,9 +320,9 @@ class TestWindowSearchEquivalence:
                 now = rng.randrange(0, 600) * 1.0
                 order = hosts[:]
                 rng.shuffle(order)
-                free = book.free_now(n, duration, order, now, 30.0)
+                free = book.free_now(n, duration, order, now)
                 window = reference_find_window(book, n, duration, now,
-                                               order, now, 30.0)
+                                               order, now)
                 if free is not None:
                     assert window == (now, free)
                 elif window is not None:
@@ -339,22 +339,22 @@ class TestCandidateViewPatching:
 
     HOSTS = [f"h{i}" for i in range(7)]
 
-    def _ask(self, book, rng, orders, now, grace, seen):
+    def _ask(self, book, rng, orders, now, seen):
         order = rng.choice(orders)
         cands = tuple(order) if rng.random() < 0.5 else list(order)
         n = rng.randrange(1, len(order) + 1)
         duration = rng.randrange(5, 200) * 1.0
         not_before = now + rng.choice([0.0, 0.0, rng.randrange(1, 150)])
-        got = book.find_window(n, duration, not_before, cands, now, grace)
+        got = book.find_window(n, duration, not_before, cands, now)
         want = reference_find_window(book, n, duration, not_before,
-                                     list(order), now, grace)
-        assert got == want, (n, duration, not_before, now, grace, cands)
+                                     list(order), now)
+        assert got == want, (n, duration, not_before, now, cands)
         seen["later not_before"] += not_before > now
         seen["overrun host"] += any(
             book.calendar(host).has_overrun(now) for host in order)
-        free = book.free_now(n, duration, cands, now, grace)
+        free = book.free_now(n, duration, cands, now)
         first = reference_find_window(book, n, duration, now, list(order),
-                                      now, grace)
+                                      now)
         if free is None:
             assert first is None or first[0] > now, (n, duration, now)
         else:
@@ -393,13 +393,11 @@ class TestCandidateViewPatching:
                 self._edit(book, rng, blocks, now, k)
             orders = [self.HOSTS[:], self.HOSTS[:]]
             for rnd in range(8):
-                # two rounds in three repeat ``now``; ``grace``
-                # changes now and then, which must drop the views too;
-                # candidate orders mostly carry over from round to round
+                # two rounds in three repeat ``now``; candidate orders
+                # mostly carry over from round to round
                 now += rng.choice([0.0, 0.0, rng.randrange(1, 120)])
-                grace = rng.choice([30.0, 30.0, 45.0])
                 rng.shuffle(rng.choice(orders))
                 for step in range(10):
-                    self._ask(book, rng, orders, now, grace, seen)
+                    self._ask(book, rng, orders, now, seen)
                     self._edit(book, rng, blocks, now, 100 * rnd + step)
         assert min(seen.values()) > 50, seen

@@ -27,16 +27,17 @@ class TestFairShareQueue:
         assert [s.name for s in q.ordered(0.0)] == ["light-job", "hog-job"]
 
     def test_aging_overcomes_usage_spread(self):
-        q = FairShareQueue(aging_weight=1e-3)
+        q = FairShareQueue()
         q.charge("hog", 5000.0)
         q.push(spec("hog-job", "hog", submit=0.0))
-        q.push(spec("light-job", "light", submit=1000.0))
-        # Fresh at t=1000, the light user still goes... nowhere: the hog
-        # job has waited 1000 s, its aging credit 1.0 cancels its full
+        q.push(spec("light-job", "light", submit=10000.0))
+        # Fresh at t=10000, the light user still goes... nowhere: the hog
+        # job has waited 10000 s, its aging credit 1.0 cancels its full
         # normalized usage, and the FIFO tie-break puts it first again.
-        assert [s.name for s in q.ordered(1000.0)] == ["hog-job", "light-job"]
+        assert [s.name for s in q.ordered(10000.0)] == \
+            ["hog-job", "light-job"]
         # Before the credit accrued, the light user outranked it.
-        q2 = FairShareQueue(aging_weight=1e-3)
+        q2 = FairShareQueue()
         q2.charge("hog", 5000.0)
         q2.push(spec("hog-job", "hog", submit=0.0))
         q2.push(spec("light-job", "light", submit=0.0))
@@ -60,10 +61,6 @@ class TestFairShareQueue:
         assert len(q) == 1
         with pytest.raises(KeyError):
             q.remove("a")
-
-    def test_negative_aging_weight_rejected(self):
-        with pytest.raises(ValueError):
-            FairShareQueue(aging_weight=-1.0)
 
     def test_specs_preserves_arrival_order(self):
         q = FairShareQueue()

@@ -80,12 +80,11 @@ class TestHostCalendar:
         resv = cal.reserve("a", 0.0, 100.0)
         cal.claim(resv, 0.0)
         # The job overran its estimate: at t=200 the claim still blocks,
-        # but only until now + grace.
-        assert cal.busy_during_reference(200.0, 210.0, now=200.0, grace=30.0)
-        assert not cal.busy_during_reference(231.0, 240.0, now=200.0,
-                                             grace=30.0)
-        assert book.find_window(1, 10.0, 200.0, ["h"], 200.0,
-                                30.0) == (230.0, ["h"])
+        # but only until now + GRACE_SECONDS (30 s).
+        assert cal.busy_during_reference(200.0, 210.0, now=200.0)
+        assert not cal.busy_during_reference(231.0, 240.0, now=200.0)
+        assert book.find_window(1, 10.0, 200.0, ["h"],
+                                200.0) == (230.0, ["h"])
 
     def test_audit_catches_manufactured_overlap(self):
         cal = HostCalendar("h")
@@ -218,17 +217,17 @@ class TestOverrunHorizons:
         cal.claim(running, 0.0)
         cal.reserve("future", 400.0, 500.0)
         # At t=200 the claim has overrun: its effective end is
-        # now + grace, while the untouched booking keeps its real end.
-        # Both are candidate window starts.
-        assert book.find_window(1, 100.0, 200.0, ["h"], 200.0,
-                                30.0) == (230.0, ["h"])
-        assert book.find_window(1, 200.0, 200.0, ["h"], 200.0,
-                                30.0) == (500.0, ["h"])
+        # now + GRACE_SECONDS, while the untouched booking keeps its
+        # real end.  Both are candidate window starts.
+        assert book.find_window(1, 100.0, 200.0, ["h"],
+                                200.0) == (230.0, ["h"])
+        assert book.find_window(1, 200.0, 200.0, ["h"],
+                                200.0) == (500.0, ["h"])
         # Before the estimate elapsed, both ends are the real ones.
-        assert book.find_window(1, 100.0, 50.0, ["h"], 50.0,
-                                30.0) == (100.0, ["h"])
-        assert book.find_window(1, 350.0, 50.0, ["h"], 50.0,
-                                30.0) == (500.0, ["h"])
+        assert book.find_window(1, 100.0, 50.0, ["h"],
+                                50.0) == (100.0, ["h"])
+        assert book.find_window(1, 350.0, 50.0, ["h"],
+                                50.0) == (500.0, ["h"])
 
     def test_has_overrun_is_per_host(self):
         book = ReservationBook(["h1", "h2"])
@@ -271,7 +270,7 @@ class TestIncrementalInternals:
 
     def test_free_now_tracks_every_mutation(self):
         # free_now reads each host's gap from the book's candidate view
-        # at (now, grace); every mutation kind must be patched into it.
+        # at ``now``; every mutation kind must be patched into it.
         book = ReservationBook(["h1", "h2"])
         hosts = ("h1", "h2")
         now = 150.0

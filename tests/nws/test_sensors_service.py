@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import RngRegistry, Simulator
+from repro.sim import Simulator
 from repro.microgrid import ScheduledLoad, fig3_testbed, fig4_testbed
 from repro.nws import (CpuSensor, CpuSensorSweep, NetworkSensor,
                        NetworkWeatherService)
@@ -31,21 +31,6 @@ class TestCpuSensor:
         assert all(v == pytest.approx(1.0) for v in before)
         # 4 background procs on 2 cores: a 5th task would get 2/5 core.
         assert all(v == pytest.approx(0.4) for v in after)
-
-    def test_noisy_sensor_clamped_to_unit_interval(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        rng = RngRegistry(seed=3).stream("sensor")
-        sensor = CpuSensor(sim, grid.clusters["utk"][0], period=1.0,
-                           noise_std=0.5, rng=rng)
-        sim.run(until=100.0)
-        assert all(0.0 <= r.value <= 1.0 for r in sensor.readings)
-
-    def test_noise_requires_rng(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        with pytest.raises(ValueError):
-            CpuSensor(sim, grid.clusters["utk"][0], noise_std=0.1)
 
     def test_bad_period_rejected(self):
         sim = Simulator()

@@ -26,6 +26,7 @@ import pytest
 
 from repro.experiments import metasched_stream
 from repro.metasched import MetaScheduler
+from repro.metasched.service import RESERVE_DEPTH
 from repro.metasched.reservations import _EPS, ReservationBook
 from repro.soak import runner as soak_runner
 
@@ -50,8 +51,7 @@ def _dedup_times(times: List[float]) -> List[float]:
 
 def reference_find_window(book: ReservationBook, n_hosts: int,
                           duration: float, not_before: float,
-                          candidates: Sequence[str], now: float,
-                          grace: float = 30.0
+                          candidates: Sequence[str], now: float
                           ) -> Optional[Tuple[float, List[str]]]:
     """The pre-overhaul window search: every candidate start is
     re-checked against every host calendar with the linear busy
@@ -62,13 +62,13 @@ def reference_find_window(book: ReservationBook, n_hosts: int,
         return None
     times = [not_before]
     for host in candidates:
-        for t in book.calendar(host)._effective_ends(now, grace):
+        for t in book.calendar(host)._effective_ends(now):
             if t > not_before + _EPS:
                 times.append(t)
     for start in _dedup_times(times):
         free = [host for host in candidates
                 if not book.calendar(host).busy_during_reference(
-                    start, start + duration, now, grace)]
+                    start, start + duration, now)]
         if len(free) >= n_hosts:
             return start, free[:n_hosts]
     return None
@@ -96,8 +96,7 @@ class ReferenceMetaScheduler(MetaScheduler):
                 continue
             est = self._estimate_seconds(spec, candidates)
             window = reference_find_window(
-                self.book, spec.n_hosts, est, now, candidates, now,
-                self.grace_seconds)
+                self.book, spec.n_hosts, est, now, candidates, now)
             if window is None:
                 blocked = True
                 continue
@@ -106,7 +105,7 @@ class ReferenceMetaScheduler(MetaScheduler):
                 self._start_job(state, hosts, est, backfilled=blocked)
             else:
                 blocked = True
-                if reservations_made < self.reserve_depth:
+                if reservations_made < RESERVE_DEPTH:
                     state.planned = self.book.reserve_block(
                         spec.name, hosts, start, start + est)
                     reservations_made += 1

@@ -18,7 +18,6 @@ import contextlib
 from collections import deque
 from typing import Deque, Iterator, Optional
 
-import numpy as np
 import pytest
 
 from repro.microgrid.host import Host
@@ -36,20 +35,12 @@ class ReferenceCpuSensor:
     service's deployment code runs unchanged."""
 
     def __init__(self, sim: Simulator, host: Host, period: float = 10.0,
-                 noise_std: float = 0.0,
-                 rng: Optional[np.random.Generator] = None,
                  sweep: object = None) -> None:
         if period <= 0:
             raise ValueError("sensor period must be positive")
-        if noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
-        if noise_std > 0 and rng is None:
-            raise ValueError("noisy sensors need an rng")
         self.sim = sim
         self.host = host
         self.period = period
-        self.noise_std = noise_std
-        self.rng = rng
         self.readings: Deque[Measurement] = deque(maxlen=HISTORY_LEN)
         self._listeners: list = []
         sim.process(self._run(), name=f"cpusensor:{host.name}")
@@ -58,11 +49,7 @@ class ReferenceCpuSensor:
         self._listeners.append(callback)
 
     def measure_once(self) -> Measurement:
-        value = self.host.availability()
-        if self.noise_std > 0:
-            value += float(self.rng.normal(0.0, self.noise_std))
-        value = min(max(value, 0.0), 1.0)
-        reading = Measurement(self.sim.now, value)
+        reading = Measurement(self.sim.now, self.host.availability())
         self.readings.append(reading)
         for listener in self._listeners:
             listener(reading)

@@ -148,15 +148,6 @@ class TestModes:
         resched = Rescheduler(sim, gis, nws, mode="force-migrate")
         assert resched.handle_request(app, request(sim)) is True
 
-    def test_min_benefit_threshold(self):
-        sim, gis, nws = env()
-        app = FakeApp(sim, remaining_current=100.0, remaining_new=40.0,
-                      cost=10.0)  # benefit 50
-        resched = Rescheduler(sim, gis, nws, mode="default",
-                              worst_case_migration_seconds=None,
-                              min_benefit_seconds=60.0)
-        assert resched.handle_request(app, request(sim)) is False
-
     def test_inflight_migration_not_duplicated(self):
         sim, gis, nws = env()
         app = FakeApp(sim)
@@ -186,7 +177,7 @@ class TestFailureHardening:
             Rescheduler(sim, gis, nws, blacklist_seconds=-1.0)
 
     def test_sync_migrate_exception_abandons_and_blacklists(self):
-        """app.migrate() raising must not leave the app in _migrating."""
+        """app.migrate() raising must not leave the app in _inflight."""
         sim, gis, nws = env()
         app = FakeApp(sim)
 
@@ -196,7 +187,7 @@ class TestFailureHardening:
         app.migrate = bad_migrate
         resched = Rescheduler(sim, gis, nws, mode="force-migrate")
         assert resched.handle_request(app, request(sim)) is False
-        assert resched._migrating == set()
+        assert resched._inflight == {}
         assert resched.aborted_migrations == 1
         assert resched.decisions[-1].trigger == "migration-failed"
         assert resched.decisions[-1].migrated is False
@@ -209,10 +200,10 @@ class TestFailureHardening:
         app.migrate = lambda new_hosts: failing
         resched = Rescheduler(sim, gis, nws, mode="force-migrate")
         assert resched.handle_request(app, request(sim)) is True
-        assert "fake" in resched._migrating
+        assert "fake" in resched._inflight
         sim.call_after(1.0, lambda: failing.fail(RuntimeError("host died")))
         sim.run(until=5.0)
-        assert resched._migrating == set()
+        assert resched._inflight == {}
         assert resched.aborted_migrations == 1
         assert resched.decisions[-1].trigger == "migration-failed"
         # a later request can start a fresh attempt
@@ -228,7 +219,7 @@ class TestFailureHardening:
                               migration_timeout_seconds=10.0)
         assert resched.handle_request(app, request(sim)) is True
         sim.run(until=20.0)
-        assert resched._migrating == set()
+        assert resched._inflight == {}
         assert resched.aborted_migrations == 1
         assert resched.decisions[-1].trigger == "migration-timeout"
         assert resched.blacklisted_hosts() == ["uiuc.n0", "uiuc.n1"]
@@ -246,7 +237,7 @@ class TestFailureHardening:
         sim.call_after(30.0, lambda: stuck.succeed(["uiuc.n0"]))
         sim.run(until=40.0)
         assert resched.aborted_migrations == 1
-        assert resched._migrating == set()
+        assert resched._inflight == {}
 
     def test_timely_migration_cancels_timeout(self):
         sim, gis, nws = env()
@@ -256,7 +247,7 @@ class TestFailureHardening:
         assert resched.handle_request(app, request(sim)) is True
         sim.run(until=20.0)
         assert resched.aborted_migrations == 0
-        assert resched._migrating == set()
+        assert resched._inflight == {}
         assert resched.blacklisted_hosts() == []
 
     def test_blacklist_expires(self):

@@ -17,11 +17,6 @@ def test_clock_starts_at_zero():
     assert sim.now == 0.0
 
 
-def test_clock_custom_start():
-    sim = Simulator(start_time=42.0)
-    assert sim.now == 42.0
-
-
 def test_timeout_advances_clock():
     sim = Simulator()
     sim.timeout(5.0)
@@ -382,7 +377,9 @@ def test_call_at_schedules_absolute_time():
 
 
 def test_call_at_in_past_rejected():
-    sim = Simulator(start_time=10.0)
+    sim = Simulator()
+    sim.timeout(10.0)
+    sim.run()
     with pytest.raises(ValueError):
         sim.call_at(5.0, lambda: None)
 

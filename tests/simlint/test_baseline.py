@@ -90,6 +90,13 @@ def test_identical_lines_get_distinct_fingerprints(tmp_path):
     assert new == [] and len(old) == 2
 
 
+def test_bare_string_path_rejected():
+    # A str is a sequence of one-character paths; an absolute one
+    # would start by walking "/".
+    with pytest.raises(TypeError, match="not one str"):
+        lint_paths("tests/simlint/fixtures")
+
+
 def test_load_rejects_malformed_documents(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"version": 99, "findings": {}}))

@@ -146,7 +146,7 @@ class TestSchedulerTraceParity:
 class TestDisabledTracerBehaviour:
     def test_disabled_tracer_changes_nothing(self):
         baseline = run_fig4(n_iterations=15)
-        traced = run_fig4(n_iterations=15, tracer=Tracer(enabled=False))
+        traced = run_fig4(n_iterations=15, tracer=Tracer(categories=()))
         assert traced.finished_at == baseline.finished_at
         assert traced.stats["events_processed"] == \
             baseline.stats["events_processed"]

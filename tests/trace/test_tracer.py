@@ -15,7 +15,6 @@ class TestConstruction:
     def test_defaults_enable_every_category(self):
         tracer = Tracer()
         assert tracer.active == frozenset(CATEGORIES)
-        assert tracer.enabled
 
     def test_category_subset(self):
         tracer = Tracer(categories=["network", "contract"])
@@ -26,9 +25,8 @@ class TestConstruction:
             Tracer(categories=["network", "bogus"])
 
     def test_disabled_tracer_has_empty_active_set(self):
-        tracer = Tracer(enabled=False)
+        tracer = Tracer(categories=())
         assert tracer.active == frozenset()
-        assert not tracer.enabled
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -88,7 +86,7 @@ class TestRecording:
         assert tracer.records[0].cat == "network"
 
     def test_disabled_tracer_records_nothing(self):
-        tracer, _sim = bound_tracer(enabled=False)
+        tracer, _sim = bound_tracer(categories=())
         tracer.instant("meta", "mark")
         tracer.complete("network", "flow", ts=0.0, dur=1.0)
         assert len(tracer) == 0
