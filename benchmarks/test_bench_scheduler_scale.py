@@ -4,7 +4,7 @@ The ``classesbymra`` stage of the EMAN refinement round fans out to
 hundreds of independent tasks; the pre-overhaul list scheduler
 re-evaluated every (task, resource) completion time from scratch each
 round — O(T²·R) Python-level NWS calls.  This benchmark times the
-incremental array-backed engine against the reference oracle
+incremental list-backed engine against the reference oracle
 (``tests/oracles/heuristics.py``) on that exact shape and asserts both the speedup floor and that the
 two engines emit placement-for-placement identical schedules in the
 same run (speed must not buy a different answer).

@@ -15,17 +15,19 @@ modern reference point) ride on the same machinery so comparisons are
 apples-to-apples.
 
 :class:`_FastBuilder` implements that machinery behind every
-``HEURISTICS`` entry.  It is array-backed and incremental: each task's
-data-ready vector is computed once when the task becomes ready
+``HEURISTICS`` entry.  It is list-backed and incremental: each task's
+data-ready row is computed once when the task becomes ready
 (readiness guarantees predecessor placements are final), NWS transfer
 forecasts are memoised per (src, dst) pair (forecasts are frozen while
-a schedule is being built), completion times are evaluated as
-vectorized rows, and after each commit only the single changed
-resource column is rescored.  Readiness itself is event-driven via
-per-component completion counts instead of a full rescan.  Property
-tests check it against the from-scratch oracle in
-``tests/oracles/heuristics.py``: placement-for-placement identical
-schedules and byte-identical ``scheduler`` trace spans.
+a schedule is being built), and after each commit only the single
+changed resource column is rescored.  Readiness itself is event-driven
+via per-component completion counts instead of a full rescan.  Its
+state is Python lists of floats, not numpy arrays: the metascheduler
+sends matrices of about six tasks by three resources, where a numpy
+call costs more than the arithmetic it does.  Property tests check it
+against the from-scratch oracle in ``tests/oracles/heuristics.py``:
+placement-for-placement identical schedules and byte-identical
+``scheduler`` trace spans.
 """
 
 from __future__ import annotations
@@ -147,20 +149,23 @@ _SCORED = ("min-min", "max-min", "sufferage", "heft")
 
 
 class _FastBuilder:
-    """Incremental array-backed engine behind every ``HEURISTICS`` entry.
+    """Incremental list-backed engine behind every ``HEURISTICS`` entry.
 
     Three invariants carry the speedup (DESIGN §3.1):
 
-    * A task's data-ready vector is fixed the moment the task becomes
+    * A task's data-ready row is fixed the moment the task becomes
       ready: readiness requires every predecessor component to be fully
       committed, so predecessor finish times and locations are final.
-      The vector is computed once, as a numpy row over all resources.
+      The row is computed once per component, over all resources.
     * NWS forecasts are frozen while a schedule is being built (no
       simulated time passes), so per-(src, dst) latency/bandwidth pairs
       are memoised and any transfer volume prices as ``lat + n/bw``.
     * A commit changes exactly one resource's availability, so only
       completion times in that column move — and only rows whose best
       or second-best completion lived in that column need re-ranking.
+
+    The state is Python lists of floats: on the ~6 × 3 matrices the
+    metascheduler sends, a numpy call costs more than its arithmetic.
     """
 
     def __init__(self, workflow: Workflow, matrix: RankMatrix,
@@ -182,11 +187,11 @@ class _FastBuilder:
         comps = workflow.components()
         self._comps = comps
         comp_index = {c.name: k for k, c in enumerate(comps)}
-        self.comp_of = np.empty(self.n_tasks, dtype=np.intp)
+        self.comp_of: List[int] = []
         self.comp_tasks: List[List[int]] = [[] for _ in comps]
         for i, task in enumerate(tasks):
             k = comp_index[task.component.name]
-            self.comp_of[i] = k
+            self.comp_of.append(k)
             self.comp_tasks[k].append(i)
         self._pred_comps = [
             [comp_index[p.name] for p in workflow.predecessors(c.name)]
@@ -197,43 +202,48 @@ class _FastBuilder:
         self._pending = [len(preds) for preds in self._pred_comps]
         self._done = [0] * len(comps)
 
-        self.ecosts = matrix.ecosts
+        self.ecosts: List[List[float]] = matrix.ecosts.tolist()
         # Entry components pay their static dcost column (fixed data
         # sources recorded by the rank matrix); downstream components
-        # get data movement dynamically through the data-ready vector,
-        # so their column must not double count.
-        self.extra = np.zeros_like(matrix.dcosts)
+        # get data movement dynamically through the data-ready row, so
+        # their column must not double count.
+        dcosts = matrix.dcosts.tolist()
+        zeros = [0.0] * self.n_resources
+        self.extra: List[List[float]] = [zeros] * self.n_tasks
         for k in range(len(comps)):
             if not self._pred_comps[k]:
                 for i in self.comp_tasks[k]:
-                    self.extra[i] = matrix.dcosts[i]
+                    self.extra[i] = dcosts[i]
+        # Trace spans carry each placement's rank; read it as a float
+        # only when someone records them.
+        self._values: Optional[List[List[float]]] = (
+            matrix.values.tolist() if self.trace is not None else None)
 
-        self.free = np.zeros(self.n_resources)
-        self.finish = np.zeros(self.n_tasks)
-        self.loc = np.full(self.n_tasks, -1, dtype=np.intp)
-        self.dr = np.zeros((self.n_tasks, self.n_resources))
-        self.ct = np.full((self.n_tasks, self.n_resources), np.inf)
-        self.best_j = np.full(self.n_tasks, -1, dtype=np.intp)
-        self.best_ct = np.full(self.n_tasks, np.inf)
-        self.second_j = np.full(self.n_tasks, -1, dtype=np.intp)
-        self.second_ct = np.full(self.n_tasks, np.inf)
+        self.free = [0.0] * self.n_resources
+        self.finish = [0.0] * self.n_tasks
+        self.loc = [-1] * self.n_tasks
+        # data-ready and completion-time rows, set when a task is ready
+        self.dr: List[List[float]] = [[]] * self.n_tasks
+        self.ct: List[List[float]] = [[]] * self.n_tasks
+        self.best_j = [-1] * self.n_tasks
+        self.best_ct = [math.inf] * self.n_tasks
+        self.second_j = [-1] * self.n_tasks
+        self.second_ct = [math.inf] * self.n_tasks
         self.ready: List[int] = []
         self._committed = 0
         self._needs_ct = False
-        self._transfer_memo: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._transfer_memo: Dict[int, Tuple[List[float], List[float]]] = {}
 
     # -- frozen-forecast memo ------------------------------------------------
-    def _transfer_rows(self, src: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(latency, bandwidth) vectors from resource ``src`` to all."""
+    def _transfer_rows(self, src: int) -> Tuple[List[float], List[float]]:
+        """(latency, bandwidth) rows from resource ``src`` to all."""
         rows = self._transfer_memo.get(src)
         if rows is None:
             src_name = self.resource_names[src]
-            lat = np.empty(self.n_resources)
-            bw = np.empty(self.n_resources)
+            lat = [0.0] * self.n_resources
+            bw = [math.inf] * self.n_resources
             for j, dst_name in enumerate(self.resource_names):
-                if j == src:
-                    lat[j], bw[j] = 0.0, math.inf
-                else:
+                if j != src:
                     lat[j], bw[j] = self.nws.transfer_params(src_name,
                                                              dst_name)
             rows = (lat, bw)
@@ -243,24 +253,25 @@ class _FastBuilder:
         return rows
 
     # -- readiness -----------------------------------------------------------
-    def _data_ready_row(self, k: int) -> np.ndarray:
+    def _data_ready_row(self, k: int) -> List[float]:
         """When component ``k``'s inputs can be present, per resource.
 
-        All tasks of a component share one data-ready vector: the
-        formula only involves the component's predecessors and volume.
+        All tasks of a component share one data-ready row: the formula
+        only involves the component's predecessors and volume.
         """
         preds = self._pred_comps[k]
-        ready = np.zeros(self.n_resources)
+        ready = [0.0] * self.n_resources
         if not preds:
             return ready
         volume = self._comps[k].input_bytes_per_task
+        finish = self.finish
         for p in preds:
             pred = self._comps[p]
             share = volume / pred.n_tasks if volume > 0 else 0.0
             idxs = self.comp_tasks[p]
             if share <= 0:
-                latest = max(self.finish[i] for i in idxs)
-                np.maximum(ready, latest, out=ready)
+                latest = max(finish[i] for i in idxs)
+                ready = [latest if latest > r else r for r in ready]
                 continue
             # Group predecessor tasks by location: tasks sharing a
             # source see one transfer-cost row, and max(finish) + cost
@@ -268,16 +279,19 @@ class _FastBuilder:
             # monotone, so max commutes with it).
             latest_from: Dict[int, float] = {}
             for i in idxs:
-                src = int(self.loc[i])
-                done = self.finish[i]
+                src = self.loc[i]
+                done = finish[i]
                 prev = latest_from.get(src)
                 if prev is None or done > prev:
                     latest_from[src] = done
             for src, latest in latest_from.items():
                 lat, bw = self._transfer_rows(src)
-                cost = lat + share / bw
-                cost[src] = 0.0  # no transfer when data is already local
-                np.maximum(ready, latest + cost, out=ready)
+                for j in range(self.n_resources):
+                    # no transfer when data is already local
+                    arrive = (latest if j == src
+                              else latest + (lat[j] + share / bw[j]))
+                    if arrive > ready[j]:
+                        ready[j] = arrive
         return ready
 
     def _activate(self, k: int) -> None:
@@ -288,56 +302,59 @@ class _FastBuilder:
             self.dr[i] = row
             insort(self.ready, i)
         if self._needs_ct:
+            free = self.free
             for i in idxs:
-                self.ct[i] = (np.maximum(self.free, row)
-                              + self.ecosts[i] + self.extra[i])
+                self.ct[i] = [(max(f, d) + e) + x for f, d, e, x in
+                              zip(free, row, self.ecosts[i], self.extra[i])]
                 self._rescore(i)
             self.stats.sched_evaluations += len(idxs) * self.n_resources
 
     # -- scoring -------------------------------------------------------------
     def _rescore(self, i: int) -> None:
-        """Recompute best/second-best completion for task ``i``'s row."""
+        """Recompute best/second-best completion for task ``i``'s row.
+
+        Best is the row's first minimum; second-best is the first
+        minimum once the best column reads infinity.
+        """
         row = self.ct[i]
-        j = int(np.argmin(row))
-        best = row[j]
-        if not np.isfinite(best):
+        best = min(row)
+        if not math.isfinite(best):
             raise ScheduleError(
                 f"task {self.names[i]} has no eligible resource")
+        j = row.index(best)
         self.best_j[i] = j
         self.best_ct[i] = best
         if self.n_resources == 1:
             self.second_j[i] = -1
-            self.second_ct[i] = np.inf
+            self.second_ct[i] = math.inf
             return
-        saved = row[j]
-        row[j] = np.inf
-        j2 = int(np.argmin(row))
-        self.second_j[i] = j2
-        self.second_ct[i] = row[j2]
-        row[j] = saved
+        row[j] = math.inf
+        second = min(row)
+        self.second_j[i] = row.index(second)
+        self.second_ct[i] = second
+        row[j] = best
 
     def _select_scored(self, name: str,
-                       upward: Optional[np.ndarray]) -> int:
+                       upward: Optional[List[float]]) -> int:
         """Pick the next task for the completion-time-driven rules."""
-        ridx = np.fromiter(self.ready, dtype=np.intp, count=len(self.ready))
-        if name == "min-min":
-            vals = self.best_ct[ridx]
-            tied = ridx[vals == vals.min()]
-        elif name == "max-min":
-            vals = self.best_ct[ridx]
-            tied = ridx[vals == vals.max()]
+        ready = self.ready
+        if name == "heft":
+            comp_of = self.comp_of
+            vals = [upward[comp_of[i]] for i in ready]
         elif name == "sufferage":
-            vals = self.second_ct[ridx] - self.best_ct[ridx]
-            tied = ridx[vals == vals.max()]
-        else:  # heft: upward rank, ties toward the largest task name
-            vals = upward[self.comp_of[ridx]]
-            tied = ridx[vals == vals.max()]
-            if len(tied) > 1:
-                return max((self.names[i], int(i)) for i in tied)[1]
-            return int(tied[0])
-        if len(tied) > 1:  # ties break toward the smallest task name
-            return min((self.names[i], int(i)) for i in tied)[1]
-        return int(tied[0])
+            best_ct, second_ct = self.best_ct, self.second_ct
+            vals = [second_ct[i] - best_ct[i] for i in ready]
+        else:
+            best_ct = self.best_ct
+            vals = [best_ct[i] for i in ready]
+        target = min(vals) if name == "min-min" else max(vals)
+        tied = [i for i, v in zip(ready, vals) if v == target]
+        if len(tied) == 1:
+            return tied[0]
+        if name == "heft":  # upward rank ties toward the largest task name
+            return max((self.names[i], i) for i in tied)[1]
+        # ties break toward the smallest task name
+        return min((self.names[i], i) for i in tied)[1]
 
     def _eligible(self, i: int) -> List[int]:
         eligible = self.matrix.eligible_resources(i)
@@ -348,40 +365,39 @@ class _FastBuilder:
 
     # -- committing ----------------------------------------------------------
     def _commit(self, i: int, j: int) -> None:
-        record = self.matrix.resources[j]
-        start = float(max(self.free[j], self.dr[i, j]))
-        finish = float(start + self.ecosts[i, j] + self.extra[i, j])
+        record_name = self.resource_names[j]
+        start = max(self.free[j], self.dr[i][j])
+        finish = start + self.ecosts[i][j] + self.extra[i][j]
         name = self.names[i]
         self.schedule.placements[name] = Placement(
-            task=self.tasks[i], resource=record.name,
+            task=self.tasks[i], resource=record_name,
             est_start=start, est_finish=finish)
         if self.trace is not None:
             self.trace.complete(
                 "scheduler", f"task:{name}", ts=start,
-                dur=finish - start, host=record.name,
+                dur=finish - start, host=record_name,
                 heuristic=self.schedule.heuristic,
-                rank=self.matrix.rank(i, j))
+                rank=self._values[i][j])
         self.free[j] = finish
         self.finish[i] = finish
         self.loc[i] = j
-        self.ready.remove(i)
+        ready = self.ready
+        ready.remove(i)
         self._committed += 1
         # Only column j moved, and availability only grows: rows whose
         # best/second lived elsewhere keep their ranking (their other
         # columns are untouched and j can only have become worse).
-        if self._needs_ct and self.ready:
-            ridx = np.fromiter(self.ready, dtype=np.intp,
-                               count=len(self.ready))
-            self.ct[ridx, j] = (np.maximum(self.free[j], self.dr[ridx, j])
-                                + self.ecosts[ridx, j] + self.extra[ridx, j])
-            self.stats.sched_evaluations += len(ridx)
-            stale = ridx[(self.best_j[ridx] == j)
-                         | (self.second_j[ridx] == j)]
-            for r in stale:
-                self._rescore(int(r))
+        if self._needs_ct and ready:
+            ct, dr, ecosts, extra = self.ct, self.dr, self.ecosts, self.extra
+            best_j, second_j = self.best_j, self.second_j
+            self.stats.sched_evaluations += len(ready)
+            for r in ready:
+                ct[r][j] = (max(finish, dr[r][j]) + ecosts[r][j]) + extra[r][j]
+                if best_j[r] == j or second_j[r] == j:
+                    self._rescore(r)
         # Event-driven readiness: a fully committed component unlocks
-        # its successors, whose data-ready vectors are now final.
-        k = int(self.comp_of[i])
+        # its successors, whose data-ready rows are now final.
+        k = self.comp_of[i]
         self._done[k] += 1
         if self._done[k] == self._comps[k].n_tasks:
             for s in self._succ_comps[k]:
@@ -397,7 +413,7 @@ class _FastBuilder:
         upward = None
         if name == "heft":
             by_comp = _heft_upward_ranks(self.workflow, self.matrix)
-            upward = np.array([by_comp[c.name] for c in self._comps])
+            upward = [by_comp[c.name] for c in self._comps]
         for k in range(len(self._comps)):
             if self._pending[k] == 0:
                 self._activate(k)
@@ -416,7 +432,7 @@ class _FastBuilder:
                 j = min(self._eligible(i), key=lambda jj: (free[jj], jj))
             else:
                 i = self._select_scored(name, upward)
-                j = int(self.best_j[i])
+                j = self.best_j[i]
             self._commit(i, j)
         if self.trace is not None:
             self.trace.instant("scheduler", f"heuristic:{name}",

@@ -23,7 +23,14 @@ from ..microgrid.host import Architecture, CacheLevel
 from ..nws.service import NetworkWeatherService
 from .workflow import Task, Workflow
 
-__all__ = ["RankMatrix", "build_rank_matrix", "ecost", "dcost"]
+__all__ = ["RankMatrix", "build_rank_matrix", "ecost", "dcost",
+           "RANK_W1", "RANK_W2"]
+
+#: The §3.1 weights of ``rank = w1 * ecost + w2 * dcost``.  Every
+#: experiment ranks with both at 1, so execution and data-movement
+#: seconds count alike.
+RANK_W1 = 1.0
+RANK_W2 = 1.0
 
 
 def _record_arch(record: ResourceRecord) -> Architecture:
@@ -43,9 +50,15 @@ def ecost(task: Task, record: ResourceRecord,
     arch = _record_arch(record)
     if not component.model.eligible(component.problem_size, arch):
         return math.inf
-    availability = nws.cpu_forecast(record.name)
+    return _exec_seconds(task, record, arch, nws.cpu_forecast(record.name))
+
+
+def _exec_seconds(task: Task, record: ResourceRecord, arch: Architecture,
+                  availability: float) -> float:
+    """``ecost`` of an eligible cell, given the resource's forecast."""
     if availability <= 0:
         return math.inf
+    component = task.component
     per_task_mflop = task.mflop()
     flop_seconds = per_task_mflop / (record.mflops * availability)
     memory_seconds = component.model.memory_seconds(
@@ -110,29 +123,43 @@ class RankMatrix:
 def build_rank_matrix(workflow: Workflow, gis: GridInformationService,
                       nws: NetworkWeatherService,
                       data_sources: Optional[Dict[str, List[str]]] = None,
-                      w1: float = 1.0, w2: float = 1.0,
                       resources: Optional[Sequence[ResourceRecord]] = None,
                       ) -> RankMatrix:
     """Compute rank(c, r) for every task/resource pair.
 
     ``data_sources`` maps component name -> host names holding its
     input data (default: unknown, dcost = 0 — pure compute ranking).
-    ``w1``/``w2`` are the §3.1 weights.
+
+    Each cell equals ``ecost``/``dcost`` bit for bit, but a resource's
+    ``Architecture`` is built once and its CPU forecast read once per
+    build: forecasts are frozen while the matrix is built (no simulated
+    time passes).  The read happens at the resource's first eligible
+    cell in row-major order, where the per-cell ``ecost`` walk made it,
+    because on a host with no data yet it is an on-demand probe that
+    feeds the forecast series.
     """
-    if w1 < 0 or w2 < 0:
-        raise ValueError("rank weights must be non-negative")
     records = list(resources) if resources is not None else gis.resources()
     if not records:
         raise ValueError("no resources to rank against")
+    archs = [_record_arch(record) for record in records]
+    availability: List[Optional[float]] = [None] * len(records)
     tasks = workflow.tasks()
     n, m = len(tasks), len(records)
     e = np.zeros((n, m))
     d = np.zeros((n, m))
     for i, task in enumerate(tasks):
-        sources = (data_sources or {}).get(task.component.name, [])
+        component = task.component
+        sources = (data_sources or {}).get(component.name, [])
         for j, record in enumerate(records):
-            e[i, j] = ecost(task, record, nws)
+            arch = archs[j]
+            if component.model.eligible(component.problem_size, arch):
+                avail = availability[j]
+                if avail is None:
+                    avail = availability[j] = nws.cpu_forecast(record.name)
+                e[i, j] = _exec_seconds(task, record, arch, avail)
+            else:
+                e[i, j] = math.inf
             d[i, j] = dcost(task, record, nws, sources)
-    values = w1 * e + w2 * d
+    values = RANK_W1 * e + RANK_W2 * d
     return RankMatrix(tasks=tasks, resources=records, values=values,
                       ecosts=e, dcosts=d)

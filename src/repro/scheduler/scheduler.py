@@ -35,12 +35,9 @@ class GradsWorkflowScheduler:
     """min(makespan) over {min-min, max-min, sufferage} mappings."""
 
     def __init__(self, gis: GridInformationService,
-                 nws: NetworkWeatherService,
-                 w1: float = 1.0, w2: float = 1.0) -> None:
+                 nws: NetworkWeatherService) -> None:
         self.gis = gis
         self.nws = nws
-        self.w1 = w1
-        self.w2 = w2
 
     def schedule(self, workflow: Workflow,
                  data_sources: Optional[Dict[str, List[str]]] = None,
@@ -53,7 +50,7 @@ class GradsWorkflowScheduler:
         """
         matrix = build_rank_matrix(
             workflow, self.gis, self.nws, data_sources=data_sources,
-            w1=self.w1, w2=self.w2, resources=resources)
+            resources=resources)
         candidates: Dict[str, Schedule] = {}
         for heuristic in (min_min, max_min, sufferage):
             schedule = heuristic(workflow, matrix, self.nws)

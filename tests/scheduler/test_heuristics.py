@@ -1,5 +1,6 @@
 """Tests for ranking and the scheduling heuristics."""
 
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from repro.scheduler import (
     Workflow,
     WorkflowComponent,
     build_rank_matrix,
+    dcost,
+    ecost,
     fifo_schedule,
     heft_schedule,
     max_min,
@@ -25,6 +28,7 @@ from repro.scheduler import (
     random_schedule,
     sufferage,
 )
+from repro.scheduler.ranking import RANK_W1, RANK_W2
 
 
 def env(grid_fn=fig3_testbed):
@@ -101,26 +105,95 @@ class TestRankMatrix:
         assert with_data.values[0, utk] - bare.values[0, utk] < 5.0
 
     def test_weights_scale_components(self):
+        """rank = RANK_W1 * ecost + RANK_W2 * dcost with both weights 1,
+        so the matrix is the exact sum of its two components."""
         sim, grid, gis, nws = env()
         wf = Workflow("w")
         wf.add_component(comp("c", in_bytes=10e6))
-        sources = {"c": ["utk.n0"]}
-        m11 = build_rank_matrix(wf, gis, nws, data_sources=sources)
-        m10 = build_rank_matrix(wf, gis, nws, data_sources=sources, w2=0.0)
-        m01 = build_rank_matrix(wf, gis, nws, data_sources=sources, w1=0.0)
-        assert np.allclose(m11.values, m10.values + m01.values)
-
-    def test_negative_weight_rejected(self):
-        sim, grid, gis, nws = env()
-        wf = fan_workflow(2)
-        with pytest.raises(ValueError):
-            build_rank_matrix(wf, gis, nws, w1=-1.0)
+        wf.add_component(comp("big", memory_required=600 << 20))
+        matrix = build_rank_matrix(wf, gis, nws,
+                                   data_sources={"c": ["utk.n0"]})
+        assert RANK_W1 == RANK_W2 == 1.0
+        assert np.isinf(matrix.values).any()
+        assert np.array_equal(matrix.values, matrix.ecosts + matrix.dcosts)
 
     def test_no_resources_rejected(self):
         sim, grid, gis, nws = env()
         wf = fan_workflow(2)
         with pytest.raises(ValueError):
             build_rank_matrix(wf, GridInformationService(), nws)
+
+
+class CountingNws:
+    """An NWS stand-in that counts ``cpu_forecast`` reads per host."""
+
+    def __init__(self, nws):
+        self._nws = nws
+        self.cpu_reads = Counter()
+
+    def cpu_forecast(self, host_name):
+        self.cpu_reads[host_name] += 1
+        return self._nws.cpu_forecast(host_name)
+
+    def __getattr__(self, name):
+        return getattr(self._nws, name)
+
+
+class TestRankMatrixForecastReads:
+    """One CPU forecast read per eligible resource per build, and cells
+    equal to the per-cell ``ecost``/``dcost`` bit for bit."""
+
+    @staticmethod
+    def mixed_workflow():
+        # "big" needs 600 MB, so the 512 MB UIUC hosts are ineligible
+        # for its rows and first become eligible in "small"'s rows.
+        wf = Workflow("mixed")
+        wf.add_component(comp("big", n_tasks=2, in_bytes=3e6,
+                              memory_required=600 << 20))
+        wf.add_component(comp("small", n_tasks=3, in_bytes=2e6))
+        wf.add_dependence("big", "small")
+        return wf
+
+    @staticmethod
+    def assert_cells_match(matrix, nws, sources):
+        for i, task in enumerate(matrix.tasks):
+            srcs = sources.get(task.component.name, [])
+            for j, record in enumerate(matrix.resources):
+                e = ecost(task, record, nws)
+                d = dcost(task, record, nws, srcs)
+                assert matrix.ecosts[i, j] == e, (task.name, record.name)
+                assert matrix.dcosts[i, j] == d, (task.name, record.name)
+                assert matrix.values[i, j] == e + d, (task.name, record.name)
+
+    def test_one_read_per_eligible_resource(self):
+        sim, grid, gis, nws = env()
+        wf = self.mixed_workflow()
+        sources = {"big": ["utk.n0"]}
+        hosts = [r.name for r in gis.resources()]
+        # No sweep has run: every first read is an on-demand probe.
+        assert all(nws.cpu_forecaster(h).predict() is None for h in hosts)
+        for _build in range(2):  # probes first, then forecasts
+            counting = CountingNws(nws)
+            matrix = build_rank_matrix(wf, gis, counting,
+                                       data_sources=sources)
+            assert counting.cpu_reads == Counter(hosts)
+            self.assert_cells_match(matrix, nws, sources)
+        assert all(nws.cpu_forecaster(h).predict() is not None
+                   for h in hosts)
+
+    def test_ineligible_resources_are_not_read(self):
+        sim, grid, gis, nws = env()
+        wf = Workflow("big")
+        wf.add_component(comp("big", n_tasks=3,
+                              memory_required=600 << 20))
+        counting = CountingNws(nws)
+        matrix = build_rank_matrix(wf, gis, counting)
+        eligible = {matrix.resources[j].name
+                    for i in range(len(matrix.tasks))
+                    for j in matrix.eligible_resources(i)}
+        assert eligible and len(eligible) < len(matrix.resources)
+        assert counting.cpu_reads == Counter(eligible)
+        self.assert_cells_match(matrix, nws, {})
 
 
 class TestHeuristics:
