@@ -120,8 +120,8 @@ def run_soak(seed: int = 0, scenarios: Optional[int] = None,
 
 def _lane_cell(lanes: dict) -> str:
     tags = []
-    for key, label in (("metasched", "meta"), ("services", "svc"),
-                       ("swap", "swap"), ("srs", "srs")):
+    for key, label in (("metasched", "meta"), ("swap", "swap"),
+                       ("srs", "srs")):
         status = lanes[key]
         if status == "absent":
             continue

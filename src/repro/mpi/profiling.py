@@ -10,7 +10,6 @@ contract monitor compares their deltas against model predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 __all__ = ["RankCounters"]
 
@@ -27,19 +26,3 @@ class RankCounters:
     comm_seconds: float = 0.0
     iterations: int = 0
 
-    def snapshot(self) -> Dict[str, float]:
-        """A copy suitable for delta computation by sensors."""
-        return {
-            "mflop": self.mflop,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "messages_sent": float(self.messages_sent),
-            "messages_received": float(self.messages_received),
-            "comm_seconds": self.comm_seconds,
-            "iterations": float(self.iterations),
-        }
-
-    def delta_since(self, previous: Dict[str, float]) -> Dict[str, float]:
-        """Counter increments since a prior :meth:`snapshot`."""
-        current = self.snapshot()
-        return {key: current[key] - previous.get(key, 0.0) for key in current}

@@ -172,9 +172,3 @@ class NetworkSensor:
             for listener in self._listeners:
                 listener("bandwidth", bw_reading)
                 listener("latency", lat_reading)
-
-    def latest_bandwidth(self) -> Optional[Measurement]:
-        return self.bandwidth_readings[-1] if self.bandwidth_readings else None
-
-    def latest_latency(self) -> Optional[Measurement]:
-        return self.latency_readings[-1] if self.latency_readings else None

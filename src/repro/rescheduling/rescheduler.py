@@ -185,9 +185,6 @@ class Rescheduler:
     def manage(self, app: MigratableApp) -> None:
         self._apps.append(app)
 
-    def managed_apps(self) -> List[MigratableApp]:
-        return list(self._apps)
-
     # -- evaluation ------------------------------------------------------------
     def evaluate(self, app: MigratableApp,
                  candidate_hosts: Optional[Sequence[str]] = None

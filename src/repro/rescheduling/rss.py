@@ -81,9 +81,3 @@ class RuntimeSupportSystem:
 
     def checkpoint(self, dataset: str) -> Optional[CheckpointRecord]:
         return self._checkpoints.get(dataset)
-
-    def has_checkpoint(self, dataset: str) -> bool:
-        return dataset in self._checkpoints
-
-    def datasets(self) -> List[str]:
-        return sorted(self._checkpoints)

@@ -86,11 +86,6 @@ class Schedule:
             return 0.0
         return max(p.est_finish for p in self.placements.values())
 
-    def tasks_on(self, resource: str) -> List[Placement]:
-        return sorted((p for p in self.placements.values()
-                       if p.resource == resource),
-                      key=lambda p: p.est_start)
-
     def component_resources(self, component_name: str) -> List[str]:
         """Resources of one component's tasks, ordered by task index.
 

@@ -1,13 +1,12 @@
 """Discrete-event simulation substrate for the GrADS reproduction.
 
-The kernel is deliberately small (events, timeouts, processes,
-conditions) and deterministic; all grid behaviour is built on top of it
-in :mod:`repro.microgrid` and friends.
+The kernel is deliberately small (events, timeouts, processes and the
+join-all :class:`AllOf`) and deterministic; all grid behaviour is built
+on top of it in :mod:`repro.microgrid` and friends.
 """
 
 from .events import (
     AllOf,
-    AnyOf,
     Event,
     EventAlreadyTriggered,
     SimulationError,
@@ -15,24 +14,20 @@ from .events import (
 )
 from .kernel import Simulator, StopSimulation
 from .process import Interrupt, Process
-from .resources import Semaphore, Store
 from .rng import RngRegistry
 from .stats import KernelStats, format_stats
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "EventAlreadyTriggered",
     "Interrupt",
     "KernelStats",
     "Process",
     "RngRegistry",
-    "Semaphore",
     "SimulationError",
     "Simulator",
     "StopSimulation",
-    "Store",
     "Timeout",
     "format_stats",
 ]

@@ -6,10 +6,9 @@ are resumed when those events trigger.  Events carry a value (delivered
 as the result of the ``yield``) or an exception (raised at the ``yield``
 site).
 
-Only the pieces the GrADS reproduction needs are implemented, but they
-are implemented completely: one-shot events, timeouts, condition events
-(:class:`AllOf` / :class:`AnyOf`) and process-as-event composition (in
-:mod:`repro.sim.process`).
+Only the pieces the GrADS reproduction needs are implemented: one-shot
+events, timeouts, the join-all condition :class:`AllOf` and
+process-as-event composition (in :mod:`repro.sim.process`).
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "Event",
     "Timeout",
-    "ConditionEvent",
     "AllOf",
-    "AnyOf",
     "EventAlreadyTriggered",
     "SimulationError",
 ]
@@ -147,8 +144,13 @@ class Timeout(Event):
         sim._schedule(self, delay)
 
 
-class ConditionEvent(Event):
-    """Base for events that trigger based on a set of child events."""
+class AllOf(Event):
+    """Triggers when every child event has triggered.
+
+    The value is a dict mapping each child event to its value.  Fails
+    as soon as any child fails; children that fail afterwards are
+    absorbed (defused) rather than raised out of ``sim.run()``.
+    """
 
     __slots__ = ("events", "_remaining")
 
@@ -161,7 +163,7 @@ class ConditionEvent(Event):
                 raise SimulationError("condition spans multiple simulators")
         self._remaining = len(self.events)
         if not self.events:
-            self.succeed(self._collect())
+            self.succeed({})
         else:
             # add_callback fires synchronously for already-processed
             # children, so _remaining must be set before this loop.
@@ -171,59 +173,22 @@ class ConditionEvent(Event):
     def _collect(self) -> dict:
         # A Timeout carries its value from construction, so "triggered"
         # alone would over-collect; only *processed* children count.
-        return {ev: ev.value for ev in self.events if ev.processed and ev.ok}
+        return {ev: ev._value for ev in self.events
+                if ev.callbacks is None and ev._ok}
 
     def _on_child(self, child: Event) -> None:
-        raise NotImplementedError
-
-    def _child_failed(self, child: Event) -> None:
-        child.defused = True  # the failure propagates through the condition
-        if not self.triggered:
-            self.fail(child.value)
-
-
-class AllOf(ConditionEvent):
-    """Triggers when every child event has triggered.
-
-    The value is a dict mapping each child event to its value.  Fails
-    as soon as any child fails.
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, child: Event) -> None:
-        if self.triggered:
-            if not child.ok:
-                # A sibling already failed (or completed) the condition;
-                # this straggler's failure is still ours to absorb, or
-                # the kernel would raise it as unhandled and abort the
-                # run (two hosts dying under one MPI job did exactly
-                # that).
-                child.defused = True
+        if not child._ok:
+            # The failure propagates through the condition.  A failure
+            # after the condition already resolved is still ours to
+            # absorb, or the kernel would raise it as unhandled and
+            # abort the run (two hosts dying under one MPI job did
+            # exactly that).
+            child.defused = True
+            if self._value is PENDING:
+                self.fail(child._value)
             return
-        if not child.ok:
-            self._child_failed(child)
+        if self._value is not PENDING:
             return
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed(self._collect())
-
-
-class AnyOf(ConditionEvent):
-    """Triggers when at least one child event has triggered.
-
-    The value is a dict of the children that have triggered so far.
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, child: Event) -> None:
-        if self.triggered:
-            if not child.ok:
-                child.defused = True  # late failure after the condition
-                # resolved: absorbed, as for AllOf
-            return
-        if not child.ok:
-            self._child_failed(child)
-            return
-        self.succeed(self._collect())

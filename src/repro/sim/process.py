@@ -5,8 +5,8 @@ A process wraps a generator.  Each value the generator yields must be an
 processed, then resumes with the event's value (or the event's exception
 raised at the yield site).  A Process is itself an Event that triggers
 with the generator's return value, so processes compose: one process can
-``yield`` another to join on it, and :class:`AllOf`/:class:`AnyOf` work
-over processes directly.
+``yield`` another to join on it, and :class:`AllOf` works over
+processes directly.
 """
 
 from __future__ import annotations

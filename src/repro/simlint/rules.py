@@ -434,11 +434,8 @@ def check_kernel_state(tree: ast.Module, ctx: FileContext) -> RuleHits:
 # SL007 — yielding non-Event values from a sim-process coroutine
 # ---------------------------------------------------------------------------
 
-_EVENT_FACTORY_ATTRS = frozenset({
-    "timeout", "process", "event", "all_of", "any_of",
-})
-_EVENT_FACTORY_NAMES = frozenset({"Timeout", "Event", "AllOf", "AnyOf",
-                                  "Process"})
+_EVENT_FACTORY_ATTRS = frozenset({"timeout", "process", "event"})
+_EVENT_FACTORY_NAMES = frozenset({"Timeout", "Event", "AllOf", "Process"})
 
 
 def _own_yields(func: ast.AST) -> List[ast.Yield]:
@@ -473,7 +470,7 @@ def _yields_event_factory(yields: List[ast.Yield]) -> bool:
 @rule("SL007", ERROR,
       "sim-process coroutine yields a non-Event value",
       "every yield in a process body must produce an Event (timeout/"
-      "process/event/AllOf/AnyOf or another process); the kernel "
+      "process/event/AllOf or another process); the kernel "
       "fails the process at runtime when it yields anything else")
 def check_process_yields(tree: ast.Module, ctx: FileContext) -> RuleHits:
     for node in ast.walk(tree):

@@ -79,22 +79,6 @@ def _host_hygiene(ctx) -> List[str]:
     return out
 
 
-def _resource_bounds(ctx) -> List[str]:
-    """Store stays within capacity; semaphore units stay in [0, count]."""
-    lane = ctx.services_lane
-    if lane is None:
-        return []
-    out = []
-    store, sem = lane.store, lane.semaphore
-    if store.capacity is not None and len(store) > store.capacity:
-        out.append(f"store holds {len(store)} items over capacity "
-                   f"{store.capacity}")
-    if not 0 <= sem.available <= sem.count:
-        out.append(f"semaphore has {sem.available} units outside "
-                   f"[0, {sem.count}]")
-    return out
-
-
 def _reservation_calendar(ctx) -> List[str]:
     """The metascheduler's advance-reservation calendar audits clean."""
     return list(ctx.service.audit_conflicts())
@@ -104,8 +88,7 @@ def _reservation_calendar(ctx) -> List[str]:
 
 def _quiesce(ctx) -> List[str]:
     """Every lane drains before the (generous) deadline.  A scenario
-    that cannot quiesce has stranded processes somewhere — historically
-    a unit or item handed to a dead waiter."""
+    that cannot quiesce has stranded processes somewhere."""
     if ctx.quiesced:
         return []
     stuck = sorted(name for name, lane in ctx.lanes.items()
@@ -140,39 +123,6 @@ def _stats_consistency(ctx) -> List[str]:
             out.append(f"{name}={counters.get(name, 0):g} but job rows "
                        f"imply {expected[name]}")
     return out
-
-
-def _services_conservation(ctx) -> List[str]:
-    """Store items and semaphore units are conserved across kills.
-
-    Gated on the lane having fully drained (every client process dead):
-    accepted items are either consumed or still in the store, every
-    acquire was released (workers release in ``finally`` even when
-    killed mid-hold), and all units are back in the pool.
-    """
-    lane = ctx.services_lane
-    if lane is None or not ctx.lanes["services"].complete:
-        return []
-    out = []
-    in_store = len(lane.store)
-    if lane.accepted != lane.consumed + in_store:
-        out.append(f"store ledger broken: accepted {lane.accepted} != "
-                   f"consumed {lane.consumed} + {in_store} in store")
-    if lane.acquired != lane.released:
-        out.append(f"semaphore ledger broken: acquired {lane.acquired} "
-                   f"!= released {lane.released}")
-    if lane.semaphore.available != lane.semaphore.count:
-        out.append(f"semaphore drained to {lane.semaphore.available}/"
-                   f"{lane.semaphore.count} units with no holders left")
-    return out
-
-
-def _services_health(ctx) -> List[str]:
-    """Service clients only ever die by scheduled kill, never by bug."""
-    lane = ctx.lanes.get("services")
-    if lane is None:
-        return []
-    return [f"service process failed: {err}" for err in lane.failures]
 
 
 def _swap_hygiene(ctx) -> List[str]:
@@ -267,7 +217,6 @@ def _marker_canary(ctx) -> List[str]:
 CHECKPOINT_AUDITORS: Dict[str, Callable] = {
     "flow-capacity": _flow_capacity,
     "host-hygiene": _host_hygiene,
-    "resource-bounds": _resource_bounds,
     "reservation-calendar": _reservation_calendar,
 }
 
@@ -276,8 +225,6 @@ FINAL_AUDITORS: Dict[str, Callable] = {
     "reservation-calendar": _reservation_calendar,
     "unhandled-error": _unhandled_errors,
     "stats-consistency": _stats_consistency,
-    "services-conservation": _services_conservation,
-    "services-health": _services_health,
     "swap-hygiene": _swap_hygiene,
     "srs-hygiene": _srs_hygiene,
     "flows-drained": _flows_drained,

@@ -3,10 +3,9 @@
 :func:`run_scenario` materializes a :class:`ScenarioSpec` onto the
 Figure 3 testbed: the metascheduler serves the sampled job stream
 while host crashes, load bursts, topology churn, an optional
-swap-rescheduled N-body run, an optional SRS-checkpointed QR run, and
-an optional Store/Semaphore client population all happen on the same
-simulator.  Checkpoint auditors run between time slices; final
-auditors run once every lane has quiesced.
+swap-rescheduled N-body run and an optional SRS-checkpointed QR run all
+happen on the same simulator.  Checkpoint auditors run between time
+slices; final auditors run once every lane has quiesced.
 
 Lane failures are *data*, not crashes: every lane-completion event
 gets a defusing callback, so an application legitimately killed by a
@@ -34,7 +33,7 @@ from ..microgrid.loadgen import ScheduledLoad
 from ..nws.service import NetworkWeatherService
 from ..microgrid.testbed import fig3_testbed
 from ..rescheduling.swapping import SwapRescheduler
-from ..sim import AnyOf, Interrupt, Semaphore, Simulator, Store
+from ..sim import Simulator
 from ..sim.stats import DIAGNOSTIC_COUNTERS
 from ..trace.tracer import Tracer
 from .invariants import (Violation, run_checkpoint_auditors,
@@ -52,25 +51,17 @@ _DEADLINE_SLACK = 4000.0
 _MAX_CAUGHT_ERRORS = 50
 
 class LaneWatch:
-    """Observes a lane's completion events, defusing failures.
+    """Observes a lane's completion events, defusing failures."""
 
-    ``ignore_interrupts`` is for the services lane, whose clients are
-    killed *on purpose*: a :class:`~repro.sim.Interrupt` death is part
-    of the scenario, any other exception is a harness finding.
-    """
-
-    def __init__(self, events, ignore_interrupts: bool = False) -> None:
+    def __init__(self, events) -> None:
         self.events = list(events)
         self.failures: List[str] = []
-        self._ignore_interrupts = ignore_interrupts
         for ev in self.events:
             ev.add_callback(self._note)
 
     def _note(self, ev) -> None:
         if not ev.ok:
             ev.defused = True
-            if self._ignore_interrupts and isinstance(ev.value, Interrupt):
-                return
             self.failures.append(f"{type(ev.value).__name__}: {ev.value}")
 
     @property
@@ -86,127 +77,6 @@ class LaneWatch:
         if self.failures:
             return "failed: " + self.failures[0]
         return "ok"
-
-
-class ServicesLane:
-    """A Store/Semaphore client population under scheduled kills.
-
-    Producers put items, consumers get them (with a timeout-and-
-    ``cancel_get`` escape so a starved consumer eventually leaves),
-    workers cycle acquire/hold/release.  The accounting ledgers are
-    incremented from event *callbacks*, not from the resumed process:
-    an item accepted (or a unit granted) in the same instant its owner
-    is killed is still counted exactly once, so the conservation
-    invariant has no same-instant blind spot.
-
-    Client delays use non-round increments so they can never collide
-    with the 6-decimal kill grid the scenario sampler draws from.
-    """
-
-    def __init__(self, sim: Simulator, cfg: dict) -> None:
-        self.sim = sim
-        self.store = Store(sim, capacity=cfg["capacity"])
-        self.semaphore = Semaphore(sim, cfg["count"])
-        self.accepted = 0
-        self.consumed = 0
-        self.acquired = 0
-        self.released = 0
-        self.procs: Dict[str, object] = {}
-        for i in range(cfg["producers"]):
-            name = f"svc-producer-{i}"
-            self.procs[name] = sim.process(
-                self._producer(i, cfg["items_per_producer"]), name=name)
-        for i in range(cfg["consumers"]):
-            name = f"svc-consumer-{i}"
-            self.procs[name] = sim.process(self._consumer(i), name=name)
-        for i in range(cfg["workers"]):
-            name = f"svc-worker-{i}"
-            self.procs[name] = sim.process(self._worker(i), name=name)
-        for kill in cfg["kills"]:
-            victim = self.procs.get(kill["victim"])
-            if victim is not None:
-                sim.call_at(kill["at"],
-                            functools.partial(self._kill, victim))
-
-    @staticmethod
-    def _kill(proc) -> None:
-        if not proc.triggered:
-            proc.kill()
-
-    def _count_accept(self, ev) -> None:
-        if ev.ok:
-            self.accepted += 1
-
-    def _count_get(self, ev) -> None:
-        if ev.ok:
-            self.consumed += 1
-
-    def _count_acquire(self, ev) -> None:
-        if ev.ok:
-            self.acquired += 1
-
-    def _producer(self, i: int, n_items: int):
-        yield self.sim.timeout(1.0 + 0.3183098861 * i)
-        for _k in range(n_items):
-            put_ev = self.store.put(("item", i, _k))
-            put_ev.add_callback(self._count_accept)
-            if not put_ev.triggered:
-                patience = self.sim.timeout(60.0)
-                yield AnyOf(self.sim, [put_ev, patience])
-                if not put_ev.triggered:
-                    # Withdraw the queued deposit.  A False return with
-                    # a triggered event means acceptance raced the
-                    # timeout — the counting callback already saw it.
-                    if not self.store.cancel_put(put_ev):
-                        if put_ev.triggered:
-                            yield self.sim.timeout(
-                                2.0 + 0.2718281828 * i)
-                            continue
-                    return  # store wedged: give up, item never accepted
-            yield self.sim.timeout(2.0 + 0.2718281828 * i)
-
-    def _consumer(self, i: int):
-        yield self.sim.timeout(1.5 + 0.4142135623 * i)
-        misses = 0
-        while misses < 3:
-            get_ev = self.store.get()
-            get_ev.add_callback(self._count_get)
-            if not get_ev.triggered:
-                patience = self.sim.timeout(30.0)
-                yield AnyOf(self.sim, [get_ev, patience])
-            if get_ev.triggered:
-                misses = 0
-                yield self.sim.timeout(3.0 + 0.1414213562 * i)
-            elif not self.store.cancel_get(get_ev) and get_ev.triggered:
-                # Delivery raced the timeout; the item is ours (and the
-                # counting callback already claimed it).
-                misses = 0
-                yield self.sim.timeout(3.0 + 0.1414213562 * i)
-            else:
-                misses += 1
-
-    def _worker(self, i: int):
-        yield self.sim.timeout(2.0 + 0.5772156649 * i)
-        for _round in range(3 + i % 3):
-            req = self.semaphore.acquire()
-            req.add_callback(self._count_acquire)
-            granted = req.triggered
-            if not granted:
-                patience = self.sim.timeout(90.0)
-                yield AnyOf(self.sim, [req, patience])
-                granted = req.triggered
-                if not granted and not self.semaphore.cancel_wait(req):
-                    granted = req.triggered  # grant raced the timeout
-            if not granted:
-                return  # semaphore wedged (a lost unit shows up in the
-                # conservation audit as available < count)
-            try:
-                yield self.sim.timeout(4.0 + 0.3010299957 * i)
-            finally:
-                # Balances the ledger even when a kill lands mid-hold.
-                self.semaphore.release()
-                self.released += 1
-            yield self.sim.timeout(2.0 + 0.4342944819 * i)
 
 
 class SwapLane:
@@ -281,7 +151,6 @@ class SoakContext:
     topology: object
     service: MetaScheduler
     lanes: Dict[str, LaneWatch]
-    services_lane: Optional[ServicesLane] = None
     swap_lane: Optional[SwapLane] = None
     srs_lane: Optional[SrsLane] = None
     tracer: object = None
@@ -340,8 +209,6 @@ def _horizon(spec: ScenarioSpec) -> float:
     times += [fault["recover_at"] for fault in spec.faults]
     times += [burst["until"] for burst in spec.bursts]
     times += [op["at"] for op in spec.links]
-    if spec.services:
-        times += [kill["at"] for kill in spec.services["kills"]]
     if spec.swap and spec.swap.get("stop_at") is not None:
         times.append(spec.swap["stop_at"])
     return max(times) + 1.0
@@ -379,11 +246,6 @@ def run_scenario(spec: ScenarioSpec, tracer=None) -> ScenarioOutcome:
     for op in spec.links:
         sim.call_at(op["at"], functools.partial(_apply_link, topology, op))
 
-    services_lane = ServicesLane(sim, spec.services) if spec.services \
-        else None
-    lanes["services"] = (LaneWatch(list(services_lane.procs.values()),
-                                   ignore_interrupts=True)
-                         if services_lane else LaneWatch([]))
     swap_lane = SwapLane(sim, grid, nws, spec.swap) if spec.swap else None
     lanes["swap"] = (LaneWatch([swap_lane.done]) if swap_lane
                      else LaneWatch([]))
@@ -392,8 +254,7 @@ def run_scenario(spec: ScenarioSpec, tracer=None) -> ScenarioOutcome:
                     else LaneWatch([]))
 
     ctx = SoakContext(spec=spec, sim=sim, grid=grid, topology=topology,
-                      service=service, lanes=lanes,
-                      services_lane=services_lane, swap_lane=swap_lane,
+                      service=service, lanes=lanes, swap_lane=swap_lane,
                       srs_lane=srs_lane, tracer=tracer)
 
     violations: List[Violation] = []

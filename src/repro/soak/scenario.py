@@ -3,11 +3,9 @@
 A :class:`ScenarioSpec` is the *complete* description of one randomized
 composite run: a Poisson job stream for the metascheduler, explicit
 host-crash windows, background-load bursts, topology churn operations,
-an optional process-swapping application, an optional SRS-checkpointed
-QR run, and an optional "grid services" lane exercising the
-:class:`~repro.sim.resources.Store`/``Semaphore`` primitives under
-process kills.  Everything is pre-sampled at build time into plain
-JSON-serializable element lists, so
+an optional process-swapping application and an optional
+SRS-checkpointed QR run.  Everything is pre-sampled at build time into
+plain JSON-serializable element lists, so
 
 * the same ``(seed, index)`` always produces the same scenario,
 * any scenario can be written to disk and replayed byte-identically
@@ -39,8 +37,8 @@ from .invariants import SRS_COUNTERS
 __all__ = ["ScenarioSpec", "sample_scenario", "sample_mtbf_scenario",
            "SCENARIO_SCHEMA_VERSION", "FIG3_HOSTS", "SUBMISSION_HOST"]
 
-#: bump when the scenario JSON layout changes
-SCENARIO_SCHEMA_VERSION = 1
+#: bump when the scenario JSON layout changes (2: ``services`` removed)
+SCENARIO_SCHEMA_VERSION = 2
 
 #: the Figure 3 testbed's hosts — every scenario runs on that grid
 FIG3_HOSTS = tuple([f"utk.n{i}" for i in range(4)]
@@ -83,7 +81,6 @@ class ScenarioSpec:
     faults: List[dict] = field(default_factory=list)
     bursts: List[dict] = field(default_factory=list)
     links: List[dict] = field(default_factory=list)
-    services: Optional[dict] = None
     swap: Optional[dict] = None
     srs: Optional[dict] = None
     markers: List[int] = field(default_factory=list)
@@ -221,30 +218,20 @@ def sample_scenario(seed: int, index: int) -> ScenarioSpec:
                 "at": round(at, 6),
             })
 
-    # -- grid-services lane (Store/Semaphore under kills) -----------------
-    services: Optional[dict] = None
+    # -- retired draws: a former lane's, with nothing built from them ------
+    # Every (seed, index) must keep the swap and SRS lanes it always
+    # drew, so these calls stay, with the same arguments and in the same
+    # order: gate, three client counts, kills (a choice and a time
+    # each), then capacity, count and items per producer.
     if rng.uniform() < 0.7:
-        producers = int(rng.integers(2, 4))
-        consumers = int(rng.integers(2, 4))
-        workers = int(rng.integers(2, 5))
-        names = ([f"svc-producer-{i}" for i in range(producers)]
-                 + [f"svc-consumer-{i}" for i in range(consumers)]
-                 + [f"svc-worker-{i}" for i in range(workers)])
-        kills = []
+        clients = (int(rng.integers(2, 4)) + int(rng.integers(2, 4))
+                   + int(rng.integers(2, 5)))
         for _ in range(int(rng.integers(0, 4))):
-            kills.append({
-                "victim": str(rng.choice(names)),
-                "at": round(float(rng.uniform(5.0, duration * 0.5)), 6),
-            })
-        services = {
-            "capacity": int(rng.integers(1, 4)),
-            "count": int(rng.integers(1, 4)),
-            "producers": producers,
-            "consumers": consumers,
-            "workers": workers,
-            "items_per_producer": int(rng.integers(4, 9)),
-            "kills": kills,
-        }
+            rng.choice(clients)
+            rng.uniform(5.0, duration * 0.5)
+        rng.integers(1, 4)
+        rng.integers(1, 4)
+        rng.integers(4, 9)
 
     # -- process-swapping application -------------------------------------
     swap: Optional[dict] = None
@@ -273,7 +260,7 @@ def sample_scenario(seed: int, index: int) -> ScenarioSpec:
         index=index, seed=seed, duration=round(duration, 6),
         trace_check=index % 5 == 0,
         jobs=jobs, faults=faults, bursts=bursts, links=links,
-        services=services, swap=swap, srs=srs)
+        swap=swap, srs=srs)
 
 
 def sample_mtbf_scenario(seed: int, index: int) -> ScenarioSpec:

@@ -2,16 +2,16 @@
 
 Given a scenario whose run produced invariant violations,
 :func:`shrink_scenario` repeatedly deletes elements (jobs, faults,
-bursts, link operations, service kills, markers), disables whole
-lanes, and halves the duration, keeping any change under which *some*
-of the original violations still reproduce.  The result is a locally
+bursts, link operations, markers), disables whole lanes, and halves
+the duration, keeping any change under which *some* of the original
+violations still reproduce.  The result is a locally
 minimal scenario: removing any single remaining element makes the
 failure disappear.
 
 The predicate is "same invariant *name* still fires", not "identical
 detail string" — shrinking changes timestamps and counts, but a
-reproducer for a ``services-conservation`` bug must still be a
-``services-conservation`` reproducer.
+reproducer for a ``swap-hygiene`` bug must still be a ``swap-hygiene``
+reproducer.
 
 Every candidate evaluation is one full :func:`~repro.soak.runner
 .run_with_checks` execution, so the search is budgeted (``max_runs``)
@@ -98,25 +98,8 @@ def shrink_scenario(spec: ScenarioSpec,
                     break
                 chunk //= 2
 
-        # -- drop individual service kills --------------------------------
-        if current.services and current.services["kills"]:
-            kills = list(current.services["kills"])
-            i = 0
-            while i < len(kills):
-                trial = kills[:i] + kills[i + 1:]
-                services = dict(current.services)
-                services["kills"] = trial
-                candidate = _clone(current, services=services)
-                if still_fails(candidate):
-                    kills = trial
-                    current = candidate
-                    removed += 1
-                    progress = True
-                else:
-                    i += 1
-
         # -- disable whole optional lanes ---------------------------------
-        for lane in ("services", "swap", "srs"):
+        for lane in ("swap", "srs"):
             if getattr(current, lane) is not None:
                 candidate = _clone(current, **{lane: None})
                 if still_fails(candidate):

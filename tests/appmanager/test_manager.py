@@ -62,7 +62,7 @@ class TestEnvironmentAssembly:
             initial_hosts=["utk.n0", "utk.n1"])
         assert run.monitor is monitor
         assert monitor.rescheduler is not None
-        assert rescheduler.managed_apps() == [run]
+        assert rescheduler._apps == [run]
 
     def test_managed_qr_contract_limits_passed(self):
         sim = Simulator()

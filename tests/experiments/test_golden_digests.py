@@ -36,7 +36,7 @@ CASES = [
      "f3820e1d1d3b52dad2b8c117591fe6b8828a1da24a7196c742dbb0ebe3dc0f82"),
     ("soak.json", ["soak", "run", "--scenarios", "12", "--seed", "7",
                    "--json"],
-     "de2526b227087e26698734086e317178ca7d2061d1f72985a07063b67e5009e7"),
+     "4a91c2854686592a20957e9b364b7403d8bd3cbcd4d38bf4aac6888366d352fd"),
 ]
 
 

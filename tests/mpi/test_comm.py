@@ -167,20 +167,6 @@ class TestCompute:
         assert job.counters[1].bytes_received == pytest.approx(1234)
         assert job.counters[0].comm_seconds > 0
 
-    def test_counter_snapshot_delta(self):
-        sim, job = make_job(1)
-
-        def body(ctx):
-            yield ctx.compute(10.0)
-
-        job.launch(body)
-        sim.run()
-        snap = job.counters[0].snapshot()
-        job.counters[0].mflop += 5.0
-        delta = job.counters[0].delta_since(snap)
-        assert delta["mflop"] == pytest.approx(5.0)
-        assert delta["bytes_sent"] == 0.0
-
 
 class TestCollectives:
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 8])

@@ -142,7 +142,7 @@ class TestNetworkSensor:
         sensor = NetworkSensor(sim, grid.topology, "utk.n0", "uiuc.n0",
                                period=10.0)
         sim.run(until=11.0)
-        assert sensor.latest_latency().value == pytest.approx(0.011, abs=0.001)
+        assert sensor.latency_readings[-1].value == pytest.approx(0.011, abs=0.001)
 
     def test_readings_bounded(self):
         sim = Simulator()
@@ -152,7 +152,7 @@ class TestNetworkSensor:
         sim.run(until=100.5)
         assert len(sensor.bandwidth_readings) == HISTORY_LEN
         assert len(sensor.latency_readings) == HISTORY_LEN
-        assert sensor.latest_bandwidth().time > 99.0
+        assert sensor.bandwidth_readings[-1].time > 99.0
 
     def test_validation(self):
         sim = Simulator()

@@ -52,8 +52,7 @@ class TestRss:
     def test_checkpoint_metadata(self):
         sim, grid, rss, srs = env()
         assert rss.checkpoint("A") is None
-        assert not rss.has_checkpoint("A")
-        assert rss.datasets() == []
+        assert rss._checkpoints == {}
 
 
 class TestSrs:

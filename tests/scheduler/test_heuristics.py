@@ -207,7 +207,10 @@ class TestHeuristics:
         assert len(schedule.placements) == len(wf.tasks())
         # no two tasks overlap on one resource
         for record in matrix.resources:
-            placements = schedule.tasks_on(record.name)
+            placements = sorted(
+                (p for p in schedule.placements.values()
+                 if p.resource == record.name),
+                key=lambda p: p.est_start)
             for a, b in zip(placements, placements[1:]):
                 assert b.est_start >= a.est_finish - 1e-9
         # dependences respected in estimated timelines

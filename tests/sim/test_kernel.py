@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     EventAlreadyTriggered,
     Interrupt,
     SimulationError,
@@ -206,22 +205,6 @@ def test_allof_waits_for_every_child():
     assert done_at == [5.0]
 
 
-def test_anyof_fires_on_first_child():
-    sim = Simulator()
-    done_at = []
-
-    def proc():
-        t1 = sim.timeout(2.0, value="fast")
-        t2 = sim.timeout(5.0, value="slow")
-        values = yield AnyOf(sim, [t1, t2])
-        done_at.append(sim.now)
-        assert list(values.values()) == ["fast"]
-
-    sim.process(proc())
-    sim.run()
-    assert done_at == [2.0]
-
-
 def test_empty_allof_triggers_immediately():
     sim = Simulator()
     cond = AllOf(sim, [])
@@ -296,6 +279,62 @@ def test_interrupted_process_detaches_from_event():
     sim.run()
     assert resumes == ["after-interrupt"]
     assert sim.now == 101.0
+
+
+def test_kill_blocked_process_fails_defused():
+    """A killed process fails with Interrupt, pre-defused, so run()
+    does not raise for the missing waiter."""
+    sim = Simulator()
+
+    def worker():
+        yield sim.timeout(10.0)
+
+    proc = sim.process(worker())
+    sim.call_at(3.0, proc.kill)
+    sim.run()  # must not raise
+    assert proc.triggered and not proc.ok
+    assert isinstance(proc.value, Interrupt)
+    assert proc.value.cause == "killed"
+    assert proc.defused
+    assert not proc.is_alive
+
+
+def test_killed_process_is_not_resumed_by_its_timeout():
+    sim = Simulator()
+    log = []
+
+    def worker():
+        try:
+            yield sim.timeout(10.0)
+            log.append(("resumed", sim.now))
+        except Interrupt:
+            log.append(("killed", sim.now))
+            raise
+        log.append(("after", sim.now))
+
+    proc = sim.process(worker())
+    sim.call_at(3.0, proc.kill)
+    sim.run()
+    # the timeout still fires at t=10 (the clock reaches it) but the
+    # detached process never runs again
+    assert sim.now == 10.0
+    assert log == [("killed", 3.0)]
+    assert isinstance(proc.value, Interrupt)
+
+
+def test_kill_finished_process_is_noop():
+    sim = Simulator()
+
+    def quick():
+        yield sim.timeout(1.0)
+        return "done"
+
+    proc = sim.process(quick())
+    sim.run()
+    proc.kill()  # no error, unlike interrupt()
+    sim.run()
+    assert proc.ok and proc.value == "done"
+    assert not proc.defused
 
 
 def test_stop_event_ends_run_with_value():

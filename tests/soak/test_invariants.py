@@ -21,13 +21,11 @@ CHURN_SPEC = os.path.join(os.path.dirname(__file__), "reproducers",
 class TestRegistry:
     def test_expected_auditors_registered(self):
         assert set(CHECKPOINT_AUDITORS) == {
-            "flow-capacity", "host-hygiene", "resource-bounds",
-            "reservation-calendar",
+            "flow-capacity", "host-hygiene", "reservation-calendar",
         }
         assert {"quiesce", "unhandled-error", "stats-consistency",
-                "services-conservation", "swap-hygiene", "srs-hygiene",
-                "flows-drained", "trace-wellformed",
-                "marker-canary"} <= set(FINAL_AUDITORS)
+                "swap-hygiene", "srs-hygiene", "flows-drained",
+                "trace-wellformed", "marker-canary"} <= set(FINAL_AUDITORS)
 
     def test_violation_round_trips_to_dict(self):
         violation = Violation(invariant="x", time=1.5, detail="boom")

@@ -3,8 +3,6 @@
 Each JSON file under ``reproducers/`` is a shrunk (or hand-minimized)
 scenario that violated an invariant before its fix landed:
 
-* ``resources-dead-waiters.json`` — ``Semaphore.release``/``Store.put``
-  handing units/items to killed waiters (services-conservation).
 * ``loadgen-crash-removal.json`` — ``ScheduledLoad`` removing its
   synthetic tasks from a host that crashed and re-registered in
   between (unhandled-error).
@@ -49,8 +47,7 @@ REPRODUCERS = sorted(glob.glob(os.path.join(REPRODUCER_DIR, "*.json")))
 
 def test_reproducer_set_is_complete():
     names = {os.path.basename(p) for p in REPRODUCERS}
-    assert {"resources-dead-waiters.json", "loadgen-crash-removal.json",
-            "condition-late-failure.json",
+    assert {"loadgen-crash-removal.json", "condition-late-failure.json",
             "swap-stop-pending-period.json"} <= names
 
 

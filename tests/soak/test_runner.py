@@ -36,8 +36,8 @@ def _report_and_plan_counters(spec):
 
 def _clean_smoke_spec():
     # one of everything, deterministic, fast: a couple of jobs, a
-    # crash/recover window, a burst, a WAN re-provision, a services
-    # lane with one kill, and a swap lane that gets stopped mid-run
+    # crash/recover window, a burst, a WAN re-provision, and a swap
+    # lane that gets stopped mid-run
     return ScenarioSpec(
         index=0, seed=3, duration=240.0,
         jobs=[
@@ -51,9 +51,6 @@ def _clean_smoke_spec():
                  "nprocs": 2}],
         links=[{"a": "utk.switch", "b": "uiuc.switch", "via": None,
                 "bandwidth": 4e6, "latency": 0.01, "at": 60.0}],
-        services={"capacity": 2, "count": 2, "producers": 2,
-                  "consumers": 2, "workers": 2, "items_per_producer": 4,
-                  "kills": [{"victim": "svc-worker-0", "at": 15.0}]},
         swap={"n_bodies": 8000, "n_iterations": 40, "policy": "gang",
               "period": 10.0, "improvement": 1.05, "stop_at": 35.0},
     )
@@ -65,7 +62,6 @@ class TestRunScenario:
         assert outcome.violations == []
         assert outcome.quiesced
         assert outcome.lanes["metasched"] == "ok"
-        assert outcome.lanes["services"] == "ok"
         assert outcome.lanes["swap"] == "ok"
         assert outcome.lanes["srs"] == "absent"
         assert len(outcome.jobs) == 2

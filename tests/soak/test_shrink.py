@@ -53,7 +53,7 @@ class TestReproducerIO:
 
     def test_load_rejects_unknown_fields(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"schema_version": 1, "index": 0, "seed": 0, '
+        path.write_text('{"schema_version": 2, "index": 0, "seed": 0, '
                         '"duration": 10.0, "mystery": true}\n')
         with pytest.raises(ValueError, match="unknown scenario fields"):
             load_reproducer(str(path))

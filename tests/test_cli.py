@@ -247,7 +247,7 @@ class TestSoakCommands:
     def test_replay_clean_reproducer(self, capsys):
         rc = main(["soak", "replay",
                    os.path.join(self.SOAK_DIR, "reproducers",
-                                "resources-dead-waiters.json")])
+                                "swap-stop-pending-period.json")])
         assert rc == 0
         assert "0 violation(s)" in capsys.readouterr().out
 
