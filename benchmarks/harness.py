@@ -116,11 +116,14 @@ def run_substrate_bench(n_hosts: int = 32, concurrent_flows: int = 64,
                         total_transfers: int = 1500,
                         tracer=None,
                         topology_cls: Type[Topology] = Topology,
+                        flow_bytes: Optional[float] = None,
                         ) -> Dict[str, float]:
     """Run the closed-loop flow churn and report counters + events/sec.
 
     ``concurrent_flows`` transfer slots each keep one flow in flight;
     the run ends once ``total_transfers`` flows have completed in total.
+    ``flow_bytes`` gives every flow that size in place of the 0.5–6.5 MB
+    cycle, e.g. 8 bytes for MPI control messages.
     ``tracer`` exists mainly for the tracing-overhead benchmark, which
     attaches a disabled tracer to price the instrumentation hooks.
     """
@@ -137,6 +140,8 @@ def run_substrate_bench(n_hosts: int = 32, concurrent_flows: int = 64,
             return
         state["started"] = seq + 1
         src, dst, nbytes = _flow_spec(slot, seq, clusters)
+        if flow_bytes is not None:
+            nbytes = flow_bytes
         ev = topo.transfer(src, dst, nbytes, tag=str(seq))
 
         def done(_event) -> None:

@@ -201,10 +201,13 @@ class QrRun(MigratableApp):
         return best_hosts
 
     def predicted_remaining_seconds(self, host_names: Sequence[str]) -> float:
-        """Sum the per-step model over the remaining panel steps."""
+        """Sum the per-step model over the remaining panel steps, on
+        one live CPU forecast per host."""
         if not host_names:
             return math.inf
-        return sum(self.predicted_step_seconds(j, host_names)
+        availability = {name: self.nws.cpu_forecast(name)
+                        for name in host_names}
+        return sum(self.predicted_step_seconds(j, host_names, availability)
                    for j in range(self.progress, self.benchmark.steps))
 
     def predicted_step_seconds(self, step: int,

@@ -17,6 +17,8 @@ processing rather than per-event rescans):
   re-runs progressive filling over the *connected component* of edges
   and flows actually perturbed — max-min fairness is separable across
   flow-disjoint components, so untouched components keep their rates.
+  A flow that arrives alone on every edge of its path is its own
+  component and takes its narrowest capacity without a fill.
   Property tests check it against the from-scratch allocator in
   ``tests/oracles/network.py``.
 
@@ -26,7 +28,9 @@ processing rather than per-event rescans):
   ``tests/oracles/graphs.py``) and cached
   until the topology mutates; per-pair ``(latency, bottleneck)`` tuples
   are memoised so :meth:`Topology.estimate_transfer_seconds` is a dict
-  lookup.  Hits/misses are counted in ``sim.stats``.
+  lookup, and so are each pair's interned edges, which
+  :meth:`Topology.transfer` reuses.  Hits/misses are counted in
+  ``sim.stats``.
 
 Capacities are in bytes/s, latencies in seconds, transfers in bytes.
 """
@@ -46,6 +50,9 @@ from .host import Host
 __all__ = ["Link", "Topology", "Flow", "NetworkError"]
 
 _EPS = 1e-9
+
+#: a routed pair's directed edges, their interned ids and its latency
+_RouteEntry = Tuple[Tuple[Tuple[str, str], ...], Tuple[int, ...], float]
 
 
 class NetworkError(RuntimeError):
@@ -109,6 +116,7 @@ class Topology:
         # -- routing caches (cleared on any topology mutation) --
         self._sssp: Dict[str, Tuple[Dict[str, float], Dict[str, List[str]]]] = {}
         self._metrics: Dict[Tuple[str, str], Tuple[float, float]] = {}
+        self._routes: Dict[Tuple[str, str], _RouteEntry] = {}
         #: cumulative bytes delivered (for accounting/benchmarks)
         self.bytes_delivered = 0.0
 
@@ -164,6 +172,7 @@ class Topology:
         """Invalidate routing caches and re-fit in-flight flows."""
         self._sssp.clear()
         self._metrics.clear()
+        self._routes.clear()
         # An add_link over an existing edge rewrites its capacity; keep
         # the interned capacities in sync (edge ids themselves are
         # stable: they name directed node pairs, and links are never
@@ -295,25 +304,44 @@ class Topology:
         """
         if nbytes < 0:
             raise ValueError("negative transfer size")
-        ev = self.sim.event(name=f"xfer:{src}->{dst}:{tag}")
-        start = self.sim.now
+        sim = self.sim
+        ev = sim.event(name=f"xfer:{src}->{dst}:{tag}")
         if src == dst:
-            delay = nbytes / self.local_copy_bw
-            self.sim.call_after(delay, lambda: ev.succeed(self.sim.now - start))
+            sim.timeout(nbytes / self.local_copy_bw,
+                        value=(ev, sim.now)).add_callback(self._arrive)
             return ev
-        path_nodes = self.route(src, dst)
-        latency = self._path_metrics(src, dst)[0]
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._route_entry(src, dst)
+        else:
+            # the route() and _path_metrics() lookups this entry stands for
+            sim.stats.route_cache_hits += 2
+        edges, edge_ids, latency = route
         if nbytes == 0:
-            self.sim.call_after(latency, lambda: ev.succeed(self.sim.now - start))
+            sim.timeout(latency, value=(ev, sim.now)).add_callback(self._arrive)
             return ev
-        edges = tuple(zip(path_nodes, path_nodes[1:]))
         flow = Flow(src=src, dst=dst, path=edges, remaining=float(nbytes),
-                    event=ev, started_at=start, total=float(nbytes),
-                    edge_ids=self._intern_edges(edges))
+                    event=ev, started_at=sim.now, total=float(nbytes),
+                    edge_ids=edge_ids)
         # The first byte spends `latency` in the pipe before streaming
         # begins; model it as a delayed flow start.
-        self.sim.call_after(latency, lambda: self._start_flow(flow))
+        sim.timeout(latency, value=flow).add_callback(self._start_flow)
         return ev
+
+    def _route_entry(self, src: str, dst: str) -> _RouteEntry:
+        """Route ``src -> dst`` and cache its edges, interned edge ids
+        and latency until the topology next changes."""
+        path_nodes = self.route(src, dst)
+        latency = self._path_metrics(src, dst)[0]
+        edges = tuple(zip(path_nodes, path_nodes[1:]))
+        entry = (edges, self._intern_edges(edges), latency)
+        self._routes[(src, dst)] = entry
+        return entry
+
+    def _arrive(self, timer: Event) -> None:
+        """Complete a transfer that never becomes a flow (local or empty)."""
+        ev, start = timer.value
+        ev.succeed(self.sim.now - start)
 
     # -- edge interning -------------------------------------------------------------
     def _intern_edges(self, edges: Iterable[Tuple[str, str]]) -> Tuple[int, ...]:
@@ -336,17 +364,23 @@ class Topology:
         return tuple(out)
 
     # -- max-min fair sharing ------------------------------------------------------
-    def _start_flow(self, flow: Flow) -> None:
+    def _start_flow(self, timer: Event) -> None:
+        flow = timer.value
         self._settle()
         self._flows.append(flow)
         users = self._edge_users
+        lone = True
         for eid in flow.edge_ids:
-            users[eid].append(flow)
+            edge_users = users[eid]
+            if edge_users:
+                lone = False
+            edge_users.append(flow)
         trace = self.sim.trace
         if trace is not None and "network" in trace.active:
             trace.instant("network", "flow-add", src=flow.src, dst=flow.dst,
                           bytes=flow.total, active=len(self._flows))
-        self._reallocate(seed_edges=flow.edge_ids)
+        self._reallocate(seed_edges=flow.edge_ids,
+                         lone=flow if lone else None)
 
     def _settle(self) -> None:
         now = self.sim.now
@@ -361,7 +395,8 @@ class Topology:
         self._last_update = now
 
     # -- reallocation ---------------------------------------------------------------
-    def _reallocate(self, seed_edges: Optional[Iterable[int]] = None) -> None:
+    def _reallocate(self, seed_edges: Optional[Iterable[int]] = None,
+                    lone: Optional[Flow] = None) -> None:
         """Recompute max-min fair rates after a flow/topology change.
 
         With ``seed_edges`` (the edges of the arriving or departing
@@ -369,6 +404,13 @@ class Topology:
         sharing an edge with the perturbation is recomputed; rates
         outside that component cannot change.  Without it (a topology
         mutation) everything is redone.
+
+        ``lone`` is an arriving flow that is the only user of every
+        edge it crosses, so its component is that flow alone.
+        Progressive filling would give it its narrowest edge's
+        ``cap / 1``, which is that capacity exactly; the same strict-``<``
+        scan over its edges gives the same bits without building the
+        component.
         """
         self._epoch += 1
         self.sim.stats.reallocations += 1
@@ -379,7 +421,15 @@ class Topology:
                           scoped=seed_edges is not None)
         if not self._flows:
             return
-        if seed_edges is None:
+        if lone is not None:
+            cap = self._edge_cap
+            rate = math.inf
+            for eid in lone.edge_ids:
+                if cap[eid] < rate:
+                    rate = cap[eid]
+            # no finite edge fixes the flow: _fill leaves it at 0.0 too
+            lone.allocation = rate if rate < math.inf else 0.0
+        elif seed_edges is None:
             self._fill(self._flows)
         else:
             component = self._component_flows(seed_edges)
@@ -456,10 +506,11 @@ class Topology:
                     horizon = eta
         if math.isinf(horizon):
             return
-        epoch = self._epoch
-        self.sim.call_after(max(horizon, 0.0), lambda: self._wake(epoch))
+        self.sim.timeout(max(horizon, 0.0),
+                         value=self._epoch).add_callback(self._wake)
 
-    def _wake(self, epoch: int) -> None:
+    def _wake(self, timer: Event) -> None:
+        epoch = timer.value
         trace = self.sim.trace
         if trace is not None and "network" not in trace.active:
             trace = None

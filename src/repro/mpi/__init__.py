@@ -1,4 +1,4 @@
-"""Simulated MPI runtime with profiling and process swapping."""
+"""Simulated MPI runtime with iteration reporting and process swapping."""
 
 from .comm import (
     ANY_SOURCE,
@@ -9,7 +9,6 @@ from .comm import (
     MpiError,
     MpiJob,
 )
-from .profiling import RankCounters
 from .swap import SwapRecord, SwappableJob
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "MpiContext",
     "MpiError",
     "MpiJob",
-    "RankCounters",
     "SwapRecord",
     "SwappableJob",
 ]

@@ -4,9 +4,10 @@ GrADS applications are MPI programs; their communication costs shape
 every scheduling and rescheduling decision in the paper.  This module
 runs MPI-style rank bodies as simulation processes.  Messages travel
 through the real topology (so they contend for links like everything
-else), and each rank keeps PAPI-style counters that the Autopilot
-sensors read (§5: "captured via PAPI and the MPI profiling interface
-with automatically-inserted sensors").
+else).  The Autopilot sensors the binder inserts (§5: "captured via
+PAPI and the MPI profiling interface with automatically-inserted
+sensors") are the iteration listeners of :meth:`MpiJob.on_iteration`,
+which rank bodies feed through :meth:`MpiContext.report_iteration`.
 
 A rank body is a generator function ``body(ctx)`` receiving an
 :class:`MpiContext`; it yields events, e.g.::
@@ -30,7 +31,6 @@ from ..microgrid.host import Host, HostFailure
 from ..microgrid.network import Topology
 from ..sim.events import AllOf, Event
 from ..sim.kernel import Simulator
-from .profiling import RankCounters
 
 __all__ = ["Message", "MpiError", "MpiJob", "Communicator", "MpiContext",
            "ANY_SOURCE", "ANY_TAG"]
@@ -73,8 +73,6 @@ class MpiJob:
         self.name = name
         self._rank_hosts: List[Host] = list(hosts)
         self.world = Communicator(self)
-        self.counters: List[RankCounters] = [RankCounters()
-                                             for _ in hosts]
         self._iteration_listeners: List[Callable[[int, int, float], None]] = []
         self._procs: List = []
         self._watched_hosts: List[Host] = []
@@ -147,7 +145,6 @@ class MpiJob:
 
     def report_iteration(self, rank: int, iteration: int,
                          seconds: float) -> None:
-        self.counters[rank].iterations += 1
         for listener in self._iteration_listeners:
             listener(rank, iteration, seconds)
 
@@ -172,27 +169,24 @@ class Communicator:
     def send(self, src: int, dst: int, nbytes: float, tag: int = 0,
              payload: Any = None) -> Event:
         """Send; the event triggers when the message is delivered."""
-        self.job._check_rank(src)
-        self.job._check_rank(dst)
+        job = self.job
+        rank_hosts = job._rank_hosts
+        size = len(rank_hosts)
+        if not (0 <= src < size and 0 <= dst < size):
+            job._check_rank(src)
+            job._check_rank(dst)
         if nbytes < 0:
             raise MpiError("negative message size")
         if tag < 0:
             raise MpiError("tags must be non-negative (negatives are wildcards)")
-        sim = self.job.sim
-        src_host = self.job.rank_host(src)
-        dst_host = self.job.rank_host(dst)
         message = Message(src=src, dst=dst, tag=tag, nbytes=nbytes,
                           payload=payload)
-        self.job.counters[src].bytes_sent += nbytes
-        self.job.counters[src].messages_sent += 1
-        start = sim.now
-        transfer = self.job.topology.transfer(
-            src_host.name, dst_host.name, nbytes,
-            tag=f"{self.job.name}:{src}->{dst}")
-        done = sim.event(name=f"{self.job.name}:send:{src}->{dst}")
+        transfer = job.topology.transfer(
+            rank_hosts[src].name, rank_hosts[dst].name, nbytes,
+            tag=f"{job.name}:{src}->{dst}")
+        done = job.sim.event(name=f"{job.name}:send:{src}->{dst}")
 
         def deliver(_ev: Event) -> None:
-            self.job.counters[src].comm_seconds += sim.now - start
             self._deposit(message)
             done.succeed(message)
 
@@ -209,19 +203,12 @@ class Communicator:
             if self._matches(message, src, tag):
                 queue.pop(i)
                 ev = sim.event(name=f"{self.job.name}:recv:{rank}")
-                self._account_recv(rank, message)
                 ev.succeed(message)
                 return ev
         ev = sim.event(name=f"{self.job.name}:recv:{rank}")
         pending = _PendingRecv(src=src, tag=tag, event=ev)
         self._waiting.setdefault(rank, []).append(pending)
-        # account on delivery
-        ev.add_callback(lambda e: self._account_recv(rank, e.value))
         return ev
-
-    def _account_recv(self, rank: int, message: Message) -> None:
-        self.job.counters[rank].bytes_received += message.nbytes
-        self.job.counters[rank].messages_received += 1
 
     @staticmethod
     def _matches(message: Message, src: int, tag: int) -> bool:
@@ -385,13 +372,8 @@ class MpiContext:
         """The host this rank currently runs on (changes after a swap)."""
         return self.job.rank_host(self.rank)
 
-    @property
-    def counters(self) -> RankCounters:
-        return self.job.counters[self.rank]
-
     def compute(self, mflop: float, tag: str = "") -> Event:
         """Run local work on whatever host the rank currently occupies."""
-        self.counters.mflop += mflop
         return self.host.compute(mflop, tag=tag or f"r{self.rank}")
 
     def send(self, dst: int, nbytes: float, tag: int = 0,

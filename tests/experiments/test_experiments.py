@@ -7,6 +7,8 @@ reduced problem sizes so the suite stays fast; the benchmarks under
 
 import pytest
 
+from repro.appmanager import GradsEnvironment
+from repro.apps.qr import QrBenchmark
 from repro.experiments import (
     run_eman_demo,
     run_fig3_point,
@@ -14,6 +16,9 @@ from repro.experiments import (
     run_fig4,
 )
 from repro.experiments.common import bar_chart, format_series, format_table
+from repro.microgrid import fig3_testbed
+from repro.microgrid.loadgen import ScheduledLoad
+from repro.sim import Simulator
 
 
 class TestCommon:
@@ -65,6 +70,29 @@ class TestFig3:
         point = run_fig3_point(5000, "no-reschedule", load_at=60.0)
         assert point.migrations == 0
         assert point.phase("checkpoint_read_2") == 0.0
+
+    def test_message_path_counters_pinned(self):
+        """The kernel and network counters of one forced migration, as
+        ``run_fig3_point(5000, "reschedule", load_at=120.0)`` builds it.
+        The fig3 golden carries no ``sim.stats``; these pin what the QR
+        message path costs in events, reallocations and route lookups,
+        migration traffic included."""
+        sim = Simulator()
+        grid = fig3_testbed(sim)
+        env = GradsEnvironment(sim, grid, submission_host="utk.n0")
+        run, _monitor, _rescheduler = env.managed_qr(
+            QrBenchmark(n=5000, nb=200),
+            initial_hosts=grid.clusters["utk"].host_names(),
+            rescheduler_mode="force-migrate",
+            worst_case_migration_seconds=None)
+        ScheduledLoad(host=grid.clusters["utk"][0], at=120.0,
+                      nprocs=8).install(sim)
+        sim.run(stop_event=run.start())
+        assert run.migrations == 1
+        stats = sim.stats
+        assert (stats.events_processed, stats.reallocations,
+                stats.wakeups_cancelled, stats.route_cache_hits,
+                stats.route_cache_misses) == (2468, 634, 185, 941, 12)
 
 
 class TestFig4:

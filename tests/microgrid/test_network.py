@@ -14,9 +14,9 @@ from repro.microgrid import (
 from tests.oracles.network import ReferenceTopology, reference_max_min
 
 
-def two_hosts(sim, bw=1e6, lat=0.01):
+def two_hosts(sim, bw=1e6, lat=0.01, topology_cls=Topology):
     """a -- switch -- b with identical access links."""
-    topo = Topology(sim)
+    topo = topology_cls(sim)
     arch = Architecture(name="t", mflops=100.0)
     a = Host(sim, "a", arch)
     b = Host(sim, "b", arch)
@@ -270,6 +270,46 @@ def test_route_cache_counters():
     assert sim.stats.route_cache_hits > hits_before
 
 
+def test_transfer_counts_the_route_lookups_it_stands_for():
+    """A transfer counts one route and one metrics lookup, warm or
+    cold; the fig4 and metasched goldens pin these counters."""
+    sim = Simulator()
+    topo, a, b = two_hosts(sim)
+    topo.transfer("a", "b", 1e3)
+    assert (sim.stats.route_cache_misses, sim.stats.route_cache_hits) == (1, 1)
+    topo.transfer("a", "b", 0)
+    topo.transfer("a", "b", 1e3)
+    assert (sim.stats.route_cache_misses, sim.stats.route_cache_hits) == (1, 5)
+    topo.path_latency("b", "a")
+    topo.transfer("b", "a", 1e3)  # source routed, pair not yet cached
+    assert (sim.stats.route_cache_misses, sim.stats.route_cache_hits) == (2, 7)
+
+
+def test_transfer_after_add_link_takes_the_new_route():
+    """A link that opens a lower-latency route mid-run must carry the
+    next transfer on that pair; a stale per-pair route would send it
+    the old way, taking 2.0 s instead of 0.251 s."""
+    sim = Simulator()
+    topo = Topology(sim)
+    arch = Architecture(name="t", mflops=1.0)
+    topo.attach_host(Host(sim, "a", arch))
+    topo.attach_host(Host(sim, "b", arch))
+    topo.add_node("slow")
+    topo.add_link("a", "slow", bandwidth=1e6, latency=0.5)
+    topo.add_link("slow", "b", bandwidth=1e6, latency=0.5)
+    first = topo.transfer("a", "b", 1e6)
+    later = []
+
+    def shortcut():
+        topo.add_link("a", "b", bandwidth=4e6, latency=0.001)
+        later.append(topo.transfer("a", "b", 1e6))
+
+    sim.call_at(5.0, shortcut)
+    sim.run()
+    assert first.value == pytest.approx(2.0, rel=1e-9)
+    assert later[0].value == pytest.approx(0.251, rel=1e-9)
+
+
 def test_route_cache_invalidated_by_topology_change_counters():
     sim = Simulator()
     topo, a, b = two_hosts(sim)
@@ -316,6 +356,92 @@ def test_property_equal_flows_finish_together(n):
     finish = {round(ev.value, 6) for ev in events}
     assert len(finish) == 1
     assert events[0].value == pytest.approx(n * 1.0, rel=1e-6)
+
+
+# -- lone-flow shortcut -------------------------------------------------------
+
+class _FillRecorder:
+    """Mixin recording the size of every component ``_fill`` sees."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.fills = []
+
+    def _fill(self, flows):
+        self.fills.append(len(flows))
+        super()._fill(flows)
+
+
+class _RecordingTopology(_FillRecorder, Topology):
+    pass
+
+
+class _RecordingReference(_FillRecorder, ReferenceTopology):
+    pass
+
+
+def test_lone_flow_skips_fill_but_reference_fills_it():
+    """A flow alone on its edges takes the shortcut in production, and
+    the reference topology still fills it, so the incremental-vs-
+    reference differentials compare the shortcut with a real fill."""
+    for topology_cls, fills in ((_RecordingTopology, []),
+                                (_RecordingReference, [1])):
+        sim = Simulator()
+        topo, a, b = two_hosts(sim, topology_cls=topology_cls)
+        ev = topo.transfer("a", "b", 1e6)
+        sim.run()
+        assert ev.value == pytest.approx(1.01, rel=1e-9)
+        assert topo.fills == fills
+
+
+class _LoneCheckedTopology(Topology):
+    """Re-derives every lone-flow allocation with ``_fill``."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.lone_checked = 0
+
+    def _reallocate(self, seed_edges=None, lone=None):
+        super()._reallocate(seed_edges, lone)
+        if lone is None:
+            return
+        component = self._component_flows(lone.edge_ids)
+        assert len(component) == 1 and component[0] is lone
+        shortcut = lone.allocation
+        self._fill(component)
+        assert lone.allocation == shortcut  # bit for bit, not approx
+        self.lone_checked += 1
+
+
+_lone_scenarios = st.fixed_dictionaries({
+    "n_nodes": st.integers(min_value=3, max_value=7),
+    "parents": st.lists(st.integers(min_value=0, max_value=5),
+                        min_size=6, max_size=6),
+    "extra_edges": st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        min_size=0, max_size=3),
+    "bandwidths": st.lists(st.floats(min_value=1e3, max_value=1e9),
+                           min_size=10, max_size=10),
+    "latencies": st.lists(st.sampled_from([0.0, 1e-4, 0.003]),
+                          min_size=10, max_size=10),
+    # small messages, mostly spread out in time: most start alone
+    "flows": st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6),
+                  st.floats(min_value=1.0, max_value=1e5),
+                  st.floats(min_value=0.0, max_value=50.0)),
+        min_size=1, max_size=12),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=_lone_scenarios)
+def test_property_lone_flow_rate_equals_fill(scenario):
+    sim = Simulator()
+    topo, events = _build_scenario(sim, scenario, _LoneCheckedTopology)
+    sim.run()
+    assert all(ev.triggered for ev in events)
+    # the first flow to start always has the network to itself
+    assert topo.lone_checked >= 1
 
 
 # -- incremental vs reference allocator equivalence --------------------------

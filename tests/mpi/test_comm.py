@@ -109,8 +109,12 @@ class TestPointToPoint:
 
     def test_validation(self):
         sim, job = make_job(2)
-        with pytest.raises(MpiError):
+        with pytest.raises(MpiError, match="rank 5 out of range"):
             job.world.send(0, 5, 100)
+        with pytest.raises(MpiError, match="rank -1 out of range"):
+            job.world.send(-1, 0, 100)
+        with pytest.raises(MpiError, match="rank 2 out of range"):
+            job.world.send(2, 7, 100)
         with pytest.raises(MpiError):
             job.world.send(0, 1, -1)
         with pytest.raises(MpiError):
@@ -148,24 +152,6 @@ class TestCompute:
         sim.run()
         assert times[0] == pytest.approx(1.0)
         assert times[1] == pytest.approx(2.0)
-
-    def test_counters_accumulate(self):
-        sim, job = make_job(2)
-
-        def body(ctx):
-            yield ctx.compute(50.0)
-            if ctx.rank == 0:
-                yield ctx.send(dst=1, nbytes=1234)
-            else:
-                yield ctx.recv(src=0)
-
-        job.launch(body)
-        sim.run()
-        assert job.counters[0].mflop == pytest.approx(50.0)
-        assert job.counters[0].bytes_sent == pytest.approx(1234)
-        assert job.counters[0].messages_sent == 1
-        assert job.counters[1].bytes_received == pytest.approx(1234)
-        assert job.counters[0].comm_seconds > 0
 
 
 class TestCollectives:
@@ -282,7 +268,6 @@ class TestCollectives:
         job.launch(body)
         sim.run()
         assert len(reports) == 6
-        assert job.counters[0].iterations == 3
 
 
 class TestScatterReduce:

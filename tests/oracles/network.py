@@ -4,7 +4,9 @@
 progressive-filling allocator, kept pure (no topology state).
 :class:`ReferenceTopology` drives a :class:`repro.microgrid.Topology`
 with it: every flow event recomputes every flow, instead of only the
-connected component the event perturbed.  The property tests and the
+connected component the event perturbed, and a flow that starts alone
+on its edges is filled like any other instead of taking the lone-flow
+shortcut.  The property tests and the
 substrate benchmark assert both drive identical simulations.
 """
 
@@ -57,6 +59,9 @@ def reference_max_min(paths: Sequence[Sequence[int]],
 
 class ReferenceTopology(Topology):
     """A :class:`Topology` that reallocates every flow on every event."""
+
+    def _reallocate(self, seed_edges=None, lone=None) -> None:
+        super()._reallocate(seed_edges)
 
     def _component_flows(self, seed_edges) -> List[Flow]:
         return list(self._flows)
