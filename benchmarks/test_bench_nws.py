@@ -13,12 +13,9 @@ from typing import Dict
 import numpy as np
 import pytest
 
-from repro.nws import AdaptiveForecaster, default_battery
+from repro.nws import AdaptiveForecaster
 from repro.experiments import format_table
-from tests.oracles.forecasting import (
-    ReferenceAdaptiveForecaster,
-    reference_battery,
-)
+from tests.oracles.forecasting import ReferenceAdaptiveForecaster
 
 
 def make_traces(length=600, seed=7) -> Dict[str, np.ndarray]:
@@ -34,25 +31,22 @@ def make_traces(length=600, seed=7) -> Dict[str, np.ndarray]:
             "trend": trend, "spiky": spiky}
 
 
-def score(trace: np.ndarray, battery=default_battery,
+def score(trace: np.ndarray,
           selector=AdaptiveForecaster) -> Dict[str, float]:
-    """MAE of each battery member and the adaptive selector."""
-    members = battery()
-    errors = {m.name: 0.0 for m in members}
+    """MAE of each battery member and the adaptive selector, reading
+    the members' predictions through the selector."""
     adaptive = selector()
+    errors = dict.fromkeys(adaptive.predictions(), 0.0)
     errors["adaptive"] = 0.0
     n_scored = 0
     for x in trace:
-        for m in members:
-            p = m.predict()
+        for name, p in adaptive.predictions().items():
             if p is not None:
-                errors[m.name] += abs(p - x)
+                errors[name] += abs(p - x)
         p = adaptive.predict()
         if p is not None:
             errors["adaptive"] += abs(p - x)
             n_scored += 1
-        for m in members:
-            m.update(x)
         adaptive.update(x)
     return {name: err / max(n_scored, 1) for name, err in errors.items()}
 
@@ -78,9 +72,8 @@ class TestForecasterAblation:
                            title="Forecaster MAE per trace regime"))
 
     def test_table_identical_under_oracle_battery(self, scores):
-        """The incremental battery is bit-for-bit the numpy one."""
-        oracle = {name: score(trace, reference_battery,
-                              ReferenceAdaptiveForecaster)
+        """The fused battery is bit-for-bit the numpy one."""
+        oracle = {name: score(trace, ReferenceAdaptiveForecaster)
                   for name, trace in make_traces().items()}
         assert oracle == scores
 

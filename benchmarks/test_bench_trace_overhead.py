@@ -13,11 +13,15 @@ is allowed to cost real time).
 Wall-clock noise on a shared host drifts over seconds, so the bound is
 checked on paired ratios: each round times the disabled-tracer run and
 the untraced baseline back to back (alternating which goes first), and
-the verdict is the median of the per-round ratios.  Identical workloads
-and a simulation outcome cross-check prove the compared runs did
-exactly the same work.
+the verdict is the median of the per-round ratios.  A finished
+simulation is freed only by the cyclic garbage collector, so a
+collection could land inside either half of a pair: every timed run
+starts from an untimed ``gc.collect()``, and the garbage-heavy enabled
+runs come after all the pairs.  Identical workloads and a simulation
+outcome cross-check prove the compared runs did exactly the same work.
 """
 
+import gc
 import statistics
 
 import pytest
@@ -43,20 +47,28 @@ def timings():
 
     Each round runs the baseline and the disabled tracer back to back,
     the first of the two alternating from round to round so neither
-    always gets the warmer slot, then the enabled tracer.
+    always gets the warmer slot.  The enabled tracer's rounds follow
+    in a loop of their own.
     """
     walls = {name: [] for name in _FACTORIES}
     stats = {}
+
+    def timed(name):
+        gc.collect()  # untimed: no earlier run's garbage is collected inside
+        result = run_substrate_bench(total_transfers=TRANSFERS,
+                                     tracer=_FACTORIES[name]())
+        walls[name].append(result["wall_seconds"])
+        stats[name] = result
+
     run_substrate_bench(total_transfers=TRANSFERS)  # warm-up, untimed
     for round_index in range(ROUNDS):
         pair = ["baseline", "disabled"]
         if round_index % 2:
             pair.reverse()
-        for name in (*pair, "enabled"):
-            result = run_substrate_bench(total_transfers=TRANSFERS,
-                                         tracer=_FACTORIES[name]())
-            walls[name].append(result["wall_seconds"])
-            stats[name] = result
+        for name in pair:
+            timed(name)
+    for _ in range(ROUNDS):
+        timed("enabled")
     return walls, stats
 
 

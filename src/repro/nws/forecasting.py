@@ -14,238 +14,61 @@ read it, so the battery does its work when it is read.
 list; the first read after it replays the pending samples, in arrival
 order, through the score-then-absorb loop, and a list that reaches
 ``_PENDING_CAP`` samples is replayed by ``update`` itself.  A sample
-that arrives after a series' last read is never computed.  Inside the
-replay each member computes its prediction once per sample, at its own
-``update``, and its ``predict`` returns it.  Medians come from a
-bisect-maintained sorted window, window means from ``sum()`` over the
-window, and the AR members skip the least-squares fit on a constant
-window, whose clamped prediction is that constant whatever the fit
-says.  All of it is bit-for-bit equal to the plain numpy battery kept
-as the test oracle in ``tests/oracles/forecasting.py`` (DESIGN.md §2.2
-gives the contract).
+that arrives after a series' last read is never computed.
+
+The battery is not a list of member objects: its eleven members are
+plain floats and lists inside :class:`AdaptiveForecaster`, updated in
+one ``_replay`` loop.  Medians come from bisect-maintained sorted
+windows, window means from ``sum()`` over the window, and both AR
+members fit over the forecaster's one ``HISTORY_LEN`` ring, sharing its
+``min``/``max`` and skipping the least-squares fit on a constant window,
+whose clamped prediction is that constant whatever the fit says.  All
+of it is bit-for-bit equal to the plain numpy battery kept as the test
+oracle in ``tests/oracles/forecasting.py`` (DESIGN.md §2.2 gives the
+contract).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
-__all__ = [
-    "AutoRegressive",
-    "Forecaster",
-    "LastValue",
-    "RunningMean",
-    "SlidingWindowMean",
-    "SlidingWindowMedian",
-    "ExponentialSmoothing",
-    "AdaptiveForecaster",
-    "HISTORY_LEN",
-    "default_battery",
-]
+__all__ = ["AdaptiveForecaster", "HISTORY_LEN", "MEMBERS"]
+
+#: the battery's members, in selection order: the first one with the
+#: lowest cumulative error answers
+MEMBERS = ("last", "mean", "win_mean_5", "win_mean_20", "win_median_5",
+           "win_median_20", "exp_0.1", "exp_0.3", "exp_0.75", "ar_1", "ar_2")
+
+#: samples the AR members fit over, the battery's largest window
+_AR_WINDOW = 30
 
 #: measurements an :class:`AdaptiveForecaster` (and a sensor) keeps for
-#: inspection: the largest window in the default battery, so the
-#: history covers everything any member still looks at
-HISTORY_LEN = 30
+#: inspection.  It is the AR window: the forecaster's one ring of recent
+#: samples is both its history and the AR members' fit window.
+HISTORY_LEN = _AR_WINDOW
 
 #: samples an :class:`AdaptiveForecaster` holds unreplayed at most; the
 #: ``update`` that fills the pending list replays it
 _PENDING_CAP = 256
 
 
-class Forecaster:
-    """Online one-step-ahead predictor for a scalar series."""
-
-    name = "base"
-
-    def update(self, value: float) -> None:
-        """Feed one new measurement."""
-        raise NotImplementedError
-
-    def predict(self) -> Optional[float]:
-        """Forecast of the next value, or None before any data."""
-        raise NotImplementedError
+def _ar_fit(series: np.ndarray, p: int) -> float:
+    """Least-squares AR(p) one-step prediction from ``series``."""
+    m = len(series) - p
+    # Row t is [series[t:t + p], 1] -> series[t + p]; the extra
+    # last row m is the regressor of the value being predicted.
+    design = np.ones((m + 1, p + 1))
+    for j in range(p):
+        design[:, j] = series[j:j + m + 1]
+    coef = np.linalg.lstsq(design[:m], series[p:], rcond=None)[0]
+    return float(design[m] @ coef)
 
 
-class LastValue(Forecaster):
-    """Predict the most recent measurement (a martingale model)."""
-
-    name = "last"
-
-    def __init__(self) -> None:
-        self._last: Optional[float] = None
-
-    def update(self, value: float) -> None:
-        self._last = value
-
-    def predict(self) -> Optional[float]:
-        return self._last
-
-
-class RunningMean(Forecaster):
-    """Predict the mean of the entire history."""
-
-    name = "mean"
-
-    def __init__(self) -> None:
-        self._sum = 0.0
-        self._n = 0
-
-    def update(self, value: float) -> None:
-        self._sum += value
-        self._n += 1
-
-    def predict(self) -> Optional[float]:
-        return self._sum / self._n if self._n else None
-
-
-class SlidingWindowMean(Forecaster):
-    """Predict the mean over the last ``window`` measurements."""
-
-    def __init__(self, window: int) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self.name = f"win_mean_{window}"
-        self._buf: Deque[float] = deque(maxlen=window)
-        self._mean: Optional[float] = None
-
-    def update(self, value: float) -> None:
-        self._buf.append(value)
-        # A fresh sum() each time, not a running sum: adding the new
-        # value and subtracting the evicted one drifts from sum()'s bits.
-        self._mean = sum(self._buf) / len(self._buf)
-
-    def predict(self) -> Optional[float]:
-        return self._mean
-
-
-class SlidingWindowMedian(Forecaster):
-    """Predict the median over the last ``window`` measurements.
-
-    Medians resist the load spikes that make means lie; NWS includes
-    them for exactly that reason.
-    """
-
-    def __init__(self, window: int) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self.name = f"win_median_{window}"
-        self._buf: Deque[float] = deque(maxlen=window)
-        #: the window's values in sorted order
-        self._sorted: List[float] = []
-        self._median: Optional[float] = None
-
-    def update(self, value: float) -> None:
-        ordered = self._sorted
-        if len(self._buf) == self.window:
-            del ordered[bisect_left(ordered, self._buf[0])]
-        self._buf.append(value)
-        insort(ordered, value)
-        mid = len(ordered) // 2
-        # np.median's even case is the mean of the middle pair, (a + b) / 2
-        self._median = float(ordered[mid] if len(ordered) % 2
-                             else (ordered[mid - 1] + ordered[mid]) / 2.0)
-
-    def predict(self) -> Optional[float]:
-        return self._median
-
-
-class ExponentialSmoothing(Forecaster):
-    """Predict with s <- gain*x + (1-gain)*s."""
-
-    def __init__(self, gain: float) -> None:
-        if not 0.0 < gain <= 1.0:
-            raise ValueError("gain must be in (0, 1]")
-        self.gain = gain
-        self.name = f"exp_{gain:g}"
-        self._state: Optional[float] = None
-
-    def update(self, value: float) -> None:
-        if self._state is None:
-            self._state = value
-        else:
-            self._state = self.gain * value + (1.0 - self.gain) * self._state
-
-    def predict(self) -> Optional[float]:
-        return self._state
-
-
-class AutoRegressive(Forecaster):
-    """Sliding-window AR(p) predictor, refitted on every update.
-
-    NWS ships autoregressive members in its battery; they win on series
-    with short-range correlation structure (oscillating load).  The
-    least-squares fit runs over the last ``window`` samples; until
-    ``2 * order + 2`` samples have arrived, the prediction falls back to
-    the last value.
-    """
-
-    def __init__(self, order: int = 2, window: int = 30) -> None:
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if window < 2 * order + 2:
-            raise ValueError("window too small to fit the requested order")
-        self.order = order
-        self.window = window
-        self.name = f"ar_{order}"
-        self._buf: Deque[float] = deque(maxlen=window)
-        self._pred: Optional[float] = None
-
-    def update(self, value: float) -> None:
-        buf = self._buf
-        buf.append(value)
-        if len(buf) < 2 * self.order + 2:
-            self._pred = value
-            return
-        lo, hi = min(buf), max(buf)
-        # Clamp into the observed window: AR lines extrapolate, but a
-        # resource measurement cannot leave the range its neighbours
-        # span (and real NWS clamps CPU availability the same way).  On
-        # a constant window the clamp pins the fit to that constant, so
-        # the fit is skipped.
-        self._pred = float(lo if lo == hi
-                           else min(max(self._fit(), lo), hi))
-
-    def predict(self) -> Optional[float]:
-        return self._pred
-
-    def _fit(self) -> float:
-        """Least-squares AR(p) one-step prediction from the window."""
-        series = np.fromiter(self._buf, dtype=float, count=len(self._buf))
-        p = self.order
-        m = len(series) - p
-        # Row t is [series[t:t + p], 1] -> series[t + p]; the extra
-        # last row m is the regressor of the value being predicted.
-        design = np.ones((m + 1, p + 1))
-        for j in range(p):
-            design[:, j] = series[j:j + m + 1]
-        coef = np.linalg.lstsq(design[:m], series[p:], rcond=None)[0]
-        return float(design[m] @ coef)
-
-
-def default_battery() -> List[Forecaster]:
-    """The predictor set used for every series unless overridden."""
-    return [
-        LastValue(),
-        RunningMean(),
-        SlidingWindowMean(5),
-        SlidingWindowMean(20),
-        SlidingWindowMedian(5),
-        SlidingWindowMedian(20),
-        ExponentialSmoothing(0.1),
-        ExponentialSmoothing(0.3),
-        ExponentialSmoothing(0.75),
-        AutoRegressive(order=1),
-        AutoRegressive(order=2),
-    ]
-
-
-class AdaptiveForecaster(Forecaster):
+class AdaptiveForecaster:
     """NWS's postcast selector: track each method's mean absolute error
     against the measurements that actually arrived, answer with the
     lowest-error method's prediction.
@@ -255,27 +78,25 @@ class AdaptiveForecaster(Forecaster):
     replays them first, so it sees exactly the state eager updates
     would have left."""
 
-    name = "adaptive"
-
-    def __init__(self, battery: Optional[Sequence[Forecaster]] = None) -> None:
-        self._battery: List[Forecaster] = (
-            list(battery) if battery is not None else default_battery())
-        if not self._battery:
-            raise ValueError("battery must not be empty")
-        names = [f.name for f in self._battery]
-        if len(set(names)) != len(names):
-            raise ValueError(f"battery member names must be unique: {names}")
-        #: cumulative absolute error, by battery position
-        self._abs_err: List[float] = [0.0] * len(self._battery)
-        self._n_scored = 0
+    def __init__(self) -> None:
+        #: each member's prediction of the next sample, in MEMBERS
+        #: order; all None before the first sample, none after it
+        self._preds: List[Optional[float]] = [None] * len(MEMBERS)
+        #: cumulative absolute error, in MEMBERS order
+        self._abs_err: List[float] = [0.0] * len(MEMBERS)
+        #: index of the selected member (meaningful once a sample is in)
+        self._best = 0
         self._n_samples = 0
-        self._history: Deque[float] = deque(maxlen=HISTORY_LEN)
+        self._sum = 0.0
+        self._w5: Deque[float] = deque(maxlen=5)
+        self._w20: Deque[float] = deque(maxlen=20)
+        #: the w5 / w20 windows' values in sorted order
+        self._sorted5: List[float] = []
+        self._sorted20: List[float] = []
+        #: the last HISTORY_LEN samples: history() and the AR window
+        self._window: Deque[float] = deque(maxlen=HISTORY_LEN)
         #: samples not yet replayed through the battery, oldest first
         self._pending: List[float] = []
-        #: (best method, its prediction); None until asked, dropped on
-        #: every replay — the selection is a pure function of the series
-        self._choice: Optional[Tuple[Optional[Forecaster],
-                                     Optional[float]]] = None
 
     def update(self, value: float) -> None:
         pending = self._pending
@@ -285,62 +106,115 @@ class AdaptiveForecaster(Forecaster):
 
     def _replay(self) -> None:
         """Run the pending samples through the battery, in order."""
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             return
-        pending, self._pending = self._pending, []
-        # Score yesterday's prediction against today's truth (postcast),
-        # then let the method absorb the new measurement.  Members are
-        # independent, so one pass over the battery does both.
-        abs_err = self._abs_err
-        battery = self._battery
-        n_scored = 0
-        for value in pending:
-            scored = False
-            for i, method in enumerate(battery):
-                pred = method.predict()
-                if pred is not None:
-                    abs_err[i] += abs(pred - value)
-                    scored = True
-                method.update(value)
-            n_scored += scored
-        self._n_scored += n_scored
-        self._n_samples += len(pending)
-        self._history.extend(pending)
-        self._choice = None
+        self._pending = []
+        (last, mean, mean5, mean20, med5, med20, exp1, exp3, exp75,
+         ar1, ar2) = self._preds
+        (e_last, e_mean, e_mean5, e_mean20, e_med5, e_med20, e_exp1,
+         e_exp3, e_exp75, e_ar1, e_ar2) = self._abs_err
+        n = self._n_samples
+        total = self._sum
+        w5, w20 = self._w5, self._w20
+        sorted5, sorted20 = self._sorted5, self._sorted20
+        window = self._window
+        for x in pending:
+            # Score yesterday's predictions against today's truth
+            # (postcast), then absorb the new measurement.
+            if n:
+                e_last += abs(last - x)
+                e_mean += abs(mean - x)
+                e_mean5 += abs(mean5 - x)
+                e_mean20 += abs(mean20 - x)
+                e_med5 += abs(med5 - x)
+                e_med20 += abs(med20 - x)
+                e_exp1 += abs(exp1 - x)
+                e_exp3 += abs(exp3 - x)
+                e_exp75 += abs(exp75 - x)
+                e_ar1 += abs(ar1 - x)
+                e_ar2 += abs(ar2 - x)
+                exp1 = 0.1 * x + (1.0 - 0.1) * exp1
+                exp3 = 0.3 * x + (1.0 - 0.3) * exp3
+                exp75 = 0.75 * x + (1.0 - 0.75) * exp75
+            else:
+                exp1 = exp3 = exp75 = x
+            last = x
+            n += 1
+            total += x
+            mean = total / n
 
-    @property
-    def battery(self) -> Tuple[Forecaster, ...]:
-        """The members, up to date with every sample so far."""
-        self._replay()
-        return tuple(self._battery)
+            if len(w5) == 5:
+                del sorted5[bisect_left(sorted5, w5[0])]
+            w5.append(x)
+            insort(sorted5, x)
+            # A fresh sum() each time, not a running sum: adding the new
+            # value and subtracting the evicted one drifts from sum()'s bits.
+            mean5 = sum(w5) / len(w5)
+            mid = len(sorted5) // 2
+            # np.median's even case is the mean of the middle pair, (a + b) / 2
+            med5 = float(sorted5[mid] if len(sorted5) % 2
+                         else (sorted5[mid - 1] + sorted5[mid]) / 2.0)
 
-    def _select(self) -> Tuple[Optional[Forecaster], Optional[float]]:
-        self._replay()
-        if self._choice is None:
-            # the first member with the lowest error wins a tie
-            best: Optional[Forecaster] = None
-            best_pred: Optional[float] = None
-            best_err = 0.0
-            for method, err in zip(self._battery, self._abs_err):
-                pred = method.predict()
-                if pred is not None and (best is None or err < best_err):
-                    best, best_pred, best_err = method, pred, err
-            self._choice = (best, best_pred)
-        return self._choice
+            if len(w20) == 20:
+                del sorted20[bisect_left(sorted20, w20[0])]
+            w20.append(x)
+            insort(sorted20, x)
+            mean20 = sum(w20) / len(w20)
+            mid = len(sorted20) // 2
+            med20 = float(sorted20[mid] if len(sorted20) % 2
+                          else (sorted20[mid - 1] + sorted20[mid]) / 2.0)
+
+            # AR(p) falls back to the last value until 2p + 2 samples.
+            # Past that it is clamped into the window's [lo, hi]: AR lines
+            # extrapolate, but a resource measurement cannot leave the
+            # range its neighbours span (and real NWS clamps CPU
+            # availability the same way).  On a constant window the clamp
+            # pins both fits to that constant, so neither runs.
+            window.append(x)
+            k = len(window)
+            if k < 4:
+                ar1 = ar2 = x
+            else:
+                lo, hi = min(window), max(window)
+                if lo == hi:
+                    ar1 = float(lo)
+                    ar2 = x if k < 6 else ar1
+                else:
+                    series = np.fromiter(window, dtype=float, count=k)
+                    ar1 = float(min(max(_ar_fit(series, 1), lo), hi))
+                    ar2 = (x if k < 6
+                           else float(min(max(_ar_fit(series, 2), lo), hi)))
+        self._preds = [last, mean, mean5, mean20, med5, med20, exp1, exp3,
+                       exp75, ar1, ar2]
+        errs = [e_last, e_mean, e_mean5, e_mean20, e_med5, e_med20, e_exp1,
+                e_exp3, e_exp75, e_ar1, e_ar2]
+        self._abs_err = errs
+        # the first member with the lowest error wins a tie
+        self._best = errs.index(min(errs))
+        self._n_samples = n
+        self._sum = total
 
     def predict(self) -> Optional[float]:
-        return self._select()[1]
+        self._replay()
+        return self._preds[self._best]
 
-    def best_method(self) -> Optional[Forecaster]:
-        """The battery member with the lowest cumulative error so far."""
-        return self._select()[0]
+    def best_method(self) -> Optional[str]:
+        """Name of the member with the lowest cumulative error so far."""
+        self._replay()
+        return MEMBERS[self._best] if self._n_samples else None
+
+    def predictions(self) -> Dict[str, Optional[float]]:
+        """Each member's prediction, up to date with every sample so far."""
+        self._replay()
+        return dict(zip(MEMBERS, self._preds))
 
     def errors(self) -> Dict[str, float]:
         """Mean absolute error per method over the scored history."""
         self._replay()
-        n = max(self._n_scored, 1)
-        return {method.name: err / n
-                for method, err in zip(self._battery, self._abs_err)}
+        # every sample but the first is scored
+        n = max(self._n_samples - 1, 1)
+        return {name: err / n for name, err in zip(MEMBERS, self._abs_err)}
 
     @property
     def n_samples(self) -> int:
@@ -351,4 +225,4 @@ class AdaptiveForecaster(Forecaster):
 
     def history(self) -> List[float]:
         self._replay()
-        return list(self._history)
+        return list(self._window)

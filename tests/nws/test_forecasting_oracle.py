@@ -10,6 +10,11 @@ Reading after every sample replays one pending sample at a time, so
 the sparse-read cases read only at a few drawn points of series long
 enough for a gap to cross the pending cap: each read then replays a
 batch, or follows a replay that ``update`` ran at the cap.
+
+The drawn series may never produce the exact error tie on which the
+selection turns, so the last cases replay series recorded from real
+runs: every service forecaster's samples and read points from a fig3
+bar and a short 64-host metasched stream.
 """
 
 import itertools
@@ -19,8 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nws import AdaptiveForecaster, AutoRegressive
-from repro.nws.forecasting import HISTORY_LEN, _PENDING_CAP
+from repro.experiments.fig3_qr import run_fig3_point
+from repro.experiments.metasched_stream import run_metasched
+from repro.nws import AdaptiveForecaster
+from repro.nws.forecasting import HISTORY_LEN, MEMBERS, _PENDING_CAP
 from tests.oracles.forecasting import ReferenceAdaptiveForecaster
 
 ALPHABET = (0.0, 0.2, 0.5, 2 / 3, 1.0)
@@ -41,11 +48,12 @@ def assert_battery_matches(series):
     for i, x in enumerate(series):
         fast.update(x)
         oracle.update(x)
-        for mine, ref in zip(fast.battery, oracle.battery):
-            assert mine.name == ref.name
-            assert mine.predict() == ref.predict(), (i, mine.name)
+        mine, ref = fast.predictions(), oracle.predictions()
+        assert list(mine) == list(ref) == list(MEMBERS)
+        for name in MEMBERS:
+            assert mine[name] == ref[name], (i, name)
         assert fast.errors() == oracle.errors(), i
-        assert fast.best_method().name == oracle.best_method().name, i
+        assert fast.best_method() == oracle.best_method(), i
         assert fast.predict() == oracle.predict(), i
     assert fast.n_samples == oracle.n_samples == len(series)
     assert fast.history() == oracle.history()[-HISTORY_LEN:]
@@ -72,29 +80,34 @@ def test_piecewise_constant_series_match_oracle(series):
 class TestLstsqOnlyOnNonConstantWindows:
     @pytest.fixture
     def lstsq_calls(self, monkeypatch):
+        """The AR order of every least-squares fit, in call order."""
         calls = []
         real = np.linalg.lstsq
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(design, *args, **kwargs):
+            calls.append(design.shape[1] - 1)
+            return real(design, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counting)
         return calls
 
     def test_constant_window_skips_the_fit(self, lstsq_calls):
-        f = AutoRegressive(order=2)
+        f = AdaptiveForecaster()
         for _ in range(100):
             f.update(0.5)
-        assert f.predict() == 0.5
+        assert f.predictions()["ar_2"] == 0.5
         assert lstsq_calls == []
 
     def test_every_full_non_constant_window_is_fitted(self, lstsq_calls):
-        f = AutoRegressive(order=1)
+        f = AdaptiveForecaster()
         for i in range(10):
             f.update(0.25 * (i % 2))
-        # windows of 4..10 samples are fitted; 1..3 fall back to last
-        assert len(lstsq_calls) == 7
+        f.predict()
+        # AR(1) fits windows of 4..10 samples and AR(2) windows of 6..10;
+        # shorter ones fall back to the last value
+        assert lstsq_calls.count(1) == 7
+        assert lstsq_calls.count(2) == 5
+        assert len(lstsq_calls) == 12
 
 
 def noise_series(n, seed, on_alphabet):
@@ -113,18 +126,13 @@ long_series = st.one_of(
 )
 
 READERS = ("predict", "best_method", "errors", "n_samples", "history",
-           "battery")
+           "predictions")
 
 
-def read(forecaster, reader, member):
+def read(forecaster, reader):
     """What one reader of ``forecaster`` sees, comparable with ``==``."""
-    if reader == "best_method":
-        best = forecaster.best_method()
-        return best.name if best is not None else None
     if reader == "history":
         return forecaster.history()[-HISTORY_LEN:]
-    if reader == "battery":
-        return forecaster.battery[member].predict()
     value = getattr(forecaster, reader)
     return value() if callable(value) else value
 
@@ -133,9 +141,8 @@ def read(forecaster, reader, member):
 @given(series=long_series,
        gaps=st.lists(st.integers(0, 2 * _PENDING_CAP), min_size=1,
                      max_size=6),
-       first_reader=st.integers(0, len(READERS) - 1),
-       member=st.integers(0, 10))
-def test_sparse_reads_match_oracle(series, gaps, first_reader, member):
+       first_reader=st.integers(0, len(READERS) - 1))
+def test_sparse_reads_match_oracle(series, gaps, first_reader):
     """Each read point asks a different reader and nothing else, so a
     reader that does not replay the pending samples first fails."""
     fast = AdaptiveForecaster()
@@ -148,23 +155,22 @@ def test_sparse_reads_match_oracle(series, gaps, first_reader, member):
             oracle.update(x)
         fed = point
         reader = READERS[(first_reader + j) % len(READERS)]
-        assert read(fast, reader, member) == read(oracle, reader, member), (
+        assert read(fast, reader) == read(oracle, reader), (
             point, reader)
 
 
 class TestPendingCap:
     def test_update_replays_when_the_pending_list_fills(self):
         f = AdaptiveForecaster()
-        last = f._battery[0]
-        assert last.name == "last"
         for i in range(_PENDING_CAP - 1):
             f.update(float(i % 3))
         # nothing has read the forecaster, so no member has seen a sample
-        assert last.predict() is None
+        assert f._preds == [None] * len(MEMBERS)
         assert len(f._pending) == _PENDING_CAP - 1
         f.update(7.0)
         assert f._pending == []
-        assert last.predict() == 7.0
+        assert f._n_samples == _PENDING_CAP
+        assert f.predictions()["last"] == 7.0
 
     def test_ten_thousand_unread_updates_stay_bounded(self):
         f = AdaptiveForecaster()
@@ -174,3 +180,87 @@ class TestPendingCap:
             assert len(f._pending) < _PENDING_CAP
         assert f.n_samples == 10_000
         assert f.history() == series[-HISTORY_LEN:]
+
+
+def record_series(run):
+    """Every forecaster ``run()`` builds, as the list of its samples in
+    arrival order with a ``None`` wherever it is read after new ones."""
+    logs = []
+    init = AdaptiveForecaster.__init__
+    update = AdaptiveForecaster.update
+    predict = AdaptiveForecaster.predict
+
+    def logging_init(self):
+        init(self)
+        self.log = []
+        logs.append(self.log)
+
+    def logging_update(self, value):
+        self.log.append(value)
+        update(self, value)
+
+    def logging_predict(self):
+        if self.log and self.log[-1] is not None:
+            self.log.append(None)
+        return predict(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AdaptiveForecaster, "__init__", logging_init)
+        patch.setattr(AdaptiveForecaster, "update", logging_update)
+        patch.setattr(AdaptiveForecaster, "predict", logging_predict)
+        run()
+    return logs
+
+
+@pytest.fixture(scope="module")
+def recorded_series():
+    # the forced migration of the message-path pin, and the
+    # metasched-64h stream cut to its first 30 jobs
+    fig3 = record_series(
+        lambda: run_fig3_point(5000, "reschedule", load_at=120.0))
+    meta = record_series(
+        lambda: run_metasched(users=16, arrival_rate=1 / 12,
+                              duration=12000.0, max_jobs=30, n_hosts=64,
+                              cpu_period=60.0))
+    return fig3 + meta
+
+
+class TestRecordedSeries:
+    def test_every_recorded_read_matches_oracle(self, recorded_series):
+        reads = 0
+        for k, log in enumerate(recorded_series):
+            fast = AdaptiveForecaster()
+            oracle = ReferenceAdaptiveForecaster()
+            for i, x in enumerate(log):
+                if x is not None:
+                    fast.update(x)
+                    oracle.update(x)
+                    continue
+                reads += 1
+                assert fast.predictions() == oracle.predictions(), (k, i)
+                assert fast.errors() == oracle.errors(), (k, i)
+                assert fast.best_method() == oracle.best_method(), (k, i)
+                assert fast.predict() == oracle.predict(), (k, i)
+            assert fast.history() == oracle.history()[-HISTORY_LEN:], k
+        assert reads > 300
+
+    def test_recording_holds_a_deciding_error_tie(self, recorded_series):
+        """Somewhere the chosen member ties exactly, on a non-zero error
+        that not every member shares, with a later member predicting
+        something else: only "first lowest wins" picks the answer."""
+        ties = set()
+        for log in recorded_series:
+            f = AdaptiveForecaster()
+            for x in log:
+                if x is not None:
+                    f.update(x)
+                    continue
+                errors, preds = f.errors(), f.predictions()
+                best = f.best_method()
+                if errors[best] == 0.0 or len(set(errors.values())) == 1:
+                    continue
+                for name in MEMBERS[MEMBERS.index(best) + 1:]:
+                    if errors[name] == errors[best] \
+                            and preds[name] != preds[best]:
+                        ties.add((best, name))
+        assert ("last", "ar_1") in ties

@@ -6,8 +6,8 @@ every AR window (constant ones included), the clamp bounds taken from
 ``series.min()`` / ``series.max()``, window means recomputed at every
 query, and an adaptive selector that scores in one pass and absorbs in
 a second, with errors keyed by member name and an unbounded history.
-The members whose production path keeps no extra state (last value,
-running mean, exponential smoothing) are shared with the product.
+The production battery keeps its members as plain state inside one
+replay loop; here each member is its own :class:`Forecaster` object.
 
 The differential in ``tests/nws/test_forecasting_oracle.py`` asserts
 every prediction, error and selection is ``==`` to the production one.
@@ -16,30 +16,95 @@ every prediction, error and selection is ``==`` to the production one.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.nws.forecasting import (
-    ExponentialSmoothing,
-    Forecaster,
-    LastValue,
-    RunningMean,
-)
-
 __all__ = [
+    "ExponentialSmoothing",
+    "Forecaster",
+    "LastValue",
     "ReferenceAdaptiveForecaster",
     "ReferenceAutoRegressive",
     "ReferenceSlidingWindowMean",
     "ReferenceSlidingWindowMedian",
+    "RunningMean",
     "reference_battery",
 ]
+
+
+class Forecaster:
+    """Online one-step-ahead predictor for a scalar series."""
+
+    name = "base"
+
+    def update(self, value: float) -> None:
+        """Feed one new measurement."""
+        raise NotImplementedError
+
+    def predict(self) -> Optional[float]:
+        """Forecast of the next value, or None before any data."""
+        raise NotImplementedError
+
+
+class LastValue(Forecaster):
+    """Predict the most recent measurement (a martingale model)."""
+
+    name = "last"
+
+    def __init__(self) -> None:
+        self._last: Optional[float] = None
+
+    def update(self, value: float) -> None:
+        self._last = value
+
+    def predict(self) -> Optional[float]:
+        return self._last
+
+
+class RunningMean(Forecaster):
+    """Predict the mean of the entire history."""
+
+    name = "mean"
+
+    def __init__(self) -> None:
+        self._sum = 0.0
+        self._n = 0
+
+    def update(self, value: float) -> None:
+        self._sum += value
+        self._n += 1
+
+    def predict(self) -> Optional[float]:
+        return self._sum / self._n if self._n else None
+
+
+class ExponentialSmoothing(Forecaster):
+    """Predict with s <- gain*x + (1-gain)*s."""
+
+    def __init__(self, gain: float) -> None:
+        if not 0.0 < gain <= 1.0:
+            raise ValueError("gain must be in (0, 1]")
+        self.gain = gain
+        self.name = f"exp_{gain:g}"
+        self._state: Optional[float] = None
+
+    def update(self, value: float) -> None:
+        if self._state is None:
+            self._state = value
+        else:
+            self._state = self.gain * value + (1.0 - self.gain) * self._state
+
+    def predict(self) -> Optional[float]:
+        return self._state
 
 
 class ReferenceSlidingWindowMean(Forecaster):
     """Mean of the last ``window`` measurements, summed at every query."""
 
     def __init__(self, window: int) -> None:
+        if window < 1:
+            raise ValueError("window must be >= 1")
         self.window = window
         self.name = f"win_mean_{window}"
         self._buf: Deque[float] = deque(maxlen=window)
@@ -57,6 +122,8 @@ class ReferenceSlidingWindowMedian(Forecaster):
     """``np.median`` of the last ``window`` measurements."""
 
     def __init__(self, window: int) -> None:
+        if window < 1:
+            raise ValueError("window must be >= 1")
         self.window = window
         self.name = f"win_median_{window}"
         self._buf: Deque[float] = deque(maxlen=window)
@@ -71,9 +138,17 @@ class ReferenceSlidingWindowMedian(Forecaster):
 
 
 class ReferenceAutoRegressive(Forecaster):
-    """Sliding-window AR(p) with a ``lstsq`` fit on every window."""
+    """Sliding-window AR(p) with a ``lstsq`` fit on every window.
+
+    Until ``2 * order + 2`` samples have arrived the prediction falls
+    back to the last value; after that it is clamped into the window's
+    observed range."""
 
     def __init__(self, order: int = 2, window: int = 30) -> None:
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        if window < 2 * order + 2:
+            raise ValueError("window too small to fit the requested order")
         self.order = order
         self.window = window
         self.name = f"ar_{order}"
@@ -101,7 +176,7 @@ class ReferenceAutoRegressive(Forecaster):
 
 
 def reference_battery() -> List[Forecaster]:
-    """The oracle counterpart of :func:`repro.nws.default_battery`."""
+    """The battery in :data:`repro.nws.forecasting.MEMBERS` order."""
     return [
         LastValue(),
         RunningMean(),
@@ -122,9 +197,8 @@ class ReferenceAdaptiveForecaster(Forecaster):
 
     name = "adaptive"
 
-    def __init__(self, battery: Optional[Sequence[Forecaster]] = None) -> None:
-        self.battery: List[Forecaster] = (
-            list(battery) if battery is not None else reference_battery())
+    def __init__(self) -> None:
+        self.battery: List[Forecaster] = reference_battery()
         self._abs_err: Dict[str, float] = {f.name: 0.0 for f in self.battery}
         self._n_scored = 0
         self._history: List[float] = []
@@ -150,8 +224,12 @@ class ReferenceAdaptiveForecaster(Forecaster):
     def predict(self) -> Optional[float]:
         return self._select()[1]
 
-    def best_method(self) -> Optional[Forecaster]:
-        return self._select()[0]
+    def best_method(self) -> Optional[str]:
+        best = self._select()[0]
+        return best.name if best is not None else None
+
+    def predictions(self) -> Dict[str, Optional[float]]:
+        return {method.name: method.predict() for method in self.battery}
 
     def errors(self) -> Dict[str, float]:
         n = max(self._n_scored, 1)
