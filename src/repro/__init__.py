@@ -11,13 +11,13 @@ Subpackages
 ``repro.gis``          grid information service + software registry
 ``repro.nws``          network weather service (sensors + forecasting)
 ``repro.perfmodel``    flop-count fitting and memory-reuse-distance models
-``repro.mpi``          simulated MPI runtime with swapping and counters
+``repro.mpi``          simulated MPI runtime with process swapping
 ``repro.cop``          configurable object programs and mappers
 ``repro.binder``       distributed binder and launcher
 ``repro.scheduler``    workflow DAGs, rank matrices, heuristics, executor
 ``repro.contracts``    Autopilot, fuzzy logic, performance contracts
 ``repro.ibp``          network storage depots
-``repro.rescheduling`` SRS/RSS, redistribution, reschedulers, swapping
+``repro.rescheduling`` SRS/RSS (N-to-M restore), reschedulers, swapping
 ``repro.metasched``    multi-tenant submission service with reservations
 ``repro.apps``         ScaLAPACK QR, N-body, EMAN refinement workflow
 ``repro.appmanager``   the wired-up GrADS execution environment

@@ -245,12 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     tdiff = trace_sub.add_parser(
         "diff", help="first divergent event between two traces "
                      "(exit 1 if they diverge)")
-    tdiff.add_argument("a", help="first trace (Chrome JSON or JSONL)")
+    tdiff.add_argument("a", help="first trace (Chrome trace-event JSON)")
     tdiff.add_argument("b", help="second trace")
 
     tsummary = trace_sub.add_parser(
         "summary", help="per-host utilization, violations, critical path")
-    tsummary.add_argument("path", help="trace file (Chrome JSON or JSONL)")
+    tsummary.add_argument("path", help="Chrome trace-event JSON file")
 
     tvalidate = trace_sub.add_parser(
         "validate", help="check a file against the Chrome trace-event schema")

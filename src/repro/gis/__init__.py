@@ -2,13 +2,6 @@
 
 from .directory import GISError, GridInformationService, ResourceRecord
 from .software import SoftwareNotFound, SoftwarePackage, SoftwareRegistry
-from .vgrid import (
-    Tightness,
-    VgridError,
-    VgridSpec,
-    VirtualGrid,
-    find_and_bind,
-)
 
 __all__ = [
     "GISError",
@@ -17,9 +10,4 @@ __all__ = [
     "SoftwareNotFound",
     "SoftwarePackage",
     "SoftwareRegistry",
-    "Tightness",
-    "VgridError",
-    "VgridSpec",
-    "VirtualGrid",
-    "find_and_bind",
 ]

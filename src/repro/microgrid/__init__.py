@@ -10,7 +10,7 @@ from .dml import DMLError, Grid, parse_grid, parse_quantity
 from .emulation import VirtualClock, dilated_grid
 from .failures import ScheduledFailure
 from .host import Architecture, CacheLevel, Host, HostFailure
-from .loadgen import RandomLoadGenerator, ScheduledLoad, TraceLoad
+from .loadgen import ScheduledLoad
 from .network import Flow, Link, NetworkError, Topology
 from .testbed import (
     ARCH_ATHLON_1700,
@@ -40,11 +40,9 @@ __all__ = [
     "HostFailure",
     "Link",
     "NetworkError",
-    "RandomLoadGenerator",
     "ScheduledFailure",
     "ScheduledLoad",
     "Topology",
-    "TraceLoad",
     "VirtualClock",
     "dilated_grid",
     "fig3_testbed",

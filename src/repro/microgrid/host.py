@@ -236,19 +236,6 @@ class Host:
         if trace is not None and "fault" in trace.active:
             trace.instant("fault", "host-up", host=self.name)
 
-    def estimate_seconds(self, mflop: float, assume_share: Optional[float] = None
-                         ) -> float:
-        """Predicted run time of ``mflop`` of work on this host.
-
-        With ``assume_share=None`` the *current* contention level is
-        assumed to persist (this is what a scheduler using NWS data
-        effectively predicts).
-        """
-        share = self.availability() if assume_share is None else assume_share
-        if share <= 0:
-            return math.inf
-        return mflop / (self.speed * share)
-
     # -- processor-sharing internals -------------------------------------------
     def _settle(self) -> None:
         """Account for work done at the current rates since last update."""

@@ -1,22 +1,19 @@
-"""Background-load generation for hosts.
+"""Background-load injection for hosts.
 
 The paper's experiments inject "artificial load" (§4.1.2) or
-"competitive processes" (§4.2) at a chosen instant.  This module
-provides that, plus stochastic load traces for the wider parameter
-sweeps (NWS forecasting benchmarks, swap-policy ablations).
+"competitive processes" (§4.2) at a chosen instant, and
+:class:`ScheduledLoad` does that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional
 
 from ..sim.kernel import Simulator
 from .host import Host
 
-__all__ = ["ScheduledLoad", "RandomLoadGenerator", "TraceLoad"]
+__all__ = ["ScheduledLoad"]
 
 
 @dataclass
@@ -58,85 +55,3 @@ class ScheduledLoad:
         if self.host.failures != self._epoch:
             return  # the crash already dropped these tasks
         self.host.remove_background_load(handles)
-
-
-class TraceLoad:
-    """Replay a (time, nprocs) load trace on one host.
-
-    The trace must be sorted by time; each entry sets the *absolute*
-    number of background processes from that instant onward.
-    """
-
-    def __init__(self, host: Host, trace: Sequence[Tuple[float, int]]) -> None:
-        times = [t for t, _ in trace]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("load trace must be sorted by time")
-        if any(n < 0 for _, n in trace):
-            raise ValueError("load levels must be non-negative")
-        self.host = host
-        self.trace = list(trace)
-        self._handles: list = []
-        self._epoch = host.failures
-
-    def install(self, sim: Simulator) -> None:
-        for at, nprocs in self.trace:
-            sim.call_at(at, lambda n=nprocs: self._set_level(n))
-
-    def _set_level(self, nprocs: int) -> None:
-        if self.host.failures != self._epoch:
-            # A crash dropped whatever we had injected; the recorded
-            # handles are stale and must not be "removed" again.
-            self._handles = []
-            self._epoch = self.host.failures
-        if not self.host.alive:
-            return  # pick the level back up at the next trace entry
-        current = len(self._handles)
-        if nprocs > current:
-            self._handles.extend(
-                self.host.add_background_load(nprocs - current))
-        elif nprocs < current:
-            drop, self._handles = (self._handles[nprocs:],
-                                   self._handles[:nprocs])
-            self.host.remove_background_load(drop)
-
-
-class RandomLoadGenerator:
-    """Markov on/off background load across a set of hosts.
-
-    Each host independently alternates between idle and loaded periods
-    with exponentially distributed durations; loaded periods run
-    ``nprocs`` competing processes.  Used for the NWS forecasting and
-    swap-policy sweeps where the paper varies "dynamic conditions".
-    """
-
-    def __init__(self, hosts: Sequence[Host], rng: np.random.Generator,
-                 mean_idle: float = 120.0, mean_busy: float = 60.0,
-                 nprocs: int = 1) -> None:
-        if mean_idle <= 0 or mean_busy <= 0:
-            raise ValueError("mean period lengths must be positive")
-        self.hosts = list(hosts)
-        self.rng = rng
-        self.mean_idle = mean_idle
-        self.mean_busy = mean_busy
-        self.nprocs = nprocs
-
-    def install(self, sim: Simulator) -> None:
-        for host in self.hosts:
-            sim.process(self._drive(sim, host), name=f"loadgen:{host.name}")
-
-    def _drive(self, sim: Simulator, host: Host):
-        while True:
-            yield sim.timeout(float(self.rng.exponential(self.mean_idle)))
-            # Both timeouts are always drawn so the schedule for a seed
-            # does not depend on host health (same idiom as the failure
-            # injector); injection/removal skip crashed-host windows.
-            injected = False
-            epoch = 0
-            handles: list = []
-            if host.alive:
-                handles = host.add_background_load(self.nprocs)
-                epoch = host.failures
-                injected = True
-            yield sim.timeout(float(self.rng.exponential(self.mean_busy)))
-            if injected and host.failures == epoch:
-                host.remove_background_load(handles)

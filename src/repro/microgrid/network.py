@@ -27,10 +27,10 @@ processing rather than per-event rescans):
   equal-latency ties resolve exactly as the reference Dijkstra in
   ``tests/oracles/graphs.py``) and cached
   until the topology mutates; per-pair ``(latency, bottleneck)`` tuples
-  are memoised so :meth:`Topology.estimate_transfer_seconds` is a dict
-  lookup, and so are each pair's interned edges, which
-  :meth:`Topology.transfer` reuses.  Hits/misses are counted in
-  ``sim.stats``.
+  are memoised so :meth:`Topology.path_latency` and
+  :meth:`Topology.path_bottleneck_bw` are dict lookups, and so are
+  each pair's interned edges, which :meth:`Topology.transfer` reuses.
+  Hits/misses are counted in ``sim.stats``.
 
 Capacities are in bytes/s, latencies in seconds, transfers in bytes.
 """
@@ -282,19 +282,6 @@ class Topology:
         if src == dst:
             return self.local_copy_bw
         return self._path_metrics(src, dst)[1]
-
-    def estimate_transfer_seconds(self, src: str, dst: str, nbytes: float) -> float:
-        """Latency + bytes/bottleneck estimate, as an NWS client would make.
-
-        This deliberately ignores current contention: it is the number a
-        scheduler computes from NWS latency/bandwidth reports.
-        """
-        if nbytes < 0:
-            raise ValueError("negative transfer size")
-        if src == dst:
-            return nbytes / self.local_copy_bw
-        latency, bottleneck = self._path_metrics(src, dst)
-        return latency + nbytes / bottleneck
 
     # -- transfers -------------------------------------------------------------------
     def transfer(self, src: str, dst: str, nbytes: float, tag: str = "") -> Event:

@@ -228,7 +228,8 @@ class Communicator:
     def _next_tag(self, rank: int, kind: int) -> int:
         seq = self._coll_seq[rank]
         self._coll_seq[rank] += 1
-        # fold the collective kind and sequence into a reserved tag space
+        # fold the collective kind and sequence into a reserved tag space;
+        # kinds: barrier 0, bcast 1, allgather 3, allreduce 4
         return 1_000_000 + seq * 8 + kind
 
     def barrier(self, rank: int):
@@ -270,20 +271,6 @@ class Communicator:
             mask >>= 1
         return value
 
-    def gather(self, rank: int, root: int, nbytes: float, payload: Any = None):
-        """Flat gather to the root; returns list of payloads at the root."""
-        self.job._check_rank(root)
-        tag = self._next_tag(rank, 2)
-        if rank == root:
-            values: List[Any] = [None] * self.size
-            values[root] = payload
-            for _ in range(self.size - 1):
-                msg = yield self.recv(root, tag=tag)
-                values[msg.src] = msg.payload
-            return values
-        yield self.send(rank, root, nbytes=nbytes, tag=tag, payload=payload)
-        return None
-
     def allgather(self, rank: int, nbytes: float, payload: Any = None):
         """Ring allgather: size-1 steps, each moving ``nbytes``."""
         tag = self._next_tag(rank, 3)
@@ -300,42 +287,6 @@ class Communicator:
             carried_index, carried_value = msg.payload
             values[carried_index] = carried_value
         return values
-
-    def scatter(self, rank: int, root: int, nbytes: float,
-                payloads: Any = None):
-        """Root deals one payload (``nbytes`` each) to every rank;
-        returns this rank's share.  ``payloads`` is the length-``size``
-        list at the root, ignored elsewhere."""
-        self.job._check_rank(root)
-        tag = self._next_tag(rank, 5)
-        if rank == root:
-            if payloads is None:
-                payloads = [None] * self.size
-            if len(payloads) != self.size:
-                raise MpiError(
-                    f"scatter needs {self.size} payloads, got {len(payloads)}")
-            for other in range(self.size):
-                if other != root:
-                    yield self.send(root, other, nbytes=nbytes, tag=tag,
-                                    payload=payloads[other])
-            return payloads[root]
-        msg = yield self.recv(rank, src=root, tag=tag)
-        return msg.payload
-
-    def reduce(self, rank: int, root: int, nbytes: float,
-               value: float = 0.0,
-               op: Callable[[float, float], float] = lambda a, b: a + b):
-        """Reduce to the root; returns the result there, None elsewhere."""
-        self.job._check_rank(root)
-        tag = self._next_tag(rank, 6)
-        if rank == root:
-            acc = value
-            for _ in range(self.size - 1):
-                msg = yield self.recv(root, tag=tag)
-                acc = op(acc, msg.payload)
-            return acc
-        yield self.send(rank, root, nbytes=nbytes, tag=tag, payload=value)
-        return None
 
     def allreduce(self, rank: int, nbytes: float, value: float = 0.0,
                   op: Callable[[float, float], float] = lambda a, b: a + b):

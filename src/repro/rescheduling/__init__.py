@@ -1,12 +1,5 @@
 """Rescheduling: stop/migrate/restart and process swapping (paper §4)."""
 
-from .redistribution import (
-    block_owner,
-    moved_fraction,
-    partition_bytes,
-    redistribution_plan,
-    redistribution_volume,
-)
 from .rescheduler import (
     DecisionRecord,
     MigratableApp,
@@ -14,7 +7,7 @@ from .rescheduler import (
     Rescheduler,
 )
 from .rss import CheckpointLocation, CheckpointRecord, RuntimeSupportSystem
-from .srs import RegisteredData, SRSLibrary, restore_plan
+from .srs import RegisteredData, SRSLibrary, partition_bytes, restore_plan
 from .swapping import (
     SWAP_POLICIES,
     SwapDecision,
@@ -38,13 +31,9 @@ __all__ = [
     "SWAP_POLICIES",
     "SwapDecision",
     "SwapRescheduler",
-    "block_owner",
     "gang_policy",
     "greedy_policy",
-    "moved_fraction",
     "partition_bytes",
-    "redistribution_plan",
-    "redistribution_volume",
     "restore_plan",
     "single_policy",
     "threshold_policy",

@@ -28,10 +28,9 @@ from ..microgrid.network import Topology
 from ..mpi.comm import MpiContext
 from ..sim.events import AllOf, Event
 from ..sim.kernel import Simulator
-from .redistribution import partition_bytes
 from .rss import CheckpointLocation, CheckpointRecord, RuntimeSupportSystem
 
-__all__ = ["SRSLibrary", "RegisteredData", "restore_plan"]
+__all__ = ["SRSLibrary", "RegisteredData", "partition_bytes", "restore_plan"]
 
 
 @dataclass(frozen=True)
@@ -45,6 +44,24 @@ class RegisteredData:
     def __post_init__(self) -> None:
         if self.total_bytes < 0 or self.block_bytes <= 0:
             raise ValueError("data sizes must be positive")
+
+
+def partition_bytes(total_bytes: float, block_bytes: float,
+                    rank: int, n_procs: int) -> float:
+    """Bytes a given rank owns under 1-D block-cyclic distribution."""
+    if rank < 0 or rank >= n_procs:
+        raise ValueError(f"rank {rank} out of range for {n_procs} procs")
+    if total_bytes < 0 or block_bytes <= 0:
+        raise ValueError("sizes must be positive")
+    n_blocks = int(math.ceil(total_bytes / block_bytes))
+    owned = 0.0
+    remaining = total_bytes
+    for k in range(n_blocks):
+        size = min(block_bytes, remaining)
+        remaining -= size
+        if k % n_procs == rank:
+            owned += size
+    return owned
 
 
 def restore_plan(total_bytes: float, block_bytes: float,

@@ -1,13 +1,5 @@
 """The GrADS workflow scheduler (paper §3)."""
 
-from .analysis import (
-    ScheduleStats,
-    analyze,
-    gantt,
-    load_balance,
-    makespan_lower_bound,
-    utilization,
-)
 from .executor import ExecutionTrace, TaskTrace, WorkflowExecutor
 from .heuristics import (
     HEURISTICS,
@@ -32,7 +24,6 @@ __all__ = [
     "Placement",
     "RankMatrix",
     "Schedule",
-    "ScheduleStats",
     "ScheduleError",
     "SchedulingResult",
     "Task",
@@ -41,18 +32,13 @@ __all__ = [
     "WorkflowComponent",
     "WorkflowError",
     "WorkflowExecutor",
-    "analyze",
     "build_rank_matrix",
     "dcost",
     "ecost",
     "fifo_schedule",
-    "gantt",
     "heft_schedule",
-    "load_balance",
-    "makespan_lower_bound",
     "max_min",
     "min_min",
     "random_schedule",
     "sufferage",
-    "utilization",
 ]

@@ -5,7 +5,7 @@ collects sim-time-stamped :class:`Instant` and :class:`Span` records
 from hooks wired through the kernel, the network substrate, the
 scheduler, the contract monitor and the rescheduling machinery.
 Records export to Chrome trace-event JSON (loadable in Perfetto /
-``chrome://tracing``) or line-delimited JSONL, feed the analyses in
+``chrome://tracing``), feed the analyses in
 :mod:`repro.trace.analysis`, and — because a seeded run is fully
 deterministic — double as a correctness tool: two same-seed runs must
 produce byte-identical traces, which :mod:`repro.trace.diff` checks.
@@ -19,7 +19,6 @@ from .analysis import (
 )
 from .diff import (
     Divergence,
-    diff_files,
     first_divergence,
     format_divergence,
     load_trace_file,
@@ -27,11 +26,9 @@ from .diff import (
 from .export import (
     chrome_trace,
     normalize_records,
-    read_jsonl,
     records_as_dicts,
     validate_chrome,
     write_chrome,
-    write_jsonl,
 )
 from .tracer import CATEGORIES, Instant, Span, Tracer
 
@@ -43,17 +40,14 @@ __all__ = [
     "Tracer",
     "chrome_trace",
     "critical_path",
-    "diff_files",
     "first_divergence",
     "format_divergence",
     "host_utilization",
     "load_trace_file",
     "normalize_records",
-    "read_jsonl",
     "records_as_dicts",
     "summarize",
     "validate_chrome",
     "violation_timeline",
     "write_chrome",
-    "write_jsonl",
 ]

@@ -15,10 +15,10 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-from .export import normalize_records, read_jsonl
+from .export import normalize_records, validate_chrome
 from .tracer import Tracer
 
-__all__ = ["Divergence", "first_divergence", "diff_files",
+__all__ = ["Divergence", "first_divergence", "load_trace_file",
            "format_divergence"]
 
 
@@ -85,28 +85,17 @@ def _chrome_to_records(obj: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 
 def load_trace_file(path: str) -> List[Dict[str, Any]]:
-    """Load a trace from disk, auto-detecting Chrome JSON vs JSONL.
+    """Load a Chrome trace-event JSON file as record dicts.
 
-    Both formats start with ``{``, so sniffing the first byte is not
-    enough: a JSONL file's first *line* is a complete record object,
-    while a (possibly pretty-printed) Chrome file only parses as a
-    whole and carries a ``traceEvents`` key.
+    Raises ``ValueError`` naming the first schema problem when the file
+    is JSON but not a Chrome trace.
     """
     with open(path) as handle:
-        first_line = handle.readline()
-    try:
-        head = json.loads(first_line)
-    except json.JSONDecodeError:
-        head = None  # multi-line document: must be Chrome JSON
-    if isinstance(head, dict) and "traceEvents" not in head:
-        return read_jsonl(path)
-    with open(path) as handle:
-        return _chrome_to_records(json.load(handle))
-
-
-def diff_files(path_a: str, path_b: str) -> Optional[Divergence]:
-    """Diff two trace files (either export format, mixed is fine)."""
-    return first_divergence(load_trace_file(path_a), load_trace_file(path_b))
+        obj = json.load(handle)
+    problems = validate_chrome(obj)
+    if problems:
+        raise ValueError(f"not a Chrome trace: {problems[0]}")
+    return _chrome_to_records(obj)
 
 
 def format_divergence(div: Optional[Divergence],

@@ -1,11 +1,10 @@
-"""Trace exporters: Chrome trace-event JSON and line-delimited JSONL.
+"""Trace exporter: Chrome trace-event JSON.
 
-The Chrome form loads directly in Perfetto (https://ui.perfetto.dev) or
-``chrome://tracing``; the JSONL form is the streaming/diff-friendly
-representation (one record per line, keys sorted).  Both are rendered
-with sorted keys and fixed separators so a deterministic run produces a
-byte-identical file — that property is what ``repro trace diff`` and
-the CI determinism job lean on.
+The file loads directly in Perfetto (https://ui.perfetto.dev) or
+``chrome://tracing``.  It is rendered with sorted keys and fixed
+separators so a deterministic run produces a byte-identical file — that
+property is what ``repro trace diff`` and the CI determinism job lean
+on.
 
 Timestamps: records carry simulated *seconds*; Chrome trace events use
 microseconds, so export multiplies by 1e6.  Each ``run`` index (one per
@@ -22,8 +21,7 @@ from typing import Any, Dict, Iterable, List, Union
 from .tracer import CATEGORIES, Span, Tracer
 
 __all__ = ["chrome_trace", "validate_chrome", "write_chrome",
-           "write_jsonl", "read_jsonl", "records_as_dicts",
-           "normalize_records"]
+           "records_as_dicts", "normalize_records"]
 
 #: stable category -> Chrome tid assignment (1-based, CATEGORIES order)
 _TID = {cat: i + 1 for i, cat in enumerate(CATEGORIES)}
@@ -37,7 +35,7 @@ def _records_of(trace: Union[Tracer, Iterable[Any]]) -> List[Any]:
 
 def records_as_dicts(trace: Union[Tracer, Iterable[Any]]
                      ) -> List[Dict[str, Any]]:
-    """Records as plain JSONL-shaped dicts (the diff/analysis currency)."""
+    """Records as plain dicts (the diff/analysis currency)."""
     out = []
     for record in _records_of(trace):
         entry: Dict[str, Any] = {
@@ -138,23 +136,3 @@ def write_chrome(trace: Union[Tracer, Iterable[Any]], path: str) -> None:
     with open(path, "w") as handle:
         json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
         handle.write("\n")
-
-
-def write_jsonl(trace: Union[Tracer, Iterable[Any]], path: str) -> None:
-    """Write one sorted-key JSON object per record."""
-    with open(path, "w") as handle:
-        for entry in records_as_dicts(trace):
-            handle.write(json.dumps(entry, sort_keys=True,
-                                    separators=(",", ":")))
-            handle.write("\n")
-
-
-def read_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Load a JSONL trace back into record dicts."""
-    out = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out

@@ -1,13 +1,11 @@
-"""Tests for the DML parser, testbed builders and load generators."""
+"""Tests for the DML parser, testbed builders and scheduled load."""
 
 import pytest
 
 from repro.sim import RngRegistry, Simulator
 from repro.microgrid import (
     DMLError,
-    RandomLoadGenerator,
     ScheduledLoad,
-    TraceLoad,
     fig3_testbed,
     fig4_testbed,
     grads_macrogrid,
@@ -181,47 +179,6 @@ class TestLoadGenerators:
         with pytest.raises(ValueError):
             ScheduledLoad(host=grid.clusters["utk"][0], at=10.0,
                           until=5.0).install(sim)
-
-    def test_trace_load_levels(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        host = grid.clusters["utk"][1]
-        TraceLoad(host, [(0.0, 1), (10.0, 3), (20.0, 0)]).install(sim)
-        sim.run(until=5.0)
-        assert host.background_load() == 1
-        sim.run(until=15.0)
-        assert host.background_load() == 3
-        sim.run(until=25.0)
-        assert host.background_load() == 0
-
-    def test_trace_must_be_sorted(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        with pytest.raises(ValueError):
-            TraceLoad(grid.clusters["utk"][0], [(10.0, 1), (5.0, 0)])
-
-    def test_random_load_generator_toggles(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        rng = RngRegistry(seed=7).stream("load")
-        gen = RandomLoadGenerator(grid.clusters["uiuc"].hosts, rng,
-                                  mean_idle=10.0, mean_busy=10.0)
-        gen.install(sim)
-        sim.run(until=200.0)
-        # Over 200 s with 10 s mean periods, every host must have seen
-        # load at least once; statistically certain with this seed.
-        total = sum(h.background_load() for h in grid.clusters["uiuc"])
-        assert total >= 0  # sanity: no crash, levels consistent
-        for h in grid.clusters["uiuc"]:
-            assert h.background_load() in (0, 1)
-
-    def test_random_load_generator_validates_periods(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        rng = RngRegistry(seed=1).stream("x")
-        with pytest.raises(ValueError):
-            RandomLoadGenerator(grid.clusters["utk"].hosts, rng,
-                                mean_idle=0.0)
 
 
 class TestRng:

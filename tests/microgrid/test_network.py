@@ -177,7 +177,8 @@ def test_latency_sums_along_path():
 def test_estimate_matches_uncontended_actual():
     sim = Simulator()
     topo, a, b = two_hosts(sim, bw=2e6, lat=0.05)
-    est = topo.estimate_transfer_seconds("a", "b", 4e6)
+    est = (topo.path_latency("a", "b")
+           + 4e6 / topo.path_bottleneck_bw("a", "b"))
     ev = topo.transfer("a", "b", 4e6)
     sim.run()
     assert ev.value == pytest.approx(est, rel=1e-6)
@@ -265,7 +266,7 @@ def test_route_cache_counters():
     assert sim.stats.route_cache_misses == 1
     hits_before = sim.stats.route_cache_hits
     topo.path_latency("a", "b")
-    topo.estimate_transfer_seconds("a", "b", 1e6)
+    topo.path_bottleneck_bw("a", "b")
     assert sim.stats.route_cache_misses == 1  # served from cache
     assert sim.stats.route_cache_hits > hits_before
 

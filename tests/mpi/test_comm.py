@@ -186,21 +186,6 @@ class TestCollectives:
         sim.run()
         assert got == {r: "data" for r in range(size)}
 
-    def test_gather_collects_at_root(self):
-        sim, job = make_job(4)
-        result = []
-
-        def body(ctx):
-            values = yield from ctx.comm.gather(ctx.rank, root=0,
-                                                nbytes=100,
-                                                payload=ctx.rank * 10)
-            if ctx.rank == 0:
-                result.append(values)
-
-        job.launch(body)
-        sim.run()
-        assert result == [[0, 10, 20, 30]]
-
     @pytest.mark.parametrize("size", [2, 3, 5])
     def test_allgather_everyone_has_everything(self, size):
         sim, job = make_job(size)
@@ -268,80 +253,6 @@ class TestCollectives:
         job.launch(body)
         sim.run()
         assert len(reports) == 6
-
-
-class TestScatterReduce:
-    def test_scatter_deals_shares(self):
-        sim, job = make_job(4)
-        got = {}
-
-        def body(ctx):
-            payloads = [r * 100 for r in range(4)] if ctx.rank == 1 else None
-            share = yield from ctx.comm.scatter(ctx.rank, root=1,
-                                                nbytes=100,
-                                                payloads=payloads)
-            got[ctx.rank] = share
-
-        job.launch(body)
-        sim.run()
-        assert got == {0: 0, 1: 100, 2: 200, 3: 300}
-
-    def test_scatter_wrong_count_rejected(self):
-        sim, job = make_job(3)
-        failures = []
-
-        def body(ctx):
-            try:
-                yield from ctx.comm.scatter(ctx.rank, root=0, nbytes=10,
-                                            payloads=[1, 2] if ctx.rank == 0
-                                            else None)
-            except Exception as exc:
-                failures.append(type(exc).__name__)
-                if ctx.rank != 0:
-                    return
-                return
-            # non-root ranks block forever otherwise; give them an exit
-        # only run rank 0's failure path: use a 1-rank check instead
-        sim2, job2 = make_job(1)
-
-        def solo(ctx):
-            try:
-                yield from ctx.comm.scatter(ctx.rank, root=0, nbytes=10,
-                                            payloads=[1, 2])
-            except Exception as exc:
-                failures.append(type(exc).__name__)
-
-        job2.launch(solo)
-        sim2.run()
-        assert "MpiError" in failures
-
-    def test_reduce_to_root(self):
-        sim, job = make_job(5)
-        results = {}
-
-        def body(ctx):
-            out = yield from ctx.comm.reduce(ctx.rank, root=2, nbytes=8,
-                                             value=float(ctx.rank))
-            results[ctx.rank] = out
-
-        job.launch(body)
-        sim.run()
-        assert results[2] == pytest.approx(10.0)
-        assert all(results[r] is None for r in (0, 1, 3, 4))
-
-    def test_reduce_custom_op(self):
-        sim, job = make_job(4)
-        results = {}
-
-        def body(ctx):
-            out = yield from ctx.comm.reduce(ctx.rank, root=0, nbytes=8,
-                                             value=float(ctx.rank + 1),
-                                             op=max)
-            results[ctx.rank] = out
-
-        job.launch(body)
-        sim.run()
-        assert results[0] == pytest.approx(4.0)
 
 
 class TestDeathWatch:

@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 from repro.sim import Simulator
 from repro.microgrid import fig3_testbed
 from repro.ibp import Depot, DepotError
-from repro.rescheduling import (
-    block_owner,
-    moved_fraction,
-    partition_bytes,
-    redistribution_plan,
-    redistribution_volume,
-    restore_plan,
-)
+from repro.rescheduling import partition_bytes, restore_plan
 
 
 def depot_env():
@@ -97,21 +90,16 @@ class TestDepot:
 
 
 class TestRedistribution:
-    def test_block_owner_cyclic(self):
-        assert [block_owner(k, 3) for k in range(6)] == [0, 1, 2, 0, 1, 2]
-
     def test_same_width_no_movement(self):
-        assert redistribution_volume(1e6, 1e3, 4, 4) == 0.0
-        assert moved_fraction(4, 4) == 0.0
+        # each new rank reads back exactly its own old partition
+        for rank in range(4):
+            assert restore_plan(1e6, 1e3, 4, 4, rank) == {
+                rank: partition_bytes(1e6, 1e3, rank, 4)}
 
     def test_4_to_8_plan(self):
-        # blocks 0..7 pattern: k%4 vs k%8 differ for k=4,5,6,7 mod 8
-        plan = redistribution_plan(8e3, 1e3, 4, 8)
-        assert plan == {(0, 4): 1e3, (1, 5): 1e3, (2, 6): 1e3, (3, 7): 1e3}
-        assert redistribution_volume(8e3, 1e3, 4, 8) == pytest.approx(4e3)
-
-    def test_moved_fraction_4_to_8(self):
-        assert moved_fraction(4, 8) == pytest.approx(0.5)
+        # blocks 0..7: new rank k owns block k, which old rank k%4 wrote
+        plans = [restore_plan(8e3, 1e3, 4, 8, rank) for rank in range(8)]
+        assert plans == [{rank % 4: 1e3} for rank in range(8)]
 
     def test_partition_bytes_sums_to_total(self):
         total = 10_500.0
@@ -125,15 +113,11 @@ class TestRedistribution:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            redistribution_plan(1e3, 0.0, 2, 2)
+            partition_bytes(1e3, 0.0, 0, 2)
         with pytest.raises(ValueError):
-            redistribution_plan(1e3, 1e2, 0, 2)
+            partition_bytes(-1.0, 1e2, 0, 2)
         with pytest.raises(ValueError):
             partition_bytes(1e3, 1e2, 5, 4)
-        with pytest.raises(ValueError):
-            block_owner(-1, 2)
-        with pytest.raises(ValueError):
-            moved_fraction(0, 2)
 
     def test_restore_plan_covers_new_partition(self):
         total, block = 16e3, 1e3
@@ -156,8 +140,7 @@ class TestRedistribution:
     n_blocks=st.integers(min_value=1, max_value=64),
 )
 def test_property_redistribution_conserves_data(p, q, n_blocks):
-    """Every byte of the dataset lands on exactly one new rank, and the
-    per-pair plan never exceeds the dataset size."""
+    """Every byte of the dataset lands on exactly one new rank."""
     block = 1000.0
     total = n_blocks * block
     covered = 0.0
@@ -167,10 +150,6 @@ def test_property_redistribution_conserves_data(p, q, n_blocks):
         # sources are valid old ranks
         assert all(0 <= src < p for src in need)
     assert covered == pytest.approx(total)
-    moving = redistribution_volume(total, block, p, q)
-    assert 0.0 <= moving <= total + 1e-9
-    if p == q:
-        assert moving == 0.0
 
 
 @settings(max_examples=30, deadline=None)

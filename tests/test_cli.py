@@ -301,6 +301,27 @@ class TestTraceCommands:
         assert main(["trace", "diff", str(a), str(b)]) == 1
         assert "diverge" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("content, problem", [
+        ("[1, 2]", "top level must be an object"),
+        ('{"traceEvents": [1]}', "traceEvents[0]: not an object"),
+        ('{"args": {}, "cat": "meta", "name": "run", "run": 0, "ts": 0.0}\n',
+         "missing or non-list 'traceEvents'"),
+    ], ids=["json-list", "non-object-event", "jsonl"])
+    @pytest.mark.parametrize("command", ["diff", "summary"])
+    def test_non_chrome_json_exits_two(self, command, content, problem,
+                                       tmp_path, capsys):
+        # valid JSON that is not a Chrome trace is unreadable input, not
+        # a divergence (diff exit 1) or an empty summary (exit 0)
+        good = tmp_path / "good.json"
+        good.write_text('{"traceEvents": []}')
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        paths = [good, bad] if command == "diff" else [bad]
+        assert main(["trace", command] + [str(p) for p in paths]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro trace: cannot read trace {bad}: ")
+        assert problem in err
+
     def test_summary(self, tmp_path, capsys):
         path = self._export(tmp_path, "t.json")
         capsys.readouterr()

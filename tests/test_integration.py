@@ -3,15 +3,14 @@
 These cross-module scenarios are the closest thing to the paper's live
 SC2003 demonstrations: multiple managed applications, stochastic
 background load, network sensors probing real links, contract monitors
-feeding one rescheduler, and vgrid-bound workflow executions — all in
-one simulation.
+feeding one rescheduler, and scheduled-and-bound workflows — all in one
+simulation.
 """
 
 import pytest
 
 from repro.sim import AllOf, RngRegistry, Simulator
 from repro.microgrid import (
-    RandomLoadGenerator,
     ScheduledLoad,
     fig3_testbed,
     grads_macrogrid,
@@ -23,7 +22,6 @@ from repro.apps import (
     eman_refinement_workflow,
 )
 from repro.contracts import ContractViewer
-from repro.gis import Tightness, VgridSpec, find_and_bind
 from repro.scheduler import GradsWorkflowScheduler, WorkflowExecutor
 
 
@@ -91,15 +89,17 @@ class TestMacroGridScenarios:
         assert bw == pytest.approx(5e6, rel=0.5)
 
     def test_workflow_on_stochastically_loaded_macrogrid(self):
-        """EMAN over the full MacroGrid with random background load:
-        scheduling consumes NWS forecasts shaped by the load, and the
-        execution still completes with a sane makespan."""
+        """EMAN over the full MacroGrid with a minute of background load
+        on each uh host from a random instant: scheduling consumes NWS
+        forecasts shaped by the load, and the execution still completes
+        with a sane makespan."""
         sim = Simulator()
         grid = grads_macrogrid(sim)
         env = GradsEnvironment(sim, grid, submission_host="ucsd.n0")
         rng = RngRegistry(seed=99).stream("load")
-        RandomLoadGenerator(grid.clusters["uh"].hosts, rng,
-                            mean_idle=60.0, mean_busy=60.0).install(sim)
+        for host in grid.clusters["uh"].hosts:
+            at = float(rng.uniform(0.0, 60.0))
+            ScheduledLoad(host=host, at=at, until=at + 60.0).install(sim)
         sim.run(until=120.0)  # let sensors observe the load pattern
         wf = eman_refinement_workflow(EmanParameters(n_particles=5000),
                                       classesbymra_tasks=24)
@@ -110,25 +110,6 @@ class TestMacroGridScenarios:
         trace = trace_event.value
         assert len(trace.tasks) == len(wf.tasks())
         assert trace.makespan > 0
-
-    def test_vgrid_bound_qr_run(self):
-        """VGrADS-style flow: find-and-bind a tight vgrid, run the
-        managed QR inside it."""
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        env = GradsEnvironment(sim, grid, submission_host="utk.n0")
-        vgrid = find_and_bind(
-            VgridSpec(n_nodes=4, tightness=Tightness.TIGHT,
-                      min_mflops=300.0),
-            env.gis, env.nws)
-        run, monitor, resched = env.managed_qr(
-            QrBenchmark(n=2000, nb=200),
-            initial_hosts=vgrid.host_names(),
-            rescheduler_mode="force-stay")
-        finished = run.start()
-        sim.run(stop_event=finished)
-        assert run.progress == run.benchmark.steps
-        assert set(run.current_hosts()) == set(vgrid.host_names())
 
     def test_binder_launcher_roundtrip_on_macrogrid(self):
         """Bind and launch a COP across three sites in one call."""

@@ -3,13 +3,11 @@
 from repro.sim import Simulator
 from repro.trace import (
     Tracer,
-    diff_files,
     first_divergence,
     format_divergence,
     load_trace_file,
     records_as_dicts,
     write_chrome,
-    write_jsonl,
 )
 
 
@@ -59,28 +57,14 @@ class TestDiffFiles:
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         write_chrome(make_tracer(), str(pa))
         write_chrome(make_tracer(), str(pb))
-        assert diff_files(str(pa), str(pb)) is None
+        assert first_divergence(load_trace_file(str(pa)),
+                                load_trace_file(str(pb))) is None
 
-    def test_jsonl_files(self, tmp_path):
-        pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_jsonl(make_tracer(), str(pa))
-        write_jsonl(make_tracer(
-            tweak=lambda t: t.instant("meta", "extra")), str(pb))
-        div = diff_files(str(pa), str(pb))
-        assert div is not None and div.kind == "length"
-
-    def test_mixed_formats_compare_equal(self, tmp_path):
-        pa, pb = tmp_path / "a.json", tmp_path / "b.jsonl"
-        write_chrome(make_tracer(), str(pa))
-        write_jsonl(make_tracer(), str(pb))
-        assert diff_files(str(pa), str(pb)) is None
-
-    def test_load_trace_file_autodetects(self, tmp_path):
+    def test_chrome_round_trips_to_record_dicts(self, tmp_path):
         tracer = make_tracer()
-        pa, pb = tmp_path / "a.json", tmp_path / "b.jsonl"
-        write_chrome(tracer, str(pa))
-        write_jsonl(tracer, str(pb))
-        assert load_trace_file(str(pa)) == load_trace_file(str(pb))
+        path = tmp_path / "a.json"
+        write_chrome(tracer, str(path))
+        assert load_trace_file(str(path)) == records_as_dicts(tracer)
 
 
 class TestFormatDivergence:

@@ -1,4 +1,4 @@
-"""Tests for the Chrome / JSONL exporters and the schema validator."""
+"""Tests for the Chrome exporter and the schema validator."""
 
 import json
 
@@ -6,11 +6,9 @@ from repro.sim import Simulator
 from repro.trace import (
     Tracer,
     chrome_trace,
-    read_jsonl,
     records_as_dicts,
     validate_chrome,
     write_chrome,
-    write_jsonl,
 )
 from repro.experiments.fig4_swap import run_fig4
 
@@ -84,22 +82,6 @@ class TestValidateChrome:
         write_chrome(sample_tracer(), str(path))
         with open(path) as handle:
             assert validate_chrome(json.load(handle)) == []
-
-
-class TestJsonl:
-    def test_round_trip(self, tmp_path):
-        tracer = sample_tracer()
-        path = tmp_path / "t.jsonl"
-        write_jsonl(tracer, str(path))
-        back = read_jsonl(str(path))
-        assert back == records_as_dicts(tracer)
-
-    def test_sorted_keys_on_disk(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        write_jsonl(sample_tracer(), str(path))
-        first = path.read_text().splitlines()[0]
-        keys = list(json.loads(first))
-        assert keys == sorted(keys)
 
 
 class TestDeterminism:

@@ -13,7 +13,7 @@ from repro.experiments.fig3_qr import run_fig3_point
 from repro.experiments.fig4_swap import run_fig4
 from repro.scheduler import HEURISTICS
 from repro.trace import Tracer, violation_timeline
-from repro.trace.export import write_jsonl
+from repro.trace.export import write_chrome
 from tests.oracles.heuristics import REFERENCE_HEURISTICS
 
 
@@ -118,8 +118,8 @@ class TestSchedulerTraceParity:
                                rng=np.random.default_rng(7))
         else:
             engine_table[name](workflow, matrix, nws)
-        path = tmp_path / f"{label}-{name}.jsonl"
-        write_jsonl(tracer, str(path))
+        path = tmp_path / f"{label}-{name}.json"
+        write_chrome(tracer, str(path))
         return path.read_bytes()
 
     @pytest.mark.parametrize("name", sorted(HEURISTICS))
