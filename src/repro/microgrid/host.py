@@ -263,11 +263,11 @@ class Host:
                 horizon = min(horizon, task.remaining / rate)
         if math.isinf(horizon):
             return  # only background load is running
-        epoch = self._epoch
-        self.sim.call_after(max(horizon, 0.0), lambda: self._wake(epoch))
+        self.sim.timeout(max(horizon, 0.0),
+                         value=self._epoch).add_callback(self._wake)
 
-    def _wake(self, epoch: int) -> None:
-        if epoch != self._epoch:
+    def _wake(self, timer: Event) -> None:
+        if timer.value != self._epoch:
             self.sim.stats.wakeups_cancelled += 1
             return  # stale wake-up; the task set changed since
         self._settle()

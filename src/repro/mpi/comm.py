@@ -25,7 +25,7 @@ process-swapping reschedul er uses (:mod:`repro.mpi.swap`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from ..microgrid.host import Host, HostFailure
 from ..microgrid.network import Topology
@@ -43,9 +43,9 @@ class MpiError(RuntimeError):
     """Raised for misuse of the simulated MPI layer."""
 
 
-@dataclass(frozen=True)
-class Message:
-    """A delivered point-to-point message."""
+class Message(NamedTuple):
+    """A delivered point-to-point message (immutable; a plain tuple
+    underneath, so building one costs no per-field ``__setattr__``)."""
 
     src: int
     dst: int
@@ -196,29 +196,28 @@ class Communicator:
     def recv(self, rank: int, src: int = ANY_SOURCE,
              tag: int = ANY_TAG) -> Event:
         """Receive; the event's value is the matching :class:`Message`."""
-        self.job._check_rank(rank)
-        sim = self.job.sim
+        job = self.job
+        if not 0 <= rank < len(job._rank_hosts):
+            job._check_rank(rank)
+        ev = job.sim.event(name=f"{job.name}:recv:{rank}")
         queue = self._mailboxes.setdefault(rank, [])
         for i, message in enumerate(queue):
-            if self._matches(message, src, tag):
+            if ((src == ANY_SOURCE or message.src == src)
+                    and (tag == ANY_TAG or message.tag == tag)):
                 queue.pop(i)
-                ev = sim.event(name=f"{self.job.name}:recv:{rank}")
                 ev.succeed(message)
                 return ev
-        ev = sim.event(name=f"{self.job.name}:recv:{rank}")
-        pending = _PendingRecv(src=src, tag=tag, event=ev)
-        self._waiting.setdefault(rank, []).append(pending)
+        self._waiting.setdefault(rank, []).append(
+            _PendingRecv(src=src, tag=tag, event=ev))
         return ev
 
-    @staticmethod
-    def _matches(message: Message, src: int, tag: int) -> bool:
-        return ((src == ANY_SOURCE or message.src == src)
-                and (tag == ANY_TAG or message.tag == tag))
-
     def _deposit(self, message: Message) -> None:
+        msg_src, msg_tag = message.src, message.tag
         waiters = self._waiting.get(message.dst, [])
         for i, pending in enumerate(waiters):
-            if self._matches(message, pending.src, pending.tag):
+            src, tag = pending.src, pending.tag
+            if ((src == ANY_SOURCE or msg_src == src)
+                    and (tag == ANY_TAG or msg_tag == tag)):
                 waiters.pop(i)
                 pending.event.succeed(message)
                 return

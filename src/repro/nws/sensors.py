@@ -29,8 +29,7 @@ adding ``period`` to the current time.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, List, NamedTuple, Optional
 
 from ..microgrid.host import Host
 from ..microgrid.network import Topology
@@ -40,9 +39,8 @@ from .forecasting import HISTORY_LEN
 __all__ = ["Measurement", "CpuSensor", "CpuSensorSweep", "NetworkSensor"]
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """One timestamped sensor reading."""
+class Measurement(NamedTuple):
+    """One timestamped sensor reading (an immutable named tuple)."""
 
     time: float
     value: float

@@ -9,10 +9,19 @@ site).
 Only the pieces the GrADS reproduction needs are implemented: one-shot
 events, timeouts, the join-all condition :class:`AllOf` and
 process-as-event composition (in :mod:`repro.sim.process`).
+
+The two hot triggers push their own agenda entry: a :class:`Timeout`
+at construction (``NORMAL`` priority, ``delay`` from now) and
+:meth:`Event.succeed` when called (``URGENT``, now).  Each takes the
+next sequence number exactly as the kernel's ``_queue_event`` does for
+the colder paths (``fail``, process start-up and interrupts), so every
+entry's ``(time, priority, seq)`` key is the same whichever route
+created it.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -36,6 +45,11 @@ class EventAlreadyTriggered(SimulationError):
 
 
 PENDING = object()  #: sentinel for "no value yet"
+
+#: Priority bands: URGENT is used for event-processing bookkeeping so that
+#: an event's callbacks run before same-time timeouts created afterwards.
+URGENT = 0
+NORMAL = 1
 
 
 class Event:
@@ -86,7 +100,9 @@ class Event:
             raise EventAlreadyTriggered(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.sim._queue_event(self)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._agenda, (sim._now, URGENT, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -125,7 +141,8 @@ class Timeout(Event):
     Timeouts are the most-allocated object in a simulation (every flow
     wake-up, sensor period and contract check creates one), so ``__init__``
     writes its slots directly instead of chaining through
-    ``Event.__init__`` and then overwriting ``_ok``/``_value``.
+    ``Event.__init__`` and then overwriting ``_ok``/``_value``, and
+    pushes its own agenda entry.
     """
 
     __slots__ = ("delay",)
@@ -141,7 +158,8 @@ class Timeout(Event):
         self.name = name
         self.defused = False
         self.delay = delay
-        sim._schedule(self, delay)
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._agenda, (sim._now + delay, NORMAL, seq, self))
 
 
 class AllOf(Event):

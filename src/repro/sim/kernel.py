@@ -10,7 +10,12 @@ The :meth:`Simulator.run` loop is the hottest code in the repository —
 every transfer byte and Mflop of the emulated grid is accounted for
 through it — so it keeps hoisted locals and batches all entries that
 share a timestamp (URGENT event-processing bookkeeping included) between
-``until`` checks.
+``until`` checks.  Events put themselves on the agenda
+(:class:`~repro.sim.events.Timeout` at construction,
+:meth:`~repro.sim.events.Event.succeed` when triggered), so the kernel's
+only per-event work is popping the entry and running its callbacks.
+There is no "active process" register: a resumption is one callback
+call with nothing saved or restored around it.
 ``sim.stats`` (:class:`~repro.sim.stats.KernelStats`) counts every event
 processed so workloads can report events/sec.
 """
@@ -20,16 +25,11 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from .events import PENDING, Event, SimulationError, Timeout
+from .events import URGENT, Event, SimulationError, Timeout
 from .process import Process
 from .stats import KernelStats
 
 __all__ = ["Simulator", "StopSimulation"]
-
-#: Priority bands: URGENT is used for event-processing bookkeeping so that
-#: an event's callbacks run before same-time timeouts created afterwards.
-URGENT = 0
-NORMAL = 1
 
 
 class StopSimulation(Exception):
@@ -39,14 +39,12 @@ class StopSimulation(Exception):
 class Simulator:
     """Discrete-event simulator with a monotonically advancing clock."""
 
-    __slots__ = ("_now", "_agenda", "_seq", "_active_process", "stats",
-                 "trace")
+    __slots__ = ("_now", "_agenda", "_seq", "stats", "trace")
 
     def __init__(self) -> None:
         self._now = 0.0
         self._agenda: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         #: substrate performance counters, always on (see repro.sim.stats)
         self.stats = KernelStats()
         #: optional repro.trace.Tracer, attached via Tracer.bind(); None
@@ -59,11 +57,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time (seconds, by project convention)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event creation ----------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -79,11 +72,6 @@ class Simulator:
         return Process(self, generator, name=name)
 
     # -- scheduling internals ----------------------------------------------
-    def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
-        """Place a triggered event on the agenda ``delay`` from now."""
-        self._seq += 1
-        heapq.heappush(self._agenda, (self._now + delay, priority, self._seq, event))
-
     def _queue_event(self, event: Event) -> None:
         """Queue an already-triggered event's callbacks to run now."""
         self._seq += 1
@@ -133,10 +121,10 @@ class Simulator:
                     if callbacks:
                         for callback in callbacks:
                             callback(event)
-                    if (event._value is not PENDING and not event._ok
-                            and not event.defused):
+                    # Every agenda entry is triggered, so ``_ok`` is set.
+                    if not event._ok and not event.defused:
                         if isinstance(event, Process):
-                            raise event.value
+                            raise event._value
         except StopSimulation:
             assert stop_event is not None
             if not stop_event.ok:

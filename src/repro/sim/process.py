@@ -7,13 +7,22 @@ raised at the yield site).  A Process is itself an Event that triggers
 with the generator's return value, so processes compose: one process can
 ``yield`` another to join on it, and :class:`AllOf` works over
 processes directly.
+
+A resumption is one call.  Each process binds its :meth:`Process._resume`
+method once, at construction, and appends that same object onto the
+``callbacks`` of every event it yields; ``_resume`` reads the event's
+``_ok``/``_value`` slots directly and drives the generator itself.
+Interrupts and thrown exceptions take the same path: the poke event
+detaches the stored callback from the event the process was blocked on
+and is then handed to ``_resume`` like any other failed event.  When the
+generator finishes, the process drops the stored callback again.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator
 
-from .events import Event, SimulationError
+from .events import PENDING, Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
@@ -36,7 +45,7 @@ class Interrupt(Exception):
 class Process(Event):
     """A running simulation process (also usable as an event)."""
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator", "_waiting_on", "_resume_cb")
 
     def __init__(self, sim: "Simulator", generator: Generator,
                  name: str = "") -> None:
@@ -45,11 +54,13 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(generator, "__name__", "proc"))
         self._generator = generator
         self._waiting_on: Event | None = None
+        #: the bound _resume, made once and reused for every yield
+        self._resume_cb = self._resume
         # Kick off at the current time via an immediately-successful
         # event.  Built by hand (no succeed(), no per-process f-string
         # name): spawning is on the hot path of fan-out workloads.
         bootstrap = Event(sim, name="start")
-        bootstrap.callbacks.append(self._resume)
+        bootstrap.callbacks.append(self._resume_cb)
         bootstrap._ok = True
         bootstrap._value = None
         sim._queue_event(bootstrap)
@@ -103,51 +114,50 @@ class Process(Event):
 
     # -- resumption machinery ------------------------------------------------
     def _resume_with_interrupt(self, poke: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             return  # finished in the meantime; drop the interrupt
         target = self._waiting_on
         if target is not None and target.callbacks is not None:
             try:
-                target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume_cb)
             except ValueError:
                 pass
-        self._waiting_on = None
-        self._step(poke.value, ok=False)
+        self._resume(poke)
 
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             return
         self._waiting_on = None
-        if not event.ok:
-            event.defused = True  # the failure is delivered into this process
-        self._step(event.value, ok=event.ok)
-
-    def _step(self, value: Any, ok: bool) -> None:
-        sim = self.sim
-        prev = sim._active_process
-        sim._active_process = self
         try:
-            if ok:
-                target = self._generator.send(value)
+            if event._ok:
+                target = self._generator.send(event._value)
             else:
-                target = self._generator.throw(value)
+                event.defused = True  # the failure is delivered into this process
+                target = self._generator.throw(event._value)
         except StopIteration as stop:
+            # Dropping the stored callback breaks the process -> bound
+            # method cycle, so a finished process is freed by reference
+            # counting instead of waiting for the cyclic collector.
+            self._resume_cb = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
+            self._resume_cb = None
             self.fail(exc)
             return
-        finally:
-            sim._active_process = prev
         if not isinstance(target, Event):
             self._generator.close()
             self.fail(SimulationError(
                 f"process {self.name!r} yielded {target!r}, expected an Event"))
             return
-        if target.sim is not sim:
+        if target.sim is not self.sim:
             self._generator.close()
             self.fail(SimulationError(
                 f"process {self.name!r} yielded an event from another simulator"))
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is None:
+            self._resume(target)  # already processed: resume synchronously
+        else:
+            callbacks.append(self._resume_cb)

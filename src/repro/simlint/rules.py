@@ -394,7 +394,7 @@ def check_time_equality(tree: ast.Module, ctx: FileContext) -> RuleHits:
 # ---------------------------------------------------------------------------
 
 _KERNEL_PRIVATE_ATTRS = frozenset({
-    "_agenda", "_now", "_seq", "_active_process",
+    "_agenda", "_now", "_seq",
 })
 _KERNEL_PRIVATE_CALLS = frozenset({"_schedule", "_queue_event"})
 

@@ -281,6 +281,100 @@ def test_interrupted_process_detaches_from_event():
     assert sim.now == 101.0
 
 
+def test_interrupt_unhooks_the_stored_resume_callback():
+    """An interrupt removes the process's callback from the event it was
+    blocked on, so triggering that event later resumes nothing."""
+    sim = Simulator()
+    gate = sim.event()
+    log = []
+
+    def worker():
+        try:
+            yield gate
+            log.append("gate")
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+            yield sim.timeout(10.0)
+            log.append(("done", sim.now))
+
+    proc = sim.process(worker())
+    sim.call_at(1.0, proc.interrupt)
+    sim.run(until=2.0)
+    assert gate.callbacks == []
+    gate.succeed("late")
+    sim.run()
+    assert log == [("interrupted", 1.0), ("done", 11.0)]
+    assert proc.ok
+
+
+def test_yielding_a_processed_event_resumes_synchronously():
+    """A process that yields an already-processed event continues in
+    the same callback: no agenda entry, and before a process spawned
+    after it gets to run."""
+    sim = Simulator()
+    done = sim.timeout(0.0, value="v")
+    sim.run()
+    before = sim.stats.events_processed
+    log = []
+
+    def first():
+        value = yield done
+        log.append(("first", value))
+        value = yield done
+        log.append(("first-again", value))
+
+    def second():
+        log.append("second")
+        yield sim.timeout(0.0)
+
+    sim.process(first())
+    sim.process(second())
+    sim.run()
+    assert log == [("first", "v"), ("first-again", "v"), "second"]
+    # two start-ups, two process completions and second's timeout
+    assert sim.stats.events_processed - before == 5
+
+
+@pytest.mark.parametrize("processed_first", [False, True])
+def test_failed_event_delivered_into_process_is_defused(processed_first):
+    sim = Simulator()
+    ev = sim.event()
+    caught = []
+
+    def waiter():
+        try:
+            yield ev
+        except ValueError as exc:
+            caught.append(str(exc))
+
+    if processed_first:
+        ev.fail(ValueError("boom"))
+        sim.run()
+        assert not ev.defused
+    sim.process(waiter())
+    if not processed_first:
+        sim.call_at(1.0, lambda: ev.fail(ValueError("boom")))
+    sim.run()
+    assert caught == ["boom"]
+    assert ev.defused
+
+
+def test_two_processes_on_one_event_resume_in_order():
+    sim = Simulator()
+    gate = sim.event()
+    log = []
+
+    def waiter(label):
+        value = yield gate
+        log.append((label, value, sim.now))
+
+    sim.process(waiter("a"))
+    sim.process(waiter("b"))
+    sim.call_at(3.0, lambda: gate.succeed("open"))
+    sim.run()
+    assert log == [("a", "open", 3.0), ("b", "open", 3.0)]
+
+
 def test_kill_blocked_process_fails_defused():
     """A killed process fails with Interrupt, pre-defused, so run()
     does not raise for the missing waiter."""
@@ -430,20 +524,6 @@ def test_add_callback_after_processed_runs_immediately():
     seen = []
     ev.add_callback(lambda e: seen.append(e.value))
     assert seen == ["v"]
-
-
-def test_active_process_tracking():
-    sim = Simulator()
-    observed = []
-
-    def proc():
-        observed.append(sim.active_process)
-        yield sim.timeout(1.0)
-
-    p = sim.process(proc())
-    sim.run()
-    assert observed == [p]
-    assert sim.active_process is None
 
 
 def test_nested_processes_three_deep():
