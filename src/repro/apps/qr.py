@@ -207,8 +207,20 @@ class QrRun(MigratableApp):
             return math.inf
         availability = {name: self.nws.cpu_forecast(name)
                         for name in host_names}
-        return sum(self.predicted_step_seconds(j, host_names, availability)
-                   for j in range(self.progress, self.benchmark.steps))
+        steps = range(self.progress, self.benchmark.steps)
+        if not steps:
+            return 0  # an empty sum, even when a host offers no CPU
+        # The frozen forecasts fix the host speeds, so they and the
+        # slowest are computed once, not once per step.
+        speeds = []
+        for name in host_names:
+            record = self.gis.lookup(name)
+            avail = availability[name]
+            if avail <= 0:
+                return math.inf
+            speeds.append(record.mflops * avail)
+        slowest = min(speeds)
+        return sum(self._step_seconds(j, host_names, slowest) for j in steps)
 
     def predicted_step_seconds(self, step: int,
                                host_names: Sequence[str],
@@ -223,7 +235,6 @@ class QrRun(MigratableApp):
         negotiated once, at launch); None queries NWS live, which is
         what rescheduling cost/benefit evaluation wants.
         """
-        p = len(host_names)
         speeds = []
         for name in host_names:
             record = self.gis.lookup(name)
@@ -232,7 +243,13 @@ class QrRun(MigratableApp):
             if avail <= 0:
                 return math.inf
             speeds.append(record.mflops * avail)
-        slowest = min(speeds)
+        return self._step_seconds(step, host_names, min(speeds))
+
+    def _step_seconds(self, step: int, host_names: Sequence[str],
+                      slowest: float) -> float:
+        """One step's flop time on the slowest host plus its panel
+        broadcast."""
+        p = len(host_names)
         flop_seconds = self.benchmark.step_mflop(step) / p / slowest
         comm_seconds = 0.0
         if p > 1:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional
 
-from ..sim.events import Event
+from ..sim.events import Event, Timeout
 from ..sim.kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -151,7 +151,7 @@ class Host:
         """
         if mflop < 0:
             raise ValueError(f"negative work: {mflop}")
-        ev = self.sim.event(name=f"{self.name}:compute:{tag}")
+        ev = Event(self.sim, name=f"{self.name}:compute:{tag}")
         if not self.alive:
             # A dead machine rejects work the moment anything touches it.
             ev.fail(HostFailure(self.name))
@@ -263,8 +263,8 @@ class Host:
                 horizon = min(horizon, task.remaining / rate)
         if math.isinf(horizon):
             return  # only background load is running
-        self.sim.timeout(max(horizon, 0.0),
-                         value=self._epoch).add_callback(self._wake)
+        Timeout(self.sim, max(horizon, 0.0),
+                value=self._epoch).add_callback(self._wake)
 
     def _wake(self, timer: Event) -> None:
         if timer.value != self._epoch:

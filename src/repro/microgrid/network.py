@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..sim.events import Event
+from ..sim.events import Event, Timeout
 from ..sim.kernel import Simulator
 from .host import Host
 
@@ -292,10 +292,10 @@ class Topology:
         if nbytes < 0:
             raise ValueError("negative transfer size")
         sim = self.sim
-        ev = sim.event(name=f"xfer:{src}->{dst}:{tag}")
+        ev = Event(sim, name=f"xfer:{src}->{dst}:{tag}")
         if src == dst:
-            sim.timeout(nbytes / self.local_copy_bw,
-                        value=(ev, sim.now)).add_callback(self._arrive)
+            Timeout(sim, nbytes / self.local_copy_bw,
+                    value=(ev, sim.now)).add_callback(self._arrive)
             return ev
         route = self._routes.get((src, dst))
         if route is None:
@@ -305,14 +305,14 @@ class Topology:
             sim.stats.route_cache_hits += 2
         edges, edge_ids, latency = route
         if nbytes == 0:
-            sim.timeout(latency, value=(ev, sim.now)).add_callback(self._arrive)
+            Timeout(sim, latency, value=(ev, sim.now)).add_callback(self._arrive)
             return ev
         flow = Flow(src=src, dst=dst, path=edges, remaining=float(nbytes),
                     event=ev, started_at=sim.now, total=float(nbytes),
                     edge_ids=edge_ids)
         # The first byte spends `latency` in the pipe before streaming
         # begins; model it as a delayed flow start.
-        sim.timeout(latency, value=flow).add_callback(self._start_flow)
+        Timeout(sim, latency, value=flow).add_callback(self._start_flow)
         return ev
 
     def _route_entry(self, src: str, dst: str) -> _RouteEntry:
@@ -493,8 +493,8 @@ class Topology:
                     horizon = eta
         if math.isinf(horizon):
             return
-        self.sim.timeout(max(horizon, 0.0),
-                         value=self._epoch).add_callback(self._wake)
+        Timeout(self.sim, max(horizon, 0.0),
+                value=self._epoch).add_callback(self._wake)
 
     def _wake(self, timer: Event) -> None:
         epoch = timer.value

@@ -184,7 +184,7 @@ class Communicator:
         transfer = job.topology.transfer(
             rank_hosts[src].name, rank_hosts[dst].name, nbytes,
             tag=f"{job.name}:{src}->{dst}")
-        done = job.sim.event(name=f"{job.name}:send:{src}->{dst}")
+        done = Event(job.sim, name=f"{job.name}:send:{src}->{dst}")
 
         def deliver(_ev: Event) -> None:
             self._deposit(message)
@@ -199,7 +199,7 @@ class Communicator:
         job = self.job
         if not 0 <= rank < len(job._rank_hosts):
             job._check_rank(rank)
-        ev = job.sim.event(name=f"{job.name}:recv:{rank}")
+        ev = Event(job.sim, name=f"{job.name}:recv:{rank}")
         queue = self._mailboxes.setdefault(rank, [])
         for i, message in enumerate(queue):
             if ((src == ANY_SOURCE or message.src == src)

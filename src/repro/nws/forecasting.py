@@ -22,10 +22,13 @@ one ``_replay`` loop.  Medians come from bisect-maintained sorted
 windows, window means from ``sum()`` over the window, and both AR
 members fit over the forecaster's one ``HISTORY_LEN`` ring, sharing its
 ``min``/``max`` and skipping the least-squares fit on a constant window,
-whose clamped prediction is that constant whatever the fit says.  All
-of it is bit-for-bit equal to the plain numpy battery kept as the test
-oracle in ``tests/oracles/forecasting.py`` (DESIGN.md §2.2 gives the
-contract).
+whose clamped prediction is that constant whatever the fit says.  The
+replay also counts the trailing run of equal samples, carried from one
+replay to the next: a run at least as long as the window shows the
+window is constant, so its first element stands in for the
+``min``/``max`` scan.  All of it is bit-for-bit equal to the plain
+numpy battery kept as the test oracle in ``tests/oracles/forecasting.py``
+(DESIGN.md §2.2 gives the contract).
 """
 
 from __future__ import annotations
@@ -87,6 +90,8 @@ class AdaptiveForecaster:
         #: index of the selected member (meaningful once a sample is in)
         self._best = 0
         self._n_samples = 0
+        #: length of the trailing run of equal (``==``) samples
+        self._run = 0
         self._sum = 0.0
         self._w5: Deque[float] = deque(maxlen=5)
         self._w20: Deque[float] = deque(maxlen=20)
@@ -115,6 +120,7 @@ class AdaptiveForecaster:
         (e_last, e_mean, e_mean5, e_mean20, e_med5, e_med20, e_exp1,
          e_exp3, e_exp75, e_ar1, e_ar2) = self._abs_err
         n = self._n_samples
+        run = self._run
         total = self._sum
         w5, w20 = self._w5, self._w20
         sorted5, sorted20 = self._sorted5, self._sorted20
@@ -137,8 +143,11 @@ class AdaptiveForecaster:
                 exp1 = 0.1 * x + (1.0 - 0.1) * exp1
                 exp3 = 0.3 * x + (1.0 - 0.3) * exp3
                 exp75 = 0.75 * x + (1.0 - 0.75) * exp75
+                # NaN equals nothing, so it never extends a run
+                run = run + 1 if x == last else 1
             else:
                 exp1 = exp3 = exp75 = x
+                run = 1
             last = x
             n += 1
             total += x
@@ -170,11 +179,17 @@ class AdaptiveForecaster:
             # extrapolate, but a resource measurement cannot leave the
             # range its neighbours span (and real NWS clamps CPU
             # availability the same way).  On a constant window the clamp
-            # pins both fits to that constant, so neither runs.
+            # pins both fits to that constant, so neither runs.  A run of
+            # equal samples at least as long as the window shows it is
+            # constant without a scan: min() and max() would both return
+            # its first element, ±0.0 included.
             window.append(x)
             k = len(window)
             if k < 4:
                 ar1 = ar2 = x
+            elif run >= k:
+                ar1 = float(window[0])
+                ar2 = x if k < 6 else ar1
             else:
                 lo, hi = min(window), max(window)
                 if lo == hi:
@@ -193,6 +208,7 @@ class AdaptiveForecaster:
         # the first member with the lowest error wins a tie
         self._best = errs.index(min(errs))
         self._n_samples = n
+        self._run = run
         self._sum = total
 
     def predict(self) -> Optional[float]:

@@ -8,17 +8,19 @@ transfers through the topology, so they observe — and very slightly
 cause — contention, exactly like the real tool.
 
 A CPU reading is an instantaneous, side-effect-free look at the host,
-so CPU sensors need no process of their own: a :class:`CpuSensorSweep`
-samples a whole group of them, in the order they joined, from one
-periodic timer (one agenda entry per sweep, not one per host).  A
-sensor built on its own is a sweep of one.  Network sensors stay one
-process per pair, because each probe is a real flow that takes time and
-shares links with other traffic.
+so the CPU sensor is one :class:`CpuSensorSweep` per service: a single
+periodic timer that holds ``(host, forecaster)`` pairs in the order they
+joined and, at each tick, feeds every forecaster its host's
+``availability()`` (one agenda entry per sweep, not one per host).  A
+reading is handed straight to ``AdaptiveForecaster.update``; nothing
+else keeps it.  Network sensors stay one process per pair, because each
+probe is a real flow that takes time and shares links with other
+traffic.
 
-The sweep is bit-exact with one process per sensor started back-to-back
+The sweep is bit-exact with one process per host started back-to-back
 (the model the tests keep as an oracle).  Such processes' start-up
 entries take consecutive agenda sequence numbers, and since a reading
-schedules nothing, each tick's per-sensor timeouts are created back to
+schedules nothing, each tick's per-host timeouts are created back to
 back and stay adjacent in ``(time, priority, sequence)`` order for the
 whole run: no other event can fall between them.  One entry at the
 first of those positions therefore interleaves with every other event
@@ -29,31 +31,32 @@ adding ``period`` to the current time.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, NamedTuple, Optional
+from typing import Deque, List, NamedTuple, Tuple
 
 from ..microgrid.host import Host
 from ..microgrid.network import Topology
+from ..sim.events import Timeout
 from ..sim.kernel import Simulator
-from .forecasting import HISTORY_LEN
+from .forecasting import HISTORY_LEN, AdaptiveForecaster
 
-__all__ = ["Measurement", "CpuSensor", "CpuSensorSweep", "NetworkSensor"]
+__all__ = ["Measurement", "CpuSensorSweep", "NetworkSensor"]
 
 
 class Measurement(NamedTuple):
-    """One timestamped sensor reading (an immutable named tuple)."""
+    """One timestamped network sensor reading (an immutable named tuple)."""
 
     time: float
     value: float
 
 
 class CpuSensorSweep:
-    """One periodic timer that samples a group of CPU sensors.
+    """The CPU sensor: one periodic timer over a group of hosts.
 
-    Every ``period`` the sweep calls :meth:`CpuSensor.measure_once` on
-    each of its sensors in joining order.  Sensors join (by passing
-    ``sweep=`` to :class:`CpuSensor`) before the sweep's process first
-    runs, so every member shares the first tick at ``period`` after the
-    sweep was built.
+    Every ``period`` the sweep calls ``forecaster.update(
+    host.availability())`` for each joined ``(host, forecaster)`` pair,
+    in joining order.  Hosts join (:meth:`join`) before the sweep's
+    process first runs, so every member shares the first tick at
+    ``period`` after the sweep was built.
     """
 
     def __init__(self, sim: Simulator, period: float = 10.0) -> None:
@@ -61,65 +64,28 @@ class CpuSensorSweep:
             raise ValueError("sensor period must be positive")
         self.sim = sim
         self.period = period
-        self.sensors: List[CpuSensor] = []
+        #: the sampled hosts and the forecasters they feed, in joining order
+        self.members: List[Tuple[Host, AdaptiveForecaster]] = []
         self._started = False
         sim.process(self._run(), name="cpusweep")
 
-    def _join(self, sensor: "CpuSensor") -> None:
-        if sensor.sim is not self.sim:
-            raise ValueError("sensor and sweep belong to different simulators")
-        if sensor.period != self.period:
-            raise ValueError(f"sensor period {sensor.period} differs from "
-                             f"its sweep's {self.period}")
+    def join(self, host: Host, forecaster: AdaptiveForecaster) -> None:
+        """Sample ``host`` at every tick into ``forecaster``."""
+        if host.sim is not self.sim:
+            raise ValueError("host and sweep belong to different simulators")
         if self._started:
-            raise ValueError("sensors must join a sweep before it starts")
-        self.sensors.append(sensor)
+            raise ValueError("hosts must join a sweep before it starts")
+        self.members.append((host, forecaster))
 
     def _run(self):
         self._started = True
-        sim, period, sensors = self.sim, self.period, self.sensors
-        if not sensors:
+        sim, period, members = self.sim, self.period, self.members
+        if not members:
             return
         while True:
-            yield sim.timeout(period)
-            for sensor in sensors:
-                sensor.measure_once()
-
-
-class CpuSensor:
-    """Periodically samples the CPU availability of one host.
-
-    The readings are taken by ``sweep``, which must share this sensor's
-    simulator and period and not have started yet; by default the
-    sensor gets a new sweep of its own.
-    """
-
-    def __init__(self, sim: Simulator, host: Host, period: float = 10.0,
-                 sweep: Optional[CpuSensorSweep] = None) -> None:
-        self.sim = sim
-        self.host = host
-        self.period = period
-        #: the last HISTORY_LEN readings
-        self.readings: Deque[Measurement] = deque(maxlen=HISTORY_LEN)
-        self._listeners: list = []
-        if sweep is None:
-            sweep = CpuSensorSweep(sim, period)
-        sweep._join(self)
-
-    def on_reading(self, callback) -> None:
-        """Register ``callback(measurement)`` for each new reading."""
-        self._listeners.append(callback)
-
-    def measure_once(self) -> Measurement:
-        """Take a reading now: the sweep's tick, or an on-demand probe."""
-        reading = Measurement(self.sim.now, self.host.availability())
-        self.readings.append(reading)
-        for listener in self._listeners:
-            listener(reading)
-        return reading
-
-    def latest(self) -> Optional[Measurement]:
-        return self.readings[-1] if self.readings else None
+            yield Timeout(sim, period)
+            for host, forecaster in members:
+                forecaster.update(host.availability())
 
 
 class NetworkSensor:

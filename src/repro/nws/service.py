@@ -23,7 +23,7 @@ from ..microgrid.host import Host
 from ..microgrid.network import Topology
 from ..sim.kernel import Simulator
 from .forecasting import AdaptiveForecaster
-from .sensors import CpuSensor, CpuSensorSweep, NetworkSensor
+from .sensors import CpuSensorSweep, NetworkSensor
 
 __all__ = ["NetworkWeatherService"]
 
@@ -37,19 +37,16 @@ class NetworkWeatherService:
         self.sim = sim
         self.grid = grid
         self.topology: Topology = grid.topology
-        self._cpu_sensors: Dict[str, CpuSensor] = {}
         self._cpu_forecasts: Dict[str, AdaptiveForecaster] = {}
         self._net_sensors: Dict[Tuple[str, str], NetworkSensor] = {}
         self._bw_forecasts: Dict[Tuple[str, str], AdaptiveForecaster] = {}
         self._site_rep: Dict[str, str] = {}
 
-        # One timer samples every host's CPU sensor, in deployment order.
+        # One timer samples every host's CPU, in deployment order.
         sweep = CpuSensorSweep(sim, cpu_period)
         for host in grid.all_hosts():
-            sensor = CpuSensor(sim, host, period=cpu_period, sweep=sweep)
             forecast = AdaptiveForecaster()
-            sensor.on_reading(lambda m, f=forecast: f.update(m.value))
-            self._cpu_sensors[host.name] = sensor
+            sweep.join(host, forecast)
             self._cpu_forecasts[host.name] = forecast
             site = self._site_of(host)
             self._site_rep.setdefault(site, host.name)
@@ -82,16 +79,15 @@ class NetworkWeatherService:
     def cpu_forecast(self, host_name: str) -> float:
         """Predicted CPU availability fraction for a host."""
         forecast = self._cpu_forecasts.get(host_name)
-        if forecast is not None:
-            value = forecast.predict()
-            if value is not None:
-                return value
-        # No data yet: read the ground truth once, like an on-demand probe.
-        sensor = self._cpu_sensors.get(host_name)
-        if sensor is not None:
-            reading = sensor.measure_once()
-            return reading.value
-        return self.topology.host(host_name).availability()
+        if forecast is None:
+            return self.topology.host(host_name).availability()
+        value = forecast.predict()
+        if value is None:
+            # No data yet: read the ground truth once, like an on-demand
+            # probe, and feed it to the host's series.
+            value = self.topology.host(host_name).availability()
+            forecast.update(value)
+        return value
 
     def bandwidth_forecast(self, src: str, dst: str) -> float:
         """Predicted achievable bandwidth (bytes/s) between two hosts."""
@@ -138,9 +134,6 @@ class NetworkWeatherService:
         src_site = self._site_of(self.topology.host(src))
         dst_site = self._site_of(self.topology.host(dst))
         return (src_site, dst_site)
-
-    def cpu_sensor(self, host_name: str) -> CpuSensor:
-        return self._cpu_sensors[host_name]
 
     def cpu_forecaster(self, host_name: str) -> AdaptiveForecaster:
         return self._cpu_forecasts[host_name]

@@ -60,11 +60,21 @@ class Simulator:
 
     # -- event creation ----------------------------------------------------
     def event(self, name: str = "") -> Event:
-        """Create a fresh pending :class:`Event`."""
+        """Create a fresh pending :class:`Event`.
+
+        Same as ``Event(sim, name=name)``; the per-message and per-task
+        paths (MPI send/recv, host compute, network transfers) build
+        the event directly and skip this extra call.
+        """
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Timeout:
-        """Create an event that triggers ``delay`` time units from now."""
+        """Create an event that triggers ``delay`` time units from now.
+
+        Same as ``Timeout(sim, delay, value=value, name=name)``, which
+        the hot callers (completion wake-ups, flow starts, the CPU
+        sensor sweep's tick) build directly.
+        """
         return Timeout(self, delay, value=value, name=name)
 
     def process(self, generator: Generator, name: str = "") -> Process:

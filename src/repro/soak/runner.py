@@ -280,6 +280,10 @@ def run_scenario(spec: ScenarioSpec, tracer=None) -> ScenarioOutcome:
         next_checkpoint = target + spec.checkpoint_every
 
     violations.extend(run_final_auditors(ctx))
+    # Detach the tracer so the sim <-> tracer cycle does not keep it
+    # alive until the cyclic collector runs; its own reference to the
+    # simulator stays, so a later bind() numbers runs as before.
+    sim.trace = None
 
     counters = {name: value
                 for name, value in sorted(sim.stats.snapshot().items())

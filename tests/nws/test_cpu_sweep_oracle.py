@@ -1,12 +1,12 @@
-"""Differential: the CPU sensor sweep against one process per sensor.
+"""Differential: the CPU sensor sweep against one process per host.
 
-A :class:`NetworkWeatherService` samples all of its CPU sensors from one
-:class:`repro.nws.CpuSensorSweep`.  Every sensor's ``(time, value)``
-readings, every forecaster's ``history()`` and ``predict()``, every
-on-demand ``cpu_forecast`` answer and every kernel counter but
-``events_processed`` must be ``==`` to the same scenario served by
-:mod:`tests.oracles.sensors`, where each host's sensor runs its own
-process.
+A :class:`NetworkWeatherService` samples every host's CPU from one
+:class:`repro.nws.CpuSensorSweep`.  Every ``(time, value)`` sample fed
+to every CPU forecaster, every forecaster's ``history()`` and
+``predict()``, every on-demand ``cpu_forecast`` answer and every kernel
+counter but ``events_processed`` must be ``==`` to the same scenario
+served by :mod:`tests.oracles.sensors`, where each host's sensor runs
+its own process.
 
 The scenarios put load changes, host crashes and recoveries exactly on
 tick instants, scheduled both before and after the service was built:
@@ -26,6 +26,7 @@ from repro.experiments.metasched_stream import (metasched_scale_grid,
                                                 run_metasched)
 from repro.microgrid import ScheduledLoad, fig3_testbed
 from repro.nws import NetworkWeatherService
+from repro.nws.forecasting import AdaptiveForecaster
 from repro.sim import Simulator
 from tests.oracles.sensors import reference_cpu_sensors
 
@@ -60,22 +61,25 @@ def querier(sim, nws, hosts, period, log):
 def observe(scenario, oracle):
     """Serve ``scenario`` and return everything a caller could see of
     the service's CPU side."""
-    with reference_cpu_sensors() if oracle else contextlib.nullcontext():
+    fed = {}
+    update = AdaptiveForecaster.update
+
+    def recording(forecaster, value):
+        fed.setdefault(forecaster, []).append((sim.now, value))
+        update(forecaster, value)
+
+    with (reference_cpu_sensors() if oracle else contextlib.nullcontext()), \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AdaptiveForecaster, "update", recording)
         sim = Simulator()
         nws, log, until = scenario(sim)
-        hosts = sorted(nws._cpu_sensors)
-        streams = {name: [] for name in hosts}
-        for name in hosts:
-            nws.cpu_sensor(name).on_reading(
-                lambda m, out=streams[name]: out.append((m.time, m.value)))
         sim.run(until=until)
+    hosts = sorted(host.name for host in nws.grid.all_hosts())
     stats = sim.stats.snapshot()
     stats.pop("events_processed")
     return {
-        "streams": streams,
-        "readings": {name: [(m.time, m.value)
-                            for m in nws.cpu_sensor(name).readings]
-                     for name in hosts},
+        "streams": {name: fed.get(nws.cpu_forecaster(name), [])
+                    for name in hosts},
         "history": {name: nws.cpu_forecaster(name).history()
                     for name in hosts},
         "predict": {name: nws.cpu_forecaster(name).predict()
@@ -253,5 +257,5 @@ def test_idle_service_adds_one_agenda_entry_per_sweep():
     sim.run(until=101.0)
     assert sim.stats.events_processed - before == 10
     assert len(sim._agenda) == 1
-    assert all(len(nws.cpu_sensor(h.name).readings) == 10
+    assert all(nws.cpu_forecaster(h.name).n_samples == 10
                for h in grid.all_hosts())

@@ -18,13 +18,14 @@ bar and a short 64-host metasched stream.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.fig3_qr import run_fig3_point
+from repro.experiments.fig3_qr import run_fig3, run_fig3_point
 from repro.experiments.metasched_stream import run_metasched
 from repro.nws import AdaptiveForecaster
 from repro.nws.forecasting import HISTORY_LEN, MEMBERS, _PENDING_CAP
@@ -77,20 +78,21 @@ def test_piecewise_constant_series_match_oracle(series):
     assert_battery_matches(series)
 
 
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """The AR order of every least-squares fit, in call order."""
+    calls = []
+    real = np.linalg.lstsq
+
+    def counting(design, *args, **kwargs):
+        calls.append(design.shape[1] - 1)
+        return real(design, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    return calls
+
+
 class TestLstsqOnlyOnNonConstantWindows:
-    @pytest.fixture
-    def lstsq_calls(self, monkeypatch):
-        """The AR order of every least-squares fit, in call order."""
-        calls = []
-        real = np.linalg.lstsq
-
-        def counting(design, *args, **kwargs):
-            calls.append(design.shape[1] - 1)
-            return real(design, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counting)
-        return calls
-
     def test_constant_window_skips_the_fit(self, lstsq_calls):
         f = AdaptiveForecaster()
         for _ in range(100):
@@ -108,6 +110,96 @@ class TestLstsqOnlyOnNonConstantWindows:
         assert lstsq_calls.count(1) == 7
         assert lstsq_calls.count(2) == 5
         assert len(lstsq_calls) == 12
+
+
+def state_bits(forecaster):
+    """Every member's prediction and error, sign of zero included."""
+    return repr((forecaster.predictions(), forecaster.errors(),
+                 forecaster.best_method()))
+
+
+class TestRunCount:
+    """A trailing run of equal samples at least as long as the AR
+    window stands in for the window's min()/max() scan."""
+
+    def test_signed_zero_runs_match_oracle_and_the_scan(self):
+        series = [0.0, -0.0] * 20 + [-0.0] * 35 + [0.0, 0.5] + [0.0] * 40
+        assert_battery_matches(series)
+        f = AdaptiveForecaster()
+        for x in series:
+            f.update(x)
+            window = f.history()
+            if len(window) >= 4 and len(set(window)) == 1:
+                # the value min() returns over the window, sign included
+                scan = float(min(window))
+                for name in ("ar_1", "ar_2") if len(window) >= 6 else ():
+                    pred = f.predictions()[name]
+                    assert (pred, math.copysign(1.0, pred)) == (
+                        scan, math.copysign(1.0, scan)), name
+
+    def test_run_straddling_every_replay_split_matches(self):
+        """The run length is carried from one replay to the next: a
+        read at any point of a run leaves the same state as reading
+        after every sample."""
+        series = [0.2] * 3 + [0.5] * 45 + [1.0, 0.5] + [0.5] * 31
+        eager = AdaptiveForecaster()
+        for x in series:
+            eager.update(x)
+            eager.predict()
+        expected = state_bits(eager)
+        oracle = ReferenceAdaptiveForecaster()
+        for x in series:
+            oracle.update(x)
+        for split in range(len(series) + 1):
+            f = AdaptiveForecaster()
+            for x in series[:split]:
+                f.update(x)
+            f.predict()
+            for x in series[split:]:
+                f.update(x)
+            assert state_bits(f) == expected, split
+            assert f._run == eager._run, split
+            assert f.predictions() == oracle.predictions(), split
+            assert f.errors() == oracle.errors(), split
+
+    def test_run_longer_than_the_window_then_broken(self, lstsq_calls):
+        series = [0.5] * (2 * HISTORY_LEN) + [0.2] + [0.5] * 5
+        assert_battery_matches(series)
+        del lstsq_calls[:]
+        f = AdaptiveForecaster()
+        for x in series[:2 * HISTORY_LEN]:
+            f.update(x)
+        assert f.predictions()["ar_2"] == 0.5
+        assert lstsq_calls == []
+        for x in series[2 * HISTORY_LEN:]:
+            f.update(x)
+        f.predict()
+        # the break and the five samples after it each fit both orders
+        assert lstsq_calls == [1, 2] * 6
+
+    def test_nan_never_extends_a_run(self):
+        f = AdaptiveForecaster()
+        for x in [0.5] * 10 + [math.nan] + [0.5] * 5:
+            f.update(x)
+        f.predict()
+        assert f._run == 5
+        f.update(math.nan)
+        f.update(math.nan)
+        f.predict()
+        assert f._run == 1
+
+
+class TestLstsqCountPerWorkload:
+    """The run count skips only scans, never a fit."""
+
+    def test_fig3_sweep(self, lstsq_calls):
+        run_fig3(seed=0)
+        assert len(lstsq_calls) == 1226
+
+    def test_metasched_64h_stream(self, lstsq_calls):
+        run_metasched(users=16, arrival_rate=1 / 12, duration=12000.0,
+                      max_jobs=400, n_hosts=64, cpu_period=60.0, seed=0)
+        assert len(lstsq_calls) == 14448
 
 
 def noise_series(n, seed, on_alphabet):

@@ -4,9 +4,31 @@ import pytest
 
 from repro.sim import Simulator
 from repro.microgrid import ScheduledLoad, fig3_testbed, fig4_testbed
-from repro.nws import (CpuSensor, CpuSensorSweep, NetworkSensor,
+from repro.nws import (AdaptiveForecaster, CpuSensorSweep, NetworkSensor,
                        NetworkWeatherService)
 from repro.nws.forecasting import HISTORY_LEN
+
+
+class Recorder(AdaptiveForecaster):
+    """A forecaster that also logs ``(time, label, value)`` for every
+    sample it is fed."""
+
+    def __init__(self, sim, label, log):
+        super().__init__()
+        self.sim = sim
+        self.label = label
+        self.log = log
+
+    def update(self, value):
+        self.log.append((self.sim.now, self.label, value))
+        super().update(value)
+
+
+def lone_sweep(sim, host, period, forecaster=None):
+    """A sweep sampling ``host`` alone; returns its forecaster."""
+    forecaster = AdaptiveForecaster() if forecaster is None else forecaster
+    CpuSensorSweep(sim, period).join(host, forecaster)
+    return forecaster
 
 
 class TestCpuSensor:
@@ -14,46 +36,45 @@ class TestCpuSensor:
         sim = Simulator()
         grid = fig3_testbed(sim)
         host = grid.clusters["utk"][0]
-        sensor = CpuSensor(sim, host, period=10.0)
+        forecaster = lone_sweep(sim, host, 10.0)
         sim.run(until=55.0)
-        assert len(sensor.readings) == 5
-        assert all(r.value == pytest.approx(1.0) for r in sensor.readings)
+        assert forecaster.n_samples == 5
+        assert forecaster.history() == [1.0] * 5
 
     def test_sensor_sees_load(self):
         sim = Simulator()
         grid = fig3_testbed(sim)
         host = grid.clusters["utk"][0]  # dual core
-        sensor = CpuSensor(sim, host, period=10.0)
+        log = []
+        lone_sweep(sim, host, 10.0, Recorder(sim, host.name, log))
         ScheduledLoad(host=host, at=25.0, nprocs=4).install(sim)
         sim.run(until=45.0)
-        before = [r.value for r in sensor.readings if r.time < 25.0]
-        after = [r.value for r in sensor.readings if r.time > 25.0]
-        assert all(v == pytest.approx(1.0) for v in before)
+        before = [v for t, _, v in log if t < 25.0]
+        after = [v for t, _, v in log if t > 25.0]
+        assert before == [1.0, 1.0]
         # 4 background procs on 2 cores: a 5th task would get 2/5 core.
-        assert all(v == pytest.approx(0.4) for v in after)
+        assert after == [pytest.approx(0.4)] * 2
 
     def test_bad_period_rejected(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        with pytest.raises(ValueError):
-            CpuSensor(sim, grid.clusters["utk"][0], period=0.0)
+        with pytest.raises(ValueError, match="positive"):
+            CpuSensorSweep(Simulator(), period=0.0)
 
-    def test_callback_invoked(self):
+    def test_forecaster_fed_at_each_tick(self):
         sim = Simulator()
         grid = fig3_testbed(sim)
-        sensor = CpuSensor(sim, grid.clusters["utk"][0], period=5.0)
-        seen = []
-        sensor.on_reading(lambda m: seen.append(m.time))
+        log = []
+        lone_sweep(sim, grid.clusters["utk"][0], 5.0,
+                   Recorder(sim, "utk.n0", log))
         sim.run(until=16.0)
-        assert seen == [5.0, 10.0, 15.0]
+        assert [t for t, _, _ in log] == [5.0, 10.0, 15.0]
 
     def test_readings_bounded(self):
         sim = Simulator()
         grid = fig3_testbed(sim)
-        sensor = CpuSensor(sim, grid.clusters["utk"][0], period=1.0)
+        forecaster = lone_sweep(sim, grid.clusters["utk"][0], 1.0)
         sim.run(until=100.5)
-        assert len(sensor.readings) == HISTORY_LEN
-        assert sensor.latest().time == 100.0
+        assert forecaster.n_samples == 100
+        assert len(forecaster.history()) == HISTORY_LEN
 
 
 class TestCpuSensorSweep:
@@ -64,18 +85,17 @@ class TestCpuSensorSweep:
         seen = []
         hosts = [grid.clusters["uiuc"][1], grid.clusters["utk"][0]]
         for host in hosts:
-            sensor = CpuSensor(sim, host, period=5.0, sweep=sweep)
-            sensor.on_reading(
-                lambda m, name=host.name: seen.append((m.time, name)))
-        assert sweep.sensors[0].host is hosts[0]
+            sweep.join(host, Recorder(sim, host.name, seen))
+        assert [host for host, _ in sweep.members] == hosts
         sim.run(until=11.0)
-        assert seen == [(5.0, "uiuc.n1"), (5.0, "utk.n0"),
-                        (10.0, "uiuc.n1"), (10.0, "utk.n0")]
+        assert [(t, name) for t, name, _ in seen] == [
+            (5.0, "uiuc.n1"), (5.0, "utk.n0"),
+            (10.0, "uiuc.n1"), (10.0, "utk.n0")]
 
     def test_lone_sensor_is_a_sweep_of_one(self):
         sim = Simulator()
         grid = fig3_testbed(sim)
-        CpuSensor(sim, grid.clusters["utk"][0], period=5.0)
+        lone_sweep(sim, grid.clusters["utk"][0], 5.0)
         sim.run(until=1.0)
         assert len(sim._agenda) == 1
 
@@ -83,24 +103,33 @@ class TestCpuSensorSweep:
         sim = Simulator()
         grid = fig3_testbed(sim)
         sweep = CpuSensorSweep(sim, period=5.0)
-        CpuSensor(sim, grid.clusters["utk"][0], period=5.0, sweep=sweep)
+        sweep.join(grid.clusters["utk"][0], AdaptiveForecaster())
         sim.run(until=1.0)
         with pytest.raises(ValueError, match="before it starts"):
-            CpuSensor(sim, grid.clusters["utk"][1], period=5.0, sweep=sweep)
+            sweep.join(grid.clusters["utk"][1], AdaptiveForecaster())
 
-    def test_mismatched_period_rejected(self):
+    def test_each_period_needs_its_own_sweep(self):
+        """A sweep has one period; hosts sampled at another period join
+        another sweep, and each sweep keeps its own ticks."""
         sim = Simulator()
         grid = fig3_testbed(sim)
-        sweep = CpuSensorSweep(sim, period=5.0)
-        with pytest.raises(ValueError, match="period"):
-            CpuSensor(sim, grid.clusters["utk"][0], period=10.0, sweep=sweep)
+        log = []
+        CpuSensorSweep(sim, period=5.0).join(
+            grid.clusters["utk"][0], Recorder(sim, "fast", log))
+        CpuSensorSweep(sim, period=10.0).join(
+            grid.clusters["utk"][1], Recorder(sim, "slow", log))
+        sim.run(until=21.0)
+        assert [t for t, label, _ in log if label == "fast"] == [
+            5.0, 10.0, 15.0, 20.0]
+        assert [t for t, label, _ in log if label == "slow"] == [10.0, 20.0]
+        assert len(sim._agenda) == 2
 
     def test_other_simulator_rejected(self):
         sim = Simulator()
         grid = fig3_testbed(sim)
         sweep = CpuSensorSweep(Simulator(), period=10.0)
         with pytest.raises(ValueError, match="simulators"):
-            CpuSensor(sim, grid.clusters["utk"][0], sweep=sweep)
+            sweep.join(grid.clusters["utk"][0], AdaptiveForecaster())
 
     def test_bad_period_rejected(self):
         with pytest.raises(ValueError):
@@ -168,7 +197,12 @@ class TestNetworkWeatherService:
         sim = Simulator()
         grid = fig3_testbed(sim)
         nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
-        assert nws.cpu_forecast("utk.n0") == pytest.approx(1.0)
+        grid.clusters["utk"][0].add_background_load(3)
+        # utk.n0 is dual core: a 4th task would get 2/4 of a core
+        assert nws.cpu_forecast("utk.n0") == 0.5
+        # the probe's reading is the series' first sample
+        assert nws.cpu_forecaster("utk.n0").history() == [0.5]
+        assert nws.cpu_forecaster("utk.n1").n_samples == 0
 
     def test_cpu_forecast_tracks_load(self):
         sim = Simulator()

@@ -11,8 +11,8 @@ algorithm whose production path in ``repro`` is incremental:
 * :mod:`tests.oracles.forecasting` — the numpy NWS forecaster battery
   (``np.median``, a ``lstsq`` fit on every AR window) behind
   ``repro.nws.forecasting``.
-* :mod:`tests.oracles.sensors` — one simulation process per NWS CPU
-  sensor, behind the one-timer ``repro.nws.CpuSensorSweep``.
+* :mod:`tests.oracles.sensors` — one simulation process per host's NWS
+  CPU sensor, behind the one-timer ``repro.nws.CpuSensorSweep``.
 * :mod:`tests.oracles.metasched` — the cancel-all/rebuild-all
   metascheduler planner and its linear window search, behind
   ``repro.metasched.MetaScheduler`` and ``ReservationBook.find_window``.

@@ -1,6 +1,8 @@
 """End-to-end scenario execution: lanes, determinism, planner oracle."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.soak import (run_scenario, run_with_checks, sample_mtbf_scenario,
                         sample_scenario)
 from repro.soak import runner as soak_runner
 from repro.soak.scenario import ScenarioSpec
+from repro.trace.tracer import Tracer
 from tests.oracles.metasched import reference_planner
 
 #: planner counters the oracle must reproduce exactly
@@ -105,6 +108,23 @@ class TestRunWithChecks:
         a = json.dumps(run_with_checks(spec), sort_keys=True)
         b = json.dumps(run_with_checks(spec), sort_keys=True)
         assert a == b
+
+    def test_finished_scenario_frees_its_tracer_by_refcount(self):
+        """The runner detaches the tracer at the end, so the
+        simulator <-> tracer cycle does not outlive the scenario."""
+        spec = sample_scenario(0, 10)
+        assert spec.trace_check and not spec.faults
+        tracer = Tracer()
+        alive = weakref.ref(tracer)
+        gc.disable()
+        try:
+            outcome = run_scenario(spec, tracer=tracer)
+            assert tracer.run == 0 and len(tracer) > 0
+            del tracer
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert outcome.quiesced and outcome.violations == []
 
 
 class TestMtbfPreset:
