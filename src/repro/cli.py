@@ -14,7 +14,7 @@
     python -m repro soak run --preset mtbf --scenarios 4 --json
     python -m repro soak replay tests/soak/reproducers/foo.json
     python -m repro trace diff a.trace.json b.trace.json
-    python -m repro lint --format json --baseline simlint-baseline.json
+    python -m repro lint --format json
 
 Every experiment subcommand accepts ``--trace PATH`` to export the
 run's event timeline as Chrome trace-event JSON (load it in Perfetto
@@ -23,7 +23,8 @@ or ``chrome://tracing``).  ``repro trace`` inspects such files:
 utilization and the violation timeline, ``diff`` pinpoints the first
 divergent event between two traces (exit 1 when they diverge).
 ``repro lint`` runs the determinism linter (``repro.simlint``) over
-the tree — see DESIGN.md §5 for the rules and suppression syntax.
+the tree; a suppression comment is the only way to accept a finding —
+see DESIGN.md §5 for the rules and suppression syntax.
 
 Every experiment subcommand also accepts ``--seed N`` (default 0): the
 run's randomness, if it has any, derives from ``RngRegistry(N)``, and
@@ -42,7 +43,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import __version__
 from .experiments.eman_demo import run_eman_demo
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", help="simulator-discipline static analysis (simlint); "
-                     "exit 1 on findings not covered by the baseline")
+                     "exit 1 on any unsuppressed finding")
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files/directories to lint "
                            "(default: the installed repro package)")
@@ -147,16 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default="text",
                       help="report format (default: text); 'github' emits "
                            "GitHub Actions ::error/::warning annotations")
-    lint.add_argument("--baseline", metavar="PATH", default=None,
-                      help="JSON baseline of grandfathered findings")
-    lint.add_argument("--write-baseline", metavar="PATH", default=None,
-                      help="accept all current findings into a new "
-                           "baseline file and exit 0")
-    lint.add_argument("--select", metavar="RULES", default=None,
-                      help="comma-separated rule ids to run (e.g. "
-                           "SL001,SL003); default: all")
-    lint.add_argument("--ignore", metavar="RULES", default=None,
-                      help="comma-separated rule ids to skip")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule table and exit")
 
@@ -420,30 +411,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if not paths:
         import repro
         paths = [os.path.dirname(os.path.abspath(repro.__file__))]
-    select = args.select.split(",") if args.select else None
-    ignore = args.ignore.split(",") if args.ignore else None
     try:
-        result = simlint.lint_tree(paths, select=select, ignore=ignore)
-    except (simlint.UnknownRuleError, FileNotFoundError) as exc:
+        result = simlint.lint_tree(paths)
+    except FileNotFoundError as exc:
         raise UsageError(str(exc)) from None
     findings = result.findings
-    if args.write_baseline:
-        simlint.write_baseline(args.write_baseline,
-                               simlint.make_baseline(findings))
-        print(f"wrote baseline with {len(findings)} finding(s) "
-              f"-> {args.write_baseline}", file=sys.stderr)
-        return 0
-    grandfathered: List[simlint.Finding] = []
-    if args.baseline:
-        doc = _read("baseline", args.baseline, simlint.load_baseline)
-        findings, grandfathered = simlint.apply_baseline(findings, doc)
     if args.format == "json":
-        print(simlint.render_json(findings, grandfathered))
+        print(simlint.render_json(findings))
     elif args.format == "github":
-        print(simlint.render_github(findings, len(grandfathered),
+        print(simlint.render_github(findings,
                                     display_paths=result.display_paths))
     else:
-        print(simlint.render_text(findings, len(grandfathered)))
+        print(simlint.render_text(findings))
     return 1 if findings else 0
 
 

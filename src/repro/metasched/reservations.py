@@ -488,18 +488,6 @@ class ReservationBook:
             stats.meta_plan_window_probes += probes
         return free
 
-    def unavailable_hosts(self, start: float,
-                          end: float = math.inf) -> List[str]:
-        """Hosts with any live reservation overlapping ``[start, end)``
-        — the set a reservation-respecting rescheduler must avoid."""
-        out = []
-        for name in sorted(self._calendars):
-            for resv in self._calendars[name].active():
-                if resv.overlaps(start, end):
-                    out.append(name)
-                    break
-        return out
-
     def audit(self) -> List[str]:
         """All claim-overlap violations across every host (must be [])."""
         problems: List[str] = []

@@ -135,8 +135,7 @@ class Rescheduler:
                  mode: str = "default",
                  worst_case_migration_seconds: Optional[float] = 900.0,
                  migration_timeout_seconds: Optional[float] = None,
-                 blacklist_seconds: Optional[float] = None,
-                 reservations=None) -> None:
+                 blacklist_seconds: Optional[float] = None) -> None:
         """``mode``: "default" (cost/benefit), "force-migrate",
         "force-stay".  ``worst_case_migration_seconds`` replaces the
         application's own migration estimate when not None — the
@@ -150,13 +149,6 @@ class Rescheduler:
         wedged — and *blacklists* the target hosts.  ``None`` (default)
         disables the timeout.  Blacklisted hosts are excluded from
         candidate sets for ``blacklist_seconds`` (``None`` = forever).
-
-        ``reservations`` is an optional
-        :class:`~repro.metasched.reservations.ReservationBook` (any
-        object with ``unavailable_hosts(start)``): hosts another job
-        has reserved or claimed from "now" onward are excluded from
-        migration candidate sets, so a migration can never land on
-        capacity the metascheduler has already promised away.
         """
         if mode not in RESCHEDULER_MODES:
             raise ValueError(f"unknown mode {mode!r}")
@@ -172,7 +164,6 @@ class Rescheduler:
         self.worst_case_migration_seconds = worst_case_migration_seconds
         self.migration_timeout_seconds = migration_timeout_seconds
         self.blacklist_seconds = blacklist_seconds
-        self.reservations = reservations
         self.decisions: List[DecisionRecord] = []
         #: migration attempts abandoned on failure or timeout
         self.aborted_migrations = 0
@@ -186,19 +177,13 @@ class Rescheduler:
         self._apps.append(app)
 
     # -- evaluation ------------------------------------------------------------
-    def evaluate(self, app: MigratableApp,
-                 candidate_hosts: Optional[Sequence[str]] = None
-                 ) -> Optional[MigrationEvaluation]:
+    def evaluate(self, app: MigratableApp) -> Optional[MigrationEvaluation]:
         """Cost/benefit of moving ``app`` now; None if no candidate set
         exists (mapper found nothing)."""
         current = list(app.current_hosts())
-        exclude = current + self.blacklisted_hosts()
-        if self.reservations is not None:
-            reserved = self.reservations.unavailable_hosts(self.sim.now)
-            exclude.extend(h for h in reserved if h not in current)
         try:
-            new_hosts = list(candidate_hosts) if candidate_hosts is not None \
-                else app.propose_hosts(exclude=exclude)
+            new_hosts = app.propose_hosts(
+                exclude=current + self.blacklisted_hosts())
         except Exception:
             return None
         if not new_hosts or set(new_hosts) == set(current):

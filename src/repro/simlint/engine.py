@@ -1,11 +1,14 @@
-"""simlint engine: discovery, suppressions, rule execution.
+"""simlint engine: discovery, decoding, one walk per file, suppressions.
 
-The engine makes one pass: it parses each file, serially and in
-discovery order, and runs the selected rules on it.  Every rule sees
-one file at a time, so there is no cross-file state, no cache and no
-worker pool.
+The engine lints each file serially, in discovery order.  It decodes
+the file the way the interpreter does (a PEP 263 coding cookie, else
+UTF-8), parses it, and makes one ``ast.walk`` of the tree, handing each
+node to the checks registered for its type.  Every rule sees one file
+at a time, so there is no cross-file state, no cache and no worker
+pool.  Findings are sorted after collection, so a report does not
+depend on the order in which checks ran.
 
-Findings then pass through two suppression mechanisms:
+A finding is accepted in one way only, by a suppression comment:
 
 * **line suppressions** — a trailing comment on the flagged line::
 
@@ -22,9 +25,6 @@ Findings then pass through two suppression mechanisms:
   convention near the top)::
 
       # simlint: ignore-file[SL001] — benchmark harness, wall-clock is the point
-
-Baselines (grandfathered findings) are a third layer handled by
-``repro.simlint.baseline`` on top of what this module returns.
 """
 
 from __future__ import annotations
@@ -35,44 +35,23 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .findings import Finding, fingerprint_of
-from .rules import PARSE_ERROR_ID, RULES, build_context
+from .findings import Finding
+from .rules import PARSE_ERROR_ID, RULES, Check, build_context
 
-__all__ = ["lint_source", "lint_paths", "lint_tree", "discover_files",
-           "select_rules", "UnknownRuleError", "SUPPRESS_RE", "LintResult"]
+__all__ = ["lint_source", "lint_tree", "discover_files", "SUPPRESS_RE",
+           "LintResult"]
 
 SUPPRESS_RE = re.compile(
     r"#\s*simlint:\s*(?P<kind>ignore-file|ignore)\s*"
     r"(?:\[(?P<rules>[A-Za-z0-9 ,]*)\])?")
 
-
-class UnknownRuleError(ValueError):
-    """A --select/--ignore list named a rule id that does not exist."""
-
-
-def select_rules(select: Optional[Iterable[str]] = None,
-                 ignore: Optional[Iterable[str]] = None) -> Tuple[str, ...]:
-    """Resolve --select/--ignore lists to an ordered tuple of rule ids."""
-    chosen = _validated(select) if select is not None else set(RULES)
-    if ignore is not None:
-        chosen -= _validated(ignore)
-    return tuple(sorted(chosen))
-
-
-def _validated(ids: Iterable[str]) -> Set[str]:
-    result = set()
-    for raw in ids:
-        rule_id = raw.strip().upper()
-        if not rule_id:
-            continue
-        if rule_id not in RULES:
-            known = ", ".join(sorted(RULES))
-            raise UnknownRuleError(
-                f"unknown rule {rule_id!r} (known: {known})")
-        result.add(rule_id)
-    return result
+#: node type -> the ``(rule id, check)`` pairs registered for it
+_DISPATCH: Dict[type, List[Tuple[str, Check]]] = {}
+for _rule in RULES.values():
+    for _node_type in _rule.nodes:
+        _DISPATCH.setdefault(_node_type, []).append((_rule.id, _rule.check))
 
 
 def _suppressions(source: str) -> Tuple[Dict[int, Optional[Set[str]]],
@@ -198,66 +177,61 @@ def _expand_suppressions(
     return expanded
 
 
-def lint_source(source: str, relpath: str,
-                rule_ids: Optional[Sequence[str]] = None) -> List[Finding]:
-    """Lint one file's text; ``relpath`` appears in the findings."""
-    if rule_ids is None:
-        rule_ids = tuple(sorted(RULES))
-    per_line, file_level = _suppressions(source)
-    lines = source.splitlines()
+def _finding(relpath: str, line: int, col: int, rule_id: str,
+             message: str) -> Finding:
+    rule = RULES[rule_id]
+    return Finding(path=relpath, line=line, col=col, rule=rule_id,
+                   severity=rule.severity, message=message, hint=rule.hint)
 
+
+def _parse_error(relpath: str, exc: SyntaxError) -> Finding:
+    return _finding(relpath, exc.lineno or 1, (exc.offset or 1) - 1,
+                    PARSE_ERROR_ID, f"syntax error: {exc.msg}")
+
+
+def lint_source(source: str, relpath: str) -> List[Finding]:
+    """Lint one file's text; ``relpath`` appears in the findings."""
+    per_line, file_level = _suppressions(source)
     try:
         tree = ast.parse(source, filename=relpath)
     except SyntaxError as exc:
-        rule = RULES[PARSE_ERROR_ID]
-        line = exc.lineno or 1
-        if file_level is not None and PARSE_ERROR_ID in file_level:
-            return []
-        line_rules = per_line.get(line, set())
-        if (PARSE_ERROR_ID not in rule_ids or line_rules is None
-                or PARSE_ERROR_ID in line_rules):
-            return []
-        return [Finding(
-            path=relpath, line=line, col=(exc.offset or 1) - 1,
-            rule=PARSE_ERROR_ID, severity=rule.severity,
-            message=f"syntax error: {exc.msg}", hint=rule.hint,
-            fingerprint=fingerprint_of(PARSE_ERROR_ID, exc.msg or "", 0))]
+        hits = [_parse_error(relpath, exc)]
+    else:
+        per_line = _expand_suppressions(per_line, tree)
+        ctx = build_context(relpath, tree)
+        hits = []
+        for node in ast.walk(tree):
+            checks = _DISPATCH.get(type(node))
+            if checks is None:
+                continue
+            for rule_id, check in checks:
+                for hit, message in check(node, ctx):
+                    hits.append(_finding(
+                        relpath, getattr(hit, "lineno", 1),
+                        getattr(hit, "col_offset", 0), rule_id, message))
 
-    per_line = _expand_suppressions(per_line, tree)
-
-    def suppressed(rule_id: str, line: int) -> bool:
-        if file_level is not None and rule_id in file_level:
+    def suppressed(finding: Finding) -> bool:
+        if file_level is not None and finding.rule in file_level:
             return True
-        if line in per_line:
-            line_rules = per_line[line]
-            return line_rules is None or rule_id in line_rules
-        return False
+        line_rules = per_line.get(finding.line, set())
+        return line_rules is None or finding.rule in line_rules
 
-    ctx = build_context(relpath, tree)
-    raw: List[Tuple[int, int, str, str]] = []
-    for rule_id in rule_ids:
-        rule = RULES[rule_id]
-        for node, message in rule.check(tree, ctx):
-            line = getattr(node, "lineno", 1)
-            col = getattr(node, "col_offset", 0)
-            raw.append((line, col, rule_id, message))
+    return sorted(f for f in hits if not suppressed(f))
 
-    raw.sort()
-    occurrences: Dict[Tuple[str, str], int] = {}
-    findings: List[Finding] = []
-    for line, col, rule_id, message in raw:
-        if suppressed(rule_id, line):
-            continue
-        text = lines[line - 1] if 0 < line <= len(lines) else ""
-        key = (rule_id, " ".join(text.split()))
-        n = occurrences.get(key, 0)
-        occurrences[key] = n + 1
-        rule = RULES[rule_id]
-        findings.append(Finding(
-            path=relpath, line=line, col=col, rule=rule_id,
-            severity=rule.severity, message=message, hint=rule.hint,
-            fingerprint=fingerprint_of(rule_id, text, n)))
-    return findings
+
+def _decode(data: bytes) -> str:
+    """``data`` as text, decoded the way ``tokenize.open`` does: by its
+    BOM or PEP 263 coding cookie, else as UTF-8.  Bytes the interpreter
+    could not decode raise SyntaxError, as they do for ``python``."""
+    encoding, _ = tokenize.detect_encoding(io.BytesIO(data).readline)
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        raise SyntaxError(
+            f"cannot decode byte {data[exc.start]:#04x} as {encoding}",
+            (None, data.count(b"\n", 0, exc.start) + 1,
+             exc.start - line_start + 1, None)) from None
 
 
 def discover_files(paths: Sequence[str]) -> List[Tuple[str, str]]:
@@ -265,7 +239,7 @@ def discover_files(paths: Sequence[str]) -> List[Tuple[str, str]]:
 
     Relative paths are posix-style, relative to the directory argument
     that contained the file (or the file's own directory for direct
-    file arguments), so reports and baselines are location-independent.
+    file arguments), so reports are location-independent.
     ``paths`` is a sequence of paths; one bare string is refused rather
     than walked character by character.
     """
@@ -302,26 +276,21 @@ class LintResult:
     display_paths: Dict[str, str] = field(default_factory=dict)
 
 
-def lint_tree(paths: Sequence[str],
-              select: Optional[Iterable[str]] = None,
-              ignore: Optional[Iterable[str]] = None) -> LintResult:
-    """Lint every discovered file against the selected rules."""
-    rule_ids = select_rules(select, ignore)
+def lint_tree(paths: Sequence[str]) -> LintResult:
+    """Lint every discovered file against every rule."""
     pairs = discover_files(paths)
     findings: List[Finding] = []
     for full, rel in pairs:
         with open(full, "rb") as handle:
-            source = handle.read().decode("utf-8")
-        findings.extend(lint_source(source, rel, rule_ids))
+            data = handle.read()
+        try:
+            source = _decode(data)
+        except SyntaxError as exc:
+            findings.append(_parse_error(rel, exc))
+            continue
+        findings.extend(lint_source(source, rel))
     findings.sort()
     cwd = os.getcwd()
     display = {rel: os.path.relpath(full, cwd).replace(os.sep, "/")
                for full, rel in pairs}
     return LintResult(findings=findings, display_paths=display)
-
-
-def lint_paths(paths: Sequence[str],
-               select: Optional[Iterable[str]] = None,
-               ignore: Optional[Iterable[str]] = None) -> List[Finding]:
-    """Lint files and directories; returns sorted findings."""
-    return lint_tree(paths, select=select, ignore=ignore).findings

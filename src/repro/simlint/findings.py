@@ -1,19 +1,14 @@
 """Finding and severity primitives shared across the simlint package.
 
-A :class:`Finding` is one rule violation at one source location.  The
-``fingerprint`` identifies the violation *content-wise* (rule + the
-normalized source line + an occurrence counter) rather than by line
-number, so baselines survive unrelated edits that shift code up or
-down — the same scheme ruff/flake8 ecosystems use for "grandfathering"
-pre-existing findings.
+A :class:`Finding` is one rule violation at one source location.
+Findings order by location, then rule, so a sorted report is stable.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
-__all__ = ["ERROR", "WARNING", "SEVERITIES", "Finding", "fingerprint_of"]
+__all__ = ["ERROR", "WARNING", "SEVERITIES", "Finding"]
 
 #: Severity levels.  Both fail the lint run; severity orders the report
 #: and tells a reader how confident the rule is that the finding is a
@@ -34,21 +29,6 @@ class Finding:
     severity: str  # ERROR or WARNING
     message: str  # what is wrong at this site
     hint: str  # the rule's fix-it hint
-    fingerprint: str  # content-based identity for baselines
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}"
-
-
-def fingerprint_of(rule: str, line_text: str, occurrence: int) -> str:
-    """Content-based identity: stable across moves, unique per repeat.
-
-    ``occurrence`` counts earlier findings in the same file with the
-    same ``(rule, normalized line)`` pair, so two identical violations
-    on different lines get distinct fingerprints.
-    """
-    normalized = " ".join(line_text.split())
-    digest = hashlib.sha1(
-        f"{rule}\x00{normalized}\x00{occurrence}".encode("utf-8")
-    ).hexdigest()
-    return digest[:16]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .findings import ERROR, Finding
 from .rules import RULES
@@ -12,26 +12,24 @@ __all__ = ["render_text", "render_json", "render_github",
            "render_rule_table"]
 
 
-def render_text(findings: Sequence[Finding],
-                grandfathered: int = 0) -> str:
+def _summary(findings: Sequence[Finding]) -> str:
+    errors = sum(1 for f in findings if f.severity == ERROR)
+    return (f"simlint: {len(findings)} finding(s) "
+            f"({errors} error(s), {len(findings) - errors} warning(s))")
+
+
+def render_text(findings: Sequence[Finding]) -> str:
     """Human-readable report, one line per finding plus a summary."""
     lines: List[str] = []
     for finding in findings:
         lines.append(f"{finding.location()}: {finding.rule} "
                      f"[{finding.severity}] {finding.message}")
         lines.append(f"    hint: {finding.hint}")
-    errors = sum(1 for f in findings if f.severity == ERROR)
-    warnings = len(findings) - errors
-    summary = (f"simlint: {len(findings)} finding(s) "
-               f"({errors} error(s), {warnings} warning(s))")
-    if grandfathered:
-        summary += f", {grandfathered} grandfathered by baseline"
-    lines.append(summary)
+    lines.append(_summary(findings))
     return "\n".join(lines)
 
 
-def render_json(findings: Sequence[Finding],
-                grandfathered: Optional[Sequence[Finding]] = None) -> str:
+def render_json(findings: Sequence[Finding]) -> str:
     """Machine-readable report (stable key order, one JSON object)."""
     def as_dict(finding: Finding) -> Dict:
         return {
@@ -42,14 +40,12 @@ def render_json(findings: Sequence[Finding],
             "severity": finding.severity,
             "message": finding.message,
             "hint": finding.hint,
-            "fingerprint": finding.fingerprint,
         }
 
     payload = {
-        "version": 1,
+        "version": 2,
         "count": len(findings),
         "findings": [as_dict(f) for f in findings],
-        "grandfathered": [as_dict(f) for f in (grandfathered or [])],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -65,7 +61,6 @@ def _gh_escape_property(text: str) -> str:
 
 
 def render_github(findings: Sequence[Finding],
-                  grandfathered: int = 0,
                   display_paths: Optional[Dict[str, str]] = None) -> str:
     """GitHub Actions workflow-command annotations, one per finding.
 
@@ -83,20 +78,14 @@ def render_github(findings: Sequence[Finding],
             f"line={finding.line},col={finding.col + 1},"
             f"title={_gh_escape_property(f'simlint {finding.rule}')}"
             f"::{_gh_escape_message(message)}")
-    errors = sum(1 for f in findings if f.severity == ERROR)
-    warnings = len(findings) - errors
-    summary = (f"simlint: {len(findings)} finding(s) "
-               f"({errors} error(s), {warnings} warning(s))")
-    if grandfathered:
-        summary += f", {grandfathered} grandfathered by baseline"
-    lines.append(summary)
+    lines.append(_summary(findings))
     return "\n".join(lines)
 
 
-def render_rule_table(rule_ids: Optional[Iterable[str]] = None) -> str:
+def render_rule_table() -> str:
     """The registered rules, for ``repro lint --list-rules``."""
     lines = []
-    for rule_id in sorted(rule_ids if rule_ids is not None else RULES):
+    for rule_id in sorted(RULES):
         rule = RULES[rule_id]
         lines.append(f"{rule.id}  [{rule.severity:7s}] {rule.summary}")
     return "\n".join(lines)

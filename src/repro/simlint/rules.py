@@ -1,10 +1,12 @@
 """The simlint rule set: simulator-discipline checks for the repro tree.
 
-Every rule is a pure function from ``(ast.Module, FileContext)`` to an
+Every rule is a pure function from ``(node, FileContext)`` to an
 iterator of ``(node, message)`` pairs, registered in :data:`RULES` via
-the :func:`rule` decorator.  The engine (``repro.simlint.engine``)
-turns those pairs into :class:`~repro.simlint.findings.Finding` records,
-applies suppression comments and baselines, and renders reports.
+the :func:`rule` decorator together with the node types it inspects.
+The engine (``repro.simlint.engine``) walks each file once, hands every
+node to the checks registered for its type, turns the pairs into
+:class:`~repro.simlint.findings.Finding` records and applies
+suppression comments.
 
 The rules are grounded in how this repository actually achieves
 byte-identical same-seed runs (see DESIGN.md §5):
@@ -33,13 +35,14 @@ import ast
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Type
 
 from .findings import ERROR, WARNING
 
-__all__ = ["Rule", "FileContext", "RULES", "ALL_RULE_IDS", "PARSE_ERROR_ID"]
+__all__ = ["Rule", "FileContext", "RULES", "PARSE_ERROR_ID"]
 
 RuleHits = Iterator[Tuple[ast.AST, str]]
+NodeTypes = Tuple[Type[ast.AST], ...]
 
 
 @dataclass(frozen=True)
@@ -107,45 +110,50 @@ def build_context(relpath: str, tree: ast.Module) -> FileContext:
     return ctx
 
 
+Check = Callable[[ast.AST, FileContext], RuleHits]
+
+
 @dataclass(frozen=True)
 class Rule:
-    """A registered simlint rule."""
+    """A registered simlint rule: ``check`` runs on every node of a
+    type in ``nodes``."""
 
     id: str
     severity: str
     summary: str
     hint: str
-    check: Callable[[ast.Module, FileContext], RuleHits]
+    nodes: NodeTypes
+    check: Check
 
 
 RULES: Dict[str, Rule] = {}
 
-#: Pseudo-rule the engine emits when a file does not parse.  It has no
-#: checker; it exists so reports, --select and baselines treat parse
-#: failures like any other finding.
+#: Pseudo-rule the engine emits when a file does not decode or parse.
+#: It inspects no nodes; it exists so reports and suppressions treat
+#: such files like any other finding.
 PARSE_ERROR_ID = "SL000"
 
 
-def rule(id: str, severity: str, summary: str, hint: str):
-    """Register a checker function under ``id`` (see AUTHORING.md)."""
+def rule(id: str, severity: str, summary: str, hint: str, nodes: NodeTypes):
+    """Register a checker of ``nodes`` under ``id`` (see AUTHORING.md)."""
 
-    def register(check: Callable[[ast.Module, FileContext], RuleHits]):
+    def register(check: Check):
         RULES[id] = Rule(id=id, severity=severity, summary=summary,
-                         hint=hint, check=check)
+                         hint=hint, nodes=nodes, check=check)
         return check
 
     return register
 
 
-def _none_checker(tree: ast.Module, ctx: FileContext) -> RuleHits:
+def _none_checker(node: ast.AST, ctx: FileContext) -> RuleHits:
     return iter(())
 
 
 RULES[PARSE_ERROR_ID] = Rule(
     id=PARSE_ERROR_ID, severity=ERROR,
-    summary="file does not parse",
+    summary="file does not decode or parse",
     hint="fix the syntax error; nothing else can be checked",
-    check=_none_checker)
+    nodes=(), check=_none_checker)
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +172,12 @@ _WALL_CLOCK_CALLS = frozenset({
 @rule("SL001", ERROR,
       "wall-clock read in simulation code",
       "use the kernel clock (sim.now); wall-clock reads make same-seed "
-      "runs diverge across machines and break trace replay")
-def check_wall_clock(tree: ast.Module, ctx: FileContext) -> RuleHits:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            dotted = ctx.resolve(node.func)
-            if dotted in _WALL_CLOCK_CALLS:
-                yield node, f"call to {dotted}()"
+      "runs diverge across machines and break trace replay",
+      nodes=(ast.Call,))
+def check_wall_clock(node: ast.Call, ctx: FileContext) -> RuleHits:
+    dotted = ctx.resolve(node.func)
+    if dotted in _WALL_CLOCK_CALLS:
+        yield node, f"call to {dotted}()"
 
 
 # ---------------------------------------------------------------------------
@@ -189,27 +196,28 @@ _LEGACY_NP_RANDOM = frozenset({
       "global random state instead of a seeded Generator",
       "draw from a named repro.sim.rng.RngRegistry stream (or an "
       "explicitly passed numpy.random.Generator); the global random "
-      "module shares hidden state across subsystems")
-def check_global_random(tree: ast.Module, ctx: FileContext) -> RuleHits:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "random" or alias.name.startswith("random."):
-                    yield node, "import of the global random module"
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "random" and not node.level:
-                yield node, "from-import of the global random module"
-        elif isinstance(node, ast.Call):
-            dotted = ctx.resolve(node.func)
-            if dotted is None:
-                continue
-            if dotted.startswith("random."):
-                yield node, f"call to the global {dotted}()"
-            elif dotted.startswith("numpy.random."):
-                tail = dotted.split(".")[-1]
-                if tail in _LEGACY_NP_RANDOM:
-                    yield node, (f"call to {dotted}() — the legacy global "
-                                 "numpy RandomState")
+      "module shares hidden state across subsystems",
+      nodes=(ast.Import, ast.ImportFrom, ast.Call))
+def check_global_random(node: ast.Import | ast.ImportFrom | ast.Call,
+                        ctx: FileContext) -> RuleHits:
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            if alias.name == "random" or alias.name.startswith("random."):
+                yield node, "import of the global random module"
+    elif isinstance(node, ast.ImportFrom):
+        if node.module == "random" and not node.level:
+            yield node, "from-import of the global random module"
+    else:
+        dotted = ctx.resolve(node.func)
+        if dotted is None:
+            return
+        if dotted.startswith("random."):
+            yield node, f"call to the global {dotted}()"
+        elif dotted.startswith("numpy.random."):
+            tail = dotted.split(".")[-1]
+            if tail in _LEGACY_NP_RANDOM:
+                yield node, (f"call to {dotted}() — the legacy global "
+                             "numpy RandomState")
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +323,8 @@ def _set_iterations(scope: ast.AST, outer: Tuple[Set[str], ...]
       "wrap the iterable in sorted(...); set iteration order varies "
       "with PYTHONHASHSEED and allocation history, which changes "
       "placement/allocation order and breaks byte-identical traces "
-      "(dict iteration is insertion-ordered and exempt)")
+      "(dict iteration is insertion-ordered and exempt)",
+      nodes=(ast.Module,))
 def check_set_iteration(tree: ast.Module, ctx: FileContext) -> RuleHits:
     for it in _set_iterations(tree, ()):
         yield it, "unordered iteration over a set"
@@ -338,23 +347,22 @@ def _is_id_key(node: ast.AST) -> bool:
       "id()-based ordering or tie-break",
       "order by a stable key (name, sequence number, interned index); "
       "id() values depend on the allocator and differ run to run "
-      "(membership tests on id() are fine — only ordering is flagged)")
-def check_id_ordering(tree: ast.Module, ctx: FileContext) -> RuleHits:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            for kw in node.keywords:
-                if kw.arg == "key" and _is_id_key(kw.value):
-                    yield node, "key=id passed to an ordering function"
-        elif isinstance(node, ast.Compare):
-            operands = [node.left, *node.comparators]
-            if any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
-                   for op in node.ops):
-                for operand in operands:
-                    if (isinstance(operand, ast.Call)
-                            and isinstance(operand.func, ast.Name)
-                            and operand.func.id == "id"):
-                        yield node, "relational comparison of id() values"
-                        break
+      "(membership tests on id() are fine — only ordering is flagged)",
+      nodes=(ast.Call, ast.Compare))
+def check_id_ordering(node: ast.Call | ast.Compare,
+                      ctx: FileContext) -> RuleHits:
+    if isinstance(node, ast.Call):
+        for kw in node.keywords:
+            if kw.arg == "key" and _is_id_key(kw.value):
+                yield node, "key=id passed to an ordering function"
+    elif any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+             for op in node.ops):
+        for operand in (node.left, *node.comparators):
+            if (isinstance(operand, ast.Call)
+                    and isinstance(operand.func, ast.Name)
+                    and operand.func.id == "id"):
+                yield node, "relational comparison of id() values"
+                break
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +387,13 @@ def _is_time_operand(node: ast.AST) -> bool:
       "exact float equality on a simulation-time value",
       "compare times with an explicit tolerance (math.isclose or an "
       "epsilon) or restructure so the kernel hands you the event; "
-      "accumulated float error makes exact time equality fragile")
-def check_time_equality(tree: ast.Module, ctx: FileContext) -> RuleHits:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Compare):
-            operands = [node.left, *node.comparators]
-            if (any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
-                    and any(_is_time_operand(o) for o in operands)):
-                yield node, "== / != on a time-valued expression"
+      "accumulated float error makes exact time equality fragile",
+      nodes=(ast.Compare,))
+def check_time_equality(node: ast.Compare, ctx: FileContext) -> RuleHits:
+    operands = [node.left, *node.comparators]
+    if (any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+            and any(_is_time_operand(o) for o in operands)):
+        yield node, "== / != on a time-valued expression"
 
 
 # ---------------------------------------------------------------------------
@@ -403,31 +410,31 @@ _KERNEL_PRIVATE_CALLS = frozenset({"_schedule", "_queue_event"})
       "kernel-private state touched outside repro.sim",
       "go through the public kernel API (timeout/process/event/"
       "add_callback, call_at/call_after); direct agenda or callback-"
-      "list surgery bypasses the deterministic event ordering")
-def check_kernel_state(tree: ast.Module, ctx: FileContext) -> RuleHits:
+      "list surgery bypasses the deterministic event ordering",
+      nodes=(ast.Attribute, ast.Call))
+def check_kernel_state(node: ast.Attribute | ast.Call,
+                       ctx: FileContext) -> RuleHits:
     if ctx.in_kernel_package:
         return
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            if node.attr == "_agenda":
-                # Even *reading* the agenda couples callers to heap
-                # internals (and every known read feeds a heapq call).
-                yield node, "access to the kernel-private ._agenda heap"
-            elif (node.attr in _KERNEL_PRIVATE_ATTRS
-                    and isinstance(node.ctx, (ast.Store, ast.Del))):
-                yield node, f"write to kernel-private .{node.attr}"
-            elif node.attr == "callbacks" and isinstance(node.ctx, ast.Store):
-                yield node, "direct assignment to an Event's .callbacks"
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute):
-                if func.attr in _KERNEL_PRIVATE_CALLS:
-                    yield node, f"call to kernel-private .{func.attr}()"
-                elif (func.attr in ("append", "remove", "insert", "clear")
-                      and isinstance(func.value, ast.Attribute)
-                      and func.value.attr == "callbacks"):
-                    yield node, ("direct mutation of an Event's .callbacks "
-                                 "list")
+    if isinstance(node, ast.Attribute):
+        if node.attr == "_agenda":
+            # Even *reading* the agenda couples callers to heap
+            # internals (and every known read feeds a heapq call).
+            yield node, "access to the kernel-private ._agenda heap"
+        elif (node.attr in _KERNEL_PRIVATE_ATTRS
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            yield node, f"write to kernel-private .{node.attr}"
+        elif node.attr == "callbacks" and isinstance(node.ctx, ast.Store):
+            yield node, "direct assignment to an Event's .callbacks"
+        return
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        if func.attr in _KERNEL_PRIVATE_CALLS:
+            yield node, f"call to kernel-private .{func.attr}()"
+        elif (func.attr in ("append", "remove", "insert", "clear")
+              and isinstance(func.value, ast.Attribute)
+              and func.value.attr == "callbacks"):
+            yield node, "direct mutation of an Event's .callbacks list"
 
 
 # ---------------------------------------------------------------------------
@@ -471,23 +478,22 @@ def _yields_event_factory(yields: List[ast.Yield]) -> bool:
       "sim-process coroutine yields a non-Event value",
       "every yield in a process body must produce an Event (timeout/"
       "process/event/AllOf or another process); the kernel "
-      "fails the process at runtime when it yields anything else")
-def check_process_yields(tree: ast.Module, ctx: FileContext) -> RuleHits:
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        yields = _own_yields(node)
-        if not yields or not _yields_event_factory(yields):
-            continue
-        for y in yields:
-            value = y.value
-            if value is None:
-                yield y, "bare yield (yields None, not an Event)"
-            elif isinstance(value, ast.Constant):
-                yield y, f"yield of the constant {value.value!r}"
-            elif isinstance(value, (ast.Tuple, ast.List, ast.Dict, ast.Set,
-                                    ast.ListComp, ast.SetComp, ast.DictComp)):
-                yield y, "yield of a container literal, not an Event"
+      "fails the process at runtime when it yields anything else",
+      nodes=(ast.FunctionDef, ast.AsyncFunctionDef))
+def check_process_yields(node: ast.FunctionDef | ast.AsyncFunctionDef,
+                         ctx: FileContext) -> RuleHits:
+    yields = _own_yields(node)
+    if not yields or not _yields_event_factory(yields):
+        return
+    for y in yields:
+        value = y.value
+        if value is None:
+            yield y, "bare yield (yields None, not an Event)"
+        elif isinstance(value, ast.Constant):
+            yield y, f"yield of the constant {value.value!r}"
+        elif isinstance(value, (ast.Tuple, ast.List, ast.Dict, ast.Set,
+                                ast.ListComp, ast.SetComp, ast.DictComp)):
+            yield y, "yield of a container literal, not an Event"
 
 
 # ---------------------------------------------------------------------------
@@ -514,16 +520,15 @@ def _is_mutable_default(node: ast.AST) -> bool:
       "mutable default argument",
       "default to None and create the container in the body (or use a "
       "tuple/frozenset); the shared default accumulates state across "
-      "calls and across same-seed runs within one process")
-def check_mutable_defaults(tree: ast.Module, ctx: FileContext) -> RuleHits:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            defaults = list(node.args.defaults)
-            defaults.extend(d for d in node.args.kw_defaults if d is not None)
-            for default in defaults:
-                if _is_mutable_default(default):
-                    yield default, "mutable default argument value"
+      "calls and across same-seed runs within one process",
+      nodes=(ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+def check_mutable_defaults(
+        node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda,
+        ctx: FileContext) -> RuleHits:
+    args = node.args
+    for default in (*args.defaults, *args.kw_defaults):
+        if default is not None and _is_mutable_default(default):
+            yield default, "mutable default argument value"
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +540,11 @@ def check_mutable_defaults(tree: ast.Module, ctx: FileContext) -> RuleHits:
       "builtin hash() of str/bytes is salted per process "
       "(PYTHONHASHSEED), so hash-derived values differ across runs; "
       "use a stable hash (see repro.sim.rng._stable_hash) or key by "
-      "the value itself")
-def check_builtin_hash(tree: ast.Module, ctx: FileContext) -> RuleHits:
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "hash"):
-            yield node, "call to the salted builtin hash()"
+      "the value itself",
+      nodes=(ast.Call,))
+def check_builtin_hash(node: ast.Call, ctx: FileContext) -> RuleHits:
+    if isinstance(node.func, ast.Name) and node.func.id == "hash":
+        yield node, "call to the salted builtin hash()"
 
 
 # ---------------------------------------------------------------------------
@@ -557,19 +561,14 @@ _AMBIENT_CALLS = frozenset({
       "ambient process/host entropy read in simulation code",
       "inject configuration and seeds explicitly (constructor args, "
       "RngRegistry); environment variables, pids, hostnames and "
-      "urandom make runs machine-dependent")
-def check_ambient_entropy(tree: ast.Module, ctx: FileContext) -> RuleHits:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            dotted = ctx.resolve(node.func)
-            if dotted is None:
-                continue
-            if dotted in _AMBIENT_CALLS or dotted.startswith("secrets."):
-                yield node, f"call to {dotted}()"
-        elif isinstance(node, ast.Attribute) and node.attr == "environ":
-            dotted = ctx.resolve(node)
-            if dotted == "os.environ":
-                yield node, "read of os.environ"
-
-
-ALL_RULE_IDS: Tuple[str, ...] = tuple(sorted(RULES))
+      "urandom make runs machine-dependent",
+      nodes=(ast.Call, ast.Attribute))
+def check_ambient_entropy(node: ast.Call | ast.Attribute,
+                          ctx: FileContext) -> RuleHits:
+    if isinstance(node, ast.Call):
+        dotted = ctx.resolve(node.func)
+        if dotted is not None and (dotted in _AMBIENT_CALLS
+                                   or dotted.startswith("secrets.")):
+            yield node, f"call to {dotted}()"
+    elif node.attr == "environ" and ctx.resolve(node) == "os.environ":
+        yield node, "read of os.environ"

@@ -1,7 +1,5 @@
 """Reservation calendar invariants (DESIGN.md §9.3, §9.6)."""
 
-import math
-
 import pytest
 
 from repro.metasched.reservations import (
@@ -144,17 +142,6 @@ class TestReservationBook:
         book = ReservationBook(["h1"])
         assert book.find_window(2, 10.0, 0.0, ["h1"], 0.0) is None
 
-    def test_unavailable_hosts(self):
-        book = ReservationBook(["h1", "h2", "h3"])
-        resvs = book.reserve_block("a", ["h1"], 0.0, 100.0)
-        book.reserve_block("b", ["h3"], 500.0, 600.0)
-        assert book.unavailable_hosts(50.0) == ["h1", "h3"]
-        assert book.unavailable_hosts(50.0, 60.0) == ["h1"]
-        assert book.unavailable_hosts(100.0, 200.0) == []
-        book.claim_block(resvs, 0.0)
-        assert book.unavailable_hosts(50.0, 60.0) == ["h1"]
-        assert book.unavailable_hosts(math.inf - 1) == []
-
     def test_audit_aggregates_hosts(self):
         book = ReservationBook(["h1", "h2"])
         book.calendar("h2").claim_history.extend(
@@ -186,25 +173,6 @@ class TestCandidateTimeDedup:
         start, hosts = got
         assert hosts == ["h1", "h2"]
         assert abs(start - 100.0) < 1e-9
-
-
-class TestUnavailableHostsDefaults:
-    """``unavailable_hosts(start)`` with no ``end`` means "from start
-    onwards, forever" — the rescheduler's conservative question."""
-
-    def test_default_end_is_open_ended(self):
-        book = ReservationBook(["h1", "h2"])
-        book.reserve_block("far", ["h2"], 1e9, 1e9 + 60.0)
-        # with an explicit horizon the far-future booking is invisible...
-        assert book.unavailable_hosts(0.0, 100.0) == []
-        # ...with the default end=inf it is not
-        assert book.unavailable_hosts(0.0) == ["h2"]
-
-    def test_released_reservations_never_count(self):
-        book = ReservationBook(["h1"])
-        resvs = book.reserve_block("a", ["h1"], 0.0, 100.0)
-        book.release_block(resvs, 10.0)
-        assert book.unavailable_hosts(0.0) == []
 
 
 class TestOverrunHorizons:

@@ -165,28 +165,6 @@ class TestTraceLane:
 
 
 class TestReschedulerIntegration:
-    def test_migration_targets_avoid_reserved_hosts(self):
-        sim, _grid, service = build_service()
-        # Claim the whole UIUC cluster far into the future.
-        uiuc = [f"uiuc.n{i}" for i in range(8)]
-        service.book.reserve_block("tenant", uiuc, 0.0, 1e6)
-
-        seen = {}
-
-        class App:
-            def current_hosts(self):
-                return ["utk.n0", "utk.n1"]
-
-            def propose_hosts(self, exclude=()):
-                seen["exclude"] = sorted(exclude)
-                raise RuntimeError("stop here")
-
-        resched = Rescheduler(sim, service.gis, service.nws,
-                              reservations=service.book)
-        assert resched.evaluate(App()) is None
-        for host in uiuc:
-            assert host in seen["exclude"]
-
     def test_without_reservations_no_exclusion(self):
         sim, _grid, service = build_service()
         service.book.reserve_block("tenant", ["uiuc.n0"], 0.0, 1e6)

@@ -8,25 +8,20 @@ pairs to equal the markers exactly — so every rule has demonstrated
 true positives AND demonstrated non-firing on the look-alike negatives.
 """
 
+import ast
 import re
 from pathlib import Path
 
 import pytest
 
-from repro.simlint import (
-    ALL_RULE_IDS,
-    PARSE_ERROR_ID,
-    RULES,
-    lint_paths,
-    lint_source,
-)
+from repro.simlint import PARSE_ERROR_ID, RULES, lint_source, lint_tree
 from repro.simlint.findings import SEVERITIES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EXPECT_RE = re.compile(r"#\s*EXPECT\[([A-Z0-9,]+)\]")
 
 RULE_IDS_WITH_FIXTURES = tuple(
-    rule_id for rule_id in ALL_RULE_IDS if rule_id != PARSE_ERROR_ID)
+    rule_id for rule_id in sorted(RULES) if rule_id != PARSE_ERROR_ID)
 
 
 def expected_pairs(path: Path):
@@ -51,6 +46,8 @@ def test_rule_metadata_is_complete():
         assert rule.severity in SEVERITIES
         assert rule.summary and rule.hint
         assert callable(rule.check)
+        assert all(issubclass(t, ast.AST) for t in rule.nodes)
+        assert rule.nodes or rule.id == PARSE_ERROR_ID
 
 
 @pytest.mark.parametrize("rule_id", RULE_IDS_WITH_FIXTURES)
@@ -62,15 +59,7 @@ def test_fixture_findings_match_expect_markers(rule_id):
     findings = lint_source(path.read_text(), path.name)
     actual = {(f.line, f.rule) for f in findings}
     assert actual == expected
-
-
-@pytest.mark.parametrize("rule_id", RULE_IDS_WITH_FIXTURES)
-def test_select_restricts_to_one_rule(rule_id):
-    path = FIXTURES / f"{rule_id.lower()}.py"
-    findings = lint_paths([str(path)], select=[rule_id])
-    assert findings, f"{rule_id} found nothing in its own fixture"
-    assert {f.rule for f in findings} == {rule_id}
-    assert all(f.severity == RULES[rule_id].severity for f in findings)
+    assert all(f.severity == RULES[f.rule].severity for f in findings)
 
 
 def test_syntax_error_fixture_reports_sl000():
@@ -81,12 +70,37 @@ def test_syntax_error_fixture_reports_sl000():
 
 
 def test_fixture_tree_trips_every_rule():
-    findings = lint_paths([str(FIXTURES)])
-    assert {f.rule for f in findings} == set(ALL_RULE_IDS)
+    findings = lint_tree([str(FIXTURES)]).findings
+    assert {f.rule for f in findings} == set(RULES)
 
 
-def test_findings_are_sorted_and_fingerprinted():
-    findings = lint_paths([str(FIXTURES)])
+def test_findings_are_sorted():
+    findings = lint_tree([str(FIXTURES)]).findings
     assert findings == sorted(findings)
-    keys = {(f.path, f.rule, f.fingerprint) for f in findings}
-    assert len(keys) == len(findings), "fingerprints must be unique per file"
+
+
+def test_bare_string_path_rejected():
+    # A str is a sequence of one-character paths; an absolute one
+    # would start by walking "/".
+    with pytest.raises(TypeError, match="not one str"):
+        lint_tree("tests/simlint/fixtures")
+
+
+def test_one_tree_walk_for_all_rules(monkeypatch):
+    # The engine's dispatching walk plus build_context's import scan;
+    # no rule walks the tree on its own.  (A file with a simlint:
+    # comment may add one more, for its statement spans.)
+    calls = []
+    walk = ast.walk
+
+    def counting_walk(node):
+        calls.append(type(node).__name__)
+        return walk(node)
+
+    monkeypatch.setattr(ast, "walk", counting_walk)
+    for rule_id in RULE_IDS_WITH_FIXTURES:
+        source = (FIXTURES / f"{rule_id.lower()}.py").read_text()
+        assert "simlint:" not in source
+        calls.clear()
+        assert lint_source(source, "mod.py")
+        assert len(calls) <= 2, (rule_id, calls)

@@ -5,8 +5,8 @@ import textwrap
 from repro.simlint import lint_source
 
 
-def lint(src, name="mod.py", **kwargs):
-    return lint_source(textwrap.dedent(src), name, **kwargs)
+def lint(src, name="mod.py"):
+    return lint_source(textwrap.dedent(src), name)
 
 
 VIOLATION = """\

@@ -116,19 +116,15 @@ class TestCommands:
         ["trace", "diff", "{bad}", "{bad}"],
         ["trace", "summary", "{bad}"],
         ["trace", "validate", "{bad}"],
-        ["lint", "--baseline", "{bad}", "{ok}"],
-    ], ids=["trace-diff", "trace-summary", "trace-validate",
-            "lint-baseline"])
+    ], ids=["trace-diff", "trace-summary", "trace-validate"])
     def test_unreadable_input_exits_two(self, argv, content, tmp_path,
                                         capsys):
-        # exit 1 means "traces diverge" / "lint findings": a typo'd or
-        # corrupt input file must not read as either
+        # exit 1 means "traces diverge": a typo'd or corrupt input file
+        # must not read as that
         bad = tmp_path / "input.json"
         if content is not None:
             bad.write_text(content)
-        ok = tmp_path / "clean.py"
-        ok.write_text("x = 1\n")
-        argv = [a.format(bad=bad, ok=ok) for a in argv]
+        argv = [a.format(bad=bad) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"repro {argv[0]}: cannot read ")
