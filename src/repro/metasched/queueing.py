@@ -36,9 +36,6 @@ class FairShareQueue:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, name: str) -> bool:
-        return any(spec.name == name for _seq, spec in self._entries)
-
     def user_queued(self, user: str) -> int:
         return sum(1 for _seq, spec in self._entries if spec.user == user)
 

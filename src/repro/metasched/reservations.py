@@ -4,9 +4,8 @@ Each host owns a :class:`HostCalendar` of non-overlapping time
 intervals; a :class:`ReservationBook` aggregates the calendars of a
 whole testbed and answers the planning questions the metascheduler
 asks: "when is the earliest window in which ``n`` hosts are free for
-``duration`` seconds?" and "which hosts are spoken for during this
-interval?" (the latter is what keeps the rescheduler from migrating an
-application onto capacity another job has booked).
+``duration`` seconds?" and "which ``n`` hosts are free for it right
+now?".
 
 Invariants (DESIGN.md §9):
 
@@ -27,17 +26,16 @@ reservations bisect-sorted by start, so a conflict check or an insert
 costs O(log R) neighbour comparisons.  The book keeps one *candidate
 view* per candidate tuple for the current ``now``: each host's
 effective ends (overrunning claims pushed :data:`GRACE_SECONDS` past
-now), one sorted multiset of all of them, and, once
-:meth:`ReservationBook.free_now` asks, each host's free gap at now.
-When the book's edit counter moves, the view patches only the hosts
-whose own edit counter moved (bisect out their old ends and gap,
-insort the new ones), so the many calls of one planning round share
-one set-up.  :meth:`ReservationBook.find_window` sweeps the multiset
-in ascending order, skipping instants within ``_EPS`` of the last
-start; only hosts with an overrunning claim fall back to the linear
-:meth:`HostCalendar.busy_during_reference` scan.  The linear window
-search the equivalence tests check :meth:`ReservationBook.find_window`
-against lives in ``tests/oracles/metasched.py``.
+now), one sorted multiset of all of them, and each host's free gap at
+now with its ascending copy.  When the book's edit counter moves, the
+view patches only the hosts whose own edit counter moved (bisect out
+their old ends and gap, insort the new ones), so the many calls of one
+planning round share one set-up.  :meth:`ReservationBook.find_window`
+sweeps the multiset in ascending order, skipping instants within
+``_EPS`` of the last start, and tests each host with a per-host cursor
+that only advances.  The linear window search the equivalence tests
+check :meth:`ReservationBook.find_window` against lives in
+``tests/oracles/metasched.py``.
 """
 
 from __future__ import annotations
@@ -100,8 +98,6 @@ class HostCalendar:
         self._active: List[Reservation] = []
         #: parallel array of starts — the bisect index over ``_active``
         self._starts: List[float] = []
-        #: actual ends of claimed reservations (overrun detection)
-        self._claim_ends: List[float] = []
         #: monotone edit counter; any mutation bumps it (view patching)
         self.mutations = 0
         #: shared with the owning book (see ReservationBook.calendar): one
@@ -114,18 +110,6 @@ class HostCalendar:
     def active(self) -> List[Reservation]:
         return list(self._active)
 
-    def has_overrun(self, now: float) -> bool:
-        """Does any claimed reservation's estimate end at/before now?
-
-        While an overrun exists, the host's effective ends move with
-        ``now`` and stop being monotone, so the window search scans it
-        linearly and :meth:`ReservationBook.free_now` treats it as
-        occupied.
-        """
-        if not self._claim_ends:
-            return False
-        return self._claim_ends[0] <= now + _EPS
-
     def _effective_ends(self, now: float) -> List[float]:
         """Effective end per live reservation, in start order.
 
@@ -135,43 +119,6 @@ class HostCalendar:
         horizon = now + GRACE_SECONDS
         return [horizon if resv.state == CLAIMED and resv.end <= now + _EPS
                 else resv.end for resv in self._active]
-
-    def busy_during_reference(self, start: float, end: float,
-                              now: float) -> bool:
-        """Is any live reservation in the way of ``[start, end)``?
-
-        A claimed reservation that has outlived its estimate (the job is
-        still running past ``end``) blocks for :data:`GRACE_SECONDS`
-        more: the planner re-checks then instead of busy-waiting.  A
-        linear scan; :meth:`ReservationBook.find_window` calls it only
-        for hosts with an overrunning claim, whose effective ends are
-        not monotone.
-        """
-        for resv in self._active:
-            r_end = resv.end
-            if resv.state == CLAIMED and r_end <= now + _EPS:
-                r_end = now + GRACE_SECONDS
-            if resv.start < end - _EPS and start < r_end - _EPS:
-                return True
-        return False
-
-    def first_live(self, now: float) -> int:
-        """Index of the first reservation whose end is past ``now`` —
-        the only ones that can block an interval starting there.
-
-        With no overrunning claim (callers check :meth:`has_overrun`),
-        non-overlapping start-sorted intervals have (eps-)monotone
-        ends, so ``[now, end)`` is busy iff
-        ``_starts[first_live(now)] < end - _EPS``.
-        """
-        lo, hi = 0, len(self._active)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._active[mid].end > now + _EPS:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
 
     # -- mutation ----------------------------------------------------------
     def _index_of(self, resv: Reservation) -> int:
@@ -224,7 +171,6 @@ class HostCalendar:
                 f"cannot claim {resv!r} at {now:.3f}, before it starts")
         self._index_of(resv)
         resv.state = CLAIMED
-        insort(self._claim_ends, resv.end)
         self.mutations += 1
         self.version_cell[0] += 1
 
@@ -238,8 +184,6 @@ class HostCalendar:
         del self._active[i]
         del self._starts[i]
         if resv.state == CLAIMED:
-            j = bisect_left(self._claim_ends, resv.end)
-            del self._claim_ends[j]
             resv.end = max(now, resv.start + _EPS)
             self.claim_history.append((resv.job, resv.start, resv.end))
         resv.state = RELEASED
@@ -269,40 +213,40 @@ class _CandidateView:
 
     ``starts`` are the calendars' own start arrays (edited in place),
     ``ends`` each host's effective ends, ``times`` one sorted multiset
-    of every host's effective ends, and ``gaps`` (built when
-    :meth:`ReservationBook.free_now` first asks) each host's free gap
-    at now, with ``sorted_gaps`` its ascending copy.  ``muts`` holds
-    the calendar edit counters the entries were computed at.
+    of every host's effective ends, ``gaps`` each host's free gap at
+    now and ``sorted_gaps`` its ascending copy.  ``muts`` holds the
+    calendar edit counters the entries were computed at.
+
+    A host's effective ends need not ascend: an overrunning claim's end
+    reads ``now + GRACE_SECONDS``, later than the ends of bookings
+    behind it.  The first reservation whose effective end is past an
+    instant still has the smallest start of every reservation that can
+    block a window opening there, so one cursor per host stays exact.
     """
 
-    __slots__ = ("cals", "starts", "ends", "overrun", "muts", "times",
-                 "gaps", "sorted_gaps", "version")
+    __slots__ = ("cals", "starts", "ends", "muts", "times", "gaps",
+                 "sorted_gaps", "version")
 
     def __init__(self, cals: List[HostCalendar], now: float,
                  version: int) -> None:
         self.cals = cals
         self.starts = [cal._starts for cal in cals]
         self.ends = [cal._effective_ends(now) for cal in cals]
-        self.overrun = [cal.has_overrun(now) for cal in cals]
         self.muts = [cal.mutations for cal in cals]
         self.times = sorted(t for ends in self.ends for t in ends)
-        self.gaps: Optional[List[float]] = None
-        self.sorted_gaps: List[float] = []
+        self.gaps = [self._gap(i, now) for i in range(len(cals))]
+        self.sorted_gaps = sorted(self.gaps)
         self.version = version
 
     def _gap(self, i: int, now: float) -> float:
-        """Free time from ``now`` to host ``i``'s next live reservation;
-        zero while its own claim is overrunning (it holds the host
-        until ``now + GRACE_SECONDS``, so no window starts there)."""
-        if self.overrun[i]:
-            return 0.0
-        cal = self.cals[i]
-        k = cal.first_live(now)
-        return math.inf if k == len(cal._starts) else cal._starts[k] - now
-
-    def build_gaps(self, now: float) -> None:
-        self.gaps = [self._gap(i, now) for i in range(len(self.cals))]
-        self.sorted_gaps = sorted(self.gaps)
+        """Free time from ``now`` to the start of host ``i``'s first
+        reservation still live at now (``inf`` if none); at most
+        ``_EPS`` while one holds the host, overrunning claims included."""
+        live = now + _EPS
+        for start, end in zip(self.starts[i], self.ends[i]):
+            if end > live:
+                return start - now
+        return math.inf
 
     def patch(self, now: float, version: int) -> None:
         """Recompute the hosts whose calendar changed since the view
@@ -317,11 +261,9 @@ class _CandidateView:
             self.ends[i] = cal._effective_ends(now)
             for t in self.ends[i]:
                 insort(times, t)
-            self.overrun[i] = cal.has_overrun(now)
-            if gaps is not None:
-                del sorted_gaps[bisect_left(sorted_gaps, gaps[i])]
-                gaps[i] = self._gap(i, now)
-                insort(sorted_gaps, gaps[i])
+            del sorted_gaps[bisect_left(sorted_gaps, gaps[i])]
+            gaps[i] = self._gap(i, now)
+            insort(sorted_gaps, gaps[i])
         self.version = version
 
 
@@ -410,15 +352,13 @@ class ReservationBook:
         if n_hosts < 1 or n_hosts > len(candidates):
             return None
         view = self._view(candidates, now)
-        # Monotone pointer sweep: starts ascend, and a host with no
-        # overrunning claim has sorted start and end arrays, so a
-        # per-host cursor to its first still-live reservation only
-        # advances and each (start, host) probe is O(1) amortized.
-        # Only an overrunning host (whose effective ends are not
-        # monotone) falls back to the linear reference scan.
-        cals, overrun, times = view.cals, view.overrun, view.times
-        starts_arrs, ends_arrs = view.starts, view.ends
-        ptrs = [0] * len(cals)
+        # Monotone pointer sweep: starts ascend, so a per-host cursor
+        # to the first reservation whose effective end is past the
+        # start only advances, and each (start, host) probe is O(1)
+        # amortized.  Starts are sorted, so that reservation blocks
+        # the window iff any live one does (see _CandidateView).
+        times, starts_arrs, ends_arrs = view.times, view.starts, view.ends
+        ptrs = [0] * len(candidates)
         k = probes = 0
         start = not_before
         try:
@@ -427,18 +367,14 @@ class ReservationBook:
                 end = start + duration
                 for i, host in enumerate(candidates):
                     probes += 1
-                    if overrun[i]:
-                        if cals[i].busy_during_reference(start, end, now):
-                            continue
-                    else:
-                        ends = ends_arrs[i]
-                        p = ptrs[i]
-                        while p < len(ends) and ends[p] <= start + _EPS:
-                            p += 1
-                        ptrs[i] = p
-                        starts = starts_arrs[i]
-                        if p < len(starts) and starts[p] < end - _EPS:
-                            continue
+                    ends = ends_arrs[i]
+                    p = ptrs[i]
+                    while p < len(ends) and ends[p] <= start + _EPS:
+                        p += 1
+                    ptrs[i] = p
+                    starts = starts_arrs[i]
+                    if p < len(starts) and starts[p] < end - _EPS:
+                        continue
                     free.append(host)
                     if len(free) == n_hosts:
                         return start, free
@@ -468,8 +404,6 @@ class ReservationBook:
         if n_hosts < 1 or n_hosts > len(candidates):
             return None
         view = self._view(candidates, now)
-        if view.gaps is None:
-            view.build_gaps(now)
         stats = self.stats
         threshold = duration - _EPS
         if view.sorted_gaps[-n_hosts] < threshold:

@@ -53,11 +53,9 @@ from ..sim.kernel import Simulator
 from .admission import AdmissionController
 from .jobs import JobSpec, build_workflow
 from .queueing import FairShareQueue
-from .reservations import Reservation, ReservationBook
+from .reservations import _EPS, Reservation, ReservationBook
 
 __all__ = ["MetaScheduler", "JobState"]
-
-_EPS = 1e-9
 
 #: advance reservations booked per planning round; jobs behind them
 #: only get a "free now?" probe (backfill)
@@ -118,7 +116,6 @@ class MetaScheduler:
 
     def __init__(self, sim: Simulator, grid: Grid,
                  gis: GridInformationService, nws: NetworkWeatherService,
-                 submission_host: Optional[str] = None,
                  max_queue: Optional[int] = None,
                  max_per_user: Optional[int] = None) -> None:
         self.sim = sim
@@ -128,7 +125,7 @@ class MetaScheduler:
         host_names = sorted(h.name for h in grid.all_hosts())
         if not host_names:
             raise ValueError("grid has no hosts")
-        self.submission_host = submission_host or host_names[0]
+        self.submission_host = host_names[0]
         self.admission = AdmissionController(
             gis, nws, max_queue=max_queue, max_per_user=max_per_user)
         self.queue = FairShareQueue()

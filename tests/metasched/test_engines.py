@@ -17,7 +17,7 @@ from repro.experiments.metasched_stream import run_metasched
 from repro.gis.directory import GridInformationService
 from repro.metasched import JobSpec, MetaScheduler, generate_stream
 from repro.metasched.jobs import build_workflow
-from repro.metasched.reservations import (RELEASED, RESERVED,
+from repro.metasched.reservations import (CLAIMED, RELEASED, RESERVED,
                                          ReservationBook,
                                          ReservationConflict)
 from repro.metasched.service import JobState
@@ -351,7 +351,8 @@ class TestCandidateViewPatching:
         assert got == want, (n, duration, not_before, now, cands)
         seen["later not_before"] += not_before > now
         seen["overrun host"] += any(
-            book.calendar(host).has_overrun(now) for host in order)
+            resv.state == CLAIMED and resv.end <= now + 1e-9
+            for host in order for resv in book.calendar(host).active())
         free = book.free_now(n, duration, cands, now)
         first = reference_find_window(book, n, duration, now, list(order),
                                       now)

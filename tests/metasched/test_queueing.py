@@ -53,11 +53,11 @@ class TestFairShareQueue:
         q = FairShareQueue()
         q.push(spec("a", "u0"))
         q.push(spec("b", "u0"))
-        assert "a" in q
+        assert [s.name for s in q.specs()] == ["a", "b"]
         assert q.user_queued("u0") == 2
         removed = q.remove("a")
         assert removed.name == "a"
-        assert "a" not in q
+        assert [s.name for s in q.specs()] == ["b"]
         assert len(q) == 1
         with pytest.raises(KeyError):
             q.remove("a")

@@ -8,7 +8,11 @@ from repro.metasched.reservations import (
     ReservationBook,
     ReservationConflict,
 )
-from tests.oracles.metasched import _dedup_times, reference_find_window
+from tests.oracles.metasched import (
+    _dedup_times,
+    busy_during_reference,
+    reference_find_window,
+)
 
 
 class TestReservation:
@@ -79,8 +83,8 @@ class TestHostCalendar:
         cal.claim(resv, 0.0)
         # The job overran its estimate: at t=200 the claim still blocks,
         # but only until now + GRACE_SECONDS (30 s).
-        assert cal.busy_during_reference(200.0, 210.0, now=200.0)
-        assert not cal.busy_during_reference(231.0, 240.0, now=200.0)
+        assert busy_during_reference(cal, 200.0, 210.0, now=200.0)
+        assert not busy_during_reference(cal, 231.0, 240.0, now=200.0)
         assert book.find_window(1, 10.0, 200.0, ["h"],
                                 200.0) == (230.0, ["h"])
 
@@ -201,18 +205,27 @@ class TestOverrunHorizons:
         book = ReservationBook(["h1", "h2"])
         resv = book.calendar("h1").reserve("a", 0.0, 100.0)
         book.calendar("h1").claim(resv, 0.0)
-        assert book.calendar("h1").has_overrun(150.0)
-        assert not book.calendar("h2").has_overrun(150.0)
-        assert not book.calendar("h1").has_overrun(50.0)
+        # at 150 the claim has overrun: h1 is held until the grace
+        # horizon, h2 is untouched
+        assert book.free_now(1, 10.0, ["h1"], 150.0) is None
+        assert book.find_window(1, 10.0, 150.0, ["h1"],
+                                150.0) == (180.0, ["h1"])
+        assert book.free_now(1, 10.0, ["h2"], 150.0) == ["h2"]
+        # at 50 it has not: h1 frees at the claim's own end
+        assert book.find_window(1, 10.0, 50.0, ["h1"],
+                                50.0) == (100.0, ["h1"])
 
     def test_release_clears_overrun(self):
         book = ReservationBook(["h1"])
         cal = book.calendar("h1")
         resv = cal.reserve("a", 0.0, 100.0)
         cal.claim(resv, 0.0)
-        assert cal.has_overrun(150.0)
+        assert book.find_window(1, 10.0, 150.0, ["h1"],
+                                150.0) == (180.0, ["h1"])
         cal.release(resv, 150.0)
-        assert not cal.has_overrun(150.0)
+        assert book.free_now(1, 10.0, ["h1"], 150.0) == ["h1"]
+        assert book.find_window(1, 10.0, 150.0, ["h1"],
+                                150.0) == (150.0, ["h1"])
 
     def test_free_now_skips_overrunning_host(self):
         book = ReservationBook(["h1", "h2"])
@@ -222,19 +235,33 @@ class TestOverrunHorizons:
         assert book.free_now(1, 60.0, ["h1", "h2"], 150.0) == ["h2"]
         assert book.free_now(2, 60.0, ["h1", "h2"], 150.0) is None
 
+    def test_cursor_matches_oracle_on_non_monotone_ends(self):
+        # At 150 the claim on [0, 100) has overrun and reads 180, while
+        # the booking behind it still ends at 170: the host's effective
+        # ends do not ascend.  reserve() checks nominal ends, so the
+        # booking is allowed.
+        book = ReservationBook(["h"])
+        cal = book.calendar("h")
+        running = cal.reserve("running", 0.0, 100.0)
+        cal.claim(running, 0.0)
+        cal.reserve("behind", 160.0, 170.0)
+        for t in map(float, range(150, 201)):
+            for duration in (5.0, 25.0, 60.0):
+                got = book.find_window(1, duration, t, ["h"], 150.0)
+                want = reference_find_window(book, 1, duration, t, ["h"],
+                                             150.0)
+                assert got == want, (t, duration)
+                # free_now probes start = now, so it is asked at now = t
+                free = book.free_now(1, duration, ["h"], t)
+                first = reference_find_window(book, 1, duration, t, ["h"], t)
+                if free is None:
+                    assert first is None or first[0] > t, (t, duration)
+                else:
+                    assert first == (t, free), (t, duration)
+
 
 class TestIncrementalInternals:
     """The §9.6 fast-path bookkeeping the planner relies on."""
-
-    def test_first_live_indexes_past_finished_intervals(self):
-        cal = HostCalendar("h")
-        cal.reserve("a", 0.0, 10.0)
-        cal.reserve("b", 20.0, 30.0)
-        cal.reserve("c", 40.0, 50.0)
-        assert cal.first_live(5.0) == 0
-        assert cal.first_live(15.0) == 1
-        assert cal.first_live(35.0) == 2
-        assert cal.first_live(60.0) == 3
 
     def test_free_now_tracks_every_mutation(self):
         # free_now reads each host's gap from the book's candidate view
@@ -257,6 +284,11 @@ class TestIncrementalInternals:
         assert book.free_now(1, 50.0, hosts, now) == ["h2"]
         book.release_block(running, now)
         assert book.free_now(2, 50.0, hosts, now) == ["h1", "h2"]
+        # the sweep's cursor passes intervals that ended before its start
+        for job, start in (("p", 0.0), ("q", 20.0), ("r", 40.0)):
+            book.reserve_block(job, ["h1"], start, start + 10.0)
+        assert book.find_window(1, 10.0, 15.0, ["h1"],
+                                15.0) == (30.0, ["h1"])
 
     def test_lazily_created_calendar_shares_version_cell(self):
         book = ReservationBook()

@@ -14,8 +14,10 @@ algorithm whose production path in ``repro`` is incremental:
 * :mod:`tests.oracles.sensors` — one simulation process per host's NWS
   CPU sensor, behind the one-timer ``repro.nws.CpuSensorSweep``.
 * :mod:`tests.oracles.metasched` — the cancel-all/rebuild-all
-  metascheduler planner and its linear window search, behind
-  ``repro.metasched.MetaScheduler`` and ``ReservationBook.find_window``.
+  metascheduler planner, its linear window search and the linear
+  per-host busy scan that search calls, behind
+  ``repro.metasched.MetaScheduler``, ``ReservationBook.find_window``
+  and ``ReservationBook.free_now``.
 * :mod:`tests.oracles.graphs` — networkx's Dijkstra, lexicographical
   topological sort and topological generations, behind
   ``repro.microgrid.Topology`` routing and ``repro.scheduler.Workflow``.

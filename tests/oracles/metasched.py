@@ -5,6 +5,11 @@ production planner it cancels every un-started reservation each round
 and rebuilds the plan from scratch, but every job gets a full
 :func:`reference_find_window` linear-scan window search, with no
 estimate memo and no "free now?" probe behind the reservation depth.
+That search re-checks every candidate start on every host with
+:func:`busy_during_reference`, a linear scan of the host's live
+reservations that reads an overrunning claim's grace horizon itself,
+where :meth:`ReservationBook.find_window` advances one cursor per
+host.
 The equivalence tests assert that the production planner
 (:class:`repro.metasched.MetaScheduler`) makes the same decisions:
 same job outcomes, same claim histories, byte-identical same-seed
@@ -27,11 +32,17 @@ import pytest
 from repro.experiments import metasched_stream
 from repro.metasched import MetaScheduler
 from repro.metasched.service import RESERVE_DEPTH
-from repro.metasched.reservations import _EPS, ReservationBook
+from repro.metasched.reservations import (
+    _EPS,
+    CLAIMED,
+    GRACE_SECONDS,
+    HostCalendar,
+    ReservationBook,
+)
 from repro.soak import runner as soak_runner
 
-__all__ = ["ReferenceMetaScheduler", "reference_find_window",
-           "reference_planner"]
+__all__ = ["ReferenceMetaScheduler", "busy_during_reference",
+           "reference_find_window", "reference_planner"]
 
 
 def _dedup_times(times: List[float]) -> List[float]:
@@ -49,13 +60,31 @@ def _dedup_times(times: List[float]) -> List[float]:
     return out
 
 
+def busy_during_reference(calendar: HostCalendar, start: float,
+                          end: float, now: float) -> bool:
+    """Is any live reservation in the way of ``[start, end)``?
+
+    A claimed reservation that has outlived its estimate (the job is
+    still running past ``end``) blocks for :data:`GRACE_SECONDS`
+    more: the planner re-checks then instead of busy-waiting.  A
+    linear scan of every live reservation on the calendar.
+    """
+    for resv in calendar._active:
+        r_end = resv.end
+        if resv.state == CLAIMED and r_end <= now + _EPS:
+            r_end = now + GRACE_SECONDS
+        if resv.start < end - _EPS and start < r_end - _EPS:
+            return True
+    return False
+
+
 def reference_find_window(book: ReservationBook, n_hosts: int,
                           duration: float, not_before: float,
                           candidates: Sequence[str], now: float
                           ) -> Optional[Tuple[float, List[str]]]:
     """The pre-overhaul window search: every candidate start is
-    re-checked against every host calendar with the linear busy
-    scan.  Kept as the byte-equivalent oracle for
+    re-checked against every host calendar with the linear
+    :func:`busy_during_reference` scan.  Kept as the byte-equivalent oracle for
     :meth:`ReservationBook.find_window` (same candidate-time dedup fix
     applied — eps-close floats are one start, not several)."""
     if n_hosts < 1 or n_hosts > len(candidates):
@@ -67,8 +96,8 @@ def reference_find_window(book: ReservationBook, n_hosts: int,
                 times.append(t)
     for start in _dedup_times(times):
         free = [host for host in candidates
-                if not book.calendar(host).busy_during_reference(
-                    start, start + duration, now)]
+                if not busy_during_reference(
+                    book.calendar(host), start, start + duration, now)]
         if len(free) >= n_hosts:
             return start, free[:n_hosts]
     return None
