@@ -26,16 +26,20 @@ reservations bisect-sorted by start, so a conflict check or an insert
 costs O(log R) neighbour comparisons.  The book keeps one *candidate
 view* per candidate tuple for the current ``now``: each host's
 effective ends (overrunning claims pushed :data:`GRACE_SECONDS` past
-now), one sorted multiset of all of them, and each host's free gap at
-now with its ascending copy.  When the book's edit counter moves, the
-view patches only the hosts whose own edit counter moved (bisect out
-their old ends and gap, insort the new ones), so the many calls of one
-planning round share one set-up.  :meth:`ReservationBook.find_window`
-sweeps the multiset in ascending order, skipping instants within
-``_EPS`` of the last start, and tests each host with a per-host cursor
-that only advances.  The linear window search the equivalence tests
-check :meth:`ReservationBook.find_window` against lives in
-``tests/oracles/metasched.py``.
+now), one sorted multiset of all of them, and the instant each host
+stays free until from now with its ascending copy.  When the book's
+edit counter moves, the view patches only the hosts whose own edit
+counter moved (bisect out their old entries, insort the new ones), so
+the many calls of one planning round share one set-up.
+:meth:`ReservationBook.find_window` answers a start at ``now`` from the
+free-until instants, then sweeps the multiset in ascending order,
+skipping instants within ``_EPS`` of the last start, and tests each
+host with a per-host cursor that only advances.  The free-until
+instants are that cursor's stops at ``now``, so :meth:`free_now` and
+the planner's tail test (:meth:`ReservationBook.free_until`) ask the
+same question with one comparison.  The linear window search the
+equivalence tests check :meth:`ReservationBook.find_window` against
+lives in ``tests/oracles/metasched.py``.
 """
 
 from __future__ import annotations
@@ -213,9 +217,10 @@ class _CandidateView:
 
     ``starts`` are the calendars' own start arrays (edited in place),
     ``ends`` each host's effective ends, ``times`` one sorted multiset
-    of every host's effective ends, ``gaps`` each host's free gap at
-    now and ``sorted_gaps`` its ascending copy.  ``muts`` holds the
-    calendar edit counters the entries were computed at.
+    of every host's effective ends, ``free_until`` the instant each
+    host stays free until from now and ``sorted_free_until`` its
+    ascending copy.  ``muts`` holds the calendar edit counters the
+    entries were computed at.
 
     A host's effective ends need not ascend: an overrunning claim's end
     reads ``now + GRACE_SECONDS``, later than the ends of bookings
@@ -224,8 +229,8 @@ class _CandidateView:
     block a window opening there, so one cursor per host stays exact.
     """
 
-    __slots__ = ("cals", "starts", "ends", "muts", "times", "gaps",
-                 "sorted_gaps", "version")
+    __slots__ = ("cals", "starts", "ends", "muts", "times", "free_until",
+                 "sorted_free_until", "version")
 
     def __init__(self, cals: List[HostCalendar], now: float,
                  version: int) -> None:
@@ -234,24 +239,45 @@ class _CandidateView:
         self.ends = [cal._effective_ends(now) for cal in cals]
         self.muts = [cal.mutations for cal in cals]
         self.times = sorted(t for ends in self.ends for t in ends)
-        self.gaps = [self._gap(i, now) for i in range(len(cals))]
-        self.sorted_gaps = sorted(self.gaps)
+        self.free_until = [self._free_until(i, now)
+                           for i in range(len(cals))]
+        self.sorted_free_until = sorted(self.free_until)
         self.version = version
 
-    def _gap(self, i: int, now: float) -> float:
-        """Free time from ``now`` to the start of host ``i``'s first
-        reservation still live at now (``inf`` if none); at most
-        ``_EPS`` while one holds the host, overrunning claims included."""
+    def _free_until(self, i: int, now: float) -> float:
+        """Start of host ``i``'s first reservation still live at
+        ``now`` (``inf`` if none): the reservation the sweep's cursor
+        stops at for ``start = now``.  At most ``now + _EPS`` while one
+        holds the host, overrunning claims included."""
         live = now + _EPS
         for start, end in zip(self.starts[i], self.ends[i]):
             if end > live:
-                return start - now
+                return start
         return math.inf
+
+    def first_free(self, n_hosts: int, threshold: float,
+                   candidates: Sequence[str]
+                   ) -> Tuple[Optional[List[str]], int]:
+        """The first ``n_hosts`` candidates free until at least
+        ``threshold``, or ``None`` when fewer are, with the number of
+        probes it took.  The ascending copy rejects in one comparison."""
+        if self.sorted_free_until[-n_hosts] < threshold:
+            return None, 1
+        probes = 0
+        free: List[str] = []
+        for host, until in zip(candidates, self.free_until):
+            probes += 1
+            if until >= threshold:
+                free.append(host)
+                if len(free) == n_hosts:
+                    break
+        return free, probes
 
     def patch(self, now: float, version: int) -> None:
         """Recompute the hosts whose calendar changed since the view
         last looked, moving their entries in the sorted lists."""
-        times, gaps, sorted_gaps = self.times, self.gaps, self.sorted_gaps
+        times, until, sorted_until = (self.times, self.free_until,
+                                      self.sorted_free_until)
         for i, cal in enumerate(self.cals):
             if cal.mutations == self.muts[i]:
                 continue
@@ -261,9 +287,9 @@ class _CandidateView:
             self.ends[i] = cal._effective_ends(now)
             for t in self.ends[i]:
                 insort(times, t)
-            del sorted_gaps[bisect_left(sorted_gaps, gaps[i])]
-            gaps[i] = self._gap(i, now)
-            insort(sorted_gaps, gaps[i])
+            del sorted_until[bisect_left(sorted_until, until[i])]
+            until[i] = self._free_until(i, now)
+            insort(sorted_until, until[i])
         self.version = version
 
 
@@ -345,7 +371,10 @@ class ReservationBook:
 
         Candidate starts are ``not_before`` and every later effective
         end in the view, ascending, with instants within ``_EPS`` of
-        the previous start skipped.  The result is identical to the
+        the previous start skipped.  When ``not_before`` is ``now`` the
+        first start is answered from the view's free-until instants,
+        exactly as :meth:`free_now` answers it, so a backlogged book
+        rejects it in one comparison.  The result is identical to the
         linear-scan oracle in ``tests/oracles/metasched.py`` — the
         equivalence suite asserts it.
         """
@@ -361,23 +390,33 @@ class ReservationBook:
         ptrs = [0] * len(candidates)
         k = probes = 0
         start = not_before
+        # the free-until instants are the cursor's stops at start = now
+        at_now = not_before == now  # simlint: ignore[SL005] — the caller passes its own now; only that exact instant has precomputed stops
+        free: Optional[List[str]]
         try:
             while True:
-                free: List[str] = []
                 end = start + duration
-                for i, host in enumerate(candidates):
-                    probes += 1
-                    ends = ends_arrs[i]
-                    p = ptrs[i]
-                    while p < len(ends) and ends[p] <= start + _EPS:
-                        p += 1
-                    ptrs[i] = p
-                    starts = starts_arrs[i]
-                    if p < len(starts) and starts[p] < end - _EPS:
-                        continue
-                    free.append(host)
-                    if len(free) == n_hosts:
+                if at_now:
+                    at_now = False
+                    free, probes = view.first_free(n_hosts, end - _EPS,
+                                                   candidates)
+                    if free is not None:
                         return start, free
+                else:
+                    free = []
+                    for i, host in enumerate(candidates):
+                        probes += 1
+                        ends = ends_arrs[i]
+                        p = ptrs[i]
+                        while p < len(ends) and ends[p] <= start + _EPS:
+                            p += 1
+                        ptrs[i] = p
+                        starts = starts_arrs[i]
+                        if p < len(starts) and starts[p] < end - _EPS:
+                            continue
+                        free.append(host)
+                        if len(free) == n_hosts:
+                            return start, free
                 k = bisect_right(times, start + _EPS, k)
                 if k == len(times):
                     return None
@@ -397,30 +436,27 @@ class ReservationBook:
         (the ``start = not_before = now`` probe): when a job's only
         observable decision is "start immediately or stay blocked" —
         a backfill candidate behind a full reservation depth — this
-        answers it without sweeping any later windows.  The view's
-        ascending gap list answers the common backlogged case — "no
-        n-host window exists right now" — in one comparison.
+        answers it without sweeping any later windows.  A host is free
+        when its free-until instant is at least ``now + duration -
+        _EPS``, the cursor's own test; the view's ascending copy
+        answers the common backlogged case — "no n-host window exists
+        right now" — in one comparison.
         """
         if n_hosts < 1 or n_hosts > len(candidates):
             return None
-        view = self._view(candidates, now)
-        stats = self.stats
-        threshold = duration - _EPS
-        if view.sorted_gaps[-n_hosts] < threshold:
-            if stats is not None:
-                stats.meta_plan_window_probes += 1
-            return None
-        probes = 0
-        free: List[str] = []
-        for host, gap in zip(candidates, view.gaps):
-            probes += 1
-            if gap >= threshold:
-                free.append(host)
-                if len(free) == n_hosts:
-                    break
-        if stats is not None:
-            stats.meta_plan_window_probes += probes
+        free, probes = self._view(candidates, now).first_free(
+            n_hosts, now + duration - _EPS, candidates)
+        if self.stats is not None:
+            self.stats.meta_plan_window_probes += probes
         return free
+
+    def free_until(self, n_hosts: int, candidates: Sequence[str],
+                   now: float) -> float:
+        """The latest instant until which ``n_hosts`` of the candidates
+        are all free from ``now`` (``inf`` when they stay free):
+        ``free_now(n_hosts, duration, candidates, now)`` finds hosts
+        iff ``now + duration - _EPS`` is at most this."""
+        return self._view(candidates, now).sorted_free_until[-n_hosts]
 
     def audit(self) -> List[str]:
         """All claim-overlap violations across every host (must be [])."""

@@ -20,12 +20,16 @@ construction, and :meth:`MetaScheduler.audit_conflicts` re-proves it
 from the recorded claim history.
 
 The planner rebuilds the plan every round (DESIGN.md §9.6): it
-releases every un-started reservation and re-plans the whole queue in
-fair-share order.  Estimates are memoized per (job, candidate-prefix),
-candidate sets are resolved once per ISA per round, and jobs behind a
-full reservation depth get a single "free now?" probe instead of a
-full window sweep.  The test suite checks every decision against a
-linear-scan oracle planner (``tests/oracles/metasched.py``).
+releases the reservations it booked last round and re-plans the queue
+in fair-share order.  Candidate sets are resolved once per ISA per
+round, and each queued job keeps its estimate with the candidate
+prefix that sized it.  Jobs behind a full reservation depth (the
+*tail*) can only start now or stay blocked; an index of the queued
+jobs' estimates per (ISA, host count) answers "can any of them start?"
+with one comparison per group, and only a yes sends the tail through
+its per-job "free now?" probes.  So a round costs its reservation
+depth, not its backlog.  The test suite checks every decision against
+a linear-scan oracle planner (``tests/oracles/metasched.py``).
 
 Everything the service does lands in the ``metasched`` trace lane
 (submit/queue/admit/reserve/backfill/start/complete/reject instants
@@ -38,6 +42,7 @@ wakes) exposes what the planner did.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -90,6 +95,9 @@ class JobState:
     planned: List[Reservation] = field(default_factory=list)
     #: last booked plan, to keep re-plans from spamming the trace
     last_plan: Optional[Tuple[float, Tuple[str, ...]]] = None
+    #: (candidate prefix, estimated seconds) while queued; set iff the
+    #: estimate is in its ISA's index (see MetaScheduler._estimate)
+    estimate: Optional[Tuple[Tuple[str, ...], float]] = None
 
     @property
     def queue_wait(self) -> Optional[float]:
@@ -109,6 +117,22 @@ class JobState:
             "queue_wait": self.queue_wait, "hosts": list(self.hosts),
             "backfilled": self.backfilled,
         }
+
+
+class _IsaIndex:
+    """The queued jobs of one ISA and their estimates by host count.
+
+    ``ests[n]`` is the sorted multiset of the estimates of the jobs
+    that need ``n`` hosts, sized on ``cand``; a job that needs more
+    hosts than ``cand`` holds cannot start and has no entry.
+    """
+
+    __slots__ = ("cand", "jobs", "ests")
+
+    def __init__(self, cand: Tuple[str, ...]) -> None:
+        self.cand = cand
+        self.jobs: Dict[str, JobState] = {}
+        self.ests: Dict[int, List[float]] = {}
 
 
 class MetaScheduler:
@@ -140,8 +164,12 @@ class MetaScheduler:
         self._n_terminal = 0
         #: start instants of armed-but-unfired wake callbacks, sorted
         self._pending_wakes: List[float] = []
-        #: (job, candidate-prefix) -> estimated seconds
-        self._est_memo: Dict[Tuple[str, Tuple[str, ...]], float] = {}
+        #: queued jobs by ISA, with their estimates (the tail filter)
+        self._index: Dict[Optional[str], _IsaIndex] = {}
+        #: admitted jobs no round has indexed yet
+        self._fresh: List[JobState] = []
+        #: the jobs the last round booked reservations for
+        self._planned: List[JobState] = []
 
     # -- tracing ------------------------------------------------------------
     def _instant(self, name: str, **args) -> None:
@@ -173,6 +201,7 @@ class MetaScheduler:
             return state
         self._instant("admit", job=spec.name)
         self.queue.push(spec)
+        self._fresh.append(state)
         self._instant("queue", job=spec.name, depth=len(self.queue))
         self._round()
         return state
@@ -199,40 +228,40 @@ class MetaScheduler:
     # -- planning rounds ----------------------------------------------------
     def _round(self) -> None:
         """Rebuild the un-started plan against live resource state:
-        release every planned reservation, then re-plan the queue in
-        fair-share order."""
+        release the reservations the last round booked, then re-plan
+        the queue in fair-share order.
+
+        Jobs are planned from the top until :data:`RESERVE_DEPTH`
+        reservations are booked.  Behind them every job can only start
+        now (a backfill) or stay blocked, and none of that tail can
+        start unless, for some (ISA, host count) group, the hosts stay
+        free past ``now`` plus the group's shortest estimate.  Within
+        the tail the book only loses free time until a job starts, so
+        when no group passes that one comparison the whole tail is
+        skipped; otherwise each tail job gets its ``free_now`` probe."""
         now = self.sim.now
         self.sim.stats.meta_plan_rounds += 1
         ordered = self.queue.ordered(now)
         book = self.book
-        for spec in ordered:
-            state = self.jobs[spec.name]
-            if state.planned:
-                book.release_block(state.planned, now)
-                state.planned = []
-        # usable hosts, resolved once per ISA per round
-        round_cands: Dict[Optional[str], Tuple[str, ...]] = {}
+        for state in self._planned:
+            book.release_block(state.planned, now)
+            state.planned = []
+        self._planned = []
+        cands = self._refresh_index()
+        jobs = self.jobs
         blocked = False
-        reservations_made = 0
-        for spec in ordered:
-            state = self.jobs[spec.name]
-            cand = round_cands.get(spec.isa)
-            if cand is None:
-                cand = tuple(self.admission.usable_hosts(spec))
-                round_cands[spec.isa] = cand
+        earliest = math.inf
+        tail = len(ordered)
+        for pos, spec in enumerate(ordered):
+            if len(self._planned) >= RESERVE_DEPTH:
+                tail = pos
+                break
+            state = jobs[spec.name]
+            cand = cands[spec.isa]
             if len(cand) < spec.n_hosts:
                 blocked = True
                 continue
-            est = self._estimate(spec, cand)
-            if reservations_made >= RESERVE_DEPTH:
-                # Depth exhausted: the only observable decision left is
-                # "start immediately or stay blocked" — one probe.
-                free = book.free_now(spec.n_hosts, est, cand, now)
-                if free is not None:
-                    self._start_job(state, free, est, backfilled=blocked)
-                else:
-                    blocked = True
-                continue
+            est = self._estimate(state, cand)
             window = book.find_window(spec.n_hosts, est, now, cand, now)
             if window is None:
                 blocked = True
@@ -244,9 +273,85 @@ class MetaScheduler:
                 blocked = True
                 state.planned = book.reserve_block(
                     spec.name, hosts, start, start + est)
-                reservations_made += 1
+                self._planned.append(state)
+                earliest = min(earliest, start)
                 self._note_plan(state, start, hosts, est)
-        self._schedule_wake(now)
+        if tail < len(ordered) and self._tail_may_start(now):
+            for spec in ordered[tail:]:
+                state = jobs[spec.name]
+                cand = cands[spec.isa]
+                if len(cand) < spec.n_hosts:
+                    continue
+                est = self._estimate(state, cand)
+                free = book.free_now(spec.n_hosts, est, cand, now)
+                if free is not None:
+                    # behind the reservations: always a backfill
+                    self._start_job(state, free, est, backfilled=True)
+        if earliest < math.inf:
+            self._arm_wake(earliest)
+
+    def _refresh_index(self) -> Dict[Optional[str], Tuple[str, ...]]:
+        """This round's candidate tuple per queued ISA, with the
+        estimate index brought up to date: an ISA whose candidates
+        changed (host churn) has its groups rebuilt, and the jobs
+        admitted since the last round join theirs."""
+        index = self._index
+        usable = self.admission.usable_hosts
+        cands: Dict[Optional[str], Tuple[str, ...]] = {}
+        for isa, entry in index.items():
+            cand = tuple(usable(next(iter(entry.jobs.values())).spec))
+            cands[isa] = cand
+            if cand != entry.cand:
+                entry.cand = cand
+                entry.ests = {}
+                for state in entry.jobs.values():
+                    self._add_estimate(entry, state)
+        for state in self._fresh:
+            isa = state.spec.isa
+            entry = index.get(isa)
+            if entry is None:
+                cand = cands[isa] = tuple(usable(state.spec))
+                entry = index[isa] = _IsaIndex(cand)
+            entry.jobs[state.spec.name] = state
+            self._add_estimate(entry, state)
+        self._fresh = []
+        return cands
+
+    def _add_estimate(self, entry: _IsaIndex, state: JobState) -> None:
+        n_hosts = state.spec.n_hosts
+        if len(entry.cand) < n_hosts:
+            state.estimate = None
+            return
+        est = self._estimate(state, entry.cand)
+        insort(entry.ests.setdefault(n_hosts, []), est)
+
+    def _unindex(self, state: JobState) -> None:
+        """Drop a job that leaves the queue from the estimate index."""
+        spec = state.spec
+        entry = self._index.get(spec.isa)
+        if entry is None or entry.jobs.pop(spec.name, None) is None:
+            return  # never indexed (a planner that keeps no index)
+        if state.estimate is not None:
+            ests = entry.ests[spec.n_hosts]
+            del ests[bisect_left(ests, state.estimate[1])]
+            if not ests:
+                del entry.ests[spec.n_hosts]
+            state.estimate = None
+        if not entry.jobs:
+            del self._index[spec.isa]
+
+    def _tail_may_start(self, now: float) -> bool:
+        """Can any queued job start at ``now``?  A job needing ``n``
+        hosts for ``est`` seconds can iff ``n`` candidates stay free
+        until ``now + est - _EPS``, so each group's shortest estimate
+        decides for the whole group."""
+        book = self.book
+        for entry in self._index.values():
+            for n_hosts, ests in entry.ests.items():
+                if (book.free_until(n_hosts, entry.cand, now)
+                        >= now + ests[0] - _EPS):
+                    return True
+        return False
 
     def _note_plan(self, state: JobState, start: float,
                    hosts: Sequence[str], est: float) -> None:
@@ -265,19 +370,12 @@ class MetaScheduler:
                           start=start, end=start + est,
                           hosts=",".join(hosts))
 
-    def _schedule_wake(self, now: float) -> None:
-        """Arm a wake at the earliest planned start, unless a pending
-        wake at or before it will already trigger a round (which would
-        re-arm for anything still planned then).  Fired wakes remove
-        themselves from the pending list, so a stale past instant can
-        never force a redundant re-arm."""
-        earliest = float("inf")
-        for spec in self.queue.specs():
-            planned = self.jobs[spec.name].planned
-            if planned and planned[0].start < earliest:
-                earliest = planned[0].start
-        if earliest == float("inf"):
-            return
+    def _arm_wake(self, earliest: float) -> None:
+        """Arm a wake at ``earliest``, the round's earliest planned
+        start, unless a pending wake at or before it will already
+        trigger a round (which would re-arm for anything still planned
+        then).  Fired wakes remove themselves from the pending list,
+        so a stale past instant can never force a redundant re-arm."""
         pending = self._pending_wakes
         if pending and pending[0] <= earliest + _EPS:
             return
@@ -292,17 +390,18 @@ class MetaScheduler:
             del pending[i]
         self._round()
 
-    def _estimate(self, spec: JobSpec,
+    def _estimate(self, state: JobState,
                   candidates: Tuple[str, ...]) -> float:
-        """Memoized :meth:`_estimate_seconds` — the estimate is a pure
-        function of the job and the candidate prefix that sizes it."""
-        key = (spec.name, candidates[:spec.n_hosts])
-        est = self._est_memo.get(key)
-        if est is None:
-            est = self._estimate_seconds(spec, candidates)
-            self._est_memo[key] = est
-        else:
+        """:meth:`_estimate_seconds`, kept with the job: the estimate
+        is a pure function of the job and the candidate prefix that
+        sizes it, so it is recomputed only when that prefix changes."""
+        prefix = candidates[:state.spec.n_hosts]
+        kept = state.estimate
+        if kept is not None and kept[0] == prefix:
             self.sim.stats.meta_plan_estimate_memo_hits += 1
+            return kept[1]
+        est = self._estimate_seconds(state.spec, candidates)
+        state.estimate = (prefix, est)
         return est
 
     def _estimate_seconds(self, spec: JobSpec,
@@ -323,6 +422,7 @@ class MetaScheduler:
         spec = state.spec
         now = self.sim.now
         self.queue.remove(spec.name)
+        self._unindex(state)
         if state.planned:  # safety net; planning releases before starting
             self.book.release_block(state.planned, now)
             state.planned = []

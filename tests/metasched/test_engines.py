@@ -13,14 +13,16 @@ import random
 
 import pytest
 
-from repro.experiments.metasched_stream import run_metasched
+from repro.experiments.metasched_stream import (MetaschedResult,
+                                               metasched_scale_grid,
+                                               run_metasched)
 from repro.gis.directory import GridInformationService
 from repro.metasched import JobSpec, MetaScheduler, generate_stream
 from repro.metasched.jobs import build_workflow
 from repro.metasched.reservations import (CLAIMED, RELEASED, RESERVED,
                                          ReservationBook,
                                          ReservationConflict)
-from repro.metasched.service import JobState
+from repro.metasched.service import RESERVE_DEPTH, JobState
 from repro.microgrid.testbed import fig3_testbed
 from repro.nws.service import NetworkWeatherService
 from repro.sim.kernel import Simulator
@@ -203,58 +205,53 @@ class TestFastEngineMechanics:
 class TestWakeScheduling:
     """Regression for the stale-``_next_wake`` re-arm bug: the planner
     now tracks armed-but-unfired wake instants, so a wake that has
-    fired can never suppress — or force — a later arm decision."""
-
-    def _service_with_queued(self, names):
-        sim, service = build_service()
-        for i, name in enumerate(names):
-            s = spec(name, user=f"u{i}")
-            service.jobs[name] = JobState(spec=s,
-                                          workflow=build_workflow(s))
-            service.queue.push(s)
-        return sim, service
+    fired can never suppress — or force — a later arm decision.  A
+    round arms at the earliest start it booked."""
 
     def test_pending_wake_suppresses_duplicate_arm(self):
-        sim, service = self._service_with_queued(["r1"])
-        service.jobs["r1"].planned = service.book.reserve_block(
-            "r1", ["utk.n0"], 200.0, 300.0)
-        service._schedule_wake(0.0)
+        sim, service = build_service()
+        service._arm_wake(200.0)
         assert sim.stats.meta_plan_wakes == 1
         assert service._pending_wakes == [200.0]
         # same earliest again: the pending wake already covers it
-        service._schedule_wake(0.0)
+        service._arm_wake(200.0)
         assert sim.stats.meta_plan_wakes == 1
 
     def test_earlier_plan_gets_its_own_wake(self):
-        sim, service = self._service_with_queued(["r1", "r2"])
-        service.jobs["r1"].planned = service.book.reserve_block(
-            "r1", ["utk.n0"], 200.0, 300.0)
-        service._schedule_wake(0.0)
-        service.jobs["r2"].planned = service.book.reserve_block(
-            "r2", ["utk.n1"], 100.0, 300.0)
-        service._schedule_wake(0.0)
+        sim, service = build_service()
+        service._arm_wake(200.0)
+        service._arm_wake(100.0)
         assert sim.stats.meta_plan_wakes == 2
         assert service._pending_wakes == [100.0, 200.0]
 
     def test_fired_wake_does_not_force_rearm(self):
-        sim, service = self._service_with_queued(["r1", "r2"])
-        service.jobs["r1"].planned = service.book.reserve_block(
-            "r1", ["utk.n0"], 200.0, 300.0)
-        service._schedule_wake(0.0)
-        service.jobs["r2"].planned = service.book.reserve_block(
-            "r2", ["utk.n1"], 100.0, 300.0)
-        service._schedule_wake(0.0)
+        sim, service = build_service()
+        service._arm_wake(200.0)
+        service._arm_wake(100.0)
         assert sim.stats.meta_plan_wakes == 2
         # isolate the arm/forget mechanics from planning side effects
         service._round = lambda: None
         service._wake(100.0)  # the 100 s wake fires and forgets itself
         assert service._pending_wakes == [200.0]
-        # r2's plan was handled; r1's wake at 200 is still pending.
         # The old planner kept the stale fired instant and re-armed
-        # unconditionally here; now the pending wake covers earliest.
-        service.jobs["r2"].planned = []
-        service._schedule_wake(150.0)
+        # unconditionally when the 200 s plan was next the earliest;
+        # now the pending wake covers it.
+        service._arm_wake(200.0)
         assert sim.stats.meta_plan_wakes == 2  # no third arm
+
+    def test_oracle_arms_at_the_earliest_queued_plan(self):
+        # the oracle finds the earliest plan by scanning the queue
+        sim, service = build_service(ReferenceMetaScheduler)
+        for i, (name, start) in enumerate([("r1", 200.0), ("r2", 100.0)]):
+            s = spec(name, user=f"u{i}")
+            service.jobs[name] = JobState(spec=s,
+                                          workflow=build_workflow(s))
+            service.queue.push(s)
+            service.jobs[name].planned = service.book.reserve_block(
+                name, [f"utk.n{i}"], start, 300.0)
+        service._schedule_wake()
+        assert service._pending_wakes == [100.0]
+        assert sim.stats.meta_plan_wakes == 1
 
     def test_wakes_fire_rounds_end_to_end(self):
         # Two serialized 12-host jobs: the second starts off a round
@@ -402,3 +399,143 @@ class TestCandidateViewPatching:
                     self._ask(book, rng, orders, now, seen)
                     self._edit(book, rng, blocks, now, 100 * rnd + step)
         assert min(seen.values()) > 50, seen
+
+
+class TailRecorder(MetaScheduler):
+    """The planner, recording each tail test (``now``, verdict, the
+    hosts its candidate tuple held) and each rebuild of an ISA's
+    estimate groups after its candidate tuple changed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tail_tests = []
+        self.rebuilds = []
+
+    def _tail_may_start(self, now):
+        verdict = super()._tail_may_start(now)
+        self.tail_tests.append(
+            (now, verdict, min(len(e.cand) for e in self._index.values())))
+        return verdict
+
+    def _refresh_index(self):
+        before = {isa: entry.cand for isa, entry in self._index.items()}
+        cands = super()._refresh_index()
+        for isa, cand in before.items():
+            if isa in self._index and self._index[isa].cand != cand:
+                self.rebuilds.append((self.sim.now, len(cand),
+                                      len(self._index[isa].cand)))
+        return cands
+
+
+class TestTailFilter:
+    """Jobs behind ``RESERVE_DEPTH`` future reservations: one test per
+    (ISA, host count) group decides whether the tail is probed at all,
+    and the outcome matches the oracle's full window searches."""
+
+    def _serve(self, service_cls):
+        # "a" holds 11 of the 12 hosts for about 560 s; r0..r3 each
+        # need all 12, so they book back-to-back windows after it.  The
+        # 12th host is free until r0's start: "short" fits that gap and
+        # backfills, "long" does not and waits behind the reservations.
+        # "long" queues first, so "short" joins a group whose longest
+        # estimate does not fit.
+        sim, service = build_service(service_cls)
+        specs = [spec("a", n_hosts=11, size=6000.0, submit=0.0)]
+        specs += [spec(f"r{i}", n_hosts=12, submit=1.0 + i)
+                  for i in range(RESERVE_DEPTH)]
+        specs += [spec("long", n_hosts=1, size=15000.0, submit=5.0),
+                  spec("short", n_hosts=1, size=500.0, submit=6.0)]
+        done = service.run_stream(specs)
+        sim.run(until=10.0)
+        snapshot = {state.spec.name: (state.status, state.started_at,
+                                      state.hosts, state.backfilled)
+                    for state in service.states()}
+        sim.run(stop_event=done)
+        return service, snapshot
+
+    def test_short_job_backfills_long_job_waits(self):
+        fast, snapshot = self._serve(TailRecorder)
+        ref, ref_snapshot = self._serve(ReferenceMetaScheduler)
+        assert snapshot == ref_snapshot
+        status, started_at, hosts, backfilled = snapshot["short"]
+        assert (status, started_at, len(hosts), backfilled) == (
+            "completed", 6.0, 1, True)
+        assert snapshot["long"] == ("queued", None, (), False)
+        assert all(snapshot[f"r{i}"][0] == "queued"
+                   for i in range(RESERVE_DEPTH))
+        # the tail test skipped "long" alone and passed with "short"
+        verdicts = {now: verdict for now, verdict, _n in fast.tail_tests}
+        assert verdicts[5.0] is False and verdicts[6.0] is True
+        for a, b in zip(fast.states(), ref.states()):
+            assert a.row() == b.row()
+
+    def test_state_is_bounded_after_the_stream(self):
+        fast, _snapshot = self._serve(MetaScheduler)
+        assert all(state.status == "completed" for state in fast.states())
+        assert fast._index == {}
+        assert fast._planned == []
+        assert fast._fresh == []
+        assert all(state.estimate is None for state in fast.states())
+
+
+#: host crashes and repairs (instant, host, action) while the deep
+#: stream below has a tail behind the reservations
+CHURN = [(300.0, "c0.n1", "fail"), (700.0, "c2.n3", "fail"),
+         (900.0, "c1.n0", "fail"), (1300.0, "c0.n1", "recover"),
+         (1600.0, "c2.n3", "recover"), (2200.0, "c1.n0", "recover")]
+
+
+def serve_churn(service_cls, jobs=160, seed=4):
+    """A saturated 16-user stream on the 64-host grid, with CHURN."""
+    sim = Simulator()
+    grid = metasched_scale_grid(sim, 64)
+    gis = GridInformationService()
+    gis.register_grid(grid)
+    nws = NetworkWeatherService(sim, grid, cpu_period=60.0,
+                                deploy_network_sensors=False)
+    service = service_cls(sim, grid, gis, nws)
+    hosts = {host.name: host for host in grid.all_hosts()}
+    for when, name, action in CHURN:
+        sim.call_at(when, getattr(hosts[name], action))
+    specs = generate_stream(16, 1 / 12.0, 12000.0, RngRegistry(seed),
+                            max_jobs=jobs)
+    sim.run(stop_event=service.run_stream(specs))
+    result = MetaschedResult(
+        users=16, arrival_rate=1 / 12.0, duration=12000.0, seed=seed,
+        max_jobs=jobs, finished_at=sim.now, n_hosts=64,
+        jobs=[state.row() for state in service.states()],
+        counters=sim.stats.snapshot(), conflicts=service.audit_conflicts())
+    return result, service
+
+
+class TestDeepQueueChurn:
+    """A deep queue on the 64-host grid while hosts crash and recover:
+    the tail filter and the estimate index, rebuilt when the candidate
+    tuple changes, must decide exactly as the oracle does."""
+
+    def test_matches_oracle_under_host_churn(self):
+        fast, planner = serve_churn(TailRecorder)
+        ref, oracle = serve_churn(ReferenceMetaScheduler)
+        assert fast.to_json() == ref.to_json()
+        diagnostic = ("meta_plan_window_probes",
+                      "meta_plan_estimate_memo_hits")
+        for name, value in ref.counters.items():
+            if name not in diagnostic:
+                assert fast.counters[name] == value, name
+        for host in planner.book.hosts():
+            assert (planner.book.calendar(host).claim_history
+                    == oracle.book.calendar(host).claim_history)
+        assert fast.conflicts == []
+        summary = fast.summary()
+        assert summary["completed"] > 100 and summary["failed"] > 0
+        # the filter skipped tails and passed one, also with a host down
+        verdicts = [verdict for _now, verdict, _n in planner.tail_tests]
+        assert verdicts.count(False) > 100 and True in verdicts
+        assert any(verdict and n < 64
+                   for _now, verdict, n in planner.tail_tests)
+        # crashes shrank and repairs grew an indexed ISA's candidates
+        assert any(after < before for _now, before, after
+                   in planner.rebuilds)
+        assert any(after > before for _now, before, after
+                   in planner.rebuilds)
+        assert planner._index == {} and planner._planned == []

@@ -2,9 +2,11 @@
 
 :class:`ReferenceMetaScheduler` is the pre-overhaul planner: like the
 production planner it cancels every un-started reservation each round
-and rebuilds the plan from scratch, but every job gets a full
-:func:`reference_find_window` linear-scan window search, with no
-estimate memo and no "free now?" probe behind the reservation depth.
+and rebuilds the plan from scratch, but it finds those reservations,
+and the earliest of them for the wake, by scanning the whole queue,
+and every job gets a full :func:`reference_find_window` linear-scan
+window search, with no estimate index and no "free now?" probe or
+tail filter behind the reservation depth.
 That search re-checks every candidate start on every host with
 :func:`busy_during_reference`, a linear scan of the host's live
 reservations that reads an overrunning claim's grace horizon itself,
@@ -25,6 +27,7 @@ parameter.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import pytest
@@ -109,6 +112,7 @@ class ReferenceMetaScheduler(MetaScheduler):
     def _round(self) -> None:
         now = self.sim.now
         self.sim.stats.meta_plan_rounds += 1
+        self._fresh = []  # the oracle keeps no estimate index
         ordered = self.queue.ordered(now)
         for spec in ordered:
             state = self.jobs[spec.name]
@@ -139,7 +143,18 @@ class ReferenceMetaScheduler(MetaScheduler):
                         spec.name, hosts, start, start + est)
                     reservations_made += 1
                     self._note_plan(state, start, hosts, est)
-        self._schedule_wake(now)
+        self._schedule_wake()
+
+    def _schedule_wake(self) -> None:
+        """Arm the wake at the earliest planned start, found by a scan
+        of every queued job's plan."""
+        earliest = math.inf
+        for spec in self.queue.specs():
+            planned = self.jobs[spec.name].planned
+            if planned and planned[0].start < earliest:
+                earliest = planned[0].start
+        if earliest < math.inf:
+            self._arm_wake(earliest)
 
 
 @contextlib.contextmanager
