@@ -56,12 +56,17 @@ class GridInformationService:
     def __init__(self) -> None:
         self._records: Dict[str, ResourceRecord] = {}
         self._hosts: Dict[str, Host] = {}
+        #: each ISA's records (every record under None) in
+        #: :meth:`fastest_first` order, built on first use and dropped
+        #: whenever a registration changes
+        self._by_speed: Dict[Optional[str], List[ResourceRecord]] = {}
 
     # -- registration ---------------------------------------------------------
     def register_host(self, host: Host) -> ResourceRecord:
         record = ResourceRecord.from_host(host)
         self._records[record.name] = record
         self._hosts[record.name] = host
+        self._by_speed.clear()
         return record
 
     def register_grid(self, grid: Grid) -> None:
@@ -74,6 +79,7 @@ class GridInformationService:
             raise GISError(f"unknown resource {name!r}")
         del self._records[name]
         del self._hosts[name]
+        self._by_speed.clear()
 
     # -- lookups ----------------------------------------------------------------
     def lookup(self, name: str) -> ResourceRecord:
@@ -92,6 +98,20 @@ class GridInformationService:
     def resources(self) -> List[ResourceRecord]:
         """All registered resources, in a stable (name) order."""
         return [self._records[k] for k in sorted(self._records)]
+
+    def fastest_first(self, isa: Optional[str] = None
+                      ) -> List[ResourceRecord]:
+        """The registered resources of ``isa`` (of every ISA for None),
+        fastest first, then by name.  The list is kept until the next
+        registration change, so callers must not modify it."""
+        records = self._by_speed.get(isa)
+        if records is None:
+            records = sorted(
+                (r for r in self._records.values()
+                 if isa is None or r.isa == isa),
+                key=lambda r: (-r.mflops, r.name))
+            self._by_speed[isa] = records
+        return records
 
     def query(self, *,
               site: Optional[str] = None,

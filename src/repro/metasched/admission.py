@@ -48,23 +48,30 @@ class AdmissionController:
     # -- live resource state ------------------------------------------------
     def usable_hosts(self, spec: JobSpec) -> List[str]:
         """Names of registered, alive hosts matching the spec, ordered
-        fastest-first (then by name) — the planner's preference order."""
-        records = self.gis.query(isa=spec.isa)
+        fastest-first (then by name) — the planner's preference order.
+
+        The GIS keeps each ISA's records in that order until a
+        registration changes, so a round only filters them by
+        liveness, which a crash or recovery flips at any time."""
         usable = []
-        for record in records:
+        for record in self.gis.fastest_first(spec.isa):
             try:
                 host = self.gis.host(record.name)
             except GISError:
-                continue  # unregistered between query and resolve
+                continue  # a name that no longer resolves
             if host.alive:
-                usable.append(record)
-        usable.sort(key=lambda r: (-r.mflops, r.name))
-        return [r.name for r in usable]
+                usable.append(record.name)
+        return usable
 
     # -- the admission rule ---------------------------------------------------
     def admit(self, spec: JobSpec, queue_length: int,
               user_queued: int) -> Tuple[bool, str]:
-        """``(admitted, reason)``; reason is "" when admitted."""
+        """``(admitted, reason)``; reason is "" when admitted.
+
+        The usable hosts' CPU series are replayed together first
+        (:meth:`NetworkWeatherService.replay_cpu`), so the one-by-one
+        forecast reads after it find them up to date; a host with no
+        data yet is still probed by its own read, in host order."""
         if self.max_queue is not None and queue_length >= self.max_queue:
             return False, "queue-full"
         if self.max_per_user is not None and user_queued >= self.max_per_user:
@@ -72,6 +79,7 @@ class AdmissionController:
         hosts = self.usable_hosts(spec)
         if len(hosts) < spec.n_hosts:
             return False, "insufficient-resources"
+        self.nws.replay_cpu(hosts)
         forecasts = sorted(
             (self.nws.cpu_forecast(name) for name in hosts), reverse=True)
         if forecasts[spec.n_hosts - 1] < MIN_FORECAST:

@@ -17,8 +17,8 @@ order, through the score-then-absorb loop, and a list that reaches
 that arrives after a series' last read is never computed.
 
 The battery is not a list of member objects: its eleven members are
-plain floats and lists inside :class:`AdaptiveForecaster`, updated in
-one ``_replay`` loop.  Medians come from bisect-maintained sorted
+plain floats and lists inside :class:`AdaptiveForecaster`, updated by
+one replay.  Medians come from bisect-maintained sorted
 windows, window means from ``sum()`` over the window, and both AR
 members fit over the forecaster's one ``HISTORY_LEN`` ring, sharing its
 ``min``/``max`` and skipping the least-squares fit on a constant window,
@@ -29,17 +29,30 @@ window is constant, so its first element stands in for the
 ``min``/``max`` scan.  All of it is bit-for-bit equal to the plain
 numpy battery kept as the test oracle in ``tests/oracles/forecasting.py``
 (DESIGN.md §2.2 gives the contract).
+
+A replay is two passes, so that AR fits can be solved in batches.
+Pass 1 (``_absorb``) runs the samples through every member but the AR
+pair and records, per sample, either the AR pair's value or a request
+to fit that sample's window.  The module function :func:`replay` runs
+pass 1 for a set of forecasters, solves every window of one
+``(length, order)`` shape in one call of the LAPACK gufunc behind
+``np.linalg.lstsq``, then runs pass 2 (``_score_ar``), which scores the
+AR predictions in sample order and picks the selection.  Each window's
+fit is the same LAPACK solve ``np.linalg.lstsq`` makes for it alone, so
+every bit is unchanged; a single forecaster's read is ``replay`` of
+that one forecaster.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-__all__ = ["AdaptiveForecaster", "HISTORY_LEN", "MEMBERS"]
+__all__ = ["AdaptiveForecaster", "HISTORY_LEN", "MEMBERS", "replay"]
 
 #: the battery's members, in selection order: the first one with the
 #: lowest cumulative error answers
@@ -59,16 +72,68 @@ HISTORY_LEN = _AR_WINDOW
 _PENDING_CAP = 256
 
 
-def _ar_fit(series: np.ndarray, p: int) -> float:
-    """Least-squares AR(p) one-step prediction from ``series``."""
-    m = len(series) - p
+#: the least-squares gufunc ``np.linalg.lstsq`` calls, signature
+#: ``(m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p)``; one call solves a
+#: stack of same-shape systems, each exactly as ``lstsq`` solves it alone
+_lstsq = _umath_linalg.lstsq
+
+_EPS = np.finfo(float).eps
+
+
+def _raise_lstsq(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError(
+        "SVD did not converge in Linear Least Squares")
+
+
+def _ar_predictions(windows: np.ndarray, p: int) -> List[float]:
+    """Least-squares AR(p) one-step prediction from each row of
+    ``windows`` (shape ``(N, k)``), in one LAPACK call."""
+    n_rows, k = windows.shape
+    m = k - p
     # Row t is [series[t:t + p], 1] -> series[t + p]; the extra
     # last row m is the regressor of the value being predicted.
-    design = np.ones((m + 1, p + 1))
+    design = np.ones((n_rows, m + 1, p + 1))
     for j in range(p):
-        design[:, j] = series[j:j + m + 1]
-    coef = np.linalg.lstsq(design[:m], series[p:], rcond=None)[0]
-    return float(design[m] @ coef)
+        design[:, :, j] = windows[:, j:j + m + 1]
+    # np.linalg.lstsq(design[:m], series[p:], rcond=None), stacked:
+    # the same rcond, signature and error handling
+    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        coef = _lstsq(design[:, :m], windows[:, p:, None],
+                      _EPS * max(m, p + 1), signature="ddd->ddid")[0]
+    # one 1-D product per window, as after a lone lstsq
+    return [float(row @ c) for row, c in zip(design[:, m], coef[:, :, 0])]
+
+
+#: one fit request: the window, and the ``[lo, hi]`` slot the clamped
+#: ``(ar1, ar2)`` pair is written into
+_Request = Tuple[Tuple[float, ...], List[float]]
+
+
+def _fit_windows(k: int, requests: List[_Request]) -> None:
+    """Answer every request for a ``k``-sample window: AR(1), and
+    AR(2) from six samples on, clamped into each window's range."""
+    windows = np.array([window for window, _ in requests], dtype=float)
+    ar1 = _ar_predictions(windows, 1)
+    ar2 = _ar_predictions(windows, 2) if k >= 6 else None
+    for i, (window, slot) in enumerate(requests):
+        lo, hi = slot
+        slot[0] = float(min(max(ar1[i], lo), hi))
+        # AR(2) falls back to the last value, the window's last sample
+        slot[1] = (float(min(max(ar2[i], lo), hi)) if ar2 is not None
+                   else window[-1])
+
+
+def replay(forecasters: Iterable["AdaptiveForecaster"]) -> None:
+    """Replay every forecaster's pending samples, fitting all their AR
+    windows of one shape in a single LAPACK call.  Each forecaster ends
+    in exactly the state its own replay would leave."""
+    fits: Dict[int, List[_Request]] = {}
+    staged = [(f, f._absorb(fits)) for f in forecasters if f._pending]
+    for k, requests in fits.items():
+        _fit_windows(k, requests)
+    for f, (pending, ars) in staged:
+        f._score_ar(pending, ars)
 
 
 class AdaptiveForecaster:
@@ -111,23 +176,34 @@ class AdaptiveForecaster:
 
     def _replay(self) -> None:
         """Run the pending samples through the battery, in order."""
+        if self._pending:
+            replay((self,))
+
+    def _absorb(self, fits: Dict[int, List[_Request]]
+                ) -> Tuple[List[float], list]:
+        """Pass 1 of a replay: run the pending samples through every
+        member but the AR pair.  Returns the samples and, per sample,
+        the AR pair's ``(ar1, ar2)`` or the slot a fit request in
+        ``fits`` (keyed by window length) will fill."""
         pending = self._pending
-        if not pending:
-            return
         self._pending = []
-        (last, mean, mean5, mean20, med5, med20, exp1, exp3, exp75,
-         ar1, ar2) = self._preds
+        # the first nine members; the AR pair (9, 10) moves in pass 2
+        (last, mean, mean5, mean20, med5, med20, exp1, exp3,
+         exp75) = self._preds[:9]
         (e_last, e_mean, e_mean5, e_mean20, e_med5, e_med20, e_exp1,
-         e_exp3, e_exp75, e_ar1, e_ar2) = self._abs_err
+         e_exp3, e_exp75) = self._abs_err[:9]
         n = self._n_samples
         run = self._run
         total = self._sum
         w5, w20 = self._w5, self._w20
         sorted5, sorted20 = self._sorted5, self._sorted20
         window = self._window
+        ars: list = []
+        record = ars.append
         for x in pending:
             # Score yesterday's predictions against today's truth
-            # (postcast), then absorb the new measurement.
+            # (postcast), then absorb the new measurement.  The AR
+            # pair is scored in pass 2.
             if n:
                 e_last += abs(last - x)
                 e_mean += abs(mean - x)
@@ -138,8 +214,6 @@ class AdaptiveForecaster:
                 e_exp1 += abs(exp1 - x)
                 e_exp3 += abs(exp3 - x)
                 e_exp75 += abs(exp75 - x)
-                e_ar1 += abs(ar1 - x)
-                e_ar2 += abs(ar2 - x)
                 exp1 = 0.1 * x + (1.0 - 0.1) * exp1
                 exp3 = 0.3 * x + (1.0 - 0.3) * exp3
                 exp75 = 0.75 * x + (1.0 - 0.75) * exp75
@@ -186,30 +260,46 @@ class AdaptiveForecaster:
             window.append(x)
             k = len(window)
             if k < 4:
-                ar1 = ar2 = x
+                record((x, x))
             elif run >= k:
-                ar1 = float(window[0])
-                ar2 = x if k < 6 else ar1
+                const = float(window[0])
+                record((const, x if k < 6 else const))
             else:
                 lo, hi = min(window), max(window)
                 if lo == hi:
-                    ar1 = float(lo)
-                    ar2 = x if k < 6 else ar1
+                    const = float(lo)
+                    record((const, x if k < 6 else const))
                 else:
-                    series = np.fromiter(window, dtype=float, count=k)
-                    ar1 = float(min(max(_ar_fit(series, 1), lo), hi))
-                    ar2 = (x if k < 6
-                           else float(min(max(_ar_fit(series, 2), lo), hi)))
-        self._preds = [last, mean, mean5, mean20, med5, med20, exp1, exp3,
-                       exp75, ar1, ar2]
-        errs = [e_last, e_mean, e_mean5, e_mean20, e_med5, e_med20, e_exp1,
-                e_exp3, e_exp75, e_ar1, e_ar2]
-        self._abs_err = errs
-        # the first member with the lowest error wins a tie
-        self._best = errs.index(min(errs))
+                    slot = [lo, hi]
+                    fits.setdefault(k, []).append((tuple(window), slot))
+                    record(slot)
+        self._preds[:9] = [last, mean, mean5, mean20, med5, med20, exp1,
+                           exp3, exp75]
+        self._abs_err[:9] = [e_last, e_mean, e_mean5, e_mean20, e_med5,
+                             e_med20, e_exp1, e_exp3, e_exp75]
         self._n_samples = n
         self._run = run
         self._sum = total
+        return pending, ars
+
+    def _score_ar(self, pending: List[float], ars: list) -> None:
+        """Pass 2 of a replay: score the AR pair's predictions against
+        the samples, in sample order, then pick the selection."""
+        preds, errs = self._preds, self._abs_err
+        ar1, ar2 = preds[9], preds[10]
+        e_ar1, e_ar2 = errs[9], errs[10]
+        pairs = zip(pending, ars)
+        if ar1 is None:
+            # the series' first sample: nothing to score yet
+            _, (ar1, ar2) = next(pairs)
+        for x, (next1, next2) in pairs:
+            e_ar1 += abs(ar1 - x)
+            e_ar2 += abs(ar2 - x)
+            ar1, ar2 = next1, next2
+        preds[9], preds[10] = ar1, ar2
+        errs[9], errs[10] = e_ar1, e_ar2
+        # the first member with the lowest error wins a tie
+        self._best = errs.index(min(errs))
 
     def predict(self) -> Optional[float]:
         self._replay()

@@ -12,17 +12,23 @@ host-pair queries from the covering site-pair series.  Before any
 measurement exists the service falls back to a static estimate from the
 topology description, which corresponds to NWS answering from its
 configuration baseline.
+
+CPU series are replayed lazily, by the first read after new samples
+(see :mod:`repro.nws.forecasting`).  A caller about to read many hosts
+at one instant calls :meth:`NetworkWeatherService.replay_cpu` first, so
+their pending samples replay together and their AR windows are fitted
+in a few batched LAPACK calls instead of one per window.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Tuple
 
 from ..microgrid.dml import Grid
 from ..microgrid.host import Host
 from ..microgrid.network import Topology
 from ..sim.kernel import Simulator
-from .forecasting import AdaptiveForecaster
+from .forecasting import AdaptiveForecaster, replay
 from .sensors import CpuSensorSweep, NetworkSensor
 
 __all__ = ["NetworkWeatherService"]
@@ -88,6 +94,17 @@ class NetworkWeatherService:
             value = self.topology.host(host_name).availability()
             forecast.update(value)
         return value
+
+    def replay_cpu(self, host_names: Iterable[str]) -> None:
+        """Bring these hosts' CPU series up to date in one batched
+        replay (see :func:`~repro.nws.forecasting.replay`), before a
+        caller reads their forecasts one by one.  Nothing is probed:
+        a host with no data yet is still probed by its own
+        :meth:`cpu_forecast`, in the caller's read order, and names
+        without a series are skipped."""
+        forecasts = self._cpu_forecasts
+        replay([forecasts[name] for name in host_names
+                if name in forecasts])
 
     def bandwidth_forecast(self, src: str, dst: str) -> float:
         """Predicted achievable bandwidth (bytes/s) between two hosts."""

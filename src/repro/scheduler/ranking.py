@@ -136,11 +136,15 @@ def build_rank_matrix(workflow: Workflow, gis: GridInformationService,
     time passes).  The read happens at the resource's first eligible
     cell in row-major order, where the per-cell ``ecost`` walk made it,
     because on a host with no data yet it is an on-demand probe that
-    feeds the forecast series.
+    feeds the forecast series.  Before the walk, every resource's CPU
+    series is replayed in one batch
+    (:meth:`NetworkWeatherService.replay_cpu`), which probes nothing,
+    so the reads find them up to date and the probes keep their order.
     """
     records = list(resources) if resources is not None else gis.resources()
     if not records:
         raise ValueError("no resources to rank against")
+    nws.replay_cpu([record.name for record in records])
     archs = [_record_arch(record) for record in records]
     availability: List[Optional[float]] = [None] * len(records)
     tasks = workflow.tasks()

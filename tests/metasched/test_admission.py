@@ -51,6 +51,36 @@ class TestUsableHosts:
         assert "uiuc.n7" not in adm.usable_hosts(spec())
 
 
+    def test_each_change_between_rounds_changes_the_answer(self):
+        """The GIS keeps the fastest-first order between rounds, so
+        each kind of change must reach the next call."""
+        _sim, grid, adm = build(testbed=heterogeneous_testbed)
+        gis = adm.gis
+
+        def reference(job):
+            records = [r for r in gis.query(isa=job.isa)
+                       if gis.host(r.name).alive]
+            records.sort(key=lambda r: (-r.mflops, r.name))
+            return [r.name for r in records]
+
+        for job in (spec(), spec(isa="ia64")):
+            before = adm.usable_hosts(job)
+            assert before == reference(job)
+            name = before[1]
+            host = gis.host(name)
+            without = [h for h in before if h != name]
+            steps = (
+                (lambda: gis.unregister(name), without),
+                (lambda: gis.register_host(host), before),
+                (host.fail, without),
+                (host.recover, before),
+            )
+            for change, expected in steps:
+                change()
+                assert adm.usable_hosts(job) == expected == reference(job)
+        assert len(grid.all_hosts()) > len(adm.usable_hosts(spec(isa="ia64")))
+
+
 class TestAdmit:
     def test_admits_reasonable_job(self):
         _sim, _grid, adm = build()

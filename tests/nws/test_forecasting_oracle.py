@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.fig3_qr import run_fig3, run_fig3_point
 from repro.experiments.metasched_stream import run_metasched
-from repro.nws import AdaptiveForecaster
+from repro.nws import AdaptiveForecaster, forecasting
 from repro.nws.forecasting import HISTORY_LEN, MEMBERS, _PENDING_CAP
 from tests.oracles.forecasting import ReferenceAdaptiveForecaster
 
@@ -79,17 +79,34 @@ def test_piecewise_constant_series_match_oracle(series):
 
 
 @pytest.fixture
-def lstsq_calls(monkeypatch):
-    """The AR order of every least-squares fit, in call order."""
-    calls = []
-    real = np.linalg.lstsq
+def lstsq_log(monkeypatch):
+    """Every least-squares solve the battery makes, at its LAPACK
+    entry: the AR order of each window solved, and ``(windows, window
+    length, order)`` of each LAPACK call, both in call order."""
+    windows, calls = [], []
+    real = forecasting._lstsq
 
     def counting(design, *args, **kwargs):
-        calls.append(design.shape[1] - 1)
+        n_windows, rows, columns = design.shape
+        order = columns - 1
+        windows.extend([order] * n_windows)
+        calls.append((n_windows, rows + order, order))
         return real(design, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counting)
-    return calls
+    monkeypatch.setattr(forecasting, "_lstsq", counting)
+    return windows, calls
+
+
+@pytest.fixture
+def lstsq_calls(lstsq_log):
+    """The AR order of every window solved, in solve order."""
+    return lstsq_log[0]
+
+
+@pytest.fixture
+def lapack_calls(lstsq_log):
+    """``(windows, window length, order)`` of every LAPACK call."""
+    return lstsq_log[1]
 
 
 class TestLstsqOnlyOnNonConstantWindows:
@@ -162,20 +179,23 @@ class TestRunCount:
             assert f.predictions() == oracle.predictions(), split
             assert f.errors() == oracle.errors(), split
 
-    def test_run_longer_than_the_window_then_broken(self, lstsq_calls):
+    def test_run_longer_than_the_window_then_broken(self, lstsq_calls,
+                                                    lapack_calls):
         series = [0.5] * (2 * HISTORY_LEN) + [0.2] + [0.5] * 5
         assert_battery_matches(series)
-        del lstsq_calls[:]
+        del lstsq_calls[:], lapack_calls[:]
         f = AdaptiveForecaster()
         for x in series[:2 * HISTORY_LEN]:
             f.update(x)
         assert f.predictions()["ar_2"] == 0.5
-        assert lstsq_calls == []
+        assert lstsq_calls == lapack_calls == []
         for x in series[2 * HISTORY_LEN:]:
             f.update(x)
         f.predict()
-        # the break and the five samples after it each fit both orders
-        assert lstsq_calls == [1, 2] * 6
+        # the break and the five samples after it each fit both orders,
+        # in one batch per order: all six windows are full
+        assert lstsq_calls == [1] * 6 + [2] * 6
+        assert lapack_calls == [(6, HISTORY_LEN, 1), (6, HISTORY_LEN, 2)]
 
     def test_nan_never_extends_a_run(self):
         f = AdaptiveForecaster()
@@ -190,16 +210,34 @@ class TestRunCount:
 
 
 class TestLstsqCountPerWorkload:
-    """The run count skips only scans, never a fit."""
+    """The run count skips only scans, never a fit; the batched replay
+    solves the same windows in far fewer LAPACK calls."""
 
-    def test_fig3_sweep(self, lstsq_calls):
+    def test_fig3_sweep(self, lstsq_calls, lapack_calls):
         run_fig3(seed=0)
         assert len(lstsq_calls) == 1226
+        assert len(lapack_calls) == 228
 
-    def test_metasched_64h_stream(self, lstsq_calls):
+    def test_metasched_64h_stream(self, lstsq_calls, lapack_calls):
         run_metasched(users=16, arrival_rate=1 / 12, duration=12000.0,
                       max_jobs=400, n_hosts=64, cpu_period=60.0, seed=0)
         assert len(lstsq_calls) == 14448
+        assert len(lapack_calls) == 502
+
+
+def test_lapack_lstsq_gufunc_is_where_the_forecaster_expects_it():
+    """The battery calls numpy's private least-squares gufunc directly;
+    a numpy that moves or reshapes it must fail here, by name."""
+    where = ("repro.nws.forecasting batches its AR fits through "
+             "numpy.linalg._umath_linalg.lstsq")
+    from numpy.linalg import _umath_linalg
+    gufunc = getattr(_umath_linalg, "lstsq", None)
+    assert gufunc is not None, f"{where}, which this numpy lacks"
+    assert gufunc.signature == "(m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p)", (
+        f"{where}, whose signature is now {gufunc.signature}")
+    assert "ddd->ddid" in gufunc.types, (
+        f"{where}, which no longer has the ddd->ddid loop: {gufunc.types}")
+    assert forecasting._lstsq is gufunc, where
 
 
 def noise_series(n, seed, on_alphabet):
@@ -356,3 +394,120 @@ class TestRecordedSeries:
                             and preds[name] != preds[best]:
                         ties.add((best, name))
         assert ("last", "ar_1") in ties
+
+
+def lone_fit(series, p):
+    """AR(p) one-step prediction from one window, by ``np.linalg.lstsq``
+    on that window alone (the battery's fit before batching)."""
+    m = len(series) - p
+    design = np.ones((m + 1, p + 1))
+    for j in range(p):
+        design[:, j] = series[j:j + m + 1]
+    coef = np.linalg.lstsq(design[:m], series[p:], rcond=None)[0]
+    return float(design[m] @ coef)
+
+
+class TestBatchedFits:
+    def test_recorded_windows_solved_as_one_batch_match_lone_fits(
+            self, recorded_series):
+        """Every AR window the recorded fig3 and metasched series fit,
+        solved in one LAPACK call per shape across all of them, is
+        ``==`` to its own ``np.linalg.lstsq``."""
+        windows = {}
+        real = forecasting._ar_predictions
+
+        def recording(batch, p):
+            windows.setdefault((batch.shape[1], p), []).extend(batch)
+            return real(batch, p)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forecasting, "_ar_predictions", recording)
+            for log in recorded_series:
+                f = AdaptiveForecaster()
+                for x in log:
+                    if x is None:
+                        f.predict()
+                    else:
+                        f.update(x)
+                f.predict()
+        assert sum(map(len, windows.values())) > 2000
+        assert len(windows) > 20
+        for (k, p), rows in windows.items():
+            batch = forecasting._ar_predictions(np.array(rows), p)
+            assert batch == [lone_fit(row, p) for row in rows], (k, p)
+
+
+def fed(prefix, pending):
+    """A forecaster that read after ``prefix`` and holds ``pending``."""
+    f = AdaptiveForecaster()
+    for x in prefix:
+        f.update(x)
+    f.predict()
+    for x in pending:
+        f.update(x)
+    return f
+
+
+#: (prefix, pending) per forecaster: pending lengths 0, 1, many and
+#: past the cap, warm-up and full windows, constant runs and fits
+BATCH_MIX = (
+    ([], []),
+    ([], [0.5]),
+    ([0.2, 0.5], [1.0]),
+    ([], noise_series(12, 1, False)),
+    ([], noise_series(HISTORY_LEN - 1, 2, False)),
+    (noise_series(3, 3, True), noise_series(40, 4, True)),
+    (noise_series(50, 5, False), []),
+    (noise_series(50, 6, False), [0.25]),
+    (noise_series(50, 7, False), noise_series(90, 8, False)),
+    ([], noise_series(_PENDING_CAP + 37, 9, False)),
+    (noise_series(45, 10, True), noise_series(2 * _PENDING_CAP + 5, 11,
+                                              True)),
+    ([0.5] * 40, [0.5] * 35),
+    ([0.5] * 40, [0.5] * 10 + [0.2] + [0.5] * 40),
+    ([], [1.0] * 8 + noise_series(30, 12, False) + [0.0] * 45),
+)
+
+
+class TestBatchedReplay:
+    """Replaying forecasters together leaves each one exactly as its
+    own replay would."""
+
+    @staticmethod
+    def assert_batch_matches_solo(mix, lapack_calls=None):
+        together = [fed(prefix, pending) for prefix, pending in mix]
+        alone = [fed(prefix, pending) for prefix, pending in mix]
+        if lapack_calls is not None:
+            del lapack_calls[:]
+        forecasting.replay(together)
+        if lapack_calls is not None:
+            # one LAPACK call per (window length, order) shape
+            shapes = [(k, p) for _n, k, p in lapack_calls]
+            assert len(shapes) == len(set(shapes))
+        for i, (a, b) in enumerate(zip(together, alone)):
+            assert a._pending == [], i
+            b.predict()
+            assert state_bits(a) == state_bits(b), i
+            assert (a.n_samples, a.history(), a._run) == (
+                b.n_samples, b.history(), b._run), i
+
+    def test_mixed_pending_lengths_and_windows(self, lapack_calls):
+        self.assert_batch_matches_solo(BATCH_MIX, lapack_calls)
+        # the batch held warm-up and full windows, several per call
+        assert {k for _n, k, _p in lapack_calls} > {4, 5, HISTORY_LEN}
+        assert max(n for n, _k, _p in lapack_calls) > len(BATCH_MIX)
+
+    def test_order_and_repeats_do_not_matter(self):
+        mix = BATCH_MIX[::-1] + BATCH_MIX[5:8]
+        self.assert_batch_matches_solo(mix)
+        f = fed([], noise_series(70, 13, False))
+        g = fed([], noise_series(70, 13, False))
+        forecasting.replay([f, f, f])
+        g.predict()
+        assert state_bits(f) == state_bits(g)
+
+    @settings(max_examples=25, deadline=None)
+    @given(mix=st.lists(st.tuples(long_series, long_series), max_size=5))
+    def test_drawn_mixes(self, mix):
+        self.assert_batch_matches_solo(mix)
+

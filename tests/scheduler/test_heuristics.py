@@ -196,6 +196,54 @@ class TestRankMatrixForecastReads:
         self.assert_cells_match(matrix, nws, {})
 
 
+    def test_batched_replay_keeps_probes_and_cells(self, monkeypatch):
+        """The one-batch replay before the walk probes nothing: with
+        half the hosts holding samples (warm-up and fitted windows) and
+        half holding none, the probes, their order and every cell are
+        those of the lazy per-host reads alone."""
+        from repro.nws.forecasting import AdaptiveForecaster
+
+        def build(batched):
+            sim, grid, gis, nws = env()
+            records = gis.resources()
+            for n, record in enumerate(records[::2]):
+                forecast = nws.cpu_forecaster(record.name)
+                for t in range(3 + 9 * n):
+                    forecast.update(0.3 + 0.5 * ((t * (n + 3)) % 7) / 7)
+            feeds = []
+            owner = {id(f): name for name, f in nws._cpu_forecasts.items()}
+            update = AdaptiveForecaster.update
+
+            def logged(self, value):
+                feeds.append((owner[id(self)], value))
+                update(self, value)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(AdaptiveForecaster, "update", logged)
+                if not batched:
+                    patch.setattr(NetworkWeatherService, "replay_cpu",
+                                  lambda self, names: None)
+                matrix = build_rank_matrix(
+                    self.mixed_workflow(), gis, nws,
+                    data_sources={"big": ["utk.n0"]},
+                    resources=records[1::2] + records[::2])
+            states = [(f.predictions(), f.errors(), f.best_method())
+                      for f in nws._cpu_forecasts.values()]
+            return feeds, matrix, states
+
+        feeds, matrix, states = build(batched=True)
+        lazy_feeds, lazy_matrix, lazy_states = build(batched=False)
+        # the hosts without data are probed at their first eligible
+        # cell: the UTK ones in "big"'s rows, before the UIUC ones
+        assert feeds == lazy_feeds
+        assert [name for name, _ in feeds] == [
+            "utk.n1", "utk.n3", "uiuc.n1", "uiuc.n3", "uiuc.n5", "uiuc.n7"]
+        for cells in ("values", "ecosts", "dcosts"):
+            assert np.array_equal(getattr(matrix, cells),
+                                  getattr(lazy_matrix, cells)), cells
+        assert repr(states) == repr(lazy_states)
+
+
 class TestHeuristics:
     @pytest.mark.parametrize("heuristic", [min_min, max_min, sufferage,
                                            fifo_schedule, heft_schedule])
