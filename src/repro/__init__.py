@@ -12,8 +12,8 @@ Subpackages
 ``repro.nws``          network weather service (sensors + forecasting)
 ``repro.perfmodel``    flop-count fitting and memory-reuse-distance models
 ``repro.mpi``          simulated MPI runtime with process swapping
-``repro.cop``          configurable object programs and mappers
-``repro.binder``       distributed binder and launcher
+``repro.cop``          configurable object programs (what the binder ships)
+``repro.binder``       distributed binder
 ``repro.scheduler``    workflow DAGs, rank matrices, heuristics, executor
 ``repro.contracts``    Autopilot, fuzzy logic, performance contracts
 ``repro.ibp``          network storage depots

@@ -14,10 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..apps.qr import QrBenchmark, QrRun
 from ..binder.binder import BINDER_PACKAGE, BindReport, DistributedBinder
-from ..binder.launcher import Launcher
 from ..cop.cop import CompilationPackage, ConfigurableObjectProgram
-from ..cop.mapper import FastestSubsetMapper
-from ..perfmodel.model import AnalyticComponentModel
 from ..scheduler.executor import ExecutionTrace, WorkflowExecutor
 from ..scheduler.scheduler import GradsWorkflowScheduler, SchedulingResult
 from ..scheduler.workflow import Workflow
@@ -37,7 +34,6 @@ __all__ = ["GradsEnvironment", "DEFAULT_PACKAGES", "WorkflowRun"]
 
 #: software preinstalled across the testbeds (as on the real MacroGrid)
 DEFAULT_PACKAGES = (BINDER_PACKAGE, "mpi", "scalapack", "eman", "autopilot")
-
 
 @dataclass
 class WorkflowRun:
@@ -78,16 +74,12 @@ class GradsEnvironment:
         self.binder = DistributedBinder(sim, grid.topology, self.gis,
                                         self.software,
                                         package_source=self.submission_host)
-        self.launcher = Launcher(sim, grid.topology, self.gis)
 
     # -- managed QR (the §4.1 pipeline) -----------------------------------------
     def managed_qr(self, benchmark: QrBenchmark,
                    initial_hosts: Sequence[str],
                    rescheduler_mode: str = "default",
                    worst_case_migration_seconds: Optional[float] = 900.0,
-                   contract_upper: float = 1.5,
-                   contract_lower: float = 0.5,
-                   monitor_window: int = 3,
                    checkpoint_every: Optional[int] = None,
                    stable_storage: bool = False,
                    max_restart_attempts: int = 8,
@@ -109,10 +101,10 @@ class GradsEnvironment:
                   if stable_storage else None)
         srs = SRSLibrary(self.sim, self.grid.topology, rss,
                          stable_host=stable)
-        contract = PerformanceContract(
-            predicted_fn=lambda step: 1.0,  # renegotiated at launch
-            upper=contract_upper, lower=contract_lower)
-        monitor = ContractMonitor(self.sim, contract, window=monitor_window)
+        # The prediction is renegotiated at launch; the contract keeps
+        # its default 1.5/0.5 limits and the monitor averages 3 steps.
+        contract = PerformanceContract(predicted_fn=lambda step: 1.0)
+        monitor = ContractMonitor(self.sim, contract, window=3)
         run = QrRun(self.sim, self.grid, self.gis, self.nws, self.binder,
                     rss, srs, benchmark, initial_hosts, monitor=monitor,
                     checkpoint_every=checkpoint_every,
@@ -149,14 +141,8 @@ class GradsEnvironment:
                             for p in result.best.placements.values()})
             cop = ConfigurableObjectProgram(
                 name=workflow.name,
-                body_factory=lambda *_a: None,
-                mapper=FastestSubsetMapper(),
-                model=AnalyticComponentModel(
-                    mflop_fn=lambda _n: workflow.total_mflop()),
                 package=CompilationPackage(
                     required_packages=tuple(required_packages)),
-                n_procs=len(hosts),
-                is_mpi=False,
             )
             bind_report = yield self.binder.bind(cop, hosts)
             trace = yield executor.execute(workflow, result.best)

@@ -19,17 +19,14 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..binder.binder import DistributedBinder
-from ..binder.launcher import MPI_STARTUP_SECONDS
+from ..binder.binder import MPI_STARTUP_SECONDS, DistributedBinder
 from ..cop.cop import CompilationPackage, ConfigurableObjectProgram
-from ..cop.mapper import ClusterMapper
 from ..contracts.monitor import ContractMonitor
 from ..gis.directory import GridInformationService
 from ..microgrid.dml import Grid
 from ..microgrid.host import HostFailure
 from ..mpi.comm import MpiContext, MpiJob
 from ..nws.service import NetworkWeatherService
-from ..perfmodel.model import AnalyticComponentModel
 from ..rescheduling.rescheduler import MigratableApp
 from ..rescheduling.rss import RuntimeSupportSystem
 from ..rescheduling.srs import RegisteredData, SRSLibrary
@@ -41,7 +38,6 @@ from .kernels import (
     qr_panel_bytes,
     qr_step_mflop,
     qr_steps,
-    qr_total_mflop,
 )
 
 __all__ = ["QrBenchmark", "QrRun", "qr_cop", "PERF_MODELING_SECONDS",
@@ -87,22 +83,13 @@ class QrBenchmark:
         ]
 
 
-def qr_cop(benchmark: QrBenchmark, n_procs: int = 4
-           ) -> ConfigurableObjectProgram:
-    """Package the benchmark as a COP."""
-    model = AnalyticComponentModel(
-        mflop_fn=lambda n: qr_total_mflop(n),
-        input_fn=lambda n: qr_matrix_bytes(int(n)),
-        output_fn=lambda n: qr_matrix_bytes(int(n)),
-        memory_fn=lambda n: 3.0 * n * n * BYTES_PER_ELEMENT / max(n_procs, 1),
-    )
+def qr_cop(benchmark: QrBenchmark) -> ConfigurableObjectProgram:
+    """Package the benchmark as a COP for the binder.  Its code, mapper
+    and performance model are :class:`QrRun`'s ``make_body``,
+    ``propose_hosts`` and ``predicted_remaining_seconds``."""
     return ConfigurableObjectProgram(
         name=f"scalapack-qr-{benchmark.n}",
-        body_factory=lambda run: run.make_body(),
-        mapper=ClusterMapper(),
-        model=model,
         package=CompilationPackage(required_packages=("scalapack", "mpi")),
-        n_procs=n_procs,
     )
 
 
@@ -147,7 +134,7 @@ class QrRun(MigratableApp):
         self.name = f"qr-{benchmark.n}"
         self.monitor = monitor
         self._hosts: List[str] = list(initial_hosts)
-        self._cop = qr_cop(benchmark, n_procs=len(self._hosts))
+        self._cop = qr_cop(benchmark)
         for data in benchmark.registered_data():
             srs.register_data(data)
         self.checkpoint_every = checkpoint_every
@@ -176,8 +163,8 @@ class QrRun(MigratableApp):
         return list(self._hosts)
 
     def propose_hosts(self, exclude: Sequence[str] = ()) -> List[str]:
-        """Best whole cluster by predicted remaining time (the COP's
-        mapper specialized to the app's own cost model)."""
+        """Best whole cluster by predicted remaining time: the QR COP's
+        mapper, ranking clusters with the app's own cost model."""
         banned = set(exclude)
         best_hosts: Optional[List[str]] = None
         best_seconds = math.inf
@@ -456,7 +443,7 @@ class QrRun(MigratableApp):
                               seconds=wait, attempt=attempt)
             yield self.sim.timeout(wait)
         # Pick restart resources, waiting out total outages: when every
-        # candidate cluster is down the mapper raises, and we retry on
+        # candidate cluster is down propose_hosts raises, and we retry on
         # the same bounded/backed-off budget until something recovers.
         while True:
             dead = [name for name in self._hosts

@@ -1,21 +1,19 @@
-"""Distributed binder and launcher (paper §2)."""
+"""Distributed binder (paper §2)."""
 
 from .binder import (
     BINDER_PACKAGE,
+    MPI_STARTUP_SECONDS,
     SENSOR_INSTRUMENT_SECONDS,
     BinderError,
     BindReport,
     DistributedBinder,
 )
-from .launcher import MPI_STARTUP_SECONDS, Launcher, LaunchHandle
 
 __all__ = [
     "BINDER_PACKAGE",
     "BinderError",
     "BindReport",
     "DistributedBinder",
-    "Launcher",
-    "LaunchHandle",
     "MPI_STARTUP_SECONDS",
     "SENSOR_INSTRUMENT_SECONDS",
 ]

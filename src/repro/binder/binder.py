@@ -12,6 +12,14 @@ IA-64) resource sets work.
 Everything here costs real simulated time: the compilation package is
 transferred over the network, and configuring/compiling consume target
 CPU, so binding a loaded or slow node is visibly slower — as it was.
+
+The binder does not start the program.  "If the application is an MPI
+application, then a global synchronization must be carried out ...
+the binder returns control to the application manager which launches
+the application after synchronization" (§2): the application's own
+manager (:class:`~repro.apps.qr.QrRun`) waits
+:data:`MPI_STARTUP_SECONDS` after a bind and then starts its
+:class:`~repro.mpi.comm.MpiJob`.
 """
 
 from __future__ import annotations
@@ -28,13 +36,17 @@ from ..sim.kernel import Simulator
 from ..cop.cop import ConfigurableObjectProgram
 
 __all__ = ["BinderError", "BindReport", "DistributedBinder",
-           "BINDER_PACKAGE", "SENSOR_INSTRUMENT_SECONDS"]
+           "BINDER_PACKAGE", "MPI_STARTUP_SECONDS",
+           "SENSOR_INSTRUMENT_SECONDS"]
 
 #: package name the local binder code is registered under in GIS
 BINDER_PACKAGE = "grads-binder"
 
 #: fixed cost of inserting Autopilot sensors into one component
 SENSOR_INSTRUMENT_SECONDS = 0.5
+
+#: cost of the MPI global synchronization between bind and launch
+MPI_STARTUP_SECONDS = 1.0
 
 
 class BinderError(RuntimeError):

@@ -1,13 +1,8 @@
-"""Configurable Object Programs: application + mapper + performance model."""
+"""Configurable Object Programs: what the binder ships to each target."""
 
 from .cop import CompilationPackage, ConfigurableObjectProgram
-from .mapper import ClusterMapper, FastestSubsetMapper, Mapper, MapperError
 
 __all__ = [
-    "ClusterMapper",
     "CompilationPackage",
     "ConfigurableObjectProgram",
-    "FastestSubsetMapper",
-    "Mapper",
-    "MapperError",
 ]

@@ -7,20 +7,19 @@ MPI program), a mapper that determines how to map an application's
 tasks to a set of resources, and an executable performance model that
 estimates the application's performance on a set of resources." (§1)
 
-Here the "code" is a rank-body factory (a generator function over
-:class:`~repro.mpi.comm.MpiContext`), packaged together with the mapper,
-the performance model, the software the binder must locate, and the
-compilation package the binder ships to each target.
+Here a COP is what the distributed binder ships: the program's name and
+its compilation package (the IR, the software the binder must locate
+and the configure/compile costs).  The application's code, mapper and
+performance model live with the application itself — for the QR
+benchmark, :meth:`~repro.apps.qr.QrRun.make_body`,
+:meth:`~repro.apps.qr.QrRun.propose_hosts` and
+:meth:`~repro.apps.qr.QrRun.predicted_remaining_seconds`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
-
-from ..microgrid.host import Architecture
-from ..perfmodel.model import ComponentModel
-from .mapper import Mapper
+from typing import Tuple
 
 __all__ = ["CompilationPackage", "ConfigurableObjectProgram"]
 
@@ -39,25 +38,7 @@ class CompilationPackage:
 
 @dataclass
 class ConfigurableObjectProgram:
-    """An application ready for GrADS execution."""
+    """An application ready for GrADS binding."""
 
     name: str
-    #: ``body_factory(problem_size, extras...)`` -> rank body generator fn
-    body_factory: Callable
-    mapper: Mapper
-    model: ComponentModel
     package: CompilationPackage = field(default_factory=CompilationPackage)
-    #: how many processes the program wants (None = mapper's choice)
-    n_procs: int = 1
-    is_mpi: bool = True
-
-    def predicted_seconds(self, n: float, arch: Architecture,
-                          availability: float = 1.0,
-                          n_procs: Optional[int] = None) -> float:
-        """Model estimate of execution time on ``n_procs`` nodes of
-        ``arch``; ideal parallel efficiency is the model's baseline and
-        per-application models override this when they know better."""
-        procs = n_procs if n_procs is not None else self.n_procs
-        if procs < 1:
-            raise ValueError("n_procs must be >= 1")
-        return self.model.cpu_seconds(n, arch, availability) / procs

@@ -61,9 +61,8 @@ def run_eman_demo(params: Optional[EmanParameters] = None,
                   classalign_tasks: int = 16,
                   seed: int = 0,
                   n_random: int = 5,
-                  execute: bool = True,
                   tracer=None) -> EmanResult:
-    """Schedule (all policies) and optionally execute the best mapping."""
+    """Schedule (all policies) and execute the best mapping."""
     params = params if params is not None else EmanParameters()
     sim = Simulator()
     if tracer is not None:
@@ -95,14 +94,13 @@ def run_eman_demo(params: Optional[EmanParameters] = None,
     result.estimated["random(mean)"] = (sum(random_spans)
                                         / max(len(random_spans), 1))
 
-    if execute:
-        executor = WorkflowExecutor(sim, grid.topology, gis)
-        trace_event = executor.execute(workflow, grads_result.best)
-        sim.run(stop_event=trace_event)
-        trace = trace_event.value
-        result.measured_makespan = trace.makespan
-        used = {t.resource for t in trace.tasks.values()}
-        result.resources_used = len(used)
-        result.isas_used = sorted({gis.lookup(name).isa
-                                   for name in sorted(used)})
+    executor = WorkflowExecutor(sim, grid.topology, gis)
+    trace_event = executor.execute(workflow, grads_result.best)
+    sim.run(stop_event=trace_event)
+    trace = trace_event.value
+    result.measured_makespan = trace.makespan
+    used = {t.resource for t in trace.tasks.values()}
+    result.resources_used = len(used)
+    result.isas_used = sorted({gis.lookup(name).isa
+                               for name in sorted(used)})
     return result

@@ -111,6 +111,30 @@ class Fig3Result:
                   f"{WORST_CASE_SECONDS:.0f} s)")
 
 
+def _run_qr(n: int, nb: int, mode: str, rescheduler_mode: str,
+            worst_case_seconds: Optional[float], load_at: float,
+            load_procs: int, seed: int, tracer):
+    """One managed QR run on a fresh Figure 3 testbed, loaded at
+    ``load_at``; returns ``(sim, run, rescheduler)`` once it finished."""
+    sim = Simulator()
+    if tracer is not None:
+        tracer.bind(sim)
+        tracer.instant("meta", "run", experiment="fig3", n=n, mode=mode,
+                       seed=seed)
+    grid = fig3_testbed(sim)
+    env = GradsEnvironment(sim, grid, submission_host="utk.n0")
+    run, _monitor, rescheduler = env.managed_qr(
+        QrBenchmark(n=n, nb=nb),
+        initial_hosts=grid.clusters["utk"].host_names(),
+        rescheduler_mode=rescheduler_mode,
+        worst_case_migration_seconds=worst_case_seconds)
+    ScheduledLoad(host=grid.clusters["utk"][0], at=load_at,
+                  nprocs=load_procs).install(sim)
+    finished = run.start()
+    sim.run(stop_event=finished)
+    return sim, run, rescheduler
+
+
 def run_fig3_point(n: int, mode: str, nb: int = 200,
                    load_at: float = LOAD_AT_SECONDS,
                    load_procs: int = LOAD_PROCS,
@@ -124,24 +148,10 @@ def run_fig3_point(n: int, mode: str, nb: int = 200,
     """
     if mode not in ("no-reschedule", "reschedule"):
         raise ValueError(f"unknown mode {mode!r}")
-    sim = Simulator()
-    if tracer is not None:
-        tracer.bind(sim)
-        tracer.instant("meta", "run", experiment="fig3", n=n, mode=mode,
-                       seed=seed)
-    grid = fig3_testbed(sim)
-    env = GradsEnvironment(sim, grid, submission_host="utk.n0")
-    benchmark = QrBenchmark(n=n, nb=nb)
-    run, monitor, rescheduler = env.managed_qr(
-        benchmark,
-        initial_hosts=grid.clusters["utk"].host_names(),
-        rescheduler_mode=("force-stay" if mode == "no-reschedule"
-                          else "force-migrate"),
-        worst_case_migration_seconds=None)
-    ScheduledLoad(host=grid.clusters["utk"][0], at=load_at,
-                  nprocs=load_procs).install(sim)
-    finished = run.start()
-    sim.run(stop_event=finished)
+    sim, run, _rescheduler = _run_qr(
+        n, nb, mode,
+        "force-stay" if mode == "no-reschedule" else "force-migrate",
+        None, load_at, load_procs, seed, tracer)
     return Fig3Point(n=n, mode=mode, total_seconds=sim.now,
                      phases=dict(run.timings), migrations=run.migrations)
 
@@ -152,23 +162,9 @@ def _default_decision(n: int, nb: int, stay: Fig3Point, move: Fig3Point,
                       tracer=None) -> dict:
     """Replay the default-mode rescheduler and score its decision
     against the measured forced-mode outcomes."""
-    sim = Simulator()
-    if tracer is not None:
-        tracer.bind(sim)
-        tracer.instant("meta", "run", experiment="fig3", n=n, mode="default",
-                       seed=seed)
-    grid = fig3_testbed(sim)
-    env = GradsEnvironment(sim, grid, submission_host="utk.n0")
-    benchmark = QrBenchmark(n=n, nb=nb)
-    run, monitor, rescheduler = env.managed_qr(
-        benchmark,
-        initial_hosts=grid.clusters["utk"].host_names(),
-        rescheduler_mode="default",
-        worst_case_migration_seconds=WORST_CASE_SECONDS)
-    ScheduledLoad(host=grid.clusters["utk"][0], at=load_at,
-                  nprocs=load_procs).install(sim)
-    finished = run.start()
-    sim.run(stop_event=finished)
+    _sim, run, rescheduler = _run_qr(n, nb, "default", "default",
+                                     WORST_CASE_SECONDS, load_at,
+                                     load_procs, seed, tracer)
     migrate = run.migrations > 0
     if rescheduler.decisions:
         ev = rescheduler.decisions[0].evaluation

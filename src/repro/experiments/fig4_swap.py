@@ -69,7 +69,6 @@ def run_fig4(n_bodies: int = 9000, n_iterations: int = 120,
              policy: str = "gang", with_swapping: bool = True,
              load_at: float = LOAD_AT_SECONDS,
              load_procs: int = LOAD_PROCS,
-             swap_period: float = 10.0,
              improvement: float = 1.1,
              seed: int = 0,
              tracer=None) -> Fig4Result:
@@ -98,7 +97,6 @@ def run_fig4(n_bodies: int = 9000, n_iterations: int = 120,
                   nprocs=load_procs).install(sim)
     if with_swapping:
         rescheduler = SwapRescheduler(sim, app.job, nws, policy=policy,
-                                      period=swap_period,
                                       improvement=improvement)
         rescheduler.start()
     done = app.launch()

@@ -80,7 +80,6 @@ class SoakReport:
 def run_soak(seed: int = 0, scenarios: Optional[int] = None,
              minutes: Optional[float] = None,
              shrink_dir: Optional[str] = None,
-             progress=None,
              sampler: Callable[[int, int], ScenarioSpec] = sample_scenario,
              ) -> SoakReport:
     """Run a soak sweep of ``sampler(seed, index)`` scenarios.
@@ -101,8 +100,6 @@ def run_soak(seed: int = 0, scenarios: Optional[int] = None,
         spec = sampler(seed, index)
         result = run_with_checks(spec)
         report.results.append(result)
-        if progress is not None:
-            progress(index, result)
         if result["violations"] and shrink_dir is not None:
             os.makedirs(shrink_dir, exist_ok=True)
             shrunk = shrink_scenario(spec)

@@ -15,7 +15,8 @@ joined and, at each tick, feeds every forecaster its host's
 reading is handed straight to ``AdaptiveForecaster.update``; nothing
 else keeps it.  Network sensors stay one process per pair, because each
 probe is a real flow that takes time and shares links with other
-traffic.
+traffic; each probe's bandwidth goes straight to the pair's forecaster
+the same way.
 
 The sweep is bit-exact with one process per host started back-to-back
 (the model the tests keep as an oracle).  Such processes' start-up
@@ -30,23 +31,15 @@ adding ``period`` to the current time.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, NamedTuple, Tuple
+from typing import List, Tuple
 
 from ..microgrid.host import Host
 from ..microgrid.network import Topology
 from ..sim.events import Timeout
 from ..sim.kernel import Simulator
-from .forecasting import HISTORY_LEN, AdaptiveForecaster
+from .forecasting import AdaptiveForecaster
 
-__all__ = ["Measurement", "CpuSensorSweep", "NetworkSensor"]
-
-
-class Measurement(NamedTuple):
-    """One timestamped network sensor reading (an immutable named tuple)."""
-
-    time: float
-    value: float
+__all__ = ["CpuSensorSweep", "NetworkSensor"]
 
 
 class CpuSensorSweep:
@@ -89,15 +82,17 @@ class CpuSensorSweep:
 
 
 class NetworkSensor:
-    """Probes achievable bandwidth and latency between two endpoints.
+    """Probes achievable bandwidth between two endpoints.
 
     Each probe pushes ``probe_bytes`` through the real flow simulation
     and derives bandwidth from the measured time minus the path latency
-    — the same experiment NWS's 64 KB TCP probes run.
+    — the same experiment NWS's 64 KB TCP probes run — then calls
+    ``forecaster.update(bandwidth)``.
     """
 
     def __init__(self, sim: Simulator, topology: Topology, src: str, dst: str,
-                 period: float = 30.0, probe_bytes: float = 64 * 1024) -> None:
+                 forecaster: AdaptiveForecaster, period: float = 30.0,
+                 probe_bytes: float = 64 * 1024) -> None:
         if period <= 0:
             raise ValueError("sensor period must be positive")
         if probe_bytes <= 0:
@@ -108,17 +103,8 @@ class NetworkSensor:
         self.dst = dst
         self.period = period
         self.probe_bytes = probe_bytes
-        #: the last HISTORY_LEN readings of each kind
-        self.bandwidth_readings: Deque[Measurement] = deque(
-            maxlen=HISTORY_LEN)
-        self.latency_readings: Deque[Measurement] = deque(maxlen=HISTORY_LEN)
-        self._listeners: list = []
+        self.forecaster = forecaster
         sim.process(self._run(), name=f"netsensor:{src}->{dst}")
-
-    def on_reading(self, callback) -> None:
-        """Register ``callback(kind, measurement)``; kind is 'bandwidth'
-        or 'latency'."""
-        self._listeners.append(callback)
 
     def _run(self):
         while True:
@@ -127,12 +113,4 @@ class NetworkSensor:
             elapsed = yield self.topology.transfer(
                 self.src, self.dst, self.probe_bytes, tag="nws-probe")
             stream_time = max(elapsed - latency, 1e-9)
-            bandwidth = self.probe_bytes / stream_time
-            now = self.sim.now
-            bw_reading = Measurement(now, bandwidth)
-            lat_reading = Measurement(now, latency)
-            self.bandwidth_readings.append(bw_reading)
-            self.latency_readings.append(lat_reading)
-            for listener in self._listeners:
-                listener("bandwidth", bw_reading)
-                listener("latency", lat_reading)
+            self.forecaster.update(self.probe_bytes / stream_time)

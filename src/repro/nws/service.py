@@ -44,7 +44,6 @@ class NetworkWeatherService:
         self.grid = grid
         self.topology: Topology = grid.topology
         self._cpu_forecasts: Dict[str, AdaptiveForecaster] = {}
-        self._net_sensors: Dict[Tuple[str, str], NetworkSensor] = {}
         self._bw_forecasts: Dict[Tuple[str, str], AdaptiveForecaster] = {}
         self._site_rep: Dict[str, str] = {}
 
@@ -69,17 +68,12 @@ class NetworkWeatherService:
         for i, a in enumerate(sites):
             for b in sites[i + 1:]:
                 for src_site, dst_site in ((a, b), (b, a)):
-                    key = (src_site, dst_site)
-                    sensor = NetworkSensor(
-                        self.sim, self.topology,
-                        self._site_rep[src_site], self._site_rep[dst_site],
-                        period=period)
                     forecast = AdaptiveForecaster()
-                    sensor.on_reading(
-                        lambda kind, m, f=forecast:
-                        f.update(m.value) if kind == "bandwidth" else None)
-                    self._net_sensors[key] = sensor
-                    self._bw_forecasts[key] = forecast
+                    NetworkSensor(self.sim, self.topology,
+                                  self._site_rep[src_site],
+                                  self._site_rep[dst_site], forecast,
+                                  period=period)
+                    self._bw_forecasts[(src_site, dst_site)] = forecast
 
     # -- forecasts ---------------------------------------------------------------
     def cpu_forecast(self, host_name: str) -> float:

@@ -52,7 +52,8 @@ class MigratableApp:
         raise NotImplementedError
 
     def propose_hosts(self, exclude: Sequence[str] = ()) -> List[str]:
-        """A candidate new resource set (via the COP's mapper)."""
+        """A candidate new resource set: the application's own mapper
+        (for QR, the best whole cluster by its performance model)."""
         raise NotImplementedError
 
     def predicted_remaining_seconds(self, host_names: Sequence[str]) -> float:
@@ -179,7 +180,7 @@ class Rescheduler:
     # -- evaluation ------------------------------------------------------------
     def evaluate(self, app: MigratableApp) -> Optional[MigrationEvaluation]:
         """Cost/benefit of moving ``app`` now; None if no candidate set
-        exists (mapper found nothing)."""
+        exists (``propose_hosts`` found nothing)."""
         current = list(app.current_hosts())
         try:
             new_hosts = app.propose_hosts(

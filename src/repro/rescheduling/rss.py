@@ -8,6 +8,10 @@ machine where the user invokes the GrADS application manager.  The
 actual application, through the SRS, interacts with RSS to perform some
 initialization, to check if the application needs to be checkpointed
 and stopped, and to store and retrieve checkpointed data." (§4.1.1)
+
+Here the application manager plays the launcher's part:
+:meth:`~repro.appmanager.manager.GradsEnvironment.managed_qr` starts
+the RSS on the submission host before the run is started.
 """
 
 from __future__ import annotations

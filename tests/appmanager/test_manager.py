@@ -64,17 +64,6 @@ class TestEnvironmentAssembly:
         assert monitor.rescheduler is not None
         assert rescheduler._apps == [run]
 
-    def test_managed_qr_contract_limits_passed(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        env = GradsEnvironment(sim, grid)
-        run, monitor, _ = env.managed_qr(
-            QrBenchmark(n=1000), initial_hosts=["utk.n0", "utk.n1"],
-            contract_upper=2.0, contract_lower=0.25, monitor_window=7)
-        assert monitor.upper == 2.0
-        assert monitor.lower == 0.25
-        assert monitor.window == 7
-
     def test_stable_storage_targets_submission_host(self):
         sim = Simulator()
         grid = fig3_testbed(sim)

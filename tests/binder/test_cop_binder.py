@@ -1,26 +1,12 @@
-"""Tests for COPs, mappers, the distributed binder and the launcher."""
+"""Tests for COPs and the distributed binder."""
 
 import pytest
 
 from repro.sim import Simulator
 from repro.microgrid import fig3_testbed, heterogeneous_testbed
 from repro.gis import GridInformationService, SoftwarePackage, SoftwareRegistry
-from repro.nws import NetworkWeatherService
-from repro.perfmodel import AnalyticComponentModel
-from repro.cop import (
-    ClusterMapper,
-    CompilationPackage,
-    ConfigurableObjectProgram,
-    FastestSubsetMapper,
-    MapperError,
-)
-from repro.binder import (
-    BINDER_PACKAGE,
-    BinderError,
-    DistributedBinder,
-    Launcher,
-    MPI_STARTUP_SECONDS,
-)
+from repro.cop import CompilationPackage, ConfigurableObjectProgram
+from repro.binder import BINDER_PACKAGE, BinderError, DistributedBinder
 
 
 def build_env(grid_fn=fig3_testbed, packages=("scalapack",)):
@@ -28,89 +14,24 @@ def build_env(grid_fn=fig3_testbed, packages=("scalapack",)):
     grid = grid_fn(sim)
     gis = GridInformationService()
     gis.register_grid(grid)
-    nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
     software = SoftwareRegistry()
     names = [h.name for h in grid.all_hosts()]
     software.install_everywhere(SoftwarePackage(name=BINDER_PACKAGE), names)
     for pkg in packages:
         software.install_everywhere(SoftwarePackage(name=pkg), names)
-    return sim, grid, gis, nws, software
+    return sim, grid, gis, software
 
 
-def simple_cop(n_procs=4, required=("scalapack",)):
-    model = AnalyticComponentModel(mflop_fn=lambda n: n ** 2 / 1e6)
+def simple_cop(required=("scalapack",)):
     return ConfigurableObjectProgram(
         name="demo",
-        body_factory=lambda n: None,
-        mapper=FastestSubsetMapper(),
-        model=model,
         package=CompilationPackage(required_packages=tuple(required)),
-        n_procs=n_procs,
     )
-
-
-class TestMappers:
-    def test_fastest_subset_prefers_fast_cluster(self):
-        sim, grid, gis, nws, software = build_env()
-        hosts = FastestSubsetMapper().map(gis, nws, 4)
-        assert all(name.startswith("utk.") for name in hosts)
-
-    def test_fastest_subset_respects_load(self):
-        sim, grid, gis, nws, software = build_env()
-        # Heavy load on every UTK node makes UIUC the better choice.
-        for host in grid.clusters["utk"]:
-            host.add_background_load(8)
-        hosts = FastestSubsetMapper().map(gis, nws, 4)
-        assert all(name.startswith("uiuc.") for name in hosts)
-
-    def test_fastest_subset_excludes(self):
-        sim, grid, gis, nws, software = build_env()
-        exclude = [h.name for h in grid.clusters["utk"]]
-        hosts = FastestSubsetMapper().map(gis, nws, 4, exclude=exclude)
-        assert all(name.startswith("uiuc.") for name in hosts)
-
-    def test_fastest_subset_insufficient_hosts(self):
-        sim, grid, gis, nws, software = build_env()
-        with pytest.raises(MapperError):
-            FastestSubsetMapper().map(gis, nws, 100)
-
-    def test_cluster_mapper_stays_in_one_cluster(self):
-        sim, grid, gis, nws, software = build_env()
-        hosts = ClusterMapper().map(gis, nws, 6)
-        clusters = {name.split(".")[0] for name in hosts}
-        assert len(clusters) == 1
-        assert clusters == {"uiuc"}  # only cluster with >= 6 hosts... no,
-        # utk has 4 hosts so 6 procs must land on uiuc.
-
-    def test_cluster_mapper_prefers_aggregate_speed(self):
-        sim, grid, gis, nws, software = build_env()
-        hosts = ClusterMapper().map(gis, nws, 4)
-        # 4x 373 Mflop/s UTK beats 4x 180 Mflop/s UIUC.
-        assert all(name.startswith("utk.") for name in hosts)
-
-    def test_cluster_mapper_flips_under_load(self):
-        sim, grid, gis, nws, software = build_env()
-        for host in grid.clusters["utk"]:
-            host.add_background_load(8)
-        hosts = ClusterMapper().map(gis, nws, 4)
-        assert all(name.startswith("uiuc.") for name in hosts)
-
-    def test_cluster_mapper_no_feasible_cluster(self):
-        sim, grid, gis, nws, software = build_env()
-        with pytest.raises(MapperError):
-            ClusterMapper().map(gis, nws, 9)
-
-    def test_mapper_validates_n_procs(self):
-        sim, grid, gis, nws, software = build_env()
-        with pytest.raises(MapperError):
-            FastestSubsetMapper().map(gis, nws, 0)
-        with pytest.raises(MapperError):
-            ClusterMapper().map(gis, nws, 0)
 
 
 class TestBinder:
     def test_bind_succeeds_with_software_present(self):
-        sim, grid, gis, nws, software = build_env()
+        sim, grid, gis, software = build_env()
         binder = DistributedBinder(sim, grid.topology, gis, software,
                                    package_source="utk.n0")
         cop = simple_cop()
@@ -121,35 +42,35 @@ class TestBinder:
         assert set(report.per_host_seconds) == {"utk.n0", "utk.n1"}
 
     def test_bind_missing_library_fails_fast(self):
-        sim, grid, gis, nws, software = build_env(packages=())
+        sim, grid, gis, software = build_env(packages=())
         binder = DistributedBinder(sim, grid.topology, gis, software,
                                    package_source="utk.n0")
         with pytest.raises(BinderError, match="scalapack"):
             binder.bind(simple_cop(), ["utk.n0"])
 
     def test_bind_unknown_host_fails(self):
-        sim, grid, gis, nws, software = build_env()
+        sim, grid, gis, software = build_env()
         binder = DistributedBinder(sim, grid.topology, gis, software,
                                    package_source="utk.n0")
         with pytest.raises(BinderError, match="not registered"):
             binder.bind(simple_cop(), ["mars.n0"])
 
     def test_bind_empty_schedule_fails(self):
-        sim, grid, gis, nws, software = build_env()
+        sim, grid, gis, software = build_env()
         binder = DistributedBinder(sim, grid.topology, gis, software,
                                    package_source="utk.n0")
         with pytest.raises(BinderError):
             binder.bind(simple_cop(), [])
 
     def test_bind_slower_on_loaded_node(self):
-        sim, grid, gis, nws, software = build_env()
+        sim, grid, gis, software = build_env()
         binder = DistributedBinder(sim, grid.topology, gis, software,
                                    package_source="utk.n0")
         ev = binder.bind(simple_cop(), ["utk.n1"])
         sim.run(stop_event=ev)
         unloaded = ev.value.per_host_seconds["utk.n1"]
 
-        sim2, grid2, gis2, nws2, software2 = build_env()
+        sim2, grid2, gis2, software2 = build_env()
         grid2.clusters["utk"][1].add_background_load(4)
         binder2 = DistributedBinder(sim2, grid2.topology, gis2, software2,
                                     package_source="utk.n0")
@@ -159,7 +80,7 @@ class TestBinder:
 
     def test_bind_heterogeneous_targets(self):
         """The new binder's whole point: one bind spanning ISAs (§2)."""
-        sim, grid, gis, nws, software = build_env(
+        sim, grid, gis, software = build_env(
             grid_fn=heterogeneous_testbed)
         binder = DistributedBinder(sim, grid.topology, gis, software,
                                    package_source="ia32.n0")
@@ -168,14 +89,14 @@ class TestBinder:
         assert set(ev.value.isas.values()) == {"ia32", "ia64"}
 
     def test_wan_bind_costs_more_than_lan(self):
-        sim, grid, gis, nws, software = build_env()
+        sim, grid, gis, software = build_env()
         binder = DistributedBinder(sim, grid.topology, gis, software,
                                    package_source="utk.n0")
         lan = binder.bind(simple_cop(), ["utk.n1"])
         sim.run(stop_event=lan)
         lan_seconds = lan.value.seconds
 
-        sim2, grid2, gis2, nws2, software2 = build_env()
+        sim2, grid2, gis2, software2 = build_env()
         binder2 = DistributedBinder(sim2, grid2.topology, gis2, software2,
                                     package_source="utk.n0")
         wan = binder2.bind(simple_cop(), ["uiuc.n0"])
@@ -183,58 +104,10 @@ class TestBinder:
         assert wan.value.seconds > lan_seconds
 
 
-class TestLauncher:
-    def test_launch_pays_mpi_sync_and_runs(self):
-        sim, grid, gis, nws, software = build_env()
-        launcher = Launcher(sim, grid.topology, gis)
-        cop = simple_cop(n_procs=2)
-        record = []
-
-        from repro.microgrid import ARCH_PIII_933
-
-        def body(ctx):
-            yield ctx.compute(ARCH_PIII_933.mflops)  # 1 s on a UTK node
-            record.append((ctx.rank, ctx.sim.now))
-
-        ev = launcher.launch(cop, ["utk.n0", "utk.n1"], body)
-        sim.run(stop_event=ev)
-        handle = ev.value
-        sim.run(stop_event=handle.finished)
-        assert handle.started_at == pytest.approx(MPI_STARTUP_SECONDS)
-        assert handle.finished.triggered
-        assert sorted(r for r, _ in record) == [0, 1]
-        assert all(t == pytest.approx(MPI_STARTUP_SECONDS + 1.0)
-                   for _, t in record)
-
-    def test_launch_empty_hosts_rejected(self):
-        sim, grid, gis, nws, software = build_env()
-        launcher = Launcher(sim, grid.topology, gis)
-        with pytest.raises(ValueError):
-            launcher.launch(simple_cop(), [], lambda ctx: None)
-
-    def test_cop_predicted_seconds(self):
-        cop = simple_cop(n_procs=4)
-        from repro.microgrid import ARCH_PIII_933
-        t1 = cop.predicted_seconds(3000, ARCH_PIII_933, n_procs=1)
-        t4 = cop.predicted_seconds(3000, ARCH_PIII_933)
-        assert t1 == pytest.approx(4 * t4)
-        with pytest.raises(ValueError):
-            cop.predicted_seconds(3000, ARCH_PIII_933, n_procs=0)
-
-
 class TestDeadHosts:
-    def test_launcher_refuses_dead_host_synchronously(self):
-        from repro.microgrid import HostFailure
-        sim, grid, gis, nws, software = build_env()
-        grid.clusters["utk"][1].fail()
-        launcher = Launcher(sim, grid.topology, gis)
-        with pytest.raises(HostFailure):
-            launcher.launch(simple_cop(n_procs=2), ["utk.n0", "utk.n1"],
-                            lambda ctx: None)
-
     def test_bind_refuses_dead_host(self):
         from repro.microgrid import HostFailure
-        sim, grid, gis, nws, software = build_env()
+        sim, grid, gis, software = build_env()
         grid.clusters["utk"][1].fail()
         binder = DistributedBinder(sim, grid.topology, gis, software,
                                    package_source="utk.n0")
@@ -249,7 +122,7 @@ class TestDeadHosts:
         binds.  The first failure fails the bind; the second local
         binder must be reaped, not left to fail with no waiter (which
         would abort the whole simulation)."""
-        sim, grid, gis, nws, software = build_env()
+        sim, grid, gis, software = build_env()
         binder = DistributedBinder(sim, grid.topology, gis, software,
                                    package_source="utk.n3")
         ev = binder.bind(simple_cop(), ["utk.n0", "uiuc.n0"])

@@ -37,6 +37,10 @@ CASES = [
     ("soak.json", ["soak", "run", "--scenarios", "12", "--seed", "7",
                    "--json"],
      "4a91c2854686592a20957e9b364b7403d8bd3cbcd4d38bf4aac6888366d352fd"),
+    ("opportunistic.txt", ["opportunistic"],
+     "dc0b572fdf7f011c796a99170cf243581135bcc07787a483d3fa5c9d179d05e5"),
+    ("opportunistic-disable.txt", ["opportunistic", "--disable"],
+     "cb130c351e301059116db71ffd8173589e44353ad188ac83549c11b17ec413c3"),
 ]
 
 

@@ -146,50 +146,48 @@ class TestNetworkSensor:
     def test_probe_measures_bottleneck(self):
         sim = Simulator()
         grid = fig3_testbed(sim, internet_bw=5e6)
-        sensor = NetworkSensor(sim, grid.topology, "utk.n0", "uiuc.n0",
-                               period=30.0)
+        forecaster = AdaptiveForecaster()
+        NetworkSensor(sim, grid.topology, "utk.n0", "uiuc.n0", forecaster,
+                      period=30.0)
         sim.run(until=100.0)
-        assert len(sensor.bandwidth_readings) == 3
-        for reading in sensor.bandwidth_readings:
-            assert reading.value == pytest.approx(5e6, rel=0.05)
+        assert forecaster.n_samples == 3
+        for bandwidth in forecaster.history():
+            assert bandwidth == pytest.approx(5e6, rel=0.05)
 
     def test_probe_sees_contention(self):
         sim = Simulator()
         grid = fig3_testbed(sim, internet_bw=5e6)
-        sensor = NetworkSensor(sim, grid.topology, "utk.n0", "uiuc.n0",
-                               period=20.0, probe_bytes=1e6)
+        forecaster = AdaptiveForecaster()
+        NetworkSensor(sim, grid.topology, "utk.n0", "uiuc.n0", forecaster,
+                      period=20.0, probe_bytes=1e6)
         # Saturate the WAN link with a long bulk transfer from t=0.
         grid.topology.transfer("utk.n1", "uiuc.n1", 1e9)
         sim.run(until=65.0)
-        assert sensor.bandwidth_readings
-        for reading in sensor.bandwidth_readings:
-            assert reading.value < 3.5e6  # roughly half of the 5 MB/s link
-
-    def test_latency_reading(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        sensor = NetworkSensor(sim, grid.topology, "utk.n0", "uiuc.n0",
-                               period=10.0)
-        sim.run(until=11.0)
-        assert sensor.latency_readings[-1].value == pytest.approx(0.011, abs=0.001)
+        assert forecaster.history()
+        for bandwidth in forecaster.history():
+            assert bandwidth < 3.5e6  # roughly half of the 5 MB/s link
 
     def test_readings_bounded(self):
         sim = Simulator()
         grid = fig3_testbed(sim)
-        sensor = NetworkSensor(sim, grid.topology, "utk.n0", "uiuc.n0",
-                               period=1.0)
+        log = []
+        forecaster = Recorder(sim, "bw", log)
+        NetworkSensor(sim, grid.topology, "utk.n0", "uiuc.n0", forecaster,
+                      period=1.0)
         sim.run(until=100.5)
-        assert len(sensor.bandwidth_readings) == HISTORY_LEN
-        assert len(sensor.latency_readings) == HISTORY_LEN
-        assert sensor.bandwidth_readings[-1].time > 99.0
+        assert forecaster.n_samples > HISTORY_LEN
+        assert len(forecaster.history()) == HISTORY_LEN
+        assert log[-1][0] > 99.0
 
     def test_validation(self):
         sim = Simulator()
         grid = fig3_testbed(sim)
         with pytest.raises(ValueError):
-            NetworkSensor(sim, grid.topology, "a", "b", period=-1.0)
+            NetworkSensor(sim, grid.topology, "a", "b", AdaptiveForecaster(),
+                          period=-1.0)
         with pytest.raises(ValueError):
-            NetworkSensor(sim, grid.topology, "a", "b", probe_bytes=0)
+            NetworkSensor(sim, grid.topology, "a", "b", AdaptiveForecaster(),
+                          probe_bytes=0)
 
 
 class TestNetworkWeatherService:

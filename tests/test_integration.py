@@ -112,16 +112,20 @@ class TestMacroGridScenarios:
         assert trace.makespan > 0
 
     def test_binder_launcher_roundtrip_on_macrogrid(self):
-        """Bind and launch a COP across three sites in one call."""
+        """Bind a COP across three sites, then start its MPI job after
+        the startup synchronization, the way ``QrRun`` launches."""
         from repro.apps import qr_cop
+        from repro.binder import MPI_STARTUP_SECONDS
+        from repro.mpi import MpiJob
         sim = Simulator()
         grid = grads_macrogrid(sim)
         env = GradsEnvironment(sim, grid, submission_host="ucsd.n0")
-        cop = qr_cop(QrBenchmark(n=1000), n_procs=3)
+        cop = qr_cop(QrBenchmark(n=1000))
         hosts = ["ucsd.n1", "utk-a.n0", "uh.n0"]
         bound = env.binder.bind(cop, hosts)
         sim.run(stop_event=bound)
         assert set(bound.value.per_host_seconds) == set(hosts)
+        bound_at = sim.now
 
         done_marks = []
 
@@ -129,9 +133,18 @@ class TestMacroGridScenarios:
             yield ctx.compute(50.0)
             done_marks.append(ctx.rank)
 
-        launch = env.launcher.launch(cop, hosts, body)
-        sim.run(stop_event=launch)
-        sim.run(stop_event=launch.value.finished)
+        def launch():
+            yield sim.timeout(MPI_STARTUP_SECONDS)
+            job = MpiJob(sim, grid.topology,
+                         [env.gis.host(name) for name in hosts],
+                         name=cop.name)
+            return sim.now, job.launch(body)
+
+        started = sim.process(launch())
+        sim.run(stop_event=started)
+        started_at, finished = started.value
+        assert started_at == pytest.approx(bound_at + MPI_STARTUP_SECONDS)
+        sim.run(stop_event=finished)
         assert sorted(done_marks) == [0, 1, 2]
 
 
