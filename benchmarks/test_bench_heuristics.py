@@ -106,8 +106,7 @@ def sweep(n_instances=10, depth=6, width=8,
             grid = random_grid(sim, rng, het)
             gis = GridInformationService()
             gis.register_grid(grid)
-            nws = NetworkWeatherService(sim, grid,
-                                        deploy_network_sensors=False)
+            nws = NetworkWeatherService(sim, grid)
             if instance % 2 == 0:
                 wf = layered_workflow(rng, depth, width)
             else:

@@ -39,8 +39,7 @@ def run_swap_scenario(dilation: float = 1.0):
     else:
         grid = dilated_grid(fig4_testbed, sim, dilation)
     nws = NetworkWeatherService(
-        sim, grid, cpu_period=clock.to_emulation(5.0),
-        deploy_network_sensors=False)
+        sim, grid, cpu_period=clock.to_emulation(5.0))
     pool = grid.clusters["utk"].hosts + grid.clusters["uiuc"].hosts
     app = NBodySimulation(sim, grid.topology, pool, active_n=3,
                           n_bodies=9000, n_iterations=60)

@@ -26,8 +26,7 @@ POLICIES = tuple(sorted(SWAP_POLICIES)) + ("none",)
 def run_policy(policy: str, load_pattern: str = "persistent") -> Dict:
     sim = Simulator()
     grid = fig4_testbed(sim)
-    nws = NetworkWeatherService(sim, grid, cpu_period=5.0,
-                                deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid, cpu_period=5.0)
     pool = grid.clusters["utk"].hosts + grid.clusters["uiuc"].hosts
     app = NBodySimulation(sim, grid.topology, pool, active_n=3,
                           n_bodies=9000, n_iterations=N_ITER)

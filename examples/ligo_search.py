@@ -22,7 +22,7 @@ def main() -> None:
     grid = grads_macrogrid(sim)
     gis = GridInformationService()
     gis.register_grid(grid)
-    nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid)
 
     params = LigoParameters(observation_hours=10.0, n_sky_points=500,
                             n_frequency_bands=20)

@@ -38,7 +38,7 @@ def main() -> None:
     grid = parse_grid(GRID_DML, sim)
     gis = GridInformationService()
     gis.register_grid(grid)
-    nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid)
 
     # A fan-out workflow: preprocess -> 12 parallel analyses -> merge.
     workflow = Workflow("quickstart")

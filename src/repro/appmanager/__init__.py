@@ -1,5 +1,5 @@
 """GrADS application manager (Figure 1 right-hand side)."""
 
-from .manager import DEFAULT_PACKAGES, GradsEnvironment, WorkflowRun
+from .manager import DEFAULT_PACKAGES, GradsEnvironment
 
-__all__ = ["DEFAULT_PACKAGES", "GradsEnvironment", "WorkflowRun"]
+__all__ = ["DEFAULT_PACKAGES", "GradsEnvironment"]

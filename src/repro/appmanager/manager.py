@@ -9,16 +9,10 @@ applications through their whole lifecycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..apps.qr import QrBenchmark, QrRun
-from ..binder.binder import BINDER_PACKAGE, BindReport, DistributedBinder
-from ..cop.cop import CompilationPackage, ConfigurableObjectProgram
-from ..scheduler.executor import ExecutionTrace, WorkflowExecutor
-from ..scheduler.scheduler import GradsWorkflowScheduler, SchedulingResult
-from ..scheduler.workflow import Workflow
-from ..sim.events import Event
+from ..binder.binder import BINDER_PACKAGE, DistributedBinder
 from ..contracts.contract import PerformanceContract
 from ..contracts.monitor import ContractMonitor
 from ..gis.directory import GridInformationService
@@ -30,31 +24,17 @@ from ..rescheduling.rss import RuntimeSupportSystem
 from ..rescheduling.srs import SRSLibrary
 from ..sim.kernel import Simulator
 
-__all__ = ["GradsEnvironment", "DEFAULT_PACKAGES", "WorkflowRun"]
+__all__ = ["GradsEnvironment", "DEFAULT_PACKAGES"]
 
 #: software preinstalled across the testbeds (as on the real MacroGrid)
 DEFAULT_PACKAGES = (BINDER_PACKAGE, "mpi", "scalapack", "eman", "autopilot")
-
-@dataclass
-class WorkflowRun:
-    """Everything one end-to-end workflow execution produced."""
-
-    scheduling: SchedulingResult
-    bind: BindReport
-    trace: ExecutionTrace
-
-    @property
-    def measured_makespan(self) -> float:
-        return self.trace.makespan
 
 
 class GradsEnvironment:
     """One fully wired GrADS deployment over a virtual grid."""
 
     def __init__(self, sim: Simulator, grid: Grid,
-                 submission_host: Optional[str] = None,
-                 deploy_network_sensors: bool = False,
-                 packages: Sequence[str] = DEFAULT_PACKAGES) -> None:
+                 submission_host: Optional[str] = None) -> None:
         self.sim = sim
         self.grid = grid
         all_hosts = grid.all_hosts()
@@ -64,11 +44,10 @@ class GradsEnvironment:
 
         self.gis = GridInformationService()
         self.gis.register_grid(grid)
-        self.nws = NetworkWeatherService(
-            sim, grid, deploy_network_sensors=deploy_network_sensors)
+        self.nws = NetworkWeatherService(sim, grid)
         self.software = SoftwareRegistry()
         names = [h.name for h in all_hosts]
-        for package in packages:
+        for package in DEFAULT_PACKAGES:
             self.software.install_everywhere(SoftwarePackage(name=package),
                                              names)
         self.binder = DistributedBinder(sim, grid.topology, self.gis,
@@ -119,34 +98,3 @@ class GradsEnvironment:
         monitor.rescheduler = rescheduler.request_handler(run)
         return run, monitor, rescheduler
 
-    # -- managed workflows (the §3.3 pipeline) ------------------------------------
-    def run_workflow(self, workflow: Workflow,
-                     data_sources: Optional[Dict[str, List[str]]] = None,
-                     required_packages: Sequence[str] = ("mpi",),
-                     ) -> Event:
-        """Run the full §3.3 cycle for a workflow application:
-        schedule (min-min/max-min/sufferage, best makespan), *bind* the
-        chosen resources via the distributed binder (shipping the IR,
-        instrumenting, compiling at each — possibly heterogeneous —
-        target), then execute the schedule on the grid.
-
-        Returns a process-event whose value is a :class:`WorkflowRun`.
-        """
-        scheduler = GradsWorkflowScheduler(self.gis, self.nws)
-        executor = WorkflowExecutor(self.sim, self.grid.topology, self.gis)
-
-        def pipeline():
-            result = scheduler.schedule(workflow, data_sources=data_sources)
-            hosts = sorted({p.resource
-                            for p in result.best.placements.values()})
-            cop = ConfigurableObjectProgram(
-                name=workflow.name,
-                package=CompilationPackage(
-                    required_packages=tuple(required_packages)),
-            )
-            bind_report = yield self.binder.bind(cop, hosts)
-            trace = yield executor.execute(workflow, result.best)
-            return WorkflowRun(scheduling=result, bind=bind_report,
-                               trace=trace)
-
-        return self.sim.process(pipeline(), name=f"wfrun:{workflow.name}")

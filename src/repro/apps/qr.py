@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..binder.binder import MPI_STARTUP_SECONDS, DistributedBinder
+from ..binder.binder import (MPI_STARTUP_SECONDS, SENSOR_INSTRUMENT_SECONDS,
+                             DistributedBinder)
 from ..cop.cop import CompilationPackage, ConfigurableObjectProgram
 from ..contracts.monitor import ContractMonitor
 from ..gis.directory import GridInformationService
@@ -275,7 +276,7 @@ class QrRun(MigratableApp):
     def _bind_estimate(self, hosts: Sequence[str]) -> float:
         pkg = self._cop.package
         slowest = min(self.gis.lookup(name).mflops for name in hosts)
-        return (pkg.configure_seconds + 0.5
+        return (pkg.configure_seconds + SENSOR_INSTRUMENT_SECONDS
                 + pkg.compile_mflop / slowest
                 + self.nws.transfer_forecast(self.binder.package_source,
                                              hosts[0], pkg.ir_bytes))

@@ -2,7 +2,6 @@
 
 from .common import (
     JSON_SCHEMA_VERSION,
-    bar_chart,
     format_series,
     format_table,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "MetaschedResult",
     "PHASES",
     "WORST_CASE_SECONDS",
-    "bar_chart",
     "metasched_tables",
     "format_series",
     "format_table",

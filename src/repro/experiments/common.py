@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Sequence
 
-__all__ = ["JSON_SCHEMA_VERSION", "format_table", "format_series",
-           "bar_chart"]
+__all__ = ["JSON_SCHEMA_VERSION", "format_table", "format_series"]
 
 #: version stamped into every ``--json`` CLI payload as
 #: ``schema_version``, so downstream consumers can detect layout
@@ -60,16 +59,3 @@ def format_series(points: Sequence[tuple], x_label: str, y_label: str,
         points = sampled
     return format_table([x_label, y_label], points, title=title)
 
-
-def bar_chart(labels: Sequence[str], values: Sequence[float],
-              width: int = 50, title: str = "") -> str:
-    """An ASCII horizontal bar chart (for figure-shaped output)."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must align")
-    lines = [title] if title else []
-    peak = max(values, default=0.0)
-    label_w = max((len(lbl) for lbl in labels), default=0)
-    for label, value in zip(labels, values):
-        n = int(round(width * value / peak)) if peak > 0 else 0
-        lines.append(f"{label.ljust(label_w)} | {'#' * n} {value:.1f}")
-    return "\n".join(lines)

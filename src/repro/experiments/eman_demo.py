@@ -71,7 +71,7 @@ def run_eman_demo(params: Optional[EmanParameters] = None,
     grid = heterogeneous_testbed(sim)
     gis = GridInformationService()
     gis.register_grid(grid)
-    nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid)
     workflow = eman_refinement_workflow(
         params, classesbymra_tasks=classesbymra_tasks,
         classalign_tasks=classalign_tasks)

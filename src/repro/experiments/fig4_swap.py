@@ -88,8 +88,7 @@ def run_fig4(n_bodies: int = 9000, n_iterations: int = 120,
                        iterations=n_iterations, swapping=with_swapping,
                        seed=seed)
     grid = fig4_testbed(sim)
-    nws = NetworkWeatherService(sim, grid, cpu_period=5.0,
-                                deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid, cpu_period=5.0)
     pool = grid.clusters["utk"].hosts + grid.clusters["uiuc"].hosts
     app = NBodySimulation(sim, grid.topology, pool, active_n=3,
                           n_bodies=n_bodies, n_iterations=n_iterations)

@@ -160,8 +160,7 @@ def run_metasched(users: int = 4, arrival_rate: float = 1 / 120.0,
         grid = metasched_scale_grid(sim, n_hosts)
     gis = GridInformationService()
     gis.register_grid(grid)
-    nws = NetworkWeatherService(sim, grid, cpu_period=cpu_period,
-                                deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid, cpu_period=cpu_period)
     service = MetaScheduler(sim, grid, gis, nws,
                             max_queue=max_queue, max_per_user=max_per_user)
     specs = generate_stream(users, arrival_rate, duration,

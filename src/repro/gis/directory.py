@@ -2,14 +2,14 @@
 
 The GrADS scheduler and binder both start by asking "what resources
 exist and what is installed where" (§2, §3.1).  This module provides
-that directory: resource records for hosts with attribute-based
-queries, the way MDS's LDAP-style lookups were used.
+that directory: resource records for hosts, looked up by name or listed
+fastest first, the way MDS's LDAP-style lookups were used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..microgrid.dml import Grid
 from ..microgrid.host import Host
@@ -51,7 +51,7 @@ class ResourceRecord:
 
 
 class GridInformationService:
-    """An in-memory MDS: register resources, query by attributes."""
+    """An in-memory MDS: register resources, look them up."""
 
     def __init__(self) -> None:
         self._records: Dict[str, ResourceRecord] = {}
@@ -112,35 +112,6 @@ class GridInformationService:
                 key=lambda r: (-r.mflops, r.name))
             self._by_speed[isa] = records
         return records
-
-    def query(self, *,
-              site: Optional[str] = None,
-              cluster: Optional[str] = None,
-              isa: Optional[str] = None,
-              min_mflops: float = 0.0,
-              min_memory_bytes: int = 0,
-              predicate: Optional[Callable[[ResourceRecord], bool]] = None,
-              ) -> List[ResourceRecord]:
-        """Attribute-filtered resource search."""
-        out = []
-        for record in self.resources():
-            if site is not None and record.site != site:
-                continue
-            if cluster is not None and record.cluster != cluster:
-                continue
-            if isa is not None and record.isa != isa:
-                continue
-            if record.mflops < min_mflops:
-                continue
-            if record.memory_bytes < min_memory_bytes:
-                continue
-            if predicate is not None and not predicate(record):
-                continue
-            out.append(record)
-        return out
-
-    def sites(self) -> List[str]:
-        return sorted({r.site for r in self._records.values()})
 
     def __len__(self) -> int:
         return len(self._records)

@@ -26,11 +26,6 @@ class SoftwarePackage:
 
     name: str
     version: str = "1.0"
-    #: ISAs this install supports; empty means portable (source form)
-    isas: Tuple[str, ...] = ()
-
-    def supports(self, isa: str) -> bool:
-        return not self.isas or isa in self.isas
 
 
 class SoftwareRegistry:
@@ -60,13 +55,6 @@ class SoftwareRegistry:
 
     def is_installed(self, package_name: str, host_name: str) -> bool:
         return (package_name, host_name) in self._installs
-
-    def hosts_with(self, package_name: str) -> List[str]:
-        """All hosts carrying a package, sorted for determinism."""
-        return sorted(h for (p, h) in self._installs if p == package_name)
-
-    def packages_on(self, host_name: str) -> List[str]:
-        return sorted(p for (p, h) in self._installs if h == host_name)
 
     def missing(self, package_names: Iterable[str],
                 host_name: str) -> List[str]:

@@ -111,9 +111,6 @@ class Grid:
         hosts.extend(self.standalone_hosts.values())
         return hosts
 
-    def host(self, name: str) -> Host:
-        return self.topology.host(name)
-
 
 def parse_grid(text: str, sim: Simulator) -> Grid:
     """Build a :class:`Grid` from DML text."""

@@ -194,10 +194,6 @@ class Topology:
         except KeyError:
             raise NetworkError(f"unknown host {name!r}") from None
 
-    @property
-    def hosts(self) -> List[Host]:
-        return list(self._hosts.values())
-
     # -- routing ------------------------------------------------------------------
     def _sssp_from(self, src: str) -> Tuple[Dict[str, float], Dict[str, List[str]]]:
         """Distances and paths from ``src`` to every reachable node."""

@@ -93,9 +93,6 @@ class MpiJob:
         if self._procs:
             self._watch_host(host)
 
-    def hosts(self) -> List[Host]:
-        return list(self._rank_hosts)
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < len(self._rank_hosts):
             raise MpiError(f"rank {rank} out of range for job of size "

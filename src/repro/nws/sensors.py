@@ -1,11 +1,10 @@
 """NWS sensors: periodic measurements.
 
 Real NWS runs sensor daemons that periodically measure CPU availability
-on each host and probe bandwidth/latency between host pairs with small
-transfers.  We do the same inside the simulation: CPU sensors sample the
-host's processor-sharing state; network sensors send genuine probe
-transfers through the topology, so they observe — and very slightly
-cause — contention, exactly like the real tool.
+on each host (and probe bandwidth between host pairs, which this
+reproduction answers from the topology instead; see
+:mod:`repro.nws.service`).  CPU sensors sample the host's
+processor-sharing state inside the simulation.
 
 A CPU reading is an instantaneous, side-effect-free look at the host,
 so the CPU sensor is one :class:`CpuSensorSweep` per service: a single
@@ -13,10 +12,7 @@ periodic timer that holds ``(host, forecaster)`` pairs in the order they
 joined and, at each tick, feeds every forecaster its host's
 ``availability()`` (one agenda entry per sweep, not one per host).  A
 reading is handed straight to ``AdaptiveForecaster.update``; nothing
-else keeps it.  Network sensors stay one process per pair, because each
-probe is a real flow that takes time and shares links with other
-traffic; each probe's bandwidth goes straight to the pair's forecaster
-the same way.
+else keeps it.
 
 The sweep is bit-exact with one process per host started back-to-back
 (the model the tests keep as an oracle).  Such processes' start-up
@@ -34,12 +30,11 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..microgrid.host import Host
-from ..microgrid.network import Topology
 from ..sim.events import Timeout
 from ..sim.kernel import Simulator
 from .forecasting import AdaptiveForecaster
 
-__all__ = ["CpuSensorSweep", "NetworkSensor"]
+__all__ = ["CpuSensorSweep"]
 
 
 class CpuSensorSweep:
@@ -80,37 +75,3 @@ class CpuSensorSweep:
             for host, forecaster in members:
                 forecaster.update(host.availability())
 
-
-class NetworkSensor:
-    """Probes achievable bandwidth between two endpoints.
-
-    Each probe pushes ``probe_bytes`` through the real flow simulation
-    and derives bandwidth from the measured time minus the path latency
-    — the same experiment NWS's 64 KB TCP probes run — then calls
-    ``forecaster.update(bandwidth)``.
-    """
-
-    def __init__(self, sim: Simulator, topology: Topology, src: str, dst: str,
-                 forecaster: AdaptiveForecaster, period: float = 30.0,
-                 probe_bytes: float = 64 * 1024) -> None:
-        if period <= 0:
-            raise ValueError("sensor period must be positive")
-        if probe_bytes <= 0:
-            raise ValueError("probe size must be positive")
-        self.sim = sim
-        self.topology = topology
-        self.src = src
-        self.dst = dst
-        self.period = period
-        self.probe_bytes = probe_bytes
-        self.forecaster = forecaster
-        sim.process(self._run(), name=f"netsensor:{src}->{dst}")
-
-    def _run(self):
-        while True:
-            yield self.sim.timeout(self.period)
-            latency = self.topology.path_latency(self.src, self.dst)
-            elapsed = yield self.topology.transfer(
-                self.src, self.dst, self.probe_bytes, tag="nws-probe")
-            stream_time = max(elapsed - latency, 1e-9)
-            self.forecaster.update(self.probe_bytes / stream_time)

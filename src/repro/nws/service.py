@@ -5,13 +5,9 @@ GrADS scheduler and rescheduler ask (§3.1, §4.1.1): "what CPU fraction
 will this host give me?" and "what bandwidth/latency will I see between
 these endpoints?".
 
-Deploying per-host-pair bandwidth sensors across a whole grid would be
-quadratic, so — like the real NWS with its cliques — the service probes
-between *sites* (one representative pair per cluster pair) and answers
-host-pair queries from the covering site-pair series.  Before any
-measurement exists the service falls back to a static estimate from the
-topology description, which corresponds to NWS answering from its
-configuration baseline.
+Bandwidth and latency are answered from the topology description, which
+corresponds to NWS answering from its configuration baseline: no run
+probes the network, so these forecasts never move.
 
 CPU series are replayed lazily, by the first read after new samples
 (see :mod:`repro.nws.forecasting`).  A caller about to read many hosts
@@ -25,11 +21,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, Tuple
 
 from ..microgrid.dml import Grid
-from ..microgrid.host import Host
 from ..microgrid.network import Topology
 from ..sim.kernel import Simulator
 from .forecasting import AdaptiveForecaster, replay
-from .sensors import CpuSensorSweep, NetworkSensor
+from .sensors import CpuSensorSweep
 
 __all__ = ["NetworkWeatherService"]
 
@@ -38,14 +33,11 @@ class NetworkWeatherService:
     """CPU and network forecasts over a grid."""
 
     def __init__(self, sim: Simulator, grid: Grid,
-                 cpu_period: float = 10.0, net_period: float = 30.0,
-                 deploy_network_sensors: bool = True) -> None:
+                 cpu_period: float = 10.0) -> None:
         self.sim = sim
         self.grid = grid
         self.topology: Topology = grid.topology
         self._cpu_forecasts: Dict[str, AdaptiveForecaster] = {}
-        self._bw_forecasts: Dict[Tuple[str, str], AdaptiveForecaster] = {}
-        self._site_rep: Dict[str, str] = {}
 
         # One timer samples every host's CPU, in deployment order.
         sweep = CpuSensorSweep(sim, cpu_period)
@@ -53,27 +45,6 @@ class NetworkWeatherService:
             forecast = AdaptiveForecaster()
             sweep.join(host, forecast)
             self._cpu_forecasts[host.name] = forecast
-            site = self._site_of(host)
-            self._site_rep.setdefault(site, host.name)
-
-        if deploy_network_sensors:
-            self._deploy_site_sensors(net_period)
-
-    # -- deployment ------------------------------------------------------------
-    def _site_of(self, host: Host) -> str:
-        return host.cluster.site if host.cluster is not None else host.name
-
-    def _deploy_site_sensors(self, period: float) -> None:
-        sites = sorted(self._site_rep)
-        for i, a in enumerate(sites):
-            for b in sites[i + 1:]:
-                for src_site, dst_site in ((a, b), (b, a)):
-                    forecast = AdaptiveForecaster()
-                    NetworkSensor(self.sim, self.topology,
-                                  self._site_rep[src_site],
-                                  self._site_rep[dst_site], forecast,
-                                  period=period)
-                    self._bw_forecasts[(src_site, dst_site)] = forecast
 
     # -- forecasts ---------------------------------------------------------------
     def cpu_forecast(self, host_name: str) -> float:
@@ -101,15 +72,10 @@ class NetworkWeatherService:
                 if name in forecasts])
 
     def bandwidth_forecast(self, src: str, dst: str) -> float:
-        """Predicted achievable bandwidth (bytes/s) between two hosts."""
+        """Predicted achievable bandwidth (bytes/s) between two hosts:
+        the path's bottleneck link, or a memory copy within a host."""
         if src == dst:
             return self.topology.local_copy_bw
-        key = self._site_key(src, dst)
-        forecast = self._bw_forecasts.get(key)
-        if forecast is not None:
-            value = forecast.predict()
-            if value is not None:
-                return value
         return self.topology.path_bottleneck_bw(src, dst)
 
     def latency_forecast(self, src: str, dst: str) -> float:
@@ -123,12 +89,11 @@ class NetworkWeatherService:
     def transfer_params(self, src: str, dst: str) -> Tuple[float, float]:
         """(latency seconds, bandwidth bytes/s) between two hosts.
 
-        ``transfer_forecast`` decomposed for callers that memoise:
-        forecasts only move when sensor readings arrive, so while a
-        scheduler is deliberating (no simulated time passes) the pair is
-        frozen and a transfer time for any volume reconstitutes as
-        ``latency + nbytes / bandwidth``.  The fast workflow scheduler
-        caches these pairs per (src, dst) for exactly that reason.
+        ``transfer_forecast`` decomposed for callers that memoise: both
+        come from the topology description, so the pair never moves and
+        a transfer time for any volume reconstitutes as ``latency +
+        nbytes / bandwidth``.  The fast workflow scheduler caches these
+        pairs per (src, dst) for exactly that reason.
         """
         return self.latency_forecast(src, dst), self.bandwidth_forecast(src,
                                                                         dst)
@@ -141,10 +106,5 @@ class NetworkWeatherService:
         return latency + nbytes / bw
 
     # -- plumbing for tests/benchmarks ------------------------------------------
-    def _site_key(self, src: str, dst: str) -> Tuple[str, str]:
-        src_site = self._site_of(self.topology.host(src))
-        dst_site = self._site_of(self.topology.host(dst))
-        return (src_site, dst_site)
-
     def cpu_forecaster(self, host_name: str) -> AdaptiveForecaster:
         return self._cpu_forecasts[host_name]

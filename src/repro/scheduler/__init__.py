@@ -13,7 +13,7 @@ from .heuristics import (
     random_schedule,
     sufferage,
 )
-from .ranking import RankMatrix, build_rank_matrix, dcost, ecost
+from .ranking import RankMatrix, build_rank_matrix, dcost
 from .scheduler import GradsWorkflowScheduler, SchedulingResult
 from .workflow import Task, Workflow, WorkflowComponent, WorkflowError
 
@@ -34,7 +34,6 @@ __all__ = [
     "WorkflowExecutor",
     "build_rank_matrix",
     "dcost",
-    "ecost",
     "fifo_schedule",
     "heft_schedule",
     "max_min",

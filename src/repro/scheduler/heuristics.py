@@ -86,19 +86,6 @@ class Schedule:
             return 0.0
         return max(p.est_finish for p in self.placements.values())
 
-    def component_resources(self, component_name: str) -> List[str]:
-        """Resources of one component's tasks, ordered by task index.
-
-        Ordering must be numeric, not lexicographic: sorting the
-        placement *names* puts ``c[10]`` before ``c[2]``, which silently
-        misassigns per-task resources for any component with ten or
-        more tasks.
-        """
-        placed = [p for p in self.placements.values()
-                  if p.task.component.name == component_name]
-        placed.sort(key=lambda p: p.task.index)
-        return [p.resource for p in placed]
-
 
 def _scheduler_env(nws: NetworkWeatherService
                    ) -> Tuple[KernelStats, Optional[object]]:

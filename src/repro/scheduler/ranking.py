@@ -23,8 +23,8 @@ from ..microgrid.host import Architecture, CacheLevel
 from ..nws.service import NetworkWeatherService
 from .workflow import Task, Workflow
 
-__all__ = ["RankMatrix", "build_rank_matrix", "ecost", "dcost",
-           "RANK_W1", "RANK_W2"]
+__all__ = ["RankMatrix", "build_rank_matrix", "dcost", "RANK_W1",
+           "RANK_W2"]
 
 #: The §3.1 weights of ``rank = w1 * ecost + w2 * dcost``.  Every
 #: experiment ranks with both at 1, so execution and data-movement
@@ -43,19 +43,10 @@ def _record_arch(record: ResourceRecord) -> Architecture:
                         memory_bytes=record.memory_bytes)
 
 
-def ecost(task: Task, record: ResourceRecord,
-          nws: NetworkWeatherService) -> float:
-    """Expected execution seconds of one task on one resource."""
-    component = task.component
-    arch = _record_arch(record)
-    if not component.model.eligible(component.problem_size, arch):
-        return math.inf
-    return _exec_seconds(task, record, arch, nws.cpu_forecast(record.name))
-
-
 def _exec_seconds(task: Task, record: ResourceRecord, arch: Architecture,
                   availability: float) -> float:
-    """``ecost`` of an eligible cell, given the resource's forecast."""
+    """Expected execution seconds (``ecost``) of one task on an eligible
+    resource, given the resource's CPU forecast."""
     if availability <= 0:
         return math.inf
     component = task.component
@@ -85,9 +76,9 @@ def dcost(task: Task, record: ResourceRecord,
 class RankMatrix:
     """The §3.1 performance matrix: p[i][j] = rank of task i on resource j.
 
-    The matrix is immutable once built, so the eligibility lists and the
-    task-name index are computed on first use and cached — the scheduling
-    engines hit both in their inner loops.
+    The matrix is immutable once built, so the eligibility lists are
+    computed on first use and cached — the scheduling engines hit them
+    in their inner loops.
     """
 
     tasks: List[Task]
@@ -96,16 +87,6 @@ class RankMatrix:
     ecosts: np.ndarray  # execution-seconds component of the rank
     dcosts: np.ndarray  # data-movement component of the rank
     _eligible: Optional[List[List[int]]] = None
-    _task_index: Optional[Dict[str, int]] = None
-
-    def rank(self, task_index: int, resource_index: int) -> float:
-        return float(self.values[task_index, resource_index])
-
-    def task_index(self, task_name: str) -> int:
-        """Row of ``task_name`` in the matrix (cached name -> index map)."""
-        if self._task_index is None:
-            self._task_index = {t.name: i for i, t in enumerate(self.tasks)}
-        return self._task_index[task_name]
 
     def eligible_resources(self, task_index: int) -> List[int]:
         if self._eligible is None:
@@ -114,10 +95,6 @@ class RankMatrix:
                 [int(j) for j in np.nonzero(finite[i])[0]]
                 for i in range(len(self.tasks))]
         return self._eligible[task_index]
-
-    @property
-    def shape(self):
-        return self.values.shape
 
 
 def build_rank_matrix(workflow: Workflow, gis: GridInformationService,
@@ -130,11 +107,12 @@ def build_rank_matrix(workflow: Workflow, gis: GridInformationService,
     ``data_sources`` maps component name -> host names holding its
     input data (default: unknown, dcost = 0 — pure compute ranking).
 
-    Each cell equals ``ecost``/``dcost`` bit for bit, but a resource's
+    Each cell equals a per-cell ``ecost``/``dcost`` evaluation bit for
+    bit (the tests keep that ``ecost`` as an oracle), but a resource's
     ``Architecture`` is built once and its CPU forecast read once per
     build: forecasts are frozen while the matrix is built (no simulated
     time passes).  The read happens at the resource's first eligible
-    cell in row-major order, where the per-cell ``ecost`` walk made it,
+    cell in row-major order, where a per-cell ``ecost`` walk makes it,
     because on a host with no data yet it is an on-demand probe that
     feeds the forecast series.  Before the walk, every resource's CPU
     series is replayed in one batch

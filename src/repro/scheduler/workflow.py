@@ -169,23 +169,6 @@ class Workflow:
             self._task_names[component_name] = cached
         return cached
 
-    def levels(self) -> List[List[WorkflowComponent]]:
-        """Components grouped by topological generation.
-
-        A component's generation is the length of the longest
-        dependence chain ending at it; each group is sorted by name.
-        """
-        depth: Dict[str, int] = {}
-        grouped: List[List[WorkflowComponent]] = []
-        for component in self.components():
-            level = max((depth[p] + 1 for p in self._preds[component.name]),
-                        default=0)
-            depth[component.name] = level
-            if level == len(grouped):
-                grouped.append([])
-            grouped[level].append(component)
-        return [sorted(group, key=lambda c: c.name) for group in grouped]
-
     def total_mflop(self) -> float:
         return sum(c.model.mflop(c.problem_size)
                    for c in self._components.values())

@@ -78,11 +78,6 @@ class Event:
         return self._value is not PENDING
 
     @property
-    def processed(self) -> bool:
-        """True once callbacks have run (callbacks list is consumed)."""
-        return self.callbacks is None
-
-    @property
     def ok(self) -> bool:
         """True if the event succeeded.  Only meaningful once triggered."""
         return bool(self._ok)

@@ -223,8 +223,7 @@ def run_scenario(spec: ScenarioSpec, tracer=None) -> ScenarioOutcome:
     topology = grid.topology
     gis = GridInformationService()
     gis.register_grid(grid)
-    nws = NetworkWeatherService(sim, grid, cpu_period=10.0,
-                                deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid, cpu_period=10.0)
     service = MetaScheduler(sim, grid, gis, nws)
 
     lanes: Dict[str, LaneWatch] = {}

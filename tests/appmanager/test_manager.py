@@ -45,14 +45,6 @@ class TestEnvironmentAssembly:
                 assert env.software.is_installed(package, host.name)
         assert BINDER_PACKAGE in DEFAULT_PACKAGES
 
-    def test_custom_package_set(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        env = GradsEnvironment(sim, grid,
-                               packages=(BINDER_PACKAGE, "custom-lib"))
-        assert env.software.is_installed("custom-lib", "utk.n0")
-        assert not env.software.is_installed("scalapack", "utk.n0")
-
     def test_managed_qr_returns_wired_triple(self):
         sim = Simulator()
         grid = fig3_testbed(sim)

@@ -8,6 +8,7 @@ from repro.gis import GridInformationService
 from repro.nws import NetworkWeatherService
 from repro.apps import LIGO_STAGES, LigoParameters, ligo_pulsar_search_workflow
 from repro.scheduler import GradsWorkflowScheduler, WorkflowExecutor
+from tests.oracles.graphs import reference_generations, workflow_digraph
 
 
 class TestLigoParameters:
@@ -41,7 +42,8 @@ class TestLigoWorkflow:
     def test_stage_order_linear(self):
         wf = ligo_pulsar_search_workflow(LigoParameters())
         assert [c.name for c in wf.components()] == list(LIGO_STAGES)
-        assert len(wf.levels()) == len(LIGO_STAGES)
+        generations = reference_generations(workflow_digraph(wf))
+        assert len(generations) == len(LIGO_STAGES)
 
     def test_parallel_stage_expansion(self):
         wf = ligo_pulsar_search_workflow(LigoParameters(),
@@ -59,7 +61,7 @@ class TestLigoWorkflow:
         grid = grads_macrogrid(sim)
         gis = GridInformationService()
         gis.register_grid(grid)
-        nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+        nws = NetworkWeatherService(sim, grid)
         params = LigoParameters(n_sky_points=100, band_bins=50_000)
         wf = ligo_pulsar_search_workflow(params, search_tasks=24)
         result = GradsWorkflowScheduler(gis, nws).schedule(
@@ -86,7 +88,7 @@ class TestLigoWorkflow:
         grid = grads_macrogrid(sim)
         gis = GridInformationService()
         gis.register_grid(grid)
-        nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+        nws = NetworkWeatherService(sim, grid)
         params = LigoParameters(n_sky_points=50, band_bins=20_000,
                                 observation_hours=20.0)
         wf = ligo_pulsar_search_workflow(params, search_tasks=8)

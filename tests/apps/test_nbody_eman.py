@@ -15,14 +15,14 @@ from repro.apps import (
 )
 from repro.rescheduling import SwapRescheduler
 from repro.scheduler import GradsWorkflowScheduler
+from tests.oracles.graphs import reference_generations, workflow_digraph
 
 
 def nbody_env(n_bodies=9000, n_iterations=30, cpu_period=5.0):
     """The Figure 4 setup: pool = 3 UTK (active) + 3 UIUC (inactive)."""
     sim = Simulator()
     grid = fig4_testbed(sim)
-    nws = NetworkWeatherService(sim, grid, cpu_period=cpu_period,
-                                deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid, cpu_period=cpu_period)
     pool = grid.clusters["utk"].hosts + grid.clusters["uiuc"].hosts
     app = NBodySimulation(sim, grid.topology, pool, active_n=3,
                           n_bodies=n_bodies, n_iterations=n_iterations)
@@ -161,8 +161,8 @@ class TestEman:
     def test_workflow_shape(self):
         wf = eman_refinement_workflow(EmanParameters())
         assert [c.name for c in wf.components()] == list(EMAN_STAGES)
-        levels = wf.levels()
-        assert len(levels) == len(EMAN_STAGES)  # strictly linear graph
+        generations = reference_generations(workflow_digraph(wf))
+        assert len(generations) == len(EMAN_STAGES)  # strictly linear graph
 
     def test_classesbymra_dominates(self):
         params = EmanParameters()
@@ -188,10 +188,11 @@ class TestEman:
         grid = heterogeneous_testbed(sim)
         gis = GridInformationService()
         gis.register_grid(grid)
-        nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+        nws = NetworkWeatherService(sim, grid)
         wf = eman_refinement_workflow(EmanParameters(n_particles=5000))
         result = GradsWorkflowScheduler(gis, nws).schedule(wf)
         assert result.best.makespan > 0
         # the heavy classesbymra tasks use the fast IA-64 nodes too
-        resources = set(result.best.component_resources("classesbymra"))
+        resources = {p.resource for p in result.best.placements.values()
+                     if p.task.component.name == "classesbymra"}
         assert any(r.startswith("ia64.") for r in resources)

@@ -163,3 +163,16 @@ class TestQrRunMigration:
         total_done = sum(h.mflop_done for h in grid.all_hosts())
         # >= because background load doesn't count, binder compile does.
         assert total_done >= qr_total_mflop(run.benchmark.n) * 0.65
+
+
+class TestBindEstimate:
+    @pytest.mark.parametrize("host", ["utk.n2", "uiuc.n5"])
+    def test_estimate_matches_binder_cost_on_idle_grid(self, host):
+        """The rescheduler's bind-cost estimate is the binder's own
+        per-host cost: IR shipping, Autopilot instrumentation,
+        configure and compile."""
+        sim, grid, env, run, _monitor, _rescheduler = build()
+        estimate = run._bind_estimate([host])
+        bound = env.binder.bind(run._cop, [host])
+        sim.run(stop_event=bound)
+        assert estimate == pytest.approx(bound.value.per_host_seconds[host])

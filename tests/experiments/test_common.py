@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.common import (
     _cell,
-    bar_chart,
     format_series,
     format_table,
 )
@@ -80,22 +79,3 @@ class TestFormatSeries:
     def test_empty_series(self):
         text = format_series([], "t", "y")
         assert len(text.splitlines()) == 2
-
-
-class TestBarChart:
-    def test_mismatched_lengths_raise(self):
-        with pytest.raises(ValueError, match="must align"):
-            bar_chart(["a"], [1.0, 2.0])
-
-    def test_empty_chart_is_title_only(self):
-        assert bar_chart([], [], title="T") == "T"
-
-    def test_zero_peak_draws_no_bars(self):
-        text = bar_chart(["a", "b"], [0.0, 0.0])
-        assert "#" not in text
-
-    def test_peak_bar_fills_width(self):
-        text = bar_chart(["a", "b"], [1.0, 2.0], width=10)
-        lines = text.splitlines()
-        assert "#" * 10 in lines[1]
-        assert "#" * 5 in lines[0]

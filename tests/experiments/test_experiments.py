@@ -15,7 +15,7 @@ from repro.experiments import (
     run_fig3,
     run_fig4,
 )
-from repro.experiments.common import bar_chart, format_series, format_table
+from repro.experiments.common import format_series, format_table
 from repro.microgrid import fig3_testbed
 from repro.microgrid.loadgen import ScheduledLoad
 from repro.sim import Simulator
@@ -39,11 +39,6 @@ class TestCommon:
                              "t", "i", max_points=10)
         assert len(text.splitlines()) < 20
 
-    def test_bar_chart(self):
-        text = bar_chart(["x", "y"], [1.0, 2.0])
-        assert text.splitlines()[1].count("#") > text.splitlines()[0].count("#")
-        with pytest.raises(ValueError):
-            bar_chart(["x"], [1.0, 2.0])
 
 
 class TestFig3:

@@ -23,7 +23,7 @@ def build():
     grid = fig3_testbed(sim)
     gis = GridInformationService()
     gis.register_grid(grid)
-    nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid)
     return sim, grid, gis, nws
 
 
@@ -35,9 +35,9 @@ def spec(name, n_hosts=2, submit=0.0, user="u0", size=4000.0):
 class TestQueryChurn:
     def test_unregistered_host_vanishes_from_queries(self):
         _sim, _grid, gis, _nws = build()
-        assert any(r.name == "uiuc.n3" for r in gis.query())
+        assert any(r.name == "uiuc.n3" for r in gis.resources())
         gis.unregister("uiuc.n3")
-        assert not any(r.name == "uiuc.n3" for r in gis.query())
+        assert not any(r.name == "uiuc.n3" for r in gis.resources())
         with pytest.raises(GISError):
             gis.lookup("uiuc.n3")
 
@@ -46,7 +46,7 @@ class TestQueryChurn:
         host = next(h for h in grid.all_hosts() if h.name == "uiuc.n3")
         gis.unregister("uiuc.n3")
         gis.register_host(host)
-        assert any(r.name == "uiuc.n3" for r in gis.query())
+        assert any(r.name == "uiuc.n3" for r in gis.resources())
 
     def test_usable_hosts_follows_churn(self):
         sim, grid, gis, nws = build()

@@ -43,25 +43,13 @@ class TestDirectory:
         assert host.name == "uiuc.n3"
         assert host.cores == 1
 
-    def test_query_by_site(self, gis):
-        assert len(gis.query(site="UTK")) == 4
-        assert len(gis.query(site="UIUC")) == 8
-
-    def test_query_by_min_mflops(self, gis):
-        fast = gis.query(min_mflops=300.0)
-        assert {r.cluster for r in fast} == {"utk"}
-
-    def test_query_with_predicate(self, gis):
-        duals = gis.query(predicate=lambda r: r.cores == 2)
-        assert len(duals) == 4
-
     def test_query_by_isa(self):
         sim = Simulator()
         grid = heterogeneous_testbed(sim)
         gis = GridInformationService()
         gis.register_grid(grid)
-        assert len(gis.query(isa="ia64")) == 4
-        assert len(gis.query(isa="ia32")) == 8
+        assert len(gis.fastest_first(isa="ia64")) == 4
+        assert len(gis.fastest_first(isa="ia32")) == 8
 
     def test_resources_sorted_and_stable(self, gis):
         names = [r.name for r in gis.resources()]
@@ -72,9 +60,6 @@ class TestDirectory:
         assert "utk.n0" not in gis
         with pytest.raises(GISError):
             gis.unregister("utk.n0")
-
-    def test_sites(self, gis):
-        assert gis.sites() == ["UIUC", "UTK"]
 
     def test_record_from_standalone_host(self):
         from repro.microgrid import fig4_testbed
@@ -101,26 +86,14 @@ class TestSoftwareRegistry:
         reg = SoftwareRegistry()
         reg.install_everywhere(SoftwarePackage(name="binder"),
                                ["a", "b", "c"])
-        assert reg.hosts_with("binder") == ["a", "b", "c"]
+        for host in ("a", "b", "c"):
+            assert reg.is_installed("binder", host)
 
     def test_missing_reports_gaps(self):
         reg = SoftwareRegistry()
         reg.install(SoftwarePackage(name="mpi"), "a")
         assert reg.missing(["mpi", "eman"], "a") == ["eman"]
         assert reg.missing(["mpi"], "a") == []
-
-    def test_packages_on_host(self):
-        reg = SoftwareRegistry()
-        reg.install(SoftwarePackage(name="mpi"), "a")
-        reg.install(SoftwarePackage(name="binder"), "a")
-        assert reg.packages_on("a") == ["binder", "mpi"]
-
-    def test_isa_support(self):
-        portable = SoftwarePackage(name="src")
-        binary = SoftwarePackage(name="bin", isas=("ia32",))
-        assert portable.supports("ia64")
-        assert binary.supports("ia32")
-        assert not binary.supports("ia64")
 
     def test_custom_path(self):
         reg = SoftwareRegistry()

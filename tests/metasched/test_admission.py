@@ -20,7 +20,7 @@ def build(testbed=fig3_testbed, **kwargs):
     grid = testbed(sim)
     gis = GridInformationService()
     gis.register_grid(grid)
-    nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid)
     return sim, grid, AdmissionController(gis, nws, **kwargs)
 
 
@@ -58,8 +58,9 @@ class TestUsableHosts:
         gis = adm.gis
 
         def reference(job):
-            records = [r for r in gis.query(isa=job.isa)
-                       if gis.host(r.name).alive]
+            records = [r for r in gis.resources()
+                       if job.isa in (None, r.isa)
+                       and gis.host(r.name).alive]
             records.sort(key=lambda r: (-r.mflops, r.name))
             return [r.name for r in records]
 
@@ -116,8 +117,7 @@ class TestAdmit:
         grid = fig3_testbed(sim)
         gis = GridInformationService()
         gis.register_grid(grid)
-        nws = NetworkWeatherService(sim, grid,
-                                    deploy_network_sensors=False)
+        nws = NetworkWeatherService(sim, grid)
         with pytest.raises(ValueError):
             AdmissionController(gis, nws, max_queue=0)
         with pytest.raises(ValueError):

@@ -37,7 +37,7 @@ def build_service(service_cls=MetaScheduler, **kwargs):
     grid = fig3_testbed(sim)
     gis = GridInformationService()
     gis.register_grid(grid)
-    nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid)
     return sim, service_cls(sim, grid, gis, nws, **kwargs)
 
 
@@ -491,8 +491,7 @@ def serve_churn(service_cls, jobs=160, seed=4):
     grid = metasched_scale_grid(sim, 64)
     gis = GridInformationService()
     gis.register_grid(grid)
-    nws = NetworkWeatherService(sim, grid, cpu_period=60.0,
-                                deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid, cpu_period=60.0)
     service = service_cls(sim, grid, gis, nws)
     hosts = {host.name: host for host in grid.all_hosts()}
     for when, name, action in CHURN:

@@ -19,7 +19,7 @@ def build_service(tracer=None, **kwargs):
     grid = fig3_testbed(sim)
     gis = GridInformationService()
     gis.register_grid(grid)
-    nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid)
     return sim, grid, MetaScheduler(sim, grid, gis, nws, **kwargs)
 
 

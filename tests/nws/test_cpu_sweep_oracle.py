@@ -50,6 +50,14 @@ def toggler(sim, host, period, action, log):
         log.append((sim.now, host.name, host.availability()))
 
 
+def prober(sim, topology, src, dst, period):
+    """Push a 64 KB flow from ``src`` to ``dst`` ``period`` after the
+    previous one finished, the way an NWS bandwidth probe would."""
+    while True:
+        yield sim.timeout(period)
+        yield topology.transfer(src, dst, 64 * 1024, tag="probe")
+
+
 def querier(sim, nws, hosts, period, log):
     """Ask the service for CPU forecasts every ``period``."""
     while True:
@@ -111,7 +119,11 @@ def loads_and_faults_on_ticks(sim):
     sim.process(toggler(sim, host("utk.n2"), 10.0, "fault", log))
     ScheduledLoad(host=host("uiuc.n0"), at=25.0, nprocs=2,
                   until=50.0).install(sim)
-    nws = NetworkWeatherService(sim, grid, cpu_period=5.0, net_period=15.0)
+    nws = NetworkWeatherService(sim, grid, cpu_period=5.0)
+    # Two opposite flows start on the same tick instants and finish
+    # together, so flow completions share instants with each other.
+    for src, dst in (("utk.n0", "uiuc.n0"), ("uiuc.n0", "utk.n0")):
+        sim.process(prober(sim, grid.topology, src, dst, 15.0))
     # Armed after it, but before the first tick's timeout exists.
     ScheduledLoad(host=host("uiuc.n1"), at=5.0, nprocs=1,
                   until=35.0).install(sim)
@@ -134,8 +146,7 @@ def built_mid_run(sim):
     # Tick instants are 7.3 + 3.3 + 3.3 + ...; togglers started now
     # land on exactly those floats.
     sim.process(toggler(sim, host("uiuc.n4"), 3.3, "load", log))
-    nws = NetworkWeatherService(sim, grid, cpu_period=3.3,
-                                deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid, cpu_period=3.3)
     sim.process(toggler(sim, host("uiuc.n5"), 6.6, "fault", log))
     sim.process(querier(sim, nws, ["uiuc.n4", "uiuc.n5"], 3.3, log))
     return nws, log, 200.0
@@ -145,7 +156,7 @@ def forecast_before_first_tick(sim):
     grid = fig3_testbed(sim)
     log = []
     grid.topology.host("utk.n0").add_background_load(3)
-    nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid)
     for name in ("utk.n0", "uiuc.n7"):
         log.append((sim.now, name, nws.cpu_forecast(name)))
     sim.run(until=4.0)
@@ -222,8 +233,7 @@ def test_random_tick_aligned_events_match_oracle(period, start, events):
         for index, k, fault, before in events:
             if before:
                 arm(index, k, fault)
-        nws = NetworkWeatherService(sim, grid, cpu_period=period,
-                                    deploy_network_sensors=False)
+        nws = NetworkWeatherService(sim, grid, cpu_period=period)
         for index, k, fault, before in events:
             if not before:
                 arm(index, k, fault)
@@ -249,8 +259,7 @@ def test_idle_service_adds_one_agenda_entry_per_sweep():
     sim = Simulator()
     grid = fig3_testbed(sim)
     assert len(grid.all_hosts()) == 12
-    nws = NetworkWeatherService(sim, grid, cpu_period=10.0,
-                                deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid, cpu_period=10.0)
     sim.run(until=1.0)
     assert len(sim._agenda) == 1
     before = sim.stats.events_processed

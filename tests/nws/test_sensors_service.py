@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import Simulator
 from repro.microgrid import ScheduledLoad, fig3_testbed, fig4_testbed
-from repro.nws import (AdaptiveForecaster, CpuSensorSweep, NetworkSensor,
+from repro.nws import (AdaptiveForecaster, CpuSensorSweep,
                        NetworkWeatherService)
 from repro.nws.forecasting import HISTORY_LEN
 
@@ -142,59 +142,11 @@ class TestCpuSensorSweep:
         assert sim.now == 0.0
 
 
-class TestNetworkSensor:
-    def test_probe_measures_bottleneck(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim, internet_bw=5e6)
-        forecaster = AdaptiveForecaster()
-        NetworkSensor(sim, grid.topology, "utk.n0", "uiuc.n0", forecaster,
-                      period=30.0)
-        sim.run(until=100.0)
-        assert forecaster.n_samples == 3
-        for bandwidth in forecaster.history():
-            assert bandwidth == pytest.approx(5e6, rel=0.05)
-
-    def test_probe_sees_contention(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim, internet_bw=5e6)
-        forecaster = AdaptiveForecaster()
-        NetworkSensor(sim, grid.topology, "utk.n0", "uiuc.n0", forecaster,
-                      period=20.0, probe_bytes=1e6)
-        # Saturate the WAN link with a long bulk transfer from t=0.
-        grid.topology.transfer("utk.n1", "uiuc.n1", 1e9)
-        sim.run(until=65.0)
-        assert forecaster.history()
-        for bandwidth in forecaster.history():
-            assert bandwidth < 3.5e6  # roughly half of the 5 MB/s link
-
-    def test_readings_bounded(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        log = []
-        forecaster = Recorder(sim, "bw", log)
-        NetworkSensor(sim, grid.topology, "utk.n0", "uiuc.n0", forecaster,
-                      period=1.0)
-        sim.run(until=100.5)
-        assert forecaster.n_samples > HISTORY_LEN
-        assert len(forecaster.history()) == HISTORY_LEN
-        assert log[-1][0] > 99.0
-
-    def test_validation(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        with pytest.raises(ValueError):
-            NetworkSensor(sim, grid.topology, "a", "b", AdaptiveForecaster(),
-                          period=-1.0)
-        with pytest.raises(ValueError):
-            NetworkSensor(sim, grid.topology, "a", "b", AdaptiveForecaster(),
-                          probe_bytes=0)
-
-
 class TestNetworkWeatherService:
     def test_cpu_forecast_before_data_uses_probe(self):
         sim = Simulator()
         grid = fig3_testbed(sim)
-        nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+        nws = NetworkWeatherService(sim, grid)
         grid.clusters["utk"][0].add_background_load(3)
         # utk.n0 is dual core: a 4th task would get 2/4 of a core
         assert nws.cpu_forecast("utk.n0") == 0.5
@@ -205,8 +157,7 @@ class TestNetworkWeatherService:
     def test_cpu_forecast_tracks_load(self):
         sim = Simulator()
         grid = fig3_testbed(sim)
-        nws = NetworkWeatherService(sim, grid, cpu_period=5.0,
-                                    deploy_network_sensors=False)
+        nws = NetworkWeatherService(sim, grid, cpu_period=5.0)
         host = grid.clusters["uiuc"][0]
         host.add_background_load(1)
         sim.run(until=120.0)
@@ -215,42 +166,40 @@ class TestNetworkWeatherService:
     def test_bandwidth_forecast_static_fallback(self):
         sim = Simulator()
         grid = fig3_testbed(sim, internet_bw=5e6)
-        nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+        nws = NetworkWeatherService(sim, grid)
         assert nws.bandwidth_forecast("utk.n0", "uiuc.n0") == pytest.approx(5e6)
-
-    def test_bandwidth_forecast_from_probes(self):
-        sim = Simulator()
-        grid = fig3_testbed(sim, internet_bw=5e6)
-        nws = NetworkWeatherService(sim, grid, net_period=15.0)
-        sim.run(until=120.0)
-        assert nws.bandwidth_forecast("utk.n2", "uiuc.n5") == pytest.approx(
-            5e6, rel=0.1)
 
     def test_local_bandwidth_is_memcpy(self):
         sim = Simulator()
         grid = fig3_testbed(sim)
-        nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+        nws = NetworkWeatherService(sim, grid)
         assert nws.bandwidth_forecast("utk.n0", "utk.n0") == \
             grid.topology.local_copy_bw
 
     def test_transfer_forecast_combines_latency_and_bw(self):
         sim = Simulator()
         grid = fig3_testbed(sim, internet_bw=5e6)
-        nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+        nws = NetworkWeatherService(sim, grid)
         t = nws.transfer_forecast("utk.n0", "uiuc.n0", 5e6)
         assert t == pytest.approx(1.0 + 0.011, rel=0.02)
 
     def test_transfer_forecast_negative_rejected(self):
         sim = Simulator()
         grid = fig3_testbed(sim)
-        nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+        nws = NetworkWeatherService(sim, grid)
         with pytest.raises(ValueError):
             nws.transfer_forecast("utk.n0", "uiuc.n0", -1)
 
     def test_works_on_fig4_grid_with_standalone_host(self):
+        """The standalone host's path to a cluster is its 5 MB/s
+        Internet link, and the forecast stays that configuration
+        baseline while the grid runs."""
+        from repro.microgrid.testbed import INTERNET_BW
         sim = Simulator()
         grid = fig4_testbed(sim)
-        nws = NetworkWeatherService(sim, grid, net_period=20.0)
+        nws = NetworkWeatherService(sim, grid)
+        assert nws.bandwidth_forecast("ucsd.n0", "utk.n0") == INTERNET_BW
+        grid.topology.transfer("ucsd.n0", "utk.n1", 1e8)
         sim.run(until=60.0)
-        bw = nws.bandwidth_forecast("ucsd.n0", "utk.n0")
-        assert bw > 0
+        assert nws.bandwidth_forecast("ucsd.n0", "utk.n0") == INTERNET_BW
+        assert nws.bandwidth_forecast("utk.n0", "ucsd.n0") == INTERNET_BW

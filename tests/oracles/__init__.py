@@ -18,12 +18,16 @@ algorithm whose production path in ``repro`` is incremental:
   per-host busy scan that search calls, behind
   ``repro.metasched.MetaScheduler``, ``ReservationBook.find_window``
   and ``ReservationBook.free_now``.
-* :mod:`tests.oracles.graphs` — networkx's Dijkstra, lexicographical
-  topological sort and topological generations, behind
-  ``repro.microgrid.Topology`` routing and ``repro.scheduler.Workflow``.
+* :mod:`tests.oracles.graphs` — networkx's Dijkstra and
+  lexicographical topological sort, behind ``repro.microgrid.Topology``
+  routing and ``repro.scheduler.Workflow``; its topological generations
+  give the app-workflow tests their stage structure.
 * :mod:`tests.oracles.nnls` — scipy's ``nnls``, behind the numpy
   subset-search solver in ``repro.perfmodel.fit_flop_model``.
+* :mod:`tests.oracles.ranking` — the per-cell ``ecost``, behind the
+  one-forecast-read-per-resource ``repro.scheduler.build_rank_matrix``.
 
 They live with the tests because nothing in the product runs them;
-scipy and networkx are test-only dependencies for the last two.
+scipy and networkx are test-only dependencies for ``nnls`` and
+``graphs``.
 """

@@ -149,7 +149,7 @@ class _ReferenceBuilder:
                 "scheduler", f"task:{task.name}", ts=start,
                 dur=finish - start, host=record.name,
                 heuristic=self.schedule.heuristic,
-                rank=self.matrix.rank(i, resource_index))
+                rank=float(self.matrix.values[i, resource_index]))
 
     def finish_trace(self) -> None:
         if self.trace is not None:

@@ -22,7 +22,7 @@ def env():
     grid = fig3_testbed(sim)
     gis = GridInformationService()
     gis.register_grid(grid)
-    nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid)
     return sim, grid, gis, nws
 
 

@@ -171,7 +171,7 @@ def rank_case(rng, sim, grid, wf):
     """The rank matrix of ``wf`` on ``grid``, with random data sources."""
     gis = GridInformationService()
     gis.register_grid(grid)
-    nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
+    nws = NetworkWeatherService(sim, grid)
     hosts = [r.name for r in gis.resources()]
     sources = {c.name: [hosts[int(rng.integers(len(hosts)))]]
                for c in wf.components() if not wf.predecessors(c.name)}

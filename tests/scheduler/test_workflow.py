@@ -68,17 +68,6 @@ class TestWorkflow:
         c = comp("par", mflop=100.0, n_tasks=4, size=2.0)
         assert Task(c, 0).mflop() == pytest.approx(50.0)
 
-    def test_levels_group_independent_components(self):
-        wf = Workflow()
-        for name in ("a", "b1", "b2", "c"):
-            wf.add_component(comp(name))
-        wf.add_dependence("a", "b1")
-        wf.add_dependence("a", "b2")
-        wf.add_dependence("b1", "c")
-        wf.add_dependence("b2", "c")
-        levels = [[c.name for c in lvl] for lvl in wf.levels()]
-        assert levels == [["a"], ["b1", "b2"], ["c"]]
-
     def test_total_and_critical_path_mflop(self):
         wf = Workflow()
         wf.add_component(comp("a", mflop=100.0))

@@ -1,8 +1,7 @@
 """Workflow-order differential: in-tree Kahn's algorithm against networkx.
 
 :meth:`Workflow.components` must equal networkx's
-``lexicographical_topological_sort`` and :meth:`Workflow.levels` its
-``topological_generations`` (each sorted by name), and a dependence
+``lexicographical_topological_sort``, and a dependence
 that would close a cycle must be rejected exactly when networkx finds
 one, leaving the order unchanged.
 """
@@ -23,7 +22,6 @@ from repro.perfmodel import AnalyticComponentModel
 from repro.scheduler import Workflow, WorkflowComponent, WorkflowError
 from tests.oracles.graphs import (
     reference_add_dependence,
-    reference_generations,
     reference_topological_order,
     workflow_digraph,
 )
@@ -35,8 +33,6 @@ def names(components):
 
 def assert_orders_match(workflow, graph):
     assert names(workflow.components()) == reference_topological_order(graph)
-    assert [names(level) for level in workflow.levels()] \
-        == reference_generations(graph)
 
 
 def component(name):

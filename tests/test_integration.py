@@ -2,9 +2,8 @@
 
 These cross-module scenarios are the closest thing to the paper's live
 SC2003 demonstrations: multiple managed applications, stochastic
-background load, network sensors probing real links, contract monitors
-feeding one rescheduler, and scheduled-and-bound workflows — all in one
-simulation.
+background load, contract monitors feeding one rescheduler, and
+scheduled workflows and bound programs — all in one simulation.
 """
 
 import pytest
@@ -71,23 +70,6 @@ class TestMacroGridScenarios:
         assert viewer.n_samples > 10
         assert "migration requested" in text
 
-    def test_qr_with_live_network_sensors(self):
-        """Full NWS deployment (CPU + cross-site bandwidth probes) does
-        not perturb a managed run's correctness."""
-        sim = Simulator()
-        grid = fig3_testbed(sim)
-        env = GradsEnvironment(sim, grid, submission_host="utk.n0",
-                               deploy_network_sensors=True)
-        run, monitor, resched = env.managed_qr(
-            QrBenchmark(n=3000, nb=200),
-            initial_hosts=grid.clusters["utk"].host_names())
-        finished = run.start()
-        sim.run(stop_event=finished)
-        assert run.progress == run.benchmark.steps
-        # the probes produced bandwidth history usable for forecasts
-        bw = env.nws.bandwidth_forecast("utk.n0", "uiuc.n0")
-        assert bw == pytest.approx(5e6, rel=0.5)
-
     def test_workflow_on_stochastically_loaded_macrogrid(self):
         """EMAN over the full MacroGrid with a minute of background load
         on each uh host from a random instant: scheduling consumes NWS
@@ -147,34 +129,3 @@ class TestMacroGridScenarios:
         sim.run(stop_event=finished)
         assert sorted(done_marks) == [0, 1, 2]
 
-
-class TestManagedWorkflowRun:
-    def test_run_workflow_schedules_binds_and_executes(self):
-        """The §3.3 pipeline in one call: schedule -> bind -> execute."""
-        from repro.microgrid import heterogeneous_testbed
-        sim = Simulator()
-        grid = heterogeneous_testbed(sim)
-        env = GradsEnvironment(sim, grid, submission_host="ia32.n0")
-        wf = eman_refinement_workflow(EmanParameters(n_particles=4000),
-                                      classesbymra_tasks=12)
-        run_event = env.run_workflow(wf, required_packages=("eman",))
-        sim.run(stop_event=run_event)
-        run = run_event.value
-        assert run.bind.seconds > 0
-        assert set(run.bind.per_host_seconds) == \
-            {p.resource for p in run.scheduling.best.placements.values()}
-        assert run.measured_makespan > 0
-        assert len(run.trace.tasks) == len(wf.tasks())
-        # heterogeneity carried through the bind
-        assert set(run.bind.isas.values()) == {"ia32", "ia64"}
-
-    def test_run_workflow_missing_software_fails(self):
-        from repro.microgrid import heterogeneous_testbed
-        from repro.binder import BinderError
-        sim = Simulator()
-        grid = heterogeneous_testbed(sim)
-        env = GradsEnvironment(sim, grid, submission_host="ia32.n0")
-        wf = eman_refinement_workflow(EmanParameters(n_particles=2000))
-        run_event = env.run_workflow(wf, required_packages=("not-there",))
-        with pytest.raises(BinderError):
-            sim.run(stop_event=run_event)
