@@ -304,7 +304,18 @@ class QrRun(MigratableApp):
             raise RuntimeError("QR run already started")
         self._finished = self.sim.process(self._lifecycle(),
                                           name=f"{self.name}:manager")
+        self._finished.add_callback(self._cut)
+        self.sim.track(self)
         return self._finished
+
+    def _cut(self, _ev=None) -> None:
+        """Let go of the monitor (its rescheduler callback and contract
+        terms hold this run) and of a pending migration event (the
+        rescheduler's callback on it holds the rescheduler): once the
+        run ended, or when its simulator closes first."""
+        self.sim.untrack(self)
+        self.monitor = None
+        self._migration_done = None
 
     def _lifecycle(self):
         segment = 1

@@ -56,6 +56,7 @@ from .experiments.common import JSON_SCHEMA_VERSION, format_table
 from .microgrid.dml import parse_grid
 from .rescheduling.swapping import SWAP_POLICIES
 from .sim.kernel import Simulator
+from .sim.stats import format_stats
 from .trace import (
     Tracer,
     first_divergence,
@@ -310,11 +311,7 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
           f"(policy: {result.policy})")
     if args.stats:
         print("\nsubstrate counters:")
-        for key, value in result.stats.items():
-            if isinstance(value, float) and not value.is_integer():
-                print(f"  {key}: {value:.3f}")
-            else:
-                print(f"  {key}: {int(value)}")
+        print(format_stats(result.stats))
     return 0
 
 
@@ -356,6 +353,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     print(format_table(
         ["cluster/host", "nodes", "arch", "Mflop/s per node", "isa"],
         rows, title=f"{args.path}: {len(grid.all_hosts())} hosts"))
+    sim.close()
     return 0
 
 

@@ -97,6 +97,7 @@ def run_eman_demo(params: Optional[EmanParameters] = None,
     executor = WorkflowExecutor(sim, grid.topology, gis)
     trace_event = executor.execute(workflow, grads_result.best)
     sim.run(stop_event=trace_event)
+    sim.close()
     trace = trace_event.value
     result.measured_makespan = trace.makespan
     used = {t.resource for t in trace.tasks.values()}

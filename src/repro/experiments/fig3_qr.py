@@ -132,6 +132,7 @@ def _run_qr(n: int, nb: int, mode: str, rescheduler_mode: str,
                   nprocs=load_procs).install(sim)
     finished = run.start()
     sim.run(stop_event=finished)
+    sim.close()
     return sim, run, rescheduler
 
 

@@ -100,6 +100,7 @@ def run_fig4(n_bodies: int = 9000, n_iterations: int = 120,
         rescheduler.start()
     done = app.launch()
     sim.run(stop_event=done)
+    sim.close()
     return Fig4Result(
         progress=list(app.progress),
         swap_times=[record.time for record in app.job.swap_log],

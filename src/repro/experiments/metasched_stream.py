@@ -167,6 +167,7 @@ def run_metasched(users: int = 4, arrival_rate: float = 1 / 120.0,
                             RngRegistry(seed), max_jobs=max_jobs)
     done = service.run_stream(specs)
     sim.run(stop_event=done)
+    sim.close()
     return MetaschedResult(
         users=users, arrival_rate=arrival_rate, duration=duration,
         seed=seed, max_jobs=max_jobs, finished_at=sim.now,

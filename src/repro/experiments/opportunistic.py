@@ -107,6 +107,7 @@ def run_opportunistic(n_a: int = 6000, n_b: int = 8000,
     done_b.add_callback(lambda _e: finish_times.setdefault("b", sim.now))
     both = AllOf(sim, [done_a, done_b])
     sim.run(stop_event=both)
+    sim.close()
     opportunistic = sum(1 for d in rescheduler.decisions
                         if d.trigger == "opportunistic")
     final_cluster = run_b.current_hosts()[0].split(".")[0]

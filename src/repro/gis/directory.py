@@ -36,12 +36,10 @@ class ResourceRecord:
 
     @classmethod
     def from_host(cls, host: Host) -> "ResourceRecord":
-        cluster = host.cluster.name if host.cluster is not None else None
-        site = host.cluster.site if host.cluster is not None else host.name
         return cls(
             name=host.name,
-            site=site,
-            cluster=cluster,
+            site=host.site,
+            cluster=host.cluster_name,
             isa=host.arch.isa,
             mflops=host.arch.mflops,
             cores=host.cores,

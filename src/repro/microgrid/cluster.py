@@ -41,7 +41,8 @@ class Cluster:
         self.hosts: List[Host] = []
         for i in range(n_hosts):
             host = Host(sim, f"{name}.n{i}", arch, cores=cores_per_host)
-            host.cluster = self
+            host.cluster_name = name
+            host.site = self.site
             topology.attach_host(host)
             topology.add_link(host.name, self.switch,
                               bandwidth=link_bandwidth, latency=link_latency)

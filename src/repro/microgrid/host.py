@@ -16,13 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import Callable, List, Optional
 
 from ..sim.events import Event, Timeout
 from ..sim.kernel import Simulator
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .cluster import Cluster
 
 __all__ = ["Host", "CacheLevel", "Architecture", "HostFailure"]
 
@@ -112,7 +109,11 @@ class Host:
         #: disk bandwidths in bytes/s, used by the IBP depot model
         self.disk_read_bw = float(disk_read_bw)
         self.disk_write_bw = float(disk_write_bw)
-        self.cluster: Optional["Cluster"] = None
+        #: the name and site of the cluster the host belongs to (a
+        #: standalone host is its own site); names, not the Cluster,
+        #: which holds its hosts
+        self.cluster_name: Optional[str] = None
+        self.site = name
         self._tasks: List[_Task] = []
         self._last_update = sim.now
         self._epoch = 0
@@ -225,6 +226,10 @@ class Host:
     def on_fail(self, listener: Callable[["Host"], None]) -> None:
         """Subscribe ``listener(host)`` to this host's crashes."""
         self._fail_listeners.append(listener)
+
+    def off_fail(self, listener: Callable[["Host"], None]) -> None:
+        """Drop a listener :meth:`on_fail` subscribed."""
+        self._fail_listeners.remove(listener)
 
     def recover(self) -> None:
         """Bring a crashed host back, empty and idle."""

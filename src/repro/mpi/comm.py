@@ -75,6 +75,8 @@ class MpiJob:
         self.world = Communicator(self)
         self._iteration_listeners: List[Callable[[int, int, float], None]] = []
         self._procs: List = []
+        #: ranks launched and not yet ended
+        self._running = 0
         self._watched_hosts: List[Host] = []
         self.finished: Optional[Event] = None
 
@@ -83,20 +85,15 @@ class MpiJob:
         return len(self._rank_hosts)
 
     def rank_host(self, rank: int) -> Host:
-        self._check_rank(rank)
+        _check_rank(self._rank_hosts, rank)
         return self._rank_hosts[rank]
 
     def set_rank_host(self, rank: int, host: Host) -> None:
         """Re-map a rank to a different host (used by process swapping)."""
-        self._check_rank(rank)
+        _check_rank(self._rank_hosts, rank)
         self._rank_hosts[rank] = host
-        if self._procs:
+        if self._running:
             self._watch_host(host)
-
-    def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < len(self._rank_hosts):
-            raise MpiError(f"rank {rank} out of range for job of size "
-                           f"{len(self._rank_hosts)}")
 
     # -- launch -------------------------------------------------------------
     def launch(self, body: Callable[["MpiContext"], Any]) -> Event:
@@ -107,7 +104,10 @@ class MpiJob:
         for rank in range(self.size):
             ctx = MpiContext(self, rank)
             proc = self.sim.process(body(ctx), name=f"{self.name}:r{rank}")
+            proc.add_callback(self._rank_ended)
             self._procs.append(proc)
+        self._running = self.size
+        self.sim.track(self)
         for host in self._rank_hosts:
             self._watch_host(host)
         self.finished = AllOf(self.sim, self._procs,
@@ -134,6 +134,23 @@ class MpiJob:
                 if proc.is_alive:
                     proc.throw(HostFailure(host.name))
 
+    def _rank_ended(self, _proc) -> None:
+        """Once every rank has ended, nothing is left to kill or to
+        report: drop the host watches and the iteration listeners, so
+        a host keeps no listener of a finished job and the job no
+        closure of its watchers."""
+        self._running -= 1
+        if not self._running:
+            self._cut()
+
+    def _cut(self) -> None:
+        # Also what Simulator.close() calls while ranks still run.
+        self.sim.untrack(self)
+        for host in self._watched_hosts:
+            host.off_fail(self._on_host_fail)
+        self._watched_hosts = []
+        self._iteration_listeners = []
+
     # -- instrumentation -------------------------------------------------------
     def on_iteration(self, listener: Callable[[int, int, float], None]) -> None:
         """Register ``listener(rank, iteration, seconds)`` — the hook the
@@ -146,11 +163,24 @@ class MpiJob:
             listener(rank, iteration, seconds)
 
 
+def _check_rank(rank_hosts: List[Host], rank: int) -> None:
+    if not 0 <= rank < len(rank_hosts):
+        raise MpiError(f"rank {rank} out of range for job of size "
+                       f"{len(rank_hosts)}")
+
+
 class Communicator:
-    """Point-to-point mailboxes plus SPMD collectives for one job."""
+    """Point-to-point mailboxes plus SPMD collectives for one job.
+
+    It shares the job's rank-to-host list (a swap re-maps a rank in
+    place) instead of holding the job, which holds it as ``world``.
+    """
 
     def __init__(self, job: MpiJob) -> None:
-        self.job = job
+        self.sim = job.sim
+        self.topology = job.topology
+        self.name = job.name
+        self._rank_hosts = job._rank_hosts
         self._mailboxes: Dict[int, List[Message]] = {}
         self._waiting: Dict[int, List[_PendingRecv]] = {}
         # per-rank collective sequence numbers; SPMD programs call
@@ -160,28 +190,28 @@ class Communicator:
 
     @property
     def size(self) -> int:
-        return self.job.size
+        return len(self._rank_hosts)
 
     # -- point to point -------------------------------------------------------
     def send(self, src: int, dst: int, nbytes: float, tag: int = 0,
              payload: Any = None) -> Event:
         """Send; the event triggers when the message is delivered."""
-        job = self.job
-        rank_hosts = job._rank_hosts
+        rank_hosts = self._rank_hosts
         size = len(rank_hosts)
         if not (0 <= src < size and 0 <= dst < size):
-            job._check_rank(src)
-            job._check_rank(dst)
+            _check_rank(rank_hosts, src)
+            _check_rank(rank_hosts, dst)
         if nbytes < 0:
             raise MpiError("negative message size")
         if tag < 0:
             raise MpiError("tags must be non-negative (negatives are wildcards)")
         message = Message(src=src, dst=dst, tag=tag, nbytes=nbytes,
                           payload=payload)
-        transfer = job.topology.transfer(
+        name = self.name
+        transfer = self.topology.transfer(
             rank_hosts[src].name, rank_hosts[dst].name, nbytes,
-            tag=f"{job.name}:{src}->{dst}")
-        done = Event(job.sim, name=f"{job.name}:send:{src}->{dst}")
+            tag=f"{name}:{src}->{dst}")
+        done = Event(self.sim, name=f"{name}:send:{src}->{dst}")
 
         def deliver(_ev: Event) -> None:
             self._deposit(message)
@@ -193,10 +223,9 @@ class Communicator:
     def recv(self, rank: int, src: int = ANY_SOURCE,
              tag: int = ANY_TAG) -> Event:
         """Receive; the event's value is the matching :class:`Message`."""
-        job = self.job
-        if not 0 <= rank < len(job._rank_hosts):
-            job._check_rank(rank)
-        ev = Event(job.sim, name=f"{job.name}:recv:{rank}")
+        if not 0 <= rank < len(self._rank_hosts):
+            _check_rank(self._rank_hosts, rank)
+        ev = Event(self.sim, name=f"{self.name}:recv:{rank}")
         queue = self._mailboxes.setdefault(rank, [])
         for i, message in enumerate(queue):
             if ((src == ANY_SOURCE or message.src == src)
@@ -243,7 +272,7 @@ class Communicator:
     def bcast(self, rank: int, root: int, nbytes: float, payload: Any = None):
         """Binomial-tree broadcast (the MPICH algorithm); returns the
         payload on every rank."""
-        self.job._check_rank(root)
+        _check_rank(self._rank_hosts, root)
         tag = self._next_tag(rank, 1)
         size = self.size
         rel = (rank - root) % size  # rank relative to the root

@@ -18,12 +18,17 @@ There is no "active process" register: a resumption is one callback
 call with nothing saved or restored around it.
 ``sim.stats`` (:class:`~repro.sim.stats.KernelStats`) counts every event
 processed so workloads can report events/sec.
+
+A finished run is freed by reference counting: :meth:`Simulator.close`
+drops the agenda and the tracer and cuts whatever has not ended (the
+live set: unfinished processes and what :meth:`Simulator.track` holds),
+so nothing the run built is left for the cyclic collector.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Set, Tuple
 
 from .events import URGENT, Event, SimulationError, Timeout
 from .process import Process
@@ -39,12 +44,15 @@ class StopSimulation(Exception):
 class Simulator:
     """Discrete-event simulator with a monotonically advancing clock."""
 
-    __slots__ = ("_now", "_agenda", "_seq", "stats", "trace")
+    __slots__ = ("_now", "_agenda", "_seq", "_live", "stats", "trace")
 
     def __init__(self) -> None:
         self._now = 0.0
         self._agenda: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
+        #: what close() must cut: processes started and not yet
+        #: finished, and whatever track() added
+        self._live: Set[Any] = set()
         #: substrate performance counters, always on (see repro.sim.stats)
         self.stats = KernelStats()
         #: optional repro.trace.Tracer, attached via Tracer.bind(); None
@@ -156,6 +164,33 @@ class Simulator:
     @staticmethod
     def _stop_callback(event: Event) -> None:
         raise StopSimulation()
+
+    def track(self, obj: Any) -> None:
+        """Have :meth:`close` cut ``obj`` (call ``obj._cut()``) unless
+        :meth:`untrack` comes first: for a component that subscribed to
+        something outliving it and unsubscribes only when it ends."""
+        self._live.add(obj)
+
+    def untrack(self, obj: Any) -> None:
+        self._live.discard(obj)
+
+    def close(self) -> None:
+        """End the run: drop the agenda and the tracer, and cut every
+        process that has not finished and everything still tracked
+        (an MPI job whose ranks still run, a QR run not yet ended).
+
+        An experiment calls this once its report and trace are built.  The
+        pending entries, the suspended generators and the callbacks
+        they hang on are what tie a run's components into reference
+        cycles; once they are gone the whole run is freed by reference
+        counting when the caller's last reference goes.  ``now`` and
+        ``stats`` stay readable; nothing may run afterwards.
+        """
+        self._agenda.clear()
+        live, self._live = self._live, set()
+        for obj in live:
+            obj._cut()
+        self.trace = None
 
     # -- conveniences used across the code base -----------------------------
     def call_at(self, when: float, fn: Callable[[], None]) -> Event:

@@ -15,7 +15,10 @@ method once, at construction, and appends that same object onto the
 Interrupts and thrown exceptions take the same path: the poke event
 detaches the stored callback from the event the process was blocked on
 and is then handed to ``_resume`` like any other failed event.  When the
-generator finishes, the process drops the stored callback again.
+generator finishes, the process drops the stored callback again and
+leaves its simulator's live set; :meth:`Simulator.close` cuts the
+processes still in that set.  A failure's stored exception keeps its
+file and line information but not the locals of the frames it unwound.
 """
 
 from __future__ import annotations
@@ -42,6 +45,25 @@ class Interrupt(Exception):
         self.cause = cause
 
 
+def _unwound(exc: BaseException, before: Any) -> BaseException:
+    """``exc`` as a failed process stores it: file and line information
+    kept, frame locals dropped.
+
+    The head entry of its traceback is ``Process._resume``, whose
+    locals hold the process: it goes.  The entries down to ``before``
+    (the traceback a thrown-in exception already had) are the frames
+    this failure unwound, all finished, and lose their locals as in
+    ``traceback.clear_frames``.  Older entries stay as they are: one
+    may be the suspended frame of a process that caught the same
+    exception, and clearing it would finalize that process's generator.
+    """
+    tb = entry = exc.__traceback__.tb_next
+    while entry is not None and entry is not before:
+        entry.tb_frame.clear()
+        entry = entry.tb_next
+    return exc.with_traceback(tb)
+
+
 class Process(Event):
     """A running simulation process (also usable as an event)."""
 
@@ -56,6 +78,7 @@ class Process(Event):
         self._waiting_on: Event | None = None
         #: the bound _resume, made once and reused for every yield
         self._resume_cb = self._resume
+        sim._live.add(self)
         # Kick off at the current time via an immediately-successful
         # event.  Built by hand (no succeed(), no per-process f-string
         # name): spawning is on the hot path of fan-out workloads.
@@ -112,6 +135,22 @@ class Process(Event):
         poke._ok = False
         self.sim._queue_event(poke)
 
+    # -- lifetime ------------------------------------------------------------
+    def _finish(self) -> None:
+        # Dropping the stored callback breaks the process -> bound
+        # method cycle, so a finished process is freed by reference
+        # counting instead of waiting for the cyclic collector.
+        self._resume_cb = None
+        self.sim._live.discard(self)
+
+    def _cut(self) -> None:
+        """Release a process its simulator closed before it finished:
+        its generator, the event it waits on and its waiters."""
+        self._generator = None
+        self._waiting_on = None
+        self._resume_cb = None
+        self.callbacks = []
+
     # -- resumption machinery ------------------------------------------------
     def _resume_with_interrupt(self, poke: Event) -> None:
         if self._value is not PENDING:
@@ -128,30 +167,31 @@ class Process(Event):
         if self._value is not PENDING:
             return
         self._waiting_on = None
+        before = None
         try:
             if event._ok:
                 target = self._generator.send(event._value)
             else:
                 event.defused = True  # the failure is delivered into this process
+                before = event._value.__traceback__
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
-            # Dropping the stored callback breaks the process -> bound
-            # method cycle, so a finished process is freed by reference
-            # counting instead of waiting for the cyclic collector.
-            self._resume_cb = None
+            self._finish()
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self._resume_cb = None
-            self.fail(exc)
+            self._finish()
+            self.fail(_unwound(exc, before))
             return
         if not isinstance(target, Event):
             self._generator.close()
+            self._finish()
             self.fail(SimulationError(
                 f"process {self.name!r} yielded {target!r}, expected an Event"))
             return
         if target.sim is not self.sim:
             self._generator.close()
+            self._finish()
             self.fail(SimulationError(
                 f"process {self.name!r} yielded an event from another simulator"))
             return

@@ -31,7 +31,7 @@ stale wake-ups, and whether routing work is being amortised.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict
+from typing import TYPE_CHECKING, Any, Dict, Mapping
 
 __all__ = ["DIAGNOSTIC_COUNTERS", "KernelStats", "format_stats"]
 
@@ -120,15 +120,17 @@ class KernelStats:
                 f" route_hit_rate={self.route_cache_hit_rate:.3f}>")
 
 
-def format_stats(stats: "KernelStats", elapsed_wall: float = 0.0) -> str:
-    """Human-readable counter block, optionally with an events/sec rate."""
+def format_stats(counters: Mapping[str, float],
+                 elapsed_wall: float = 0.0) -> str:
+    """Human-readable block of a :meth:`KernelStats.snapshot`,
+    optionally with an events/sec rate."""
     lines = []
     for name, label, fmt, _diag in _COUNTERS:
-        lines.append(f"{label:<20} : {getattr(stats, name):{fmt}}")
+        lines.append(f"{label:<20} : {counters[name]:{fmt}}")
         if name == _HIT_RATE_AFTER:
             lines.append("route cache hit rate : "
-                         f"{stats.route_cache_hit_rate:.3f}")
+                         f"{counters['route_cache_hit_rate']:.3f}")
     if elapsed_wall > 0:
-        rate = stats.events_processed / elapsed_wall
+        rate = counters["events_processed"] / elapsed_wall
         lines.append(f"events/sec (wall)    : {rate:,.0f}")
     return "\n".join(lines)

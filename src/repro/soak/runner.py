@@ -266,6 +266,10 @@ def run_scenario(spec: ScenarioSpec, tracer=None) -> ScenarioOutcome:
             sim.run(until=target)
         except Exception as exc:  # harness finding, not a crash
             ctx.errors.append(f"{type(exc).__name__}: {exc}")
+            # Only the message is kept; the traceback would hold this
+            # frame, and with it the whole run, from the failed process
+            # that stores the exception.
+            exc.__traceback__ = None
             if len(ctx.errors) >= _MAX_CAUGHT_ERRORS:
                 break
             continue
@@ -279,10 +283,9 @@ def run_scenario(spec: ScenarioSpec, tracer=None) -> ScenarioOutcome:
         next_checkpoint = target + spec.checkpoint_every
 
     violations.extend(run_final_auditors(ctx))
-    # Detach the tracer so the sim <-> tracer cycle does not keep it
-    # alive until the cyclic collector runs; its own reference to the
+    # close() unbinds the tracer; the tracer's own reference to the
     # simulator stays, so a later bind() numbers runs as before.
-    sim.trace = None
+    sim.close()
 
     counters = {name: value
                 for name, value in sorted(sim.stats.snapshot().items())

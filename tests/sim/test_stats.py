@@ -44,10 +44,10 @@ def test_snapshot_is_plain_dict():
 def test_format_stats_includes_rate_when_timed():
     stats = KernelStats()
     stats.events_processed = 1000
-    text = format_stats(stats, elapsed_wall=0.5)
+    text = format_stats(stats.snapshot(), elapsed_wall=0.5)
     assert "events/sec" in text
     assert "2,000" in text
-    assert "events/sec" not in format_stats(stats)
+    assert "events/sec" not in format_stats(stats.snapshot())
 
 
 def test_scheduler_counters_in_snapshot_and_reset():
@@ -69,7 +69,7 @@ def test_scheduler_counters_in_snapshot_and_reset():
 def test_format_stats_includes_scheduler_counters():
     stats = KernelStats()
     stats.sched_evaluations = 1234
-    text = format_stats(stats)
+    text = format_stats(stats.snapshot())
     assert "candidate evals" in text
     assert "1234" in text
     assert "forecast memo hits" in text
@@ -98,7 +98,7 @@ def _distinct_stats():
 def test_every_slot_is_snapshotted_listed_and_reset():
     stats = _distinct_stats()
     snap = stats.snapshot()
-    lines = format_stats(stats).splitlines()
+    lines = format_stats(snap).splitlines()
     assert len(lines) == len(KernelStats.__slots__) + 1  # + hit rate
     for name in KernelStats.__slots__:
         value = getattr(stats, name)
@@ -117,7 +117,7 @@ def test_every_slot_is_snapshotted_listed_and_reset():
 
 def test_format_stats_text_is_pinned():
     # Captured from the hand-written listing this table replaced.
-    assert format_stats(_distinct_stats(), elapsed_wall=2.5) == (
+    assert format_stats(_distinct_stats().snapshot(), elapsed_wall=2.5) == (
         "events processed     : 1000\n"
         "reallocations        : 2001\n"
         "stale wake-ups       : 3002\n"

@@ -189,7 +189,6 @@ UNREACHED = {
     "repro.sim.stats.KernelStats.__getattr__": TYPING,
     "repro.sim.stats.KernelStats.__setattr__": TYPING,
     "repro.sim.stats.KernelStats.__repr__": REPR,
-    "repro.sim.stats.format_stats": only_read_by("tests/sim"),
     "repro.simlint.engine._parse_error": LINT_FINDING,
     "repro.simlint.findings.Finding.location": LINT_FINDING,
     "repro.simlint.report._gh_escape_message": LINT_FINDING,
@@ -261,6 +260,7 @@ def collect(out_path):
         traces = [os.path.join(tmp, f"fig4-{n}.json") for n in (5, 4)]
         for n, path in zip((5, 4), traces):
             cli("fig4", "--iterations", str(n), "--trace", path)
+        cli("fig4", "--iterations", "2", "--stats")
         cli("trace", "validate", traces[0])
         cli("trace", "summary", traces[0])
         cli("trace", "diff", *traces, expect=1)
