@@ -42,10 +42,6 @@ class FairShareQueue:
     def user_queued(self, user: str) -> int:
         return self._per_user.get(user, 0)
 
-    def specs(self) -> List[JobSpec]:
-        """Queued specs in arrival order (no priority sort)."""
-        return [spec for _seq, spec in self._entries.values()]
-
     def push(self, spec: JobSpec) -> None:
         if spec.name in self._entries:
             raise ValueError(f"job {spec.name!r} is already queued")

@@ -23,23 +23,43 @@ Invariants (DESIGN.md §9):
 
 The planning hot path (DESIGN.md §9.6): a calendar keeps its
 reservations bisect-sorted by start, so a conflict check or an insert
-costs O(log R) neighbour comparisons.  The book keeps one *candidate
-view* per candidate tuple for the current ``now``: each host's
-effective ends (overrunning claims pushed :data:`GRACE_SECONDS` past
-now), one sorted multiset of all of them, and the instant each host
-stays free until from now with its ascending copy.  When the book's
-edit counter moves, the view patches only the hosts whose own edit
-counter moved (bisect out their old entries, insort the new ones), so
-the many calls of one planning round share one set-up.
-:meth:`ReservationBook.find_window` answers a start at ``now`` from the
-free-until instants, then sweeps the multiset in ascending order,
-skipping instants within ``_EPS`` of the last start, and tests each
-host with a per-host cursor that only advances.  The free-until
-instants are that cursor's stops at ``now``, so :meth:`free_now` and
-the planner's tail test (:meth:`ReservationBook.free_until`) ask the
-same question with one comparison.  The linear window search the
-equivalence tests check :meth:`ReservationBook.find_window` against
-lives in ``tests/oracles/metasched.py``.
+costs O(log R) neighbour comparisons.  The book reads a host's live
+reservations in two parts:
+
+* **Claims**, through one *claims view* per candidate tuple, kept
+  across rounds: one sorted multiset of every candidate's real claim
+  ends, and ascending ``(value, index)`` lists of each host's
+  free-until instant (its first claim's start) and its first claim's
+  real end.  Nothing in it depends on ``now``: a claim whose real end
+  is at most ``now + _EPS`` has overrun, and the queries read the
+  grace horizon for it.  A calendar marks its host dirty in every view
+  when a claim is made or released, and the view re-reads its dirty
+  hosts when next asked.  A view no call asked for since the previous
+  change of ``now`` is dropped, so host churn cannot pile views up.
+* **Un-claimed reservations** (the round's plan: at most
+  ``RESERVE_DEPTH`` blocks) as an *overlay*: one insertion-ordered
+  dict shared by the book's calendars, which the queries read where
+  they need it.  Booking or cancelling a plan touches no view.
+
+:meth:`ReservationBook.find_window` sweeps candidate starts in
+ascending order: ``not_before``, then the merge of the claims multiset
+with the overlay's ends (and the grace horizon once a claim has
+overrun), skipping instants within ``_EPS`` of the last start.  Every
+live claim's effective end is past ``now + _EPS``, so at a start a
+host can be free only if its first claim starts at or after the
+window's end or ends by its start.  Two bisects count those hosts; a
+start where fewer than ``n`` pass is skipped, and only they are
+probed, in candidate order, by a scan of their live reservations that
+stops at the first one starting past the window.
+:meth:`ReservationBook.free_now` is that probe at ``now``, and
+:meth:`ReservationBook.free_until` the ``n``-th largest free-until
+instant, each overlay host's lowered to its first live un-claimed
+start.  That is exact: a host's free-until instant is the start of its
+first live reservation whose effective end is past ``now + _EPS``,
+and the earlier of the two parts' firsts is that reservation.  The
+linear window search the equivalence tests check
+:meth:`ReservationBook.find_window` against lives in
+``tests/oracles/metasched.py``.
 """
 
 from __future__ import annotations
@@ -65,7 +85,6 @@ GRACE_SECONDS = 30.0
 RESERVED = "reserved"
 CLAIMED = "claimed"
 RELEASED = "released"
-
 
 class ReservationConflict(RuntimeError):
     """Raised when an insert would overlap an existing reservation."""
@@ -102,27 +121,14 @@ class HostCalendar:
         self._active: List[Reservation] = []
         #: parallel array of starts — the bisect index over ``_active``
         self._starts: List[float] = []
-        #: monotone edit counter; any mutation bumps it (view patching)
-        self.mutations = 0
-        #: shared with the owning book (see ReservationBook.calendar): one
-        #: book-wide edit counter that tells its views something changed
-        self.version_cell = [0]
+        #: un-claimed live reservations, in booking order; the owning
+        #: book shares one dict among its calendars (its overlay)
+        self.unclaimed: Dict[Reservation, None] = {}
+        #: the owning book's views' dirty sets: a claim made or released
+        #: marks this host in each (see ReservationBook.calendar)
+        self.dirty_sets: List[Dict[str, None]] = []
         #: released claims, as (job, start, release_time) — the audit log
         self.claim_history: List[Tuple[str, float, float]] = []
-
-    # -- queries -----------------------------------------------------------
-    def active(self) -> List[Reservation]:
-        return list(self._active)
-
-    def _effective_ends(self, now: float) -> List[float]:
-        """Effective end per live reservation, in start order.
-
-        An overrunning claim (still running past its estimate) blocks
-        until ``now + GRACE_SECONDS``.
-        """
-        horizon = now + GRACE_SECONDS
-        return [horizon if resv.state == CLAIMED and resv.end <= now + _EPS
-                else resv.end for resv in self._active]
 
     # -- mutation ----------------------------------------------------------
     def _index_of(self, resv: Reservation) -> int:
@@ -135,6 +141,10 @@ class HostCalendar:
                 break
             i += 1
         raise ValueError("reservation does not belong to this calendar")
+
+    def _claims_changed(self) -> None:
+        for dirty in self.dirty_sets:
+            dirty[self.host] = None
 
     def reserve(self, job: str, start: float, end: float) -> Reservation:
         """Book ``[start, end)``; raises :class:`ReservationConflict`.
@@ -158,8 +168,7 @@ class HostCalendar:
         resv = Reservation(job, self.host, start, end)
         self._active.insert(i, resv)
         self._starts.insert(i, start)
-        self.mutations += 1
-        self.version_cell[0] += 1
+        self.unclaimed[resv] = None
         return resv
 
     def claim(self, resv: Reservation, now: float) -> None:
@@ -174,9 +183,9 @@ class HostCalendar:
             raise ValueError(
                 f"cannot claim {resv!r} at {now:.3f}, before it starts")
         self._index_of(resv)
+        del self.unclaimed[resv]
         resv.state = CLAIMED
-        self.mutations += 1
-        self.version_cell[0] += 1
+        self._claims_changed()
 
     def release(self, resv: Reservation, now: float) -> None:
         """End a reservation.  Claims are truncated/extended to the
@@ -190,9 +199,10 @@ class HostCalendar:
         if resv.state == CLAIMED:
             resv.end = max(now, resv.start + _EPS)
             self.claim_history.append((resv.job, resv.start, resv.end))
+            self._claims_changed()
+        else:
+            del self.unclaimed[resv]
         resv.state = RELEASED
-        self.mutations += 1
-        self.version_cell[0] += 1
 
     def audit(self) -> List[str]:
         """Overlap violations among all claims, past and present."""
@@ -211,114 +221,159 @@ class HostCalendar:
         return problems
 
 
-class _CandidateView:
-    """The availability profile of one candidate tuple at one ``now``,
-    in candidate order.
+def _busy(active: List[Reservation], live: float, thr: float,
+          overrun: float, horizon: float) -> bool:
+    """Is a live reservation in ``active`` (sorted by start) in the way
+    of ``[start, end)``, given ``live = start + _EPS`` and ``thr = end -
+    _EPS``?  A claim ending by ``overrun`` (``now + _EPS``) has overrun
+    and ends at ``horizon``.  The scan stops at the first reservation
+    starting at or after ``thr``: every later one does too."""
+    for resv in active:
+        if resv.start >= thr:
+            return False
+        end = resv.end
+        if end <= overrun and resv.state == CLAIMED:
+            end = horizon
+        if end > live:
+            return True
+    return False
 
-    ``starts`` are the calendars' own start arrays (edited in place),
-    ``ends`` each host's effective ends, ``times`` one sorted multiset
-    of every host's effective ends, ``free_until`` the instant each
-    host stays free until from now and ``sorted_free_until`` its
-    ascending copy.  ``muts`` holds the calendar edit counters the
-    entries were computed at.
 
-    A host's effective ends need not ascend: an overrunning claim's end
-    reads ``now + GRACE_SECONDS``, later than the ends of bookings
-    behind it.  The first reservation whose effective end is past an
-    instant still has the smallest start of every reservation that can
-    block a window opening there, so one cursor per host stays exact.
+class _ClaimsView:
+    """The live claims of one candidate tuple, in candidate order.
+
+    ``ends[i]`` are host ``i``'s real claim ends and ``times`` one
+    sorted multiset of every candidate's.  ``by_until`` and
+    ``by_first_end`` hold ``(value, i)`` in ascending order for each
+    host's free-until instant (its first claim's start) and its first
+    claim's real end, ``keys[i]`` host ``i``'s two entries; a host
+    without claims reads ``inf`` in both.  ``dirty`` names the hosts
+    whose claims changed since the view last read them, and ``asked``
+    is the book epoch of the view's last use.
+
+    Nothing here depends on ``now``: a claim whose real end is at most
+    ``now + _EPS`` has overrun, and the probes read the grace horizon
+    ``now + GRACE_SECONDS`` as its effective end.
     """
 
-    __slots__ = ("cals", "starts", "ends", "muts", "times", "free_until",
-                 "sorted_free_until", "version")
+    __slots__ = ("cals", "index", "ends", "keys", "times", "by_until",
+                 "by_first_end", "dirty", "asked")
 
-    def __init__(self, cals: List[HostCalendar], now: float,
-                 version: int) -> None:
+    def __init__(self, cals: List[HostCalendar], asked: int) -> None:
         self.cals = cals
-        self.starts = [cal._starts for cal in cals]
-        self.ends = [cal._effective_ends(now) for cal in cals]
-        self.muts = [cal.mutations for cal in cals]
+        self.index = {cal.host: i for i, cal in enumerate(cals)}
+        self.dirty: Dict[str, None] = {}
+        self.asked = asked
+        reads = [self._read(i) for i in range(len(cals))]
+        self.ends = [ends for ends, _keys in reads]
+        self.keys = [keys for _ends, keys in reads]
         self.times = sorted(t for ends in self.ends for t in ends)
-        self.free_until = [self._free_until(i, now)
-                           for i in range(len(cals))]
-        self.sorted_free_until = sorted(self.free_until)
-        self.version = version
+        self.by_until = sorted(until for until, _end in self.keys)
+        self.by_first_end = sorted(end for _until, end in self.keys)
 
-    def _free_until(self, i: int, now: float) -> float:
-        """Start of host ``i``'s first reservation still live at
-        ``now`` (``inf`` if none): the reservation the sweep's cursor
-        stops at for ``start = now``.  At most ``now + _EPS`` while one
-        holds the host, overrunning claims included."""
-        live = now + _EPS
-        for start, end in zip(self.starts[i], self.ends[i]):
-            if end > live:
-                return start
-        return math.inf
+    def _read(self, i: int) -> Tuple[List[float], Tuple[Tuple[float, int],
+                                                        Tuple[float, int]]]:
+        """Host ``i``'s real claim ends, in start order, and its keys."""
+        claims = [resv for resv in self.cals[i]._active
+                  if resv.state == CLAIMED]
+        if not claims:
+            return [], ((math.inf, i), (math.inf, i))
+        return ([resv.end for resv in claims],
+                ((claims[0].start, i), (claims[0].end, i)))
 
-    def first_free(self, n_hosts: int, threshold: float,
-                   candidates: Sequence[str]
-                   ) -> Tuple[Optional[List[str]], int]:
-        """The first ``n_hosts`` candidates free until at least
-        ``threshold``, or ``None`` when fewer are, with the number of
-        probes it took.  The ascending copy rejects in one comparison."""
-        if self.sorted_free_until[-n_hosts] < threshold:
-            return None, 1
-        probes = 0
-        free: List[str] = []
-        for host, until in zip(candidates, self.free_until):
-            probes += 1
-            if until >= threshold:
-                free.append(host)
-                if len(free) == n_hosts:
-                    break
-        return free, probes
+    def until(self, i: int) -> float:
+        """Host ``i``'s free-until instant over its claims."""
+        return self.keys[i][0][0]
 
-    def patch(self, now: float, version: int) -> None:
-        """Recompute the hosts whose calendar changed since the view
-        last looked, moving their entries in the sorted lists."""
-        times, until, sorted_until = (self.times, self.free_until,
-                                      self.sorted_free_until)
-        for i, cal in enumerate(self.cals):
-            if cal.mutations == self.muts[i]:
+    def refresh(self) -> None:
+        """Re-read the dirty hosts, moving their sorted-list entries."""
+        times, index = self.times, self.index
+        for host in self.dirty:
+            i = index.get(host)
+            if i is None:
                 continue
-            self.muts[i] = cal.mutations
+            ends, keys = self._read(i)
             for t in self.ends[i]:
                 del times[bisect_left(times, t)]
-            self.ends[i] = cal._effective_ends(now)
-            for t in self.ends[i]:
+            for t in ends:
                 insort(times, t)
-            del sorted_until[bisect_left(sorted_until, until[i])]
-            until[i] = self._free_until(i, now)
-            insort(sorted_until, until[i])
-        self.version = version
+            for entries, old, new in zip((self.by_until, self.by_first_end),
+                                         self.keys[i], keys):
+                del entries[bisect_left(entries, old)]
+                insort(entries, new)
+            self.ends[i], self.keys[i] = ends, keys
+        self.dirty.clear()
+
+    def free_at(self, start: float, duration: float, n_hosts: int,
+                now: float) -> Tuple[Optional[List[int]], int]:
+        """The first ``n_hosts`` candidate indices free over ``[start,
+        start + duration)``, or ``None`` when fewer are, with the number
+        of probes it took (``start`` is at least ``now``).
+
+        A host is busy iff one of its live reservations ends, at its
+        effective end, after ``start + _EPS`` and starts before
+        ``start + duration - _EPS``.  Every live claim's effective end
+        is past ``now + _EPS``, so its first claim is in the way unless
+        it starts at or after that window end (its free-until instant)
+        or ends by ``start + _EPS``.  Two bisects count the hosts
+        passing either test; a start where fewer than ``n_hosts`` do is
+        rejected, and only they are probed, in candidate order, by a
+        scan of their live reservations that stops at the first one
+        starting past the window.
+        """
+        thr = start + duration - _EPS
+        live = start + _EPS
+        overrun = now + _EPS
+        horizon = now + GRACE_SECONDS
+        by_until, by_first_end = self.by_until, self.by_first_end
+        lo = bisect_left(by_until, (thr,))
+        hi = bisect_right(by_first_end, (live, math.inf))
+        # an overrunning first claim ends at the horizon
+        first = 0 if horizon <= live else bisect_right(
+            by_first_end, (overrun, math.inf), 0, hi)
+        if len(by_until) - lo + hi - first < n_hosts:
+            return None, 1
+        pick = {i for _until, i in by_until[lo:]}
+        pick.update(i for _end, i in by_first_end[first:hi])
+        cals = self.cals
+        free: List[int] = []
+        probes = 0
+        for i in sorted(pick):
+            probes += 1
+            if not _busy(cals[i]._active, live, thr, overrun, horizon):
+                free.append(i)
+                if len(free) == n_hosts:
+                    return free, probes
+        return None, probes
 
 
 class ReservationBook:
     """The calendars of every host the metascheduler may book."""
 
     def __init__(self, hosts: Iterable[str] = ()) -> None:
-        #: one shared edit counter: every calendar mutation bumps it, so
-        #: a view whose recorded value still matches is up to date
-        self._vcell = [0]
+        #: every calendar's un-claimed reservations (the overlay)
+        self._unclaimed: Dict[Reservation, None] = {}
+        #: each view's dirty set, shared with every calendar
+        self._dirty: List[Dict[str, None]] = []
         self._calendars: Dict[str, HostCalendar] = {}
         for name in hosts:
             self.calendar(name)
         #: optional :class:`~repro.sim.stats.KernelStats` sink for the
         #: ``meta_plan_window_probes`` counter (set by the service)
         self.stats: Optional[KernelStats] = None
-        #: one view per candidate tuple, all for ``_view_now``
-        self._views: Dict[Tuple[str, ...], _CandidateView] = {}
+        #: one claims view per candidate tuple; ``_epoch`` counts the
+        #: changes of the ``now`` the book was last asked at
+        self._views: Dict[Tuple[str, ...], _ClaimsView] = {}
         self._view_now = math.nan
+        self._epoch = 0
 
     def calendar(self, host: str) -> HostCalendar:
         cal = self._calendars.get(host)
         if cal is None:
             cal = self._calendars[host] = HostCalendar(host)
-            cal.version_cell = self._vcell
+            cal.unclaimed = self._unclaimed
+            cal.dirty_sets = self._dirty
         return cal
-
-    def hosts(self) -> List[str]:
-        return sorted(self._calendars)
 
     # -- block operations --------------------------------------------------
     def reserve_block(self, job: str, hosts: Sequence[str], start: float,
@@ -346,82 +401,90 @@ class ReservationBook:
                 self.calendar(resv.host).release(resv, now)
 
     # -- planning ----------------------------------------------------------
-    def _view(self, candidates: Sequence[str], now: float) -> _CandidateView:
-        """The up-to-date view of ``candidates`` at ``now``."""
+    def _view(self, candidates: Sequence[str], now: float) -> _ClaimsView:
+        """The up-to-date claims view of ``candidates`` (distinct
+        hosts).  When ``now`` changes, the views no call asked for
+        since the previous change are dropped with their dirty sets."""
         if now != self._view_now:  # simlint: ignore[SL005] — exact cache-key match, not a tolerance decision
-            self._views = {}
+            epoch = self._epoch
+            self._views = {key: view for key, view in self._views.items()
+                           if view.asked == epoch}
+            self._dirty[:] = [view.dirty for view in self._views.values()]
             self._view_now = now
+            self._epoch += 1
         key = candidates if type(candidates) is tuple else tuple(candidates)
-        version = self._vcell[0]
         view = self._views.get(key)
         if view is None:
-            view = self._views[key] = _CandidateView(
-                [self.calendar(host) for host in key], now, version)
-        elif view.version != version:
-            view.patch(now, version)
+            view = self._views[key] = _ClaimsView(
+                [self.calendar(host) for host in key], self._epoch)
+            self._dirty.append(view.dirty)
+        else:
+            if view.dirty:
+                view.refresh()
+            view.asked = self._epoch
         return view
+
+    def _planned_ends(self, view: _ClaimsView, now: float) -> List[float]:
+        """The sweep's second sorted list of candidate starts: the ends
+        of the un-claimed reservations on ``view``'s candidates, plus
+        the grace horizon when one of its claims has overrun.  The
+        view's multiset keeps an overrun claim's real end, at most
+        ``now + _EPS``: the sweep never starts there, as every start it
+        skips past is at least ``now``."""
+        index = view.index
+        ends = [resv.end for resv in self._unclaimed if resv.host in index]
+        if view.times and view.times[0] <= now + _EPS:
+            ends.append(now + GRACE_SECONDS)
+        ends.sort()
+        return ends
 
     def find_window(self, n_hosts: int, duration: float, not_before: float,
                     candidates: Sequence[str], now: float
                     ) -> Optional[Tuple[float, List[str]]]:
-        """Earliest ``(start, hosts)`` where ``n_hosts`` of the candidate
-        list (tried in the given preference order) are simultaneously
-        free for ``duration`` seconds.  ``None`` when no finite window
+        """Earliest ``(start, hosts)`` at or after ``not_before`` (which
+        is at least ``now``) where ``n_hosts`` of the candidate list
+        (tried in the given preference order) are simultaneously free
+        for ``duration`` seconds.  ``None`` when no finite window
         exists (never happens while calendars hold finite intervals).
 
         Candidate starts are ``not_before`` and every later effective
-        end in the view, ascending, with instants within ``_EPS`` of
-        the previous start skipped.  When ``not_before`` is ``now`` the
-        first start is answered from the view's free-until instants,
-        exactly as :meth:`free_now` answers it, so a backlogged book
-        rejects it in one comparison.  The result is identical to the
-        linear-scan oracle in ``tests/oracles/metasched.py`` — the
-        equivalence suite asserts it.
+        end of a live reservation on a candidate, ascending, with
+        instants within ``_EPS`` of the previous start skipped: the
+        claims view's multiset and :meth:`_planned_ends`, merged.  The
+        result is identical to the linear-scan oracle in
+        ``tests/oracles/metasched.py`` — the equivalence suite asserts
+        it.
         """
         if n_hosts < 1 or n_hosts > len(candidates):
             return None
+        if not_before < now:
+            raise ValueError(
+                f"window search from {not_before} before now ({now})")
         view = self._view(candidates, now)
-        # Monotone pointer sweep: starts ascend, so a per-host cursor
-        # to the first reservation whose effective end is past the
-        # start only advances, and each (start, host) probe is O(1)
-        # amortized.  Starts are sorted, so that reservation blocks
-        # the window iff any live one does (see _CandidateView).
-        times, starts_arrs, ends_arrs = view.times, view.starts, view.ends
-        ptrs = [0] * len(candidates)
-        k = probes = 0
+        times = view.times
+        planned_ends: Optional[List[float]] = None
+        k = j = probes = 0
         start = not_before
-        # the free-until instants are the cursor's stops at start = now
-        at_now = not_before == now  # simlint: ignore[SL005] — the caller passes its own now; only that exact instant has precomputed stops
-        free: Optional[List[str]]
         try:
             while True:
-                end = start + duration
-                if at_now:
-                    at_now = False
-                    free, probes = view.first_free(n_hosts, end - _EPS,
-                                                   candidates)
-                    if free is not None:
-                        return start, free
+                free, n = view.free_at(start, duration, n_hosts, now)
+                probes += n
+                if free is not None:
+                    return start, [candidates[i] for i in free]
+                if planned_ends is None:
+                    planned_ends = self._planned_ends(view, now)
+                # the next start is the first end past start + _EPS in
+                # either sorted list; both cursors only advance
+                live = start + _EPS
+                k = bisect_right(times, live, k)
+                j = bisect_right(planned_ends, live, j)
+                if j < len(planned_ends) and (
+                        k == len(times) or planned_ends[j] < times[k]):
+                    start = planned_ends[j]
+                elif k < len(times):
+                    start = times[k]
                 else:
-                    free = []
-                    for i, host in enumerate(candidates):
-                        probes += 1
-                        ends = ends_arrs[i]
-                        p = ptrs[i]
-                        while p < len(ends) and ends[p] <= start + _EPS:
-                            p += 1
-                        ptrs[i] = p
-                        starts = starts_arrs[i]
-                        if p < len(starts) and starts[p] < end - _EPS:
-                            continue
-                        free.append(host)
-                        if len(free) == n_hosts:
-                            return start, free
-                k = bisect_right(times, start + _EPS, k)
-                if k == len(times):
                     return None
-                start = times[k]
-                k += 1
         finally:
             if self.stats is not None:
                 self.stats.meta_plan_window_probes += probes
@@ -432,31 +495,55 @@ class ReservationBook:
         """First ``n_hosts`` candidates (preference order) free for
         ``[now, now + duration)``, or ``None`` if fewer are free.
 
-        Exactly the first iteration of the :meth:`find_window` sweep
-        (the ``start = not_before = now`` probe): when a job's only
+        Exactly the first probe of the :meth:`find_window` sweep (the
+        ``start = not_before = now`` probe): when a job's only
         observable decision is "start immediately or stay blocked" —
         a backfill candidate behind a full reservation depth — this
-        answers it without sweeping any later windows.  A host is free
-        when its free-until instant is at least ``now + duration -
-        _EPS``, the cursor's own test; the view's ascending copy
-        answers the common backlogged case — "no n-host window exists
-        right now" — in one comparison.
+        answers it without sweeping any later windows.  The bound on
+        free-until instants answers the common backlogged case — "no
+        n-host window exists right now" — in one bisect.
         """
         if n_hosts < 1 or n_hosts > len(candidates):
             return None
-        free, probes = self._view(candidates, now).first_free(
-            n_hosts, now + duration - _EPS, candidates)
+        free, probes = self._view(candidates, now).free_at(
+            now, duration, n_hosts, now)
         if self.stats is not None:
             self.stats.meta_plan_window_probes += probes
-        return free
+        return None if free is None else [candidates[i] for i in free]
 
     def free_until(self, n_hosts: int, candidates: Sequence[str],
                    now: float) -> float:
         """The latest instant until which ``n_hosts`` of the candidates
         are all free from ``now`` (``inf`` when they stay free):
         ``free_now(n_hosts, duration, candidates, now)`` finds hosts
-        iff ``now + duration - _EPS`` is at most this."""
-        return self._view(candidates, now).sorted_free_until[-n_hosts]
+        iff ``now + duration - _EPS`` is at most this.
+
+        A host's free-until instant is the start of its first live
+        reservation whose effective end is past ``now + _EPS``.  Every
+        live claim's is, so that is its first claim's start (the view's
+        ``by_until``), lowered to its first such un-claimed start when
+        that is earlier, and the answer is the ``n``-th largest of
+        those.  Lowering can move the view's own ``n``-th largest,
+        ``bound``, only through an un-claimed reservation that starts
+        before it, so without one ``bound`` is the answer."""
+        view = self._view(candidates, now)
+        by_until = view.by_until
+        bound = by_until[-n_hosts][0]
+        live = now + _EPS
+        index = view.index
+        if not any(resv.start < bound and resv.end > live
+                   and resv.host in index for resv in self._unclaimed):
+            return bound
+        lowered: Dict[int, float] = {}
+        for resv in self._unclaimed:
+            i = index.get(resv.host)
+            if (i is not None and resv.end > live
+                    and resv.start < lowered.get(i, view.until(i))):
+                lowered[i] = resv.start
+        values = [until for until, i in by_until if i not in lowered]
+        values.extend(lowered.values())
+        values.sort()
+        return values[-n_hosts]
 
     def audit(self) -> List[str]:
         """All claim-overlap violations across every host (must be [])."""

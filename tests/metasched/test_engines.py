@@ -9,6 +9,7 @@ probes and estimate memo hits (how the planner searches, excluded from
 reports) may differ.
 """
 
+import collections
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from tests.oracles.metasched import (ReferenceMetaScheduler,
                                      reference_find_window,
+                                     reference_free_until,
                                      reference_planner)
 
 
@@ -132,7 +134,7 @@ class TestOutcomeEquivalence:
             assert a.finished_at == b.finished_at
             assert a.hosts == b.hosts
             assert a.backfilled == b.backfilled
-        for host in fast.book.hosts():
+        for host in sorted(fast.book._calendars):
             assert (fast.book.calendar(host).claim_history
                     == ref.book.calendar(host).claim_history)
         assert fast.audit_conflicts() == []
@@ -327,10 +329,10 @@ class TestWindowSearchEquivalence:
 
 
 class TestCandidateViewPatching:
-    """Differential test for the book's candidate views: edits between
-    two calls at the same ``now`` (reserved, rolled-back, claimed and
-    released blocks) must be patched into the view that later calls
-    read.  Every ``find_window`` answer is checked against the linear
+    """Differential test for the book's claims views and overlay: edits
+    between two calls at the same ``now`` (reserved, rolled-back,
+    claimed and released blocks) must show in the answers of later
+    calls.  Every ``find_window`` answer is checked against the linear
     oracle, and every ``free_now`` answer against the oracle's first
     probe."""
 
@@ -349,7 +351,7 @@ class TestCandidateViewPatching:
         seen["later not_before"] += not_before > now
         seen["overrun host"] += any(
             resv.state == CLAIMED and resv.end <= now + 1e-9
-            for host in order for resv in book.calendar(host).active())
+            for host in order for resv in book.calendar(host)._active)
         free = book.free_now(n, duration, cands, now)
         first = reference_find_window(book, n, duration, now, list(order),
                                       now)
@@ -399,6 +401,112 @@ class TestCandidateViewPatching:
                     self._ask(book, rng, orders, now, seen)
                     self._edit(book, rng, blocks, now, 100 * rnd + step)
         assert min(seen.values()) > 50, seen
+
+
+class TestClaimsViewAcrossRounds:
+    """Differential test for the claims views kept across ``now``
+    changes: ``find_window``, ``free_now`` and ``free_until`` against
+    the linear oracle and a brute-force ``n``-th largest free-until, on
+    seeded random calendars where ``now`` mostly advances and sometimes
+    moves back, claims start overrunning between two rounds with no
+    edit, claimed and un-claimed reservations share hosts (with ends a
+    sub-``_EPS`` apart across the two), blocks are rolled back and the
+    candidate tuples churn."""
+
+    HOSTS = [f"h{i}" for i in range(8)]
+
+    def _tuple(self, rng):
+        hosts = rng.sample(self.HOSTS, rng.randrange(2, len(self.HOSTS) + 1))
+        return tuple(hosts)
+
+    def _edit(self, book, rng, blocks, now, k, seen):
+        live = [b for b in blocks if any(r.state != RELEASED for r in b)]
+        claimable = [b for b in live
+                     if all(r.state == RESERVED and r.start <= now
+                            for r in b)]
+        ends = [r.end for b in live for r in b if r.state != RELEASED]
+        roll = rng.random()
+        if roll < 0.25 and claimable:
+            book.claim_block(rng.choice(claimable), now)
+            return
+        if roll < 0.4 and live:
+            block = rng.choice(live)
+            book.release_block(block, now)
+            blocks.remove(block)
+            return
+        hosts = rng.sample(self.HOSTS, rng.randrange(1, 4))
+        if roll < 0.55 and ends:
+            # end a sub-eps away from a live end, maybe on another host
+            end = rng.choice(ends) + rng.choice([-4e-10, 0.0, 4e-10])
+            start = end - rng.randrange(1, 80)
+        else:
+            # short claims that start in the past overrun soon
+            start = now + rng.randrange(-60, 250)
+            end = start + rng.randrange(1, 120)
+        try:
+            blocks.append(book.reserve_block(f"e{k}", hosts, start, end))
+        except ReservationConflict:
+            seen["rolled back"] += len(hosts) > 1
+
+    def _ask(self, book, rng, cands, now, last_now, seen):
+        key_known = cands in book._views
+        seen["view at a later now"] += key_known and now > last_now
+        seen["view at an earlier now"] += key_known and now < last_now
+        live = [r for host in cands for r in book.calendar(host)._active]
+        seen["overrun since last round"] += any(
+            r.state == CLAIMED and last_now + 1e-9 < r.end <= now + 1e-9
+            for r in live)
+        claimed = [r.end for r in live if r.state == CLAIMED]
+        planned = [r.end for r in live if r.state == RESERVED]
+        seen["eps-close ends"] += any(0 < abs(a - b) <= 1e-9
+                                      for a in claimed for b in planned)
+        seen["mixed host"] += any(
+            {r.state for r in book.calendar(host)._active}
+            == {CLAIMED, RESERVED} for host in cands)
+        n = rng.randrange(1, len(cands) + 1)
+        duration = rng.randrange(5, 200) * 1.0
+        not_before = now + rng.choice([0.0, 0.0, rng.randrange(1, 150)])
+        got = book.find_window(n, duration, not_before, cands, now)
+        want = reference_find_window(book, n, duration, not_before,
+                                     list(cands), now)
+        assert got == want, (n, duration, not_before, now, cands)
+        free = book.free_now(n, duration, cands, now)
+        first = reference_find_window(book, n, duration, now, list(cands),
+                                      now)
+        if free is None:
+            assert first is None or first[0] > now, (n, duration, now)
+        else:
+            assert first == (now, free), (n, duration, now)
+        assert (book.free_until(n, cands, now)
+                == reference_free_until(book, n, cands, now)), (n, now)
+
+    def test_views_kept_across_rounds_match_the_oracle(self):
+        seen = collections.Counter()
+        for seed in range(12):
+            rng = random.Random(9100 + seed)
+            book = ReservationBook(self.HOSTS)
+            blocks = []
+            now = last_now = 0.0
+            for k in range(12):
+                self._edit(book, rng, blocks, now, k, seen)
+            tuples = [tuple(self.HOSTS), self._tuple(rng)]
+            for rnd in range(25):
+                step = rng.choice([0.0, 5.0, rng.randrange(1, 90),
+                                   -rng.randrange(1, 60)])
+                now = max(now + step, 0.0)
+                if rng.random() < 0.3:
+                    # churn: a new candidate tuple replaces an old one
+                    tuples[rng.randrange(len(tuples))] = self._tuple(rng)
+                    seen["tuple churn"] += 1
+                for step in range(6):
+                    self._ask(book, rng, rng.choice(tuples), now, last_now,
+                              seen)
+                    self._edit(book, rng, blocks, now, 100 * rnd + step, seen)
+                last_now = now
+            # a view stays only while calls keep asking for it
+            assert len(book._views) <= 2 * len(tuples)
+        assert min(seen.values()) >= 5, seen
+        assert len(seen) == 7, seen
 
 
 class TailRecorder(MetaScheduler):
@@ -521,7 +629,7 @@ class TestDeepQueueChurn:
         for name, value in ref.counters.items():
             if name not in diagnostic:
                 assert fast.counters[name] == value, name
-        for host in planner.book.hosts():
+        for host in sorted(planner.book._calendars):
             assert (planner.book.calendar(host).claim_history
                     == oracle.book.calendar(host).claim_history)
         assert fast.conflicts == []
@@ -538,3 +646,31 @@ class TestDeepQueueChurn:
         assert any(after > before for _now, before, after
                    in planner.rebuilds)
         assert planner._index == {} and planner._planned == []
+
+    def test_book_state_is_bounded_after_churn(self):
+        # Crashes and repairs change the candidate tuples; the views of
+        # the tuples no longer asked for are dropped with their dirty
+        # sets once ``now`` moves on.
+        asked = []
+
+        class Recorder(MetaScheduler):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                view = self.book._view
+
+                def record(candidates, now):
+                    asked.append(tuple(candidates))
+                    return view(candidates, now)
+                self.book._view = record
+
+        _result, planner = serve_churn(Recorder)
+        book = planner.book
+        assert len(set(asked)) > len(book._views) >= 1
+        # only views asked at the book's last two instants remain ...
+        assert all(view.asked >= book._epoch - 1
+                   for view in book._views.values())
+        # ... and only their dirty sets are left for calendars to mark
+        assert len(book._dirty) == len(book._views)
+        assert all(dirty is view.dirty for dirty, view
+                   in zip(book._dirty, book._views.values()))
+        assert all(len(key) == 64 for key in book._views)

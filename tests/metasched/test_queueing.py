@@ -53,11 +53,11 @@ class TestFairShareQueue:
         q = FairShareQueue()
         q.push(spec("a", "u0"))
         q.push(spec("b", "u0"))
-        assert [s.name for s in q.specs()] == ["a", "b"]
+        assert list(q._entries) == ["a", "b"]
         assert q.user_queued("u0") == 2
         removed = q.remove("a")
         assert removed.name == "a"
-        assert [s.name for s in q.specs()] == ["b"]
+        assert list(q._entries) == ["b"]
         assert len(q) == 1
         with pytest.raises(KeyError):
             q.remove("a")
@@ -67,9 +67,9 @@ class TestFairShareQueue:
         q.charge("hog", 5000.0)
         q.push(spec("hog-job", "hog"))
         q.push(spec("light-job", "light"))
-        # dispatch order reranks; specs() never does
+        # dispatch order reranks; the queue itself keeps arrival order
         assert [s.name for s in q.ordered(0.0)] == ["light-job", "hog-job"]
-        assert [s.name for s in q.specs()] == ["hog-job", "light-job"]
+        assert list(q._entries) == ["hog-job", "light-job"]
 
 
 class TestOrderMemoization:

@@ -7,6 +7,7 @@ from repro.metasched.reservations import (
     Reservation,
     ReservationBook,
     ReservationConflict,
+    _busy,
 )
 from tests.oracles.metasched import (
     _dedup_times,
@@ -42,12 +43,11 @@ class TestHostCalendar:
         a = cal.reserve("a", 0.0, 40.0)
         cal.claim(a, 0.0)
         b = cal.reserve("b", 50.0, 100.0)
-        mutations = cal.mutations
         with pytest.raises(ValueError):
             cal.claim(b, 30.0)
         assert (b.start, b.end, b.state) == (50.0, 100.0, "reserved")
-        assert cal.active() == [a, b]
-        assert cal.mutations == mutations
+        assert cal._active == [a, b]
+        assert list(cal.unclaimed) == [b]
         # the refused claim is still claimable once it starts
         cal.release(a, 40.0)
         cal.claim(b, 50.0)
@@ -68,7 +68,7 @@ class TestHostCalendar:
         cal.claim(resv, 0.0)
         cal.release(resv, 60.0)
         assert cal.claim_history == [("a", 0.0, 60.0)]
-        assert cal.active() == []
+        assert cal._active == []
 
     def test_release_of_unstarted_reservation_leaves_no_history(self):
         cal = HostCalendar("h")
@@ -110,7 +110,7 @@ class TestReservationBook:
         with pytest.raises(ReservationConflict):
             book.reserve_block("b", ["h1", "h2"], 50.0, 150.0)
         # the partial h1 booking was rolled back
-        assert book.calendar("h1").active() == []
+        assert book.calendar("h1")._active == []
 
     def test_find_window_immediate_when_free(self):
         book = ReservationBook(["h1", "h2"])
@@ -234,6 +234,18 @@ class TestOverrunHorizons:
         # h1's job is still running at t=150; only h2 is free now.
         assert book.free_now(1, 60.0, ["h1", "h2"], 150.0) == ["h2"]
         assert book.free_now(2, 60.0, ["h1", "h2"], 150.0) is None
+
+    def test_probe_reads_the_grace_horizon(self):
+        # the window probe's own test, without the bound that keeps
+        # hosts with an overrunning first claim from reaching it
+        cal = HostCalendar("h")
+        resv = cal.reserve("a", 0.0, 100.0)
+        cal.claim(resv, 0.0)
+        now = 150.0
+        probe = dict(overrun=now + 1e-9, horizon=now + 30.0)
+        for start, busy in ((150.0, True), (175.0, True), (180.0, False)):
+            live, thr = start + 1e-9, start + 10.0 - 1e-9
+            assert _busy(cal._active, live, thr, **probe) is busy, start
 
     def test_cursor_matches_oracle_on_non_monotone_ends(self):
         # At 150 the claim on [0, 100) has overrun and reads 180, while

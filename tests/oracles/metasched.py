@@ -40,12 +40,14 @@ from repro.metasched.reservations import (
     CLAIMED,
     GRACE_SECONDS,
     HostCalendar,
+    Reservation,
     ReservationBook,
 )
 from repro.soak import runner as soak_runner
 
 __all__ = ["ReferenceMetaScheduler", "busy_during_reference",
-           "reference_find_window", "reference_planner"]
+           "reference_find_window", "reference_free_until",
+           "reference_planner"]
 
 
 def _dedup_times(times: List[float]) -> List[float]:
@@ -63,6 +65,15 @@ def _dedup_times(times: List[float]) -> List[float]:
     return out
 
 
+def _effective_end(resv: Reservation, now: float) -> float:
+    """A live reservation's end as planners see it at ``now``: a claim
+    that has outlived its estimate ends :data:`GRACE_SECONDS` past
+    ``now``."""
+    if resv.state == CLAIMED and resv.end <= now + _EPS:
+        return now + GRACE_SECONDS
+    return resv.end
+
+
 def busy_during_reference(calendar: HostCalendar, start: float,
                           end: float, now: float) -> bool:
     """Is any live reservation in the way of ``[start, end)``?
@@ -73,10 +84,8 @@ def busy_during_reference(calendar: HostCalendar, start: float,
     linear scan of every live reservation on the calendar.
     """
     for resv in calendar._active:
-        r_end = resv.end
-        if resv.state == CLAIMED and r_end <= now + _EPS:
-            r_end = now + GRACE_SECONDS
-        if resv.start < end - _EPS and start < r_end - _EPS:
+        if (resv.start < end - _EPS
+                and start < _effective_end(resv, now) - _EPS):
             return True
     return False
 
@@ -94,7 +103,8 @@ def reference_find_window(book: ReservationBook, n_hosts: int,
         return None
     times = [not_before]
     for host in candidates:
-        for t in book.calendar(host)._effective_ends(now):
+        for resv in book.calendar(host)._active:
+            t = _effective_end(resv, now)
             if t > not_before + _EPS:
                 times.append(t)
     for start in _dedup_times(times):
@@ -104,6 +114,23 @@ def reference_find_window(book: ReservationBook, n_hosts: int,
         if len(free) >= n_hosts:
             return start, free[:n_hosts]
     return None
+
+
+def reference_free_until(book: ReservationBook, n_hosts: int,
+                         candidates: Sequence[str], now: float) -> float:
+    """:meth:`ReservationBook.free_until` by brute force: per candidate,
+    the start of its first live reservation (in start order) whose
+    effective end is past ``now + _EPS``, or ``inf``; then the
+    ``n_hosts``-th largest of those."""
+    untils = []
+    for host in candidates:
+        until = math.inf
+        for resv in book.calendar(host)._active:
+            if _effective_end(resv, now) > now + _EPS:
+                until = resv.start
+                break
+        untils.append(until)
+    return sorted(untils)[-n_hosts]
 
 
 class ReferenceMetaScheduler(MetaScheduler):
@@ -149,7 +176,7 @@ class ReferenceMetaScheduler(MetaScheduler):
         """Arm the wake at the earliest planned start, found by a scan
         of every queued job's plan."""
         earliest = math.inf
-        for spec in self.queue.specs():
+        for _ticket, spec in self.queue._entries.values():
             planned = self.jobs[spec.name].planned
             if planned and planned[0].start < earliest:
                 earliest = planned[0].start

@@ -91,12 +91,6 @@ UNREACHED = {
     "repro.ibp.depot.Depot.read": (
         "whole-allocation read; SRS reads partitions with read_partial, "
         "tests/rescheduling/test_ibp_redistribution.py reads whole ones"),
-    "repro.metasched.queueing.FairShareQueue.specs":
-        only_read_by("tests/metasched and the planner oracle"),
-    "repro.metasched.reservations.HostCalendar.active":
-        only_read_by("tests/metasched"),
-    "repro.metasched.reservations.ReservationBook.hosts":
-        only_read_by("tests/metasched"),
     "repro.metasched.reservations.Reservation.__repr__": REPR,
     "repro.microgrid.cluster.Cluster.__iter__":
         only_read_by("tests/microgrid"),
